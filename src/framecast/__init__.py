@@ -14,8 +14,6 @@ from .coefficients import (
     SparseCoefficientTensor,
     assemble_tensor,
     cached_tensor,
-    g_element,
-    h_element,
 )
 from .frames import (
     GramLikeMatrix,
@@ -39,6 +37,7 @@ from .optimizer import (
     OptimizationResult,
     SweepRow,
     b_from_a,
+    best_of_restarts,
     direct_search_optimize,
     fit_asymptote,
     fixed_point_optimize,
@@ -47,7 +46,14 @@ from .optimizer import (
     top_eigenpair,
     z_sector_matrix,
 )
-from .quadrature import SO3Grid, coefficient_block, coefficient_oracle, integrate, make_grid
+from .quadrature import (
+    SO3Grid,
+    coefficient_block,
+    coefficient_deviation,
+    coefficient_oracle,
+    integrate,
+    make_grid,
+)
 from .simulator import (
     MonteCarloReport,
     monte_carlo_error,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def total_dim(n: int) -> int:
     """Dimension of the n-th level: sum of (2j+1) over j < n, i.e. n**2."""
@@ -26,7 +24,3 @@ def iter_jm(n: int):
         for m in range(-j, j + 1):
             yield j, m
 
-
-def magnetic_numbers(n: int) -> np.ndarray:
-    """m value of every flat position, concatenated over blocks."""
-    return np.concatenate([np.arange(-j, j + 1) for j in range(n)])

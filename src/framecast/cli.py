@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import Objective, assemble_tensor, cached_tensor
+from .coefficients import Objective, SparseCoefficientTensor, assemble_tensor, cached_tensor
 from .objective import AliceState, FiducialState, fidelity_report
-from .optimizer import fit_asymptote, fixed_point_optimize, sweep
-from .quadrature import coefficient_block, integrate, make_grid
+from .optimizer import best_of_restarts, fit_asymptote, fixed_point_optimize, sweep
+from .quadrature import coefficient_deviation, integrate, make_grid
 from .simulator import monte_carlo_error, povm_defect
 from .so3 import (
     EulerAngles,
@@ -87,6 +87,14 @@ def _objective_from_args(args, parser) -> Objective:
         parser.error(str(exc))
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: numpy seed streams need a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _parse_n_range(text: str, parser) -> tuple[int, int]:
     try:
         if ".." in text:
@@ -105,17 +113,8 @@ def cmd_optimize(args, parser) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
     objective = _objective_from_args(args, parser)
-    tensor = cached_tensor(objective, args.n - 1)
-    result = fixed_point_optimize(
-        tensor, args.n, init="uniform", tol=args.tol, max_iter=args.max_iter
-    )
-    for restart in range(args.restarts):
-        candidate = fixed_point_optimize(
-            tensor, args.n, init="random", tol=args.tol, max_iter=args.max_iter,
-            seed=args.seed * 1000 + restart,
-        )
-        if candidate.lam > result.lam:
-            result = candidate
+    result = best_of_restarts(cached_tensor(objective, args.n - 1), args.n, args.restarts,
+                              args.seed, tol=args.tol, max_iter=args.max_iter)
     report = fidelity_report(result.a, result.b, objective)
     doc = result.to_json()
     doc["objective"] = objective.to_json()
@@ -169,21 +168,13 @@ def _verify_checks(n: int, seed: int, inject_fault: bool):
         (Objective.z_axis(), lambda a, b, g: np.cos(b)),
         (Objective.xy_axes(), lambda a, b, g: (1.0 + np.cos(b)) * np.cos(a + g)),
     ]:
-        entries = dict(assemble_tensor(objective, j_max).entries)
-        if inject_fault and entries:
-            key = sorted(entries)[0]
-            entries[key] += 1e-3  # test hook: deliberate corruption
-        for j in range(j_max + 1):
-            for k in range(j_max + 1):
-                block = coefficient_block(fn, j, k, grid)
-                for mi in range(2 * j + 1):
-                    for ri in range(2 * j + 1):
-                        for ni in range(2 * k + 1):
-                            for si in range(2 * k + 1):
-                                key = (j, k, mi - j, ni - k, ri - j, si - k)
-                                ref = entries.get(key, 0.0)
-                                coeff_worst = max(coeff_worst, abs(block[mi, ri, ni, si] - ref))
-    yield "coefficients-vs-quadrature", float(coeff_worst), 1e-10
+        tensor = assemble_tensor(objective, j_max)
+        if inject_fault and tensor.entries:
+            entries = dict(tensor.entries)
+            entries[sorted(entries)[0]] += 1e-3  # test hook: deliberate corruption
+            tensor = SparseCoefficientTensor(j_max, objective, entries)
+        coeff_worst = max(coeff_worst, coefficient_deviation(tensor, fn, grid))
+    yield "coefficients-vs-quadrature", coeff_worst, 1e-10
 
     fiducial = FiducialState.random(n, rng)
     yield "povm-completeness", povm_defect(fiducial, grid), 1e-10
@@ -287,7 +278,7 @@ def _add_common_optimize_flags(sub):
     sub.add_argument("--tol", type=float, default=1e-12, help="fixed-point tolerance on lambda")
     sub.add_argument("--max-iter", type=int, default=200, help="fixed-point iteration cap")
     sub.add_argument("--restarts", type=int, default=3, help="seeded random restarts")
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
+    sub.add_argument("--seed", type=_seed, default=0, help="master seed")
 
 
 def build_parser() -> _Parser:
@@ -306,7 +297,7 @@ def build_parser() -> _Parser:
 
     ver = commands.add_parser("verify", help="run the oracle suites")
     ver.add_argument("--n", type=int, default=3, help="oracle scale (1..6)")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_seed, default=0)
     ver.add_argument("--check", default="all",
                      help="substring filter: grid, geometry, wigner, coefficients, povm")
     ver.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
@@ -331,7 +322,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--wz", type=float, default=None)
     sim.add_argument("--wxy", type=float, default=None)
     sim.add_argument("--samples", type=int, default=100_000)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--true", choices=["haar", "identity"], default="haar",
                      help="true rotation: Haar-random per sample or fixed identity")
     sim.add_argument("--tol", type=float, default=1e-12)

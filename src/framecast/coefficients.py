@@ -1,17 +1,14 @@
 """Closed-form transmission coefficients and sparse tensor assembly.
 
-The expected per-axis cosines of the transmission error are quadratic forms
-in the sender amplitudes a_{jm} and the fiducial amplitudes b_{jm}; their
-coefficients come in two closed-form families:
-
-* g: couples equal magnetic numbers (m = n, r = s) and scores the z axis
-  through <cos beta>;
-* h: couples raised magnetic numbers (m = n - 1, r = s - 1, plus the mirrored
-  pattern) and scores the x and y axes together through
-  <(1 + cos beta) cos(alpha + gamma)>.
-
-Both vanish outside |j - k| <= 1. The assembled tensors are validated
-entrywise against the brute-force quadrature oracle.
+Every transmission objective is the expectation of a weighted sum
+sum_ab c_ab R_ab of classical rotation-matrix entries, a quadratic form in
+the sender amplitudes a_{jm} and the fiducial amplitudes b_{jm}. Its
+coefficients come from one formula, `moment_entries`: each R_ab is a
+combination of spin-1 D-matrix entries, so the coefficient of blocks (j, k)
+is a product of two spin-1 Clebsch-Gordan coefficients. It vanishes outside
+|j - k| <= 1. The z axis is c = diag(0, 0, 1) and the joint x and y axes are
+c = diag(1, 1, 0); the brute-force quadrature oracle in `quadrature` checks
+the assembled tensors entrywise without sharing this formula.
 """
 
 from __future__ import annotations
@@ -20,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -84,64 +82,14 @@ class Objective:
         return cls(doc["kind"], float(doc["w_z"]), float(doc["w_xy"]))
 
 
-def g_element(j: int, k: int, n: int, s: int) -> float:
-    """Equal-m coupling between blocks j and k at magnetic numbers (n, s).
-
-    Diagonal blocks give n s / (j (j+1)) (zero at j = 0, where the Haar
-    average of cos beta against the trivial block vanishes); adjacent blocks
-    give sqrt((J^2-n^2)(J^2-s^2) / (4J^2-1)) / J with J the larger index.
-    Zero outside |j - k| <= 1, and zero at |n| = J or |s| = J where the
-    radicand vanishes (those indices do not fit the smaller block).
-    """
-    hi = max(j, k)
-    if abs(n) > hi or abs(s) > hi:
-        raise ValueError(f"magnetic index out of range for blocks ({j}, {k})")
-    if j == k:
-        if j == 0:
-            return 0.0
-        return n * s / (j * (j + 1))
-    if abs(j - k) != 1:
-        return 0.0
-    rad = (hi * hi - n * n) * (hi * hi - s * s)
-    if rad <= 0:
-        return 0.0
-    return math.sqrt(rad / (4 * hi * hi - 1)) / hi
-
-
-def h_element(j: int, k: int, n: int, s: int) -> float:
-    """Raising-pattern coupling h_{jk}(n, s), row block j, column block k.
-
-    (n, s) are the column-side magnetic numbers; the row side sits at
-    (n - 1, s - 1). The h matrix is not symmetric on its own; symmetry is
-    restored in the assembled tensor by the mirrored lowering pattern.
-    Zero outside |j - k| <= 1 or wherever a factor under the root vanishes,
-    which covers every index that does not fit the smaller block.
-    """
-    if abs(n) > max(j, k) or abs(s) > max(j, k):
-        raise ValueError(f"magnetic index out of range for blocks ({j}, {k})")
-    if j == k:
-        if j == 0:
-            return 0.0
-        rad = (j - n + 1) * (j + n) * (j - s + 1) * (j + s)
-        return math.sqrt(rad) / (2 * j * (j + 1)) if rad > 0 else 0.0
-    if j == k + 1:
-        rad = (j - n + 1) * (j - n) * (j - s + 1) * (j - s)
-        return math.sqrt(rad) / (2 * j * math.sqrt(4 * j * j - 1)) if rad > 0 else 0.0
-    if k == j + 1:
-        rad = (k + n - 1) * (k + n) * (k + s - 1) * (k + s)
-        return math.sqrt(rad) / (2 * k * math.sqrt(4 * k * k - 1)) if rad > 0 else 0.0
-    return 0.0
-
-
 @dataclass(frozen=True)
 class SparseCoefficientTensor:
     """Nonzero transmission coefficients keyed by (j, k, m, n, r, s).
 
     Entries stay within |j - k| <= 1 and satisfy the Hermitian symmetry
-    entry(j,k,m,n,r,s) = conj(entry(k,j,n,m,s,r)). Tensors assembled from the
-    closed-form families additionally obey their delta patterns and are real;
-    quadrature-derived rotation-entry tensors (objective=None) may carry
-    imaginary parts.
+    entry(j,k,m,n,r,s) = conj(entry(k,j,n,m,s,r)), with n - m = mu and
+    s - r = nu in {-1, 0, 1}. Objective tensors are real; tensors of single
+    rotation-matrix entries (objective=None) may carry imaginary parts.
     """
 
     j_max: int
@@ -185,47 +133,77 @@ class SparseCoefficientTensor:
             return cls.from_json(json.load(fh))
 
 
-def _add(entries: dict, key: tuple, value: float) -> None:
-    if value == 0.0:
-        return
-    entries[key] = entries.get(key, 0.0) + value
+# Columns are the spherical unit vectors e_{-1} = (x - iy)/sqrt2, e_0 = z and
+# e_{+1} = -(x + iy)/sqrt2, split into an exact 0, +-1, +-i matrix and real
+# per-pair scales, so Cartesian weights that cancel leave exact zeros.
+_SPHERICAL = np.array([[1, 0, -1], [-1j, 0, -1j], [0, 1, 0]])
+_SPHERICAL_SCALE = 1.0 / np.sqrt(np.outer([2, 1, 2], [2, 1, 2]))
 
 
-def _g_pattern(j_max: int, weight: float, entries: dict) -> None:
+def _spin_one_cg(j: int, k: int, mu: int) -> np.ndarray:
+    """Clebsch-Gordan coefficients <j m; 1 mu | k m+mu> for m = -j..j.
+
+    Condon-Shortley phases (Varshalovich, Moskalev & Khersonskii 1988, spin-1
+    table) for k in {j, j + 1}, k = j needing j >= 1. Every radicand vanishes
+    where m + mu falls outside block k, so those entries are exact zeros.
+    """
+    n = np.arange(-j, j + 1) + mu
+    if k == j + 1:
+        sign, den = 1, (2 * j + 1) * (2 * j + 2)
+        num = ((j + n) * (j + n + 1) if mu == 1 else
+               2 * (j - n + 1) * (j + n + 1) if mu == 0 else
+               (j - n) * (j - n + 1))
+    else:
+        den = 2 * j * (j + 1)
+        sign, num = ((-1, (j + n) * (j - n + 1)) if mu == 1 else
+                     (np.sign(n), 2 * n * n) if mu == 0 else
+                     (1, (j - n) * (j + n + 1)))
+    return sign * np.sqrt(num / den)
+
+
+def moment_entries(c, j_max: int) -> dict:
+    """Nonzero coefficients of E[sum_ab c_ab R_ab], keyed by (j, k, m, n, r, s).
+
+    The spherical components c_hat of the real 3x3 matrix c satisfy sum_ab c_ab R_ab
+    = sum_{mu nu} c_hat_{mu nu} D^1_{mu nu}, and the Haar integral of
+    D^j conj(D^k) D^1 is a product of two spin-1 Clebsch-Gordan coefficients.
+    Each block pair (|j - k| <= 1) is therefore a sum of rank-1 terms
+    sqrt((2j+1)/(2k+1)) c_hat_{mu nu} <j m; 1 mu|k n> <j r; 1 nu|k s> with
+    n = m + mu and s = r + nu. Blocks with j > k are the conjugate mirror
+    images of those with j < k, so the Hermitian symmetry of the tensor holds
+    exactly. Values are floats when c_hat is real.
+    """
+    if j_max < 0:
+        raise ValueError("j_max must be non-negative")
+    c_hat = (_SPHERICAL.conj().T @ np.asarray(c) @ _SPHERICAL) * _SPHERICAL_SCALE
+    if not np.any(c_hat.imag):
+        c_hat = c_hat.real
+    entries: dict = {}
     for j in range(j_max + 1):
-        for k in range(max(0, j - 1), min(j_max, j + 1) + 1):
-            lo = min(j, k)
-            for m in range(-lo, lo + 1):
-                for r in range(-lo, lo + 1):
-                    _add(entries, (j, k, m, m, r, r), weight * g_element(j, k, m, r))
-
-
-def _h_pattern(j_max: int, weight: float, entries: dict) -> None:
-    # raising pattern (m = n-1, r = s-1) plus its mirrored partner, which
-    # together restore the Hermitian symmetry of the tensor
-    for j in range(j_max + 1):
-        for k in range(max(0, j - 1), min(j_max, j + 1) + 1):
-            for n in range(-k, k + 1):
-                if abs(n - 1) > j:
-                    continue
-                for s in range(-k, k + 1):
-                    if abs(s - 1) > j:
-                        continue
-                    val = weight * h_element(j, k, n, s)
-                    _add(entries, (j, k, n - 1, n, s - 1, s), val)
-                    _add(entries, (k, j, n, n - 1, s, s - 1), val)
+        for k in range(j, min(j_max, j + 1) + 1):
+            if k == 0:
+                continue  # spin 1 does not couple the trivial block to itself
+            cg = np.stack([_spin_one_cg(j, k, mu) for mu in (-1, 0, 1)])
+            # block[mu + 1, m + j, nu + 1, r + j]
+            block = (math.sqrt((2 * j + 1) / (2 * k + 1)) * c_hat[:, None, :, None]
+                     * cg[:, :, None, None] * cg[None, None, :, :])
+            mu, m, nu, r = np.nonzero(block)
+            val = block[mu, m, nu, r]
+            m, n, r, s = ((i - j).tolist() for i in (m, m + mu - 1, r, r + nu - 1))
+            entries.update(zip(zip(repeat(j), repeat(k), m, n, r, s), val.tolist()))
+            if k != j:
+                entries.update(zip(zip(repeat(k), repeat(j), n, m, s, r), val.conj().tolist()))
+    return entries
 
 
 def assemble_tensor(objective: Objective, j_max: int) -> SparseCoefficientTensor:
-    """Sparse coefficient tensor for the requested objective at block cutoff j_max."""
-    if j_max < 0:
-        raise ValueError("j_max must be non-negative")
-    entries: dict = {}
-    if objective.w_z:
-        _g_pattern(j_max, objective.w_z, entries)
-    if objective.w_xy:
-        _h_pattern(j_max, objective.w_xy, entries)
-    return SparseCoefficientTensor(j_max, objective, entries)
+    """Sparse coefficient tensor for the requested objective at block cutoff j_max.
+
+    The z term scores R_zz and the joint xy term R_xx + R_yy, so the objective
+    is the moment matrix diag(w_xy, w_xy, w_z).
+    """
+    c = np.diag([objective.w_xy, objective.w_xy, objective.w_z])
+    return SparseCoefficientTensor(j_max, objective, moment_entries(c, j_max))
 
 
 @lru_cache(maxsize=64)

@@ -1,9 +1,11 @@
 """Reduction of weighted direction sets to three orthogonal axes.
 
 Transmitting any weighted set of directions scores as a contraction of the
-expected classical rotation matrix with the set's second-moment matrix; that
-matrix diagonalizes into three orthogonal axes with non-negative weights, so
-nothing beyond the weighted three-axis problem ever arises.
+expected classical rotation matrix with the set's second-moment matrix c;
+that matrix diagonalizes into three orthogonal axes with non-negative
+weights, so nothing beyond the weighted three-axis problem ever arises. The
+expectation itself is linear in c: each nonzero c_ab contributes through the
+closed-form coefficient tensor of the single rotation-matrix entry R_ab.
 """
 
 from __future__ import annotations
@@ -14,12 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coefficients import Objective, SparseCoefficientTensor, cached_tensor
+from .coefficients import SparseCoefficientTensor, moment_entries
 from .objective import AliceState, FiducialState, build_m, expected_value
-from .quadrature import coefficient_block, make_grid
-from .so3 import rotation_matrix_components
-
-OFFDIAG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,60 +111,29 @@ def reduce_to_axes(gram: GramLikeMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def rotation_entry_tensor(row: int, col: int, j_max: int) -> SparseCoefficientTensor:
-    """Coefficient tensor of one classical rotation-matrix entry, by quadrature.
+    """Coefficient tensor of the single rotation-matrix entry R_{row, col}, cached.
 
-    Only the diagonal z entry and the combined xy diagonal have closed forms,
-    so generic entries are integrated numerically on an exact grid and cached.
+    Off-diagonal entries carry imaginary coefficients.
     """
     if not (0 <= row < 3 and 0 <= col < 3):
         raise ValueError("rotation entries are indexed 0..2")
-
-    def entry_fn(alphas, betas, gammas):
-        return rotation_matrix_components(alphas, betas, gammas)[..., row, col]
-
-    grid = make_grid(j_max)
-    entries: dict = {}
-    for j in range(j_max + 1):
-        for k in range(max(0, j - 1), min(j_max, j + 1) + 1):
-            block = coefficient_block(entry_fn, j, k, grid)
-            for mi in range(2 * j + 1):
-                for ri in range(2 * j + 1):
-                    for ni in range(2 * k + 1):
-                        for si in range(2 * k + 1):
-                            val = complex(block[mi, ri, ni, si])
-                            if abs(val) > 1e-13:
-                                # off-axis entries carry imaginary Fourier weights
-                                if abs(val.imag) < 1e-13:
-                                    val = val.real
-                                entries[(j, k, mi - j, ni - k, ri - j, si - k)] = val
-    return SparseCoefficientTensor(j_max, None, entries)
+    unit = np.zeros((3, 3))
+    unit[row, col] = 1.0
+    return SparseCoefficientTensor(j_max, None, moment_entries(unit, j_max))
 
 
 def weighted_objective_expectation(a: AliceState, b: FiducialState,
                                    gram: GramLikeMatrix) -> float:
     """Expected weighted sum of direction cosines for the moment matrix.
 
-    Diagonal matrices with equal x and y weights use the closed-form tensors;
-    anything else contracts the quadrature-derived rotation-entry tensors.
+    The expectation of sum_ab c_ab R_ab is linear in c, so it sums the
+    rotation-entry expectations over the nonzero entries of c.
     """
     if a.n != b.n:
         raise ValueError("state dimensions differ")
     c = gram.c
-    j_max = a.n - 1
-    off_diag = np.max(np.abs(c - np.diag(np.diag(c))))
-    if off_diag <= OFFDIAG_TOL and abs(c[0, 0] - c[1, 1]) <= OFFDIAG_TOL:
-        total = 0.0
-        if abs(c[2, 2]) > 0.0:
-            z_mat = build_m(cached_tensor(Objective.z_axis(), j_max), b)
-            total += c[2, 2] * expected_value(z_mat, a)
-        if abs(c[0, 0]) > 0.0:
-            xy_mat = build_m(cached_tensor(Objective.xy_axes(), j_max), b)
-            total += c[0, 0] * expected_value(xy_mat, a)
-        return total
     total = 0.0
-    for row in range(3):
-        for col in range(3):
-            if abs(c[row, col]) > 0.0:
-                tensor = rotation_entry_tensor(row, col, j_max)
-                total += c[row, col] * expected_value(build_m(tensor, b), a)
+    for row, col in zip(*np.nonzero(c)):
+        tensor = rotation_entry_tensor(int(row), int(col), a.n - 1)
+        total += c[row, col] * expected_value(build_m(tensor, b), a)
     return total

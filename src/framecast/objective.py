@@ -57,10 +57,6 @@ class AliceState:
             raise ValueError("signal amplitudes must have unit total norm")
         object.__setattr__(self, "a", vec)
 
-    @classmethod
-    def from_coefficients(cls, n: int, coefficients) -> "AliceState":
-        return cls(n, coefficients)
-
     def block(self, j: int) -> np.ndarray:
         return self.a[block_slice(j)]
 

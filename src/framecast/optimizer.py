@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .basis import block_slice, flat_index, total_dim
-from .coefficients import Objective, SparseCoefficientTensor, cached_tensor, g_element
+from .coefficients import Objective, SparseCoefficientTensor, cached_tensor
 from .objective import (
     AliceState,
     FiducialState,
@@ -128,7 +128,7 @@ def fixed_point_optimize(
     init="uniform",
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    seed: int | None = None,
+    seed: int | np.random.SeedSequence | None = None,
 ) -> OptimizationResult:
     """Alternate eigenvector extraction and per-block renormalization.
 
@@ -188,15 +188,34 @@ def fixed_point_optimize(
     )
 
 
+def best_of_restarts(
+    tensor: SparseCoefficientTensor,
+    n: int,
+    restarts: int,
+    seed: int,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> OptimizationResult:
+    """Best fixed point from the uniform init and `restarts` random inits.
+
+    Random inits draw from independent child streams of SeedSequence((seed, n)),
+    so no two (n, restart) pairs share a stream and a given (n, seed) gives the
+    same result wherever it is optimized.
+    """
+    best = fixed_point_optimize(tensor, n, init="uniform", tol=tol, max_iter=max_iter)
+    for stream in np.random.SeedSequence((seed, n)).spawn(restarts):
+        candidate = fixed_point_optimize(tensor, n, init="random", tol=tol,
+                                         max_iter=max_iter, seed=stream)
+        if candidate.lam > best.lam:
+            best = candidate
+    return best
+
+
 def z_sector_matrix(n: int, m: int) -> np.ndarray:
     """Tridiagonal z-objective block for magnetic number m, blocks j >= |m|."""
-    js = list(range(abs(m), n))
-    mat = np.zeros((len(js), len(js)))
-    for i, j in enumerate(js):
-        for i2, k in enumerate(js):
-            if abs(j - k) <= 1:
-                mat[i, i2] = g_element(j, k, m, m)
-    return mat
+    entries = cached_tensor(Objective.z_axis(), n - 1).entries
+    js = range(abs(m), n)
+    return np.array([[entries.get((j, k, m, m, m, m), 0.0) for k in js] for j in js])
 
 
 def optimize_z_single_m(n: int, m: int) -> OptimizationResult:
@@ -322,15 +341,8 @@ def sweep(
         raise ValueError("need 1 <= n_from <= n_to")
     rows = []
     for n in range(n_from, n_to + 1):
-        tensor = cached_tensor(objective, n - 1)
-        best = fixed_point_optimize(tensor, n, init="uniform", tol=tol, max_iter=max_iter)
-        for restart in range(restarts):
-            candidate = fixed_point_optimize(
-                tensor, n, init="random", tol=tol, max_iter=max_iter,
-                seed=seed * 1000 + n * 10 + restart,
-            )
-            if candidate.lam > best.lam:
-                best = candidate
+        best = best_of_restarts(cached_tensor(objective, n - 1), n, restarts, seed,
+                                tol=tol, max_iter=max_iter)
         rows.append(
             SweepRow(
                 n=n,

@@ -5,8 +5,10 @@ factors exactly: Gauss-Legendre in cos(beta), uniform (trapezoidal) grids in
 alpha and gamma. Normalization follows the Haar probability measure
 sin(beta) d(alpha) d(beta) d(gamma) / 8 pi^2.
 
-`coefficient_oracle` is the brute-force reference for any transmission
-coefficient: it never touches the closed forms it is used to validate.
+`coefficient_oracle` and `coefficient_block` are the brute-force reference
+for any transmission coefficient, and `coefficient_deviation` compares a
+whole coefficient tensor against them: they never touch the closed forms
+they are used to validate.
 """
 
 from __future__ import annotations
@@ -101,6 +103,26 @@ def coefficient_block(f, j: int, k: int, grid: SO3Grid) -> np.ndarray:
     block = (dmat_j * (grid.weights * fvals)[:, None]).T @ dmat_k.conj()
     block *= math.sqrt((2 * j + 1) * (2 * k + 1))
     return block.reshape(dj, dj, dk, dk)
+
+
+def coefficient_deviation(tensor, f, grid: SO3Grid) -> float:
+    """Largest |coefficient_block(f) - tensor| over every block pair j, k <= tensor.j_max.
+
+    `tensor` is a SparseCoefficientTensor; each of its (j, k) blocks is
+    scattered into a dense array, absent keys counting as zero, so blocks
+    outside |j - k| <= 1 are compared as well.
+    """
+    keys = np.array(list(tensor.entries), dtype=int).reshape(-1, 6)
+    vals = np.array(list(tensor.entries.values()), dtype=complex)
+    worst = 0.0
+    for j in range(tensor.j_max + 1):
+        for k in range(tensor.j_max + 1):
+            mine = (keys[:, 0] == j) & (keys[:, 1] == k)
+            _, _, m, n, r, s = keys[mine].T
+            dense = np.zeros((2 * j + 1, 2 * j + 1, 2 * k + 1, 2 * k + 1), dtype=complex)
+            dense[m + j, r + j, n + k, s + k] = vals[mine]
+            worst = max(worst, float(np.max(np.abs(coefficient_block(f, j, k, grid) - dense))))
+    return worst
 
 
 def coefficient_oracle(f, j: int, k: int, m: int, n: int, r: int, s: int, grid: SO3Grid) -> complex:

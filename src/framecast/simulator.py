@@ -54,16 +54,21 @@ class MonteCarloReport:
         }
 
 
+def _apply_block_rotations(vec: np.ndarray, n: int, count: int, d_of) -> np.ndarray:
+    """Apply D^j_t = d_of(j)[t] to block j of vec for every j, batched over count t's."""
+    out = np.empty((count, total_dim(n)), dtype=complex)
+    for j in range(n):
+        out[:, block_slice(j)] = np.einsum("tmr,r->tm", d_of(j), vec[block_slice(j)])
+    return out
+
+
 def _rotate_blocks(vec: np.ndarray, n: int, alphas, betas, gammas) -> np.ndarray:
     """Apply the block rotation D^j(angles_t) to every block, batched over t."""
     alphas = np.atleast_1d(np.asarray(alphas, float))
     betas = np.atleast_1d(np.asarray(betas, float))
     gammas = np.atleast_1d(np.asarray(gammas, float))
-    out = np.empty((alphas.size, total_dim(n)), dtype=complex)
-    for j in range(n):
-        dmat = big_d_matrix(j, alphas, betas, gammas)
-        out[:, block_slice(j)] = np.einsum("tmr,r->tm", dmat, vec[block_slice(j)])
-    return out
+    return _apply_block_rotations(vec, n, alphas.size,
+                                  lambda j: big_d_matrix(j, alphas, betas, gammas))
 
 
 def _block_weights(n: int) -> np.ndarray:
@@ -78,12 +83,8 @@ def _resolution_defect(vec: np.ndarray, n: int, grid: SO3Grid) -> float:
     needed_beta = 2 * (n - 1) + 3
     if len(grid.beta_nodes) < needed_beta or grid.alpha_count < 2 * (n - 1) + 1:
         raise ValueError(f"grid is not exact for n={n}; build it with make_grid({n - 1})")
-    weights = _block_weights(n)
-    rotated = np.empty((grid.node_count, total_dim(n)), dtype=complex)
-    for j in range(n):
-        dmat = big_d_on_grid(grid, j)
-        rotated[:, block_slice(j)] = np.einsum("tmr,r->tm", dmat, vec[block_slice(j)])
-    rotated *= weights
+    rotated = _apply_block_rotations(vec, n, grid.node_count, lambda j: big_d_on_grid(grid, j))
+    rotated *= _block_weights(n)
     identity_est = (rotated * grid.weights[:, None]).T @ rotated.conj()
     return float(np.max(np.abs(identity_est - np.eye(total_dim(n)))))
 

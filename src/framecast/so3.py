@@ -31,6 +31,12 @@ TWO_PI = 2.0 * math.pi
 GIMBAL_EPS = 1e-10
 
 
+def _wrap_angle(x: float) -> float:
+    """x modulo 2pi in [0, 2pi); tiny negative x, which rounds up to 2pi, maps to 0."""
+    x %= TWO_PI
+    return x if x < TWO_PI else 0.0
+
+
 @dataclass(frozen=True)
 class EulerAngles:
     """zyz Euler angles, normalized to alpha, gamma in [0, 2pi), beta in [0, pi].
@@ -52,9 +58,9 @@ class EulerAngles:
             b = TWO_PI - b
             a += math.pi
             g += math.pi
-        object.__setattr__(self, "alpha", a % TWO_PI)
+        object.__setattr__(self, "alpha", _wrap_angle(a))
         object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "gamma", g % TWO_PI)
+        object.__setattr__(self, "gamma", _wrap_angle(g))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)

@@ -1,4 +1,4 @@
-"""Closed-form coefficient families and sparse tensor assembly."""
+"""Closed-form Clebsch-Gordan coefficient tensors and their assembly."""
 
 import math
 
@@ -12,10 +12,8 @@ from framecast import (
     SparseCoefficientTensor,
     assemble_tensor,
     build_m,
-    coefficient_block,
+    coefficient_deviation,
     expected_value,
-    g_element,
-    h_element,
     make_grid,
 )
 
@@ -41,52 +39,64 @@ class TestObjective:
         assert Objective.from_json(obj.to_json()) == obj
 
 
+Z3 = assemble_tensor(Objective.z_axis(), 3).entries
+XY3 = assemble_tensor(Objective.xy_axes(), 3).entries
+
+
 class TestGElement:
+    """Equal-m couplings g_jk(m, r): the z tensor entries (j, k, m, m, r, r)."""
+
     def test_zero_magnetic_number_kills_diagonal(self):
+        z5 = assemble_tensor(Objective.z_axis(), 5).entries
         for j in (1, 2, 5):
             for s in range(-j, j + 1):
-                assert g_element(j, j, 0, s) == 0.0
+                assert (j, j, 0, 0, s, s) not in z5
+                assert (j, j, s, s, 0, 0) not in z5
 
     def test_adjacent_block_value(self):
-        assert g_element(1, 0, 0, 0) == pytest.approx(1.0 / math.sqrt(3), abs=1e-15)
-        assert g_element(0, 1, 0, 0) == g_element(1, 0, 0, 0)
+        assert Z3[(1, 0, 0, 0, 0, 0)] == pytest.approx(1.0 / math.sqrt(3), abs=1e-15)
+        assert Z3[(0, 1, 0, 0, 0, 0)] == Z3[(1, 0, 0, 0, 0, 0)]
 
     def test_diagonal_value(self):
-        assert g_element(2, 2, 1, 2) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert Z3[(2, 2, 1, 1, 2, 2)] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_banded(self):
-        assert g_element(3, 1, 0, 0) == 0.0
+        assert (3, 1, 0, 0, 0, 0) not in Z3
+        assert all(abs(j - k) <= 1 for j, k, *_ in Z3)
 
     def test_vanishing_radicand_edge(self):
-        # |n| = J makes the root factor vanish
-        assert g_element(2, 1, 1, 2) == pytest.approx(0.0, abs=0)
+        # s = 2 does not fit block 1
+        assert (2, 1, 1, 1, 2, 2) not in Z3
 
     def test_index_validation(self):
-        with pytest.raises(ValueError):
-            g_element(1, 1, 2, 0)
-        with pytest.raises(ValueError):
-            g_element(2, 1, 3, 0)
-        # within the larger block but outside the smaller: zero, not an error
-        assert g_element(2, 1, 2, 0) == 0.0
+        for j, k, m, n, r, s in Z3:
+            assert m == n and r == s
+            assert max(abs(m), abs(r)) <= min(j, k)
+        # within the larger block but outside the smaller: no entry
+        assert (2, 1, 2, 2, 0, 0) not in Z3
 
 
 class TestHElement:
+    """Raising couplings h_jk(n, s): the xy tensor entries (j, k, n-1, n, s-1, s)."""
+
     def test_diagonal_value(self):
-        assert h_element(1, 1, 1, 1) == pytest.approx(0.5, abs=1e-15)
+        assert XY3[(1, 1, 0, 1, 0, 1)] == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_factor(self):
-        # raising out of the top of block 1 leaves a vanishing (j - n) factor
-        assert h_element(1, 0, 1, 1) == 0.0
+        # n = 1 does not fit block 0
+        assert (1, 0, 0, 1, 0, 1) not in XY3
 
     def test_adjacent_value_at_top_magnetic_number(self):
-        assert h_element(1, 2, 2, 2) == pytest.approx(3.0 / math.sqrt(15), abs=1e-14)
+        assert XY3[(1, 2, 1, 2, 1, 2)] == pytest.approx(3.0 / math.sqrt(15), abs=1e-14)
 
     def test_banded(self):
-        assert h_element(3, 1, 1, 1) == 0.0
+        assert (3, 1, 0, 1, 0, 1) not in XY3
+        assert all(abs(j - k) <= 1 for j, k, *_ in XY3)
 
     def test_index_validation(self):
-        with pytest.raises(ValueError):
-            h_element(1, 1, 2, 0)
+        for j, k, m, n, r, s in XY3:
+            assert abs(n - m) == 1 and s - r == n - m
+            assert max(abs(m), abs(r)) <= j and max(abs(n), abs(s)) <= k
 
 
 class TestAssembleTensor:
@@ -144,19 +154,7 @@ class TestAssembleTensor:
     def test_matches_quadrature_oracle_entrywise(self, objective, fn):
         j_max = 4
         tensor = assemble_tensor(objective, j_max)
-        grid = make_grid(j_max)
-        worst = 0.0
-        for j in range(j_max + 1):
-            for k in range(j_max + 1):
-                block = coefficient_block(fn, j, k, grid)
-                for mi in range(2 * j + 1):
-                    for ri in range(2 * j + 1):
-                        for ni in range(2 * k + 1):
-                            for si in range(2 * k + 1):
-                                key = (j, k, mi - j, ni - k, ri - j, si - k)
-                                ref = tensor.entries.get(key, 0.0)
-                                worst = max(worst, abs(block[mi, ri, ni, si] - ref))
-        assert worst < 1e-10
+        assert coefficient_deviation(tensor, fn, make_grid(j_max)) < 1e-10
 
     def test_quadratic_form_bounds(self, rng):
         n = 3

@@ -13,6 +13,7 @@ from framecast import (
     big_d_matrix,
     build_c,
     cached_tensor,
+    coefficient_deviation,
     expected_value,
     build_m,
     fixed_point_optimize,
@@ -141,6 +142,18 @@ class TestWeightedExpectation:
 
 
 class TestRotationEntryTensor:
+    def test_every_entry_matches_quadrature_oracle(self):
+        j_max = 5
+        grid = make_grid(j_max)
+        for row in range(3):
+            for col in range(3):
+
+                def entry_fn(alphas, betas, gammas, row=row, col=col):
+                    return rotation_matrix_components(alphas, betas, gammas)[..., row, col]
+
+                tensor = rotation_entry_tensor(row, col, j_max)
+                assert coefficient_deviation(tensor, entry_fn, grid) < 1e-10, (row, col)
+
     def test_zz_entry_matches_closed_form_family(self):
         numeric = rotation_entry_tensor(2, 2, 2)
         closed = cached_tensor(Objective.z_axis(), 2)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from framecast import (
+    SparseCoefficientTensor,
     big_d_matrix,
     coefficient_block,
+    coefficient_deviation,
     coefficient_oracle,
     integrate,
     make_grid,
@@ -100,3 +102,19 @@ class TestCoefficientOracle:
                 delta = coefficient_block(fn, j, k, base) - coefficient_block(fn, j, k, fine)
                 worst = max(worst, float(np.max(np.abs(delta))))
         assert worst < 1e-12
+
+
+class TestCoefficientDeviation:
+    def test_unit_function_against_identity_and_empty_tensors(self):
+        # f = 1 has the coefficients delta_jk delta_mn delta_rs
+        grid = make_grid(2)
+        one = lambda a, b, g: 1.0
+        identity = {(j, j, m, m, r, r): 1.0
+                    for j in range(3) for m in range(-j, j + 1) for r in range(-j, j + 1)}
+        assert coefficient_deviation(SparseCoefficientTensor(2, None, identity), one, grid) < 1e-12
+        empty = SparseCoefficientTensor(2, None, {})
+        assert coefficient_deviation(empty, one, grid) == pytest.approx(1.0, abs=1e-12)
+
+    def test_entry_outside_band_is_compared(self):
+        stray = SparseCoefficientTensor(2, None, {(2, 0, 1, 0, -1, 0): 0.25})
+        assert coefficient_deviation(stray, lambda a, b, g: 0.0, make_grid(2)) == 0.25

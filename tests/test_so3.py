@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from framecast import (
     AngularIndex,
@@ -213,6 +215,24 @@ class TestEulerAngleNormalization:
         wrapped = EulerAngles(-0.5, 0.3, 7.0)
         assert 0.0 <= wrapped.alpha < 2.0 * math.pi
         assert 0.0 <= wrapped.gamma < 2.0 * math.pi
+
+    def test_tiny_negative_angles_wrap_to_zero(self):
+        # -1e-17 % 2pi rounds up to 2pi itself, outside [0, 2pi)
+        wrapped = EulerAngles(-1e-17, 0.3, -1e-17)
+        assert wrapped.alpha == 0.0
+        assert wrapped.gamma == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(*(st.floats(-50.0, 50.0),) * 3)
+    @example(-1e-17, 0.3, -1e-17)
+    @example(-1e-300, -1e-17, 2.0 * math.pi)
+    def test_normalized_ranges_keep_the_rotation(self, alpha, beta, gamma):
+        angles = EulerAngles(alpha, beta, gamma)
+        assert 0.0 <= angles.alpha < 2.0 * math.pi
+        assert 0.0 <= angles.beta <= math.pi
+        assert 0.0 <= angles.gamma < 2.0 * math.pi
+        direct = rotation_matrix_components(alpha, beta, gamma)
+        assert np.max(np.abs(rotation_matrix(angles).r - direct)) < 1e-12
 
     def test_gimbal_lock_convention(self):
         near_zero = angles_from_matrix(rotation_matrix_components(0.3, 1e-13, 0.4))
