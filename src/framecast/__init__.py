@@ -65,6 +65,7 @@ from .so3 import (
     AngularIndex,
     EulerAngles,
     RotationMatrix,
+    angles_from_matrices,
     angles_from_matrix,
     axis_cosines,
     big_d,
@@ -75,6 +76,7 @@ from .so3 import (
     rotation_matrix,
     rotation_matrix_components,
     small_d,
+    small_d_fourier,
     small_d_matrix,
 )
 

@@ -3,8 +3,14 @@
 The detector fiducial vector, rotated over the whole group with per-block
 weights sqrt(2j+1), resolves the identity; `povm_defect` verifies that on a
 quadrature grid. Measurement outcomes follow the density
-|<A| U(true)^dagger U(outcome) |B>|^2 relative to the Haar measure, sampled
-here by rejection against Haar-uniform proposals with envelope n^2.
+|<A| U(true)^dagger U(outcome) |B>|^2 relative to the Haar measure. Since
+U(true)^dagger U(outcome) = U(error) for the discrepancy rotation
+error = R(true)^T R(outcome), the density is scored at the error rotation's
+angles. The weighted amplitude <A|U(alpha, beta, gamma)|B> is one 3-D
+trigonometric polynomial, built once per state pair from the Fourier
+coefficients of the small-d matrices, so scoring a batch of proposals takes
+three phase vectors, one matmul and one contraction. Outcomes are sampled by
+rejection against Haar-uniform proposals with envelope n^2.
 """
 
 from __future__ import annotations
@@ -19,10 +25,9 @@ from .objective import AliceState, FiducialState
 from .quadrature import SO3Grid, big_d_on_grid
 from .so3 import (
     EulerAngles,
-    angles_from_matrix,
-    big_d_matrix,
-    error_angles,
+    angles_from_matrices,
     rotation_matrix_components,
+    small_d_fourier,
 )
 
 DEFAULT_CHUNK = 16384
@@ -62,15 +67,6 @@ def _apply_block_rotations(vec: np.ndarray, n: int, count: int, d_of) -> np.ndar
     return out
 
 
-def _rotate_blocks(vec: np.ndarray, n: int, alphas, betas, gammas) -> np.ndarray:
-    """Apply the block rotation D^j(angles_t) to every block, batched over t."""
-    alphas = np.atleast_1d(np.asarray(alphas, float))
-    betas = np.atleast_1d(np.asarray(betas, float))
-    gammas = np.atleast_1d(np.asarray(gammas, float))
-    return _apply_block_rotations(vec, n, alphas.size,
-                                  lambda j: big_d_matrix(j, alphas, betas, gammas))
-
-
 def _block_weights(n: int) -> np.ndarray:
     w = np.empty(total_dim(n))
     for j in range(n):
@@ -99,12 +95,42 @@ def povm_defect(b: FiducialState, grid: SO3Grid) -> float:
     return _resolution_defect(b.b, b.n, grid)
 
 
-def _amplitudes(rotated_a: np.ndarray, b_vec: np.ndarray, n: int,
-                alphas, betas, gammas) -> np.ndarray:
-    """<A'|U(angles)|B> for batches: A' row t against proposal angles row t."""
-    rotated_b = _rotate_blocks(b_vec, n, alphas, betas, gammas)
-    rotated_b *= _block_weights(n)
-    return np.einsum("ti,ti->t", rotated_a.conj(), rotated_b)
+def _amplitude_polynomial(a_vec: np.ndarray, b_vec: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients H[mu, m, r] of the weighted amplitude as a trigonometric polynomial.
+
+    sum_j sqrt(2j+1) conj(a_j) D^j(alpha, beta, gamma) b_j
+        = sum H[mu, m, r] exp(i m alpha) exp(-i mu beta) exp(i r gamma),
+    with mu, m, r ascending from -(n-1) to n-1; block j fills the centred
+    (2j+1)^3 cube.
+    """
+    width = 2 * n - 1
+    poly = np.zeros((width, width, width), dtype=complex)
+    for j in range(n):
+        lo, hi = n - 1 - j, n + j
+        a_j, b_j = a_vec[block_slice(j)], b_vec[block_slice(j)]
+        poly[lo:hi, lo:hi, lo:hi] += (
+            math.sqrt(2 * j + 1) * small_d_fourier(j) * a_j.conj()[:, None] * b_j
+        )
+    return poly
+
+
+def _error_matrices(r_true: np.ndarray, r_meas: np.ndarray) -> np.ndarray:
+    """Discrepancy rotations R(true_t)^T R(meas_t), batched over t."""
+    return np.swapaxes(r_true, -1, -2) @ r_meas
+
+
+def _outcome_amplitudes(poly: np.ndarray, r_true: np.ndarray, r_meas: np.ndarray) -> np.ndarray:
+    """Weighted amplitudes <U(T_t)A|U(M_t)B> = <A|U(T_t^T M_t)|B> for rotation matrix rows t."""
+    width = poly.shape[0]
+    half = (width + 1) // 2
+    # exp(i k angle) for k = 0..n-1 as running products, mirrored to k < 0 by conjugation
+    powers = np.empty(r_true.shape[:1] + (3, half), dtype=complex)
+    powers[..., 0] = 1.0
+    powers[..., 1:] = np.exp(1j * angles_from_matrices(_error_matrices(r_true, r_meas)))[..., None]
+    np.cumprod(powers, axis=2, out=powers)
+    phases = np.concatenate([powers[..., :0:-1].conj(), powers], axis=2)
+    by_m_r = (phases[:, 1].conj() @ poly.reshape(width, -1)).reshape(-1, width, width)
+    return np.einsum("tm,tm->t", phases[:, 0], (by_m_r @ phases[:, 2, :, None])[..., 0])
 
 
 def outcome_density(a: AliceState, b: FiducialState, true_rot: EulerAngles,
@@ -116,16 +142,22 @@ def outcome_density(a: AliceState, b: FiducialState, true_rot: EulerAngles,
     """
     if a.n != b.n:
         raise ValueError("state dimensions differ")
-    err = error_angles(true_rot, meas)
-    rotated_a = np.atleast_2d(a.a)
-    amp = _amplitudes(rotated_a, b.b, a.n, err.alpha, err.beta, err.gamma)
+    amp = _outcome_amplitudes(
+        _amplitude_polynomial(a.a, b.b, a.n),
+        rotation_matrix_components(*true_rot.as_tuple())[None],
+        rotation_matrix_components(*meas.as_tuple())[None],
+    )
     return float(np.abs(amp[0]) ** 2)
 
 
-def _sample_chunk(rotated_a: np.ndarray, b_vec: np.ndarray, n: int,
+def _sample_chunk(poly: np.ndarray, r_true: np.ndarray, n: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Rejection-sample one outcome per row of rotated_a; returns angles, proposals."""
-    count = rotated_a.shape[0]
+    """Rejection-sample one outcome per true rotation matrix in r_true; returns angles, proposals.
+
+    Raises ValueError if a proposal's density exceeds the envelope n^2, which
+    a pair of valid states never reaches.
+    """
+    count = r_true.shape[0]
     envelope = float(n * n)
     out = np.empty((count, 3))
     pending = np.arange(count)
@@ -136,7 +168,12 @@ def _sample_chunk(rotated_a: np.ndarray, b_vec: np.ndarray, n: int,
         betas = np.arccos(rng.uniform(-1.0, 1.0, k))
         gammas = rng.uniform(0.0, 2.0 * math.pi, k)
         u = rng.uniform(0.0, 1.0, k)
-        density = np.abs(_amplitudes(rotated_a[pending], b_vec, n, alphas, betas, gammas)) ** 2
+        r_meas = rotation_matrix_components(alphas, betas, gammas)
+        density = np.abs(_outcome_amplitudes(poly, r_true[pending], r_meas)) ** 2
+        peak = float(np.max(density))
+        if peak > envelope * (1.0 + 1e-9):
+            raise ValueError(f"outcome density {peak!r} exceeds the rejection envelope "
+                             f"n^2 = {envelope:g}")
         proposals += k
         accepted = u * envelope <= density
         hits = pending[accepted]
@@ -153,8 +190,8 @@ def sample_outcome(a: AliceState, b: FiducialState, true_rot: EulerAngles,
     if a.n != b.n:
         raise ValueError("state dimensions differ")
     rng = np.random.default_rng(rng_seed)
-    rotated_a = _rotate_blocks(a.a, a.n, true_rot.alpha, true_rot.beta, true_rot.gamma)
-    angles, _ = _sample_chunk(rotated_a, b.b, a.n, rng)
+    r_true = rotation_matrix_components(*true_rot.as_tuple())[None]
+    angles, _ = _sample_chunk(_amplitude_polynomial(a.a, b.b, a.n), r_true, a.n, rng)
     return EulerAngles(angles[0, 0], angles[0, 1], angles[0, 2])
 
 
@@ -180,10 +217,11 @@ def monte_carlo_error(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = a.n
+    poly = _amplitude_polynomial(a.a, b.b, n)
     starts = list(range(0, samples, chunk_size))
     streams = np.random.SeedSequence(seed).spawn(len(starts))
     cos_rows = []
-    raw_rows = [] if keep_samples else None
+    raw_rows = []
     total_proposals = 0
     for start, stream in zip(starts, streams):
         count = min(chunk_size, samples - start)
@@ -196,18 +234,15 @@ def monte_carlo_error(
             t_alpha = np.full(count, true_rotation.alpha)
             t_beta = np.full(count, true_rotation.beta)
             t_gamma = np.full(count, true_rotation.gamma)
-        rotated_a = _rotate_blocks(a.a, n, t_alpha, t_beta, t_gamma)
-        meas, proposals = _sample_chunk(rotated_a, b.b, n, rng)
-        total_proposals += proposals
         r_true = rotation_matrix_components(t_alpha, t_beta, t_gamma)
+        meas, proposals = _sample_chunk(poly, r_true, n, rng)
+        total_proposals += proposals
         r_meas = rotation_matrix_components(meas[:, 0], meas[:, 1], meas[:, 2])
-        r_err = np.einsum("tji,tjk->tik", r_true, r_meas)
+        r_err = _error_matrices(r_true, r_meas)
         cosines = np.stack([r_err[:, 0, 0], r_err[:, 1, 1], r_err[:, 2, 2]], axis=1)
         cos_rows.append(cosines)
         if keep_samples:
-            for row_r, row_c in zip(r_err, cosines):
-                ang = angles_from_matrix(row_r)
-                raw_rows.append([ang.alpha, ang.beta, ang.gamma, *row_c])
+            raw_rows.append(np.concatenate([angles_from_matrices(r_err), cosines], axis=1))
     cosines = np.concatenate(cos_rows, axis=0)
     cos_z = cosines[:, 2]
     cos_xy = cosines[:, 0] + cosines[:, 1]
@@ -235,5 +270,5 @@ def monte_carlo_error(
         acceptance_rate=samples / total_proposals,
     )
     if keep_samples:
-        return report, np.array(raw_rows)
+        return report, np.concatenate(raw_rows, axis=0)
     return report

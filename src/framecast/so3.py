@@ -31,10 +31,10 @@ TWO_PI = 2.0 * math.pi
 GIMBAL_EPS = 1e-10
 
 
-def _wrap_angle(x: float) -> float:
+def _wrap_angle(x):
     """x modulo 2pi in [0, 2pi); tiny negative x, which rounds up to 2pi, maps to 0."""
-    x %= TWO_PI
-    return x if x < TWO_PI else 0.0
+    x = np.mod(x, TWO_PI)
+    return x * (x < TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ class EulerAngles:
             b = TWO_PI - b
             a += math.pi
             g += math.pi
-        object.__setattr__(self, "alpha", _wrap_angle(a))
+        object.__setattr__(self, "alpha", float(_wrap_angle(a)))
         object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "gamma", _wrap_angle(g))
+        object.__setattr__(self, "gamma", float(_wrap_angle(g)))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
@@ -160,6 +160,20 @@ def small_d_matrix(j: int, beta) -> np.ndarray:
     return out
 
 
+def small_d_fourier(j: int) -> np.ndarray:
+    """Fourier coefficients c[mu, m, r] with d^j_{mr}(beta) = sum_mu c[mu, m, r] exp(-i mu beta).
+
+    d^j(beta) is a trigonometric polynomial of degree j in beta (Risbo, J.
+    Geodesy 70, 383, 1996), so its coefficients are exactly the discrete
+    Fourier transform of small_d_matrix at 2j+1 equispaced beta in [0, 2pi).
+    Indices mu, m, r ascend from -j to j.
+    """
+    dim = 2 * j + 1
+    betas = TWO_PI * np.arange(dim) / dim
+    fourier = np.exp(1j * np.outer(np.arange(-j, j + 1), betas)) / dim
+    return np.einsum("up,pmr->umr", fourier, small_d_matrix(j, betas))
+
+
 def big_d(j: int, m: int, r: int, angles: EulerAngles) -> complex:
     """Rotation matrix element exp(i(m*alpha + r*gamma)) d^j_{mr}(beta)."""
     _check_indices(j, m, r)
@@ -206,22 +220,32 @@ def rotation_matrix(angles: EulerAngles) -> RotationMatrix:
     return RotationMatrix(rotation_matrix_components(angles.alpha, angles.beta, angles.gamma))
 
 
-def angles_from_matrix(r) -> EulerAngles:
-    """Extract zyz Euler angles from a rotation matrix.
+def angles_from_matrices(r) -> np.ndarray:
+    """zyz Euler angles of rotation matrices, shape (..., 3, 3) -> (..., 3).
 
-    At gimbal lock (|sin beta| below 1e-10) the representative with gamma = 0
-    is returned, the full z-rotation folded into alpha.
+    The last axis holds (alpha, beta, gamma), normalized like EulerAngles. At
+    gimbal lock (|sin beta| below GIMBAL_EPS) the representative with
+    gamma = 0 is returned, the full z-rotation folded into alpha.
     """
-    r = r.r if isinstance(r, RotationMatrix) else np.asarray(r, dtype=float)
-    sb = math.hypot(r[0, 2], r[1, 2])
-    beta = math.atan2(sb, r[2, 2])
-    if sb < GIMBAL_EPS:
-        if r[2, 2] > 0.0:
-            return EulerAngles(math.atan2(r[1, 0], r[0, 0]), 0.0, 0.0)
-        return EulerAngles(math.atan2(-r[0, 1], -r[0, 0]), math.pi, 0.0)
-    alpha = math.atan2(r[1, 2], r[0, 2])
-    gamma = math.atan2(r[2, 1], -r[2, 0])
-    return EulerAngles(alpha, beta, gamma)
+    r = np.asarray(r, dtype=float)
+    sb = np.hypot(r[..., 0, 2], r[..., 1, 2])
+    locked = sb < GIMBAL_EPS
+    up = r[..., 2, 2] > 0.0
+    alpha = np.where(
+        locked,
+        np.where(up, np.arctan2(r[..., 1, 0], r[..., 0, 0]),
+                 np.arctan2(-r[..., 0, 1], -r[..., 0, 0])),
+        np.arctan2(r[..., 1, 2], r[..., 0, 2]),
+    )
+    beta = np.where(locked, np.where(up, 0.0, math.pi), np.arctan2(sb, r[..., 2, 2]))
+    gamma = np.where(locked, 0.0, np.arctan2(r[..., 2, 1], -r[..., 2, 0]))
+    return np.stack([_wrap_angle(alpha), beta, _wrap_angle(gamma)], axis=-1)
+
+
+def angles_from_matrix(r) -> EulerAngles:
+    """Extract zyz Euler angles from one rotation matrix (see angles_from_matrices)."""
+    r = r.r if isinstance(r, RotationMatrix) else r
+    return EulerAngles(*angles_from_matrices(r).tolist())
 
 
 def compose(first: EulerAngles, second: EulerAngles) -> EulerAngles:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from framecast import (
     AliceState,
@@ -83,6 +85,30 @@ class TestBFromA:
         b = b_from_a(AliceState(4, raw / np.linalg.norm(raw)))
         for j in range(4):
             assert np.linalg.norm(b.block(j)) == pytest.approx(1.0, abs=1e-14)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_blocks_unit_filled_and_aligned(self, n, data):
+        d = total_dim(n)
+        parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d, max_size=2 * d))
+        empty = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        raw = np.array(parts[:d]) + 1j * np.array(parts[d:])
+        for j in range(n):
+            if empty[j]:
+                raw[block_slice(j)] = 0.0
+        assume(np.linalg.norm(raw) > 1e-6)
+        alice = AliceState(n, raw / np.linalg.norm(raw))
+        b = b_from_a(alice)
+        filled = tuple(j for j in range(n) if np.linalg.norm(alice.block(j)) < 1e-14)
+        assert b.uniform_filled_blocks == filled
+        for j in range(n):
+            assert np.linalg.norm(b.block(j)) == pytest.approx(1.0, abs=1e-14)
+            if j in filled:
+                assert np.allclose(b.block(j), 1.0 / math.sqrt(2 * j + 1), atol=1e-15)
+            else:
+                # unit b_j with <b_j, a_j> = |a_j| is a_j's own direction and phase
+                overlap = np.vdot(b.block(j), alice.block(j))
+                assert overlap == pytest.approx(np.linalg.norm(alice.block(j)), rel=1e-12)
 
 
 class TestFixedPoint:

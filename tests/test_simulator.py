@@ -10,18 +10,27 @@ from framecast import (
     EulerAngles,
     FiducialState,
     Objective,
+    big_d_matrix,
     block_slice,
     cached_tensor,
+    compose,
     fixed_point_optimize,
     integrate,
     make_grid,
     monte_carlo_error,
     outcome_density,
     povm_defect,
+    rotation_matrix_components,
     sample_outcome,
     total_dim,
 )
-from framecast.simulator import _block_weights, _resolution_defect, _rotate_blocks
+from framecast.simulator import (
+    _amplitude_polynomial,
+    _block_weights,
+    _outcome_amplitudes,
+    _resolution_defect,
+    _sample_chunk,
+)
 
 ROOT3 = 1.0 / math.sqrt(3)
 
@@ -157,6 +166,38 @@ class TestSampling:
         )
         # angle columns are genuine Euler angles of the error rotation
         assert np.all((raw[:, 1] >= 0) & (raw[:, 1] <= math.pi))
+        rebuilt = rotation_matrix_components(raw[:, 0], raw[:, 1], raw[:, 2])
+        assert np.max(np.abs(np.diagonal(rebuilt, axis1=1, axis2=2) - raw[:, 3:])) < 1e-12
+
+    def test_stream_is_pinned(self):
+        # recorded with the earlier sampler, which rotated every block by
+        # big_d_matrix per proposal; scoring at the error rotation must keep
+        # the proposals, the acceptances and so every statistic
+        alice, b = optimal_pair(3, Objective.xyz_axes())
+        haar = monte_carlo_error(alice, b, samples=1500, seed=2468, chunk_size=1000)
+        assert haar.acceptance_rate == 1500 / 13210
+        assert haar.mean_cos_z == pytest.approx(0.4452193950425932, abs=1e-12)
+        assert haar.mean_cos_x_plus_y == pytest.approx(0.986677617106704, abs=1e-12)
+        assert haar.mean_cos_sum == pytest.approx(1.4318970121492973, abs=1e-12)
+        assert haar.stderr_cos_sum == pytest.approx(0.024482411896409435, abs=1e-12)
+        fixed = monte_carlo_error(alice, b, samples=700, seed=1357,
+                                  true_rotation=EulerAngles(0.4, 2.9, 5.1))
+        assert fixed.acceptance_rate == 700 / 6784
+        assert fixed.mean_cos_z == pytest.approx(0.4749969542853423, abs=1e-12)
+        assert fixed.mean_cos_x_plus_y == pytest.approx(1.0352601168773128, abs=1e-12)
+        assert fixed.mean_cos_sum == pytest.approx(1.5102570711626548, abs=1e-12)
+        assert fixed.stderr_cos_sum == pytest.approx(0.036470320640269296, abs=1e-12)
+
+    def test_density_above_envelope_is_rejected(self):
+        # FiducialState refuses a denormalized block, so feed the sampler the
+        # raw vector: block 1 at three times unit norm lifts the density to 25
+        n = 2
+        a = np.full(total_dim(n), 0.5, dtype=complex)
+        b = np.full(total_dim(n), 3.0 / math.sqrt(3), dtype=complex)
+        b[0] = 1.0
+        r_true = np.repeat(np.eye(3)[None], 64, axis=0)
+        with pytest.raises(ValueError, match=r"outcome density \d+\.\d+ exceeds"):
+            _sample_chunk(_amplitude_polynomial(a, b, n), r_true, n, np.random.default_rng(5))
 
     def test_input_validation(self):
         alice, b = optimal_pair(2, Objective.z_axis())
@@ -196,12 +237,55 @@ class TestSampling:
         assert report.acceptance_rate == pytest.approx(1.0 / 25.0, rel=0.15)
 
 
-class TestRotateBlocks:
-    def test_identity_rotation_is_noop(self, rng):
+def random_state_vectors(n, rng):
+    """Unit-norm sender amplitudes and per-block unit-norm fiducial amplitudes."""
+    a = rng.standard_normal(total_dim(n)) + 1j * rng.standard_normal(total_dim(n))
+    b = rng.standard_normal(total_dim(n)) + 1j * rng.standard_normal(total_dim(n))
+    for j in range(n):
+        b[block_slice(j)] /= np.linalg.norm(b[block_slice(j)])
+    return a / np.linalg.norm(a), b
+
+
+def block_rotation_amplitude(a, b, n, true_angles, meas_angles):
+    """Oracle: conj(U(T) A) . W U(M) B with every block rotated by big_d_matrix."""
+    total = 0.0
+    for j in range(n):
+        sl = block_slice(j)
+        rotated_a = big_d_matrix(j, *true_angles) @ a[sl]
+        rotated_b = big_d_matrix(j, *meas_angles) @ b[sl]
+        total += math.sqrt(2 * j + 1) * np.vdot(rotated_a, rotated_b)
+    return total
+
+
+class TestAmplitude:
+    def test_identity_rotation_is_inner_product(self, rng):
         n = 3
-        raw = rng.standard_normal(total_dim(n)) + 1j * rng.standard_normal(total_dim(n))
-        rotated = _rotate_blocks(raw, n, 0.0, 0.0, 0.0)
-        assert np.allclose(rotated[0], raw, atol=1e-14)
+        a = rng.standard_normal(total_dim(n)) + 1j * rng.standard_normal(total_dim(n))
+        b = rng.standard_normal(total_dim(n)) + 1j * rng.standard_normal(total_dim(n))
+        eye = np.eye(3)[None]
+        amp = _outcome_amplitudes(_amplitude_polynomial(a, b, n), eye, eye)
+        expected = sum(math.sqrt(2 * j + 1) * np.vdot(a[block_slice(j)], b[block_slice(j)])
+                       for j in range(n))
+        assert amp[0] == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_block_rotation_oracle(self, n, rng):
+        a, b = random_state_vectors(n, rng)
+        true_angles = rng.uniform(0.0, 2.0 * math.pi, size=(12, 3))
+        meas_angles = rng.uniform(0.0, 2.0 * math.pi, size=(12, 3))
+        # gimbal-locked discrepancies: none, a pure z turn, a flip by pi
+        meas_angles[0] = true_angles[0]
+        meas_angles[1] = true_angles[1] + [0.0, 0.0, 0.7]
+        meas_angles[2] = compose(EulerAngles(*true_angles[2]),
+                                 EulerAngles(0.7, math.pi, 0.2)).as_tuple()
+        amps = _outcome_amplitudes(
+            _amplitude_polynomial(a, b, n),
+            rotation_matrix_components(*true_angles.T),
+            rotation_matrix_components(*meas_angles.T),
+        )
+        oracle = [block_rotation_amplitude(a, b, n, t, m)
+                  for t, m in zip(true_angles, meas_angles)]
+        assert np.max(np.abs(amps - oracle)) < 1e-12
 
     def test_block_weights(self):
         w = _block_weights(3)

@@ -11,6 +11,7 @@ from framecast import (
     AngularIndex,
     EulerAngles,
     RotationMatrix,
+    angles_from_matrices,
     angles_from_matrix,
     axis_cosines,
     big_d,
@@ -21,9 +22,26 @@ from framecast import (
     rotation_matrix,
     rotation_matrix_components,
     small_d,
+    small_d_fourier,
     small_d_matrix,
 )
 from conftest import generator_small_d_matrix
+
+
+def scalar_angles_reference(r) -> tuple[float, float, float]:
+    """Row-at-a-time zyz extraction in plain math, the loop angles_from_matrices replaces."""
+
+    def wrap(x):
+        x %= 2.0 * math.pi
+        return x if x < 2.0 * math.pi else 0.0
+
+    sb = math.hypot(r[0, 2], r[1, 2])
+    if sb < 1e-10:
+        if r[2, 2] > 0.0:
+            return wrap(math.atan2(r[1, 0], r[0, 0])), 0.0, 0.0
+        return wrap(math.atan2(-r[0, 1], -r[0, 0])), math.pi, 0.0
+    return (wrap(math.atan2(r[1, 2], r[0, 2])), math.atan2(sb, r[2, 2]),
+            wrap(math.atan2(r[2, 1], -r[2, 0])))
 
 
 def random_angles(rng) -> EulerAngles:
@@ -86,6 +104,16 @@ class TestSmallD:
             assert np.max(np.abs(mat @ mat.T - np.eye(2 * j + 1))) < 1e-12
             assert np.max(np.abs(mat - generator_small_d_matrix(j, beta))) < 1e-12
 
+    def test_fourier_coefficients_rebuild_beyond_pi(self, rng):
+        # the error rotation's beta stays in [0, pi], but the coefficients
+        # sample small_d on all of [0, 2pi): check the rebuilt polynomial past
+        # pi against the J_y oracle, which shares no code with small_d
+        for j in range(21):
+            coeffs = small_d_fourier(j)
+            for beta in rng.uniform(math.pi, 2.0 * math.pi, 3):
+                rebuilt = np.einsum("umr,u->mr", coeffs, np.exp(-1j * np.arange(-j, j + 1) * beta))
+                assert np.max(np.abs(rebuilt - generator_small_d_matrix(j, beta))) < 1e-12
+
     def test_index_range_enforced(self):
         with pytest.raises(ValueError):
             small_d(1, 2, 0, 0.3)
@@ -131,6 +159,12 @@ class TestBigD:
             prod = np.einsum("tmr,tsr->tms", mats, mats.conj())
             worst = max(worst, float(np.max(np.abs(prod - np.eye(2 * j + 1)))))
         assert worst < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 8), *(st.floats(-20.0, 20.0),) * 3)
+    def test_unitarity_at_any_angles(self, j, alpha, beta, gamma):
+        mat = big_d_matrix(j, alpha, beta, gamma)
+        assert np.max(np.abs(mat @ mat.conj().T - np.eye(2 * j + 1))) < 1e-12
 
     def test_representation_property(self, rng):
         worst = 0.0
@@ -180,6 +214,23 @@ class TestRotationGeometry:
             rebuilt = rotation_matrix(error_angles(x, y)).r
             worst = max(worst, float(np.max(np.abs(rebuilt - relative))))
         assert worst < 1e-12
+
+    def test_batched_extraction_matches_scalar_reference(self, rng):
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=(200, 3))
+        angles[:, 1] = np.arccos(rng.uniform(-1.0, 1.0, 200))
+        angles[0] = (0.3, 1e-13, 0.4)  # gimbal lock, beta near 0
+        angles[1] = (0.3, math.pi, 0.4)  # gimbal lock, beta = pi
+        angles[2] = (-1e-17, 1.0, -1e-17)  # alpha, gamma round up to 2pi
+        mats = rotation_matrix_components(*angles.T)
+        batched = angles_from_matrices(mats)
+        reference = np.array([scalar_angles_reference(r) for r in mats])
+        # numpy's arctan2 and hypot may differ from math's in the last bit
+        assert np.max(np.abs(batched - reference)) < 4e-15
+        assert batched[0, 2] == 0.0 and batched[1, 2] == 0.0
+        assert batched[0, 1] == 0.0 and batched[1, 1] == math.pi
+        assert batched[2, 0] == 0.0 and batched[2, 2] == 0.0
+        for row, mat in zip(batched, mats):
+            assert angles_from_matrix(mat).as_tuple() == tuple(row)
 
     def test_axis_cosines_trivial(self):
         assert axis_cosines(EulerAngles(0, 0, 0)) == (1.0, 1.0, 1.0)
