@@ -104,11 +104,8 @@ class SparseCoefficientTensor:
     def _index_arrays(self):
         """Precomputed flat-index arrays for fast quadratic-form assembly."""
         vals = np.array(list(self.entries.values()))
-        rows = np.array([flat_index(j, m) for j, _, m, _, _, _ in self.entries], dtype=np.intp)
-        cols = np.array([flat_index(k, n) for _, k, _, n, _, _ in self.entries], dtype=np.intp)
-        b_rows = np.array([flat_index(j, r) for j, _, _, _, r, _ in self.entries], dtype=np.intp)
-        b_cols = np.array([flat_index(k, s) for _, k, _, _, _, s in self.entries], dtype=np.intp)
-        return vals, rows, cols, b_rows, b_cols
+        j, k, m, n, r, s = np.array(list(self.entries), dtype=np.intp).reshape(-1, 6).T
+        return vals, flat_index(j, m), flat_index(k, n), flat_index(j, r), flat_index(k, s)
 
     def to_json(self) -> dict:
         if any(isinstance(v, complex) for v in self.entries.values()):

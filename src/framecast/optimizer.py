@@ -4,6 +4,7 @@ One round: contract the tensor with the current fiducial amplitudes, take the
 top eigenvector as the sender state, then renormalize it per block to get the
 next fiducial state. A few rounds reach a joint fixed point at which the
 fiducial amplitudes are the per-block normalization of the sender amplitudes.
+Each round solves only for the top eigenpair, not the whole spectrum.
 
 A derivative-free direct search over unconstrained amplitudes (small n only)
 serves as an independent cross-check, and sweeps over n feed the asymptotic
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import minimize
 
 from .basis import block_slice, flat_index, total_dim
@@ -34,6 +36,9 @@ DEFAULT_MAX_ITER = 200
 
 # a trajectory decrease beyond this signals a broken quadratic form, not noise
 DECREASE_ABORT = 1e-9
+
+# eigenvalues this close to the top one count as the same eigenvalue
+DEGENERACY_GAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,11 +88,38 @@ def _gauge_fixed(vec: np.ndarray) -> np.ndarray:
     return vec * (np.conj(phase) / abs(phase))
 
 
-def top_eigenpair(m: ObjectiveMatrix) -> tuple[float, AliceState]:
-    """Largest eigenvalue and a unit eigenvector, phase-gauged."""
-    w, v = np.linalg.eigh(m.matrix)
-    vec = _gauge_fixed(v[:, -1])
-    return float(w[-1]), AliceState(m.n, vec)
+def _top_eigh(mat: np.ndarray, previous: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of a Hermitian matrix and a phase-gauged unit eigenvector.
+
+    LAPACK's MRRR driver (?heevr) solves for the top two eigenpairs only. When
+    they lie within DEGENERACY_GAP and a previous state is given, the full
+    spectrum is taken and the eigenvector is the normalized projection of the
+    previous state onto the top eigenspace, so the choice inside a degenerate
+    eigenspace stays close to it (the last eigenvector if the projection
+    vanishes).
+    """
+    d = mat.shape[0]
+    w, v = scipy.linalg.eigh(mat, subset_by_index=[max(d - 2, 0), d - 1], driver="evr")
+    lam, vec = float(w[-1]), v[:, -1]
+    if previous is not None and w.size > 1 and w[-1] - w[-2] < DEGENERACY_GAP:
+        w, v = np.linalg.eigh(mat)
+        lam, vec = float(w[-1]), v[:, -1]
+        top = v[:, w > lam - DEGENERACY_GAP]
+        proj = top @ (top.conj().T @ previous)
+        nrm = np.linalg.norm(proj)
+        if nrm > 1e-8:
+            vec = proj / nrm
+    return lam, _gauge_fixed(vec)
+
+
+def top_eigenpair(m: ObjectiveMatrix, previous: AliceState | None = None) -> tuple[float, AliceState]:
+    """Largest eigenvalue and a unit eigenvector, phase-gauged.
+
+    Inside a degenerate top eigenspace the eigenvector is the one closest to
+    the previous state, when one is given.
+    """
+    lam, vec = _top_eigh(m.matrix, None if previous is None else previous.a)
+    return lam, AliceState(m.n, vec)
 
 
 def b_from_a(a: AliceState) -> FiducialState:
@@ -148,17 +180,7 @@ def fixed_point_optimize(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         m = build_m(tensor, b)
-        w, v = np.linalg.eigh(m.matrix)
-        lam = float(w[-1])
-        vec = v[:, -1]
-        # inside a degenerate top eigenspace, stay close to the previous state
-        top = np.nonzero(w > lam - 1e-12)[0]
-        if a_prev is not None and top.size > 1:
-            proj = v[:, top] @ (v[:, top].conj().T @ a_prev)
-            nrm = np.linalg.norm(proj)
-            if nrm > 1e-8:
-                vec = proj / nrm
-        vec = _gauge_fixed(vec)
+        lam, vec = _top_eigh(m.matrix, previous=a_prev)
         if lam_prev is not None and lam < lam_prev - DECREASE_ABORT:
             raise RuntimeError(
                 f"objective decreased from {lam_prev!r} to {lam!r} at iteration "
@@ -227,10 +249,7 @@ def optimize_z_single_m(n: int, m: int) -> OptimizationResult:
     """
     if abs(m) > n - 1:
         raise ValueError(f"|m| must be <= n-1, got m={m}, n={n}")
-    sector = z_sector_matrix(n, m)
-    w, v = np.linalg.eigh(sector)
-    lam = float(w[-1])
-    vec_sector = _gauge_fixed(v[:, -1])
+    lam, vec_sector = _top_eigh(z_sector_matrix(n, m))
     a_vec = np.zeros(total_dim(n), dtype=complex)
     b_vec = np.zeros(total_dim(n), dtype=complex)
     for i, j in enumerate(range(abs(m), n)):

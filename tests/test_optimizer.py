@@ -60,6 +60,63 @@ class TestTopEigenpair:
         assert pivot.imag == pytest.approx(0.0, abs=1e-14)
         assert pivot.real > 0
 
+    @staticmethod
+    def _degenerate_matrix(rng, n, fold):
+        # random unitary eigenbasis; the top eigenvalue 1.0 repeats `fold` times,
+        # the rest lie in [-1, 0.5]
+        d = total_dim(n)
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        w = np.concatenate([rng.uniform(-1.0, 0.5, d - fold), np.ones(fold)])
+        mat = basis @ np.diag(w) @ basis.conj().T
+        return ObjectiveMatrix(n, (mat + mat.conj().T) / 2), basis[:, d - fold:]
+
+    @pytest.mark.parametrize("fold", [2, 3])
+    def test_degenerate_top_follows_previous(self, rng, fold):
+        m, top = self._degenerate_matrix(rng, 3, fold)
+        raw = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        previous = AliceState(3, raw / np.linalg.norm(raw))
+        lam, state = top_eigenpair(m, previous=previous)
+        proj = top @ (top.conj().T @ previous.a)
+        expected = proj / np.linalg.norm(proj)
+        pivot = expected[np.argmax(np.abs(expected))]
+        expected = expected * np.conj(pivot) / abs(pivot)
+        assert lam == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(state.a - expected)) < 1e-12
+
+    @pytest.mark.parametrize("fold", [2, 3])
+    def test_degenerate_top_without_previous(self, rng, fold):
+        m, _ = self._degenerate_matrix(rng, 3, fold)
+        lam, state = top_eigenpair(m)
+        assert lam == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state.a) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(m.matrix @ state.a - lam * state.a) < 1e-10
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 4, 7]), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_full_eigh(self, n, real, seed):
+        # d = 1 is the edge of the two-eigenpair subset; real matrices are
+        # passed as complex ones with an exactly zero imaginary part
+        rng = np.random.default_rng(seed)
+        d = total_dim(n)
+        raw = rng.standard_normal((d, d))
+        if not real:
+            raw = raw + 1j * rng.standard_normal((d, d))
+        herm = (raw + raw.conj().T) / 2
+        w, v = np.linalg.eigh(herm)
+        assume(d == 1 or w[-1] - w[-2] > 1e-6)
+        m = ObjectiveMatrix(n, herm)
+        lam, state = top_eigenpair(m)
+        assert abs(lam - w[-1]) < 1e-12
+        assert abs(abs(np.vdot(v[:, -1], state.a)) - 1.0) < 1e-10
+        pivot = state.a[np.argmax(np.abs(state.a))]
+        assert abs(pivot.imag) < 1e-14
+        assert pivot.real > 0
+        # outside a degenerate top eigenspace a previous state changes nothing
+        other = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        lam_prev, state_prev = top_eigenpair(m, previous=AliceState(n, other / np.linalg.norm(other)))
+        assert lam_prev == lam
+        assert np.array_equal(state_prev.a, state.a)
+
 
 class TestBFromA:
     def test_concentrated_state_flags_empty_blocks(self):

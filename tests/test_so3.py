@@ -98,7 +98,7 @@ class TestSmallD:
     def test_stable_at_large_j(self, rng):
         # factorial-ratio evaluations overflow around j = 15; the recurrence
         # route must stay clean through the working range
-        for j in (15, 20):
+        for j in (15, 20, 30, 40):
             beta = rng.uniform(0.0, math.pi)
             mat = small_d_matrix(j, beta)
             assert np.max(np.abs(mat @ mat.T - np.eye(2 * j + 1))) < 1e-12
