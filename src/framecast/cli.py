@@ -123,61 +123,72 @@ def cmd_optimize(args, parser) -> int:
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def _verify_checks(n: int, seed: int, inject_fault: bool):
+def _verify_checks(n: int, seed: int, inject_fault: bool, selected: str = "all"):
+    """Yield (name, worst, tol) per check whose name contains `selected` (all for "all").
+
+    Every check's random inputs are drawn even when it does not run, so filtering keeps them.
+    """
     rng = np.random.default_rng(seed)
     j_max = n - 1
     grid = make_grid(j_max)
+    wanted = lambda name: selected == "all" or selected in name
 
-    yield "grid-normalization", abs(integrate(lambda a, b, g: 1.0, grid) - 1.0), 1e-14
+    if wanted("grid-normalization"):
+        yield "grid-normalization", abs(integrate(lambda a, b, g: 1.0, grid) - 1.0), 1e-14
 
     triples = rng.uniform(0.0, 2.0 * math.pi, size=(10_000, 3))
     triples[:, 1] = np.arccos(rng.uniform(-1.0, 1.0, size=10_000))
-    rmats = rotation_matrix_components(triples[:, 0], triples[:, 1], triples[:, 2])
-    worst_zz = np.max(np.abs(rmats[:, 2, 2] - np.cos(triples[:, 1])))
-    worst_xy = np.max(np.abs(
-        rmats[:, 0, 0] + rmats[:, 1, 1]
-        - (1.0 + np.cos(triples[:, 1])) * np.cos(triples[:, 0] + triples[:, 2])
-    ))
-    eigvals = np.linalg.eigvals(rmats)
-    # the rotation angle is the argument of the complex eigenvalue pair
-    omega = np.max(np.abs(np.angle(eigvals)), axis=1)
-    worst_trace = np.max(np.abs(
-        rmats[:, 0, 0] + rmats[:, 1, 1] + rmats[:, 2, 2] - (1.0 + 2.0 * np.cos(omega))
-    ))
-    yield "geometry-identities", float(max(worst_zz, worst_xy, worst_trace)), 1e-12
+    if wanted("geometry-identities"):
+        rmats = rotation_matrix_components(triples[:, 0], triples[:, 1], triples[:, 2])
+        worst_zz = np.max(np.abs(rmats[:, 2, 2] - np.cos(triples[:, 1])))
+        worst_xy = np.max(np.abs(
+            rmats[:, 0, 0] + rmats[:, 1, 1]
+            - (1.0 + np.cos(triples[:, 1])) * np.cos(triples[:, 0] + triples[:, 2])
+        ))
+        eigvals = np.linalg.eigvals(rmats)
+        # the rotation angle is the argument of the complex eigenvalue pair
+        omega = np.max(np.abs(np.angle(eigvals)), axis=1)
+        worst_trace = np.max(np.abs(
+            rmats[:, 0, 0] + rmats[:, 1, 1] + rmats[:, 2, 2] - (1.0 + 2.0 * np.cos(omega))
+        ))
+        yield "geometry-identities", float(max(worst_zz, worst_xy, worst_trace)), 1e-12
 
-    pair_worst = 0.0
-    for _ in range(50):
-        x = EulerAngles(*rng.uniform(0.0, 2.0 * math.pi, 3))
-        y = EulerAngles(*rng.uniform(0.0, 2.0 * math.pi, 3))
-        relative = rotation_matrix(x).r.T @ rotation_matrix(y).r
-        rebuilt = rotation_matrix(error_angles(x, y)).r
-        pair_worst = max(pair_worst, float(np.max(np.abs(rebuilt - relative))))
-    yield "error-angle-composition", pair_worst, 1e-12
+    pairs = [(EulerAngles(*rng.uniform(0.0, 2.0 * math.pi, 3)),
+              EulerAngles(*rng.uniform(0.0, 2.0 * math.pi, 3))) for _ in range(50)]
+    if wanted("error-angle-composition"):
+        pair_worst = 0.0
+        for x, y in pairs:
+            relative = rotation_matrix(x).r.T @ rotation_matrix(y).r
+            rebuilt = rotation_matrix(error_angles(x, y)).r
+            pair_worst = max(pair_worst, float(np.max(np.abs(rebuilt - relative))))
+        yield "error-angle-composition", pair_worst, 1e-12
 
-    unit_worst = 0.0
-    for j in range(min(n, 7)):
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=(100, 3))
-        dmats = big_d_matrix(j, angles[:, 0], angles[:, 1], angles[:, 2])
-        prod = np.einsum("tmr,tsr->tms", dmats, dmats.conj())
-        unit_worst = max(unit_worst, float(np.max(np.abs(prod - np.eye(2 * j + 1)))))
-    yield "wigner-unitarity", unit_worst, 1e-12
+    angle_sets = [rng.uniform(0.0, 2.0 * math.pi, size=(100, 3)) for _ in range(min(n, 7))]
+    if wanted("wigner-unitarity"):
+        unit_worst = 0.0
+        for j, angles in enumerate(angle_sets):
+            dmats = big_d_matrix(j, angles[:, 0], angles[:, 1], angles[:, 2])
+            prod = np.einsum("tmr,tsr->tms", dmats, dmats.conj())
+            unit_worst = max(unit_worst, float(np.max(np.abs(prod - np.eye(2 * j + 1)))))
+        yield "wigner-unitarity", unit_worst, 1e-12
 
-    coeff_worst = 0.0
-    for objective, fn in [
-        (Objective.z_axis(), lambda a, b, g: np.cos(b)),
-        (Objective.xy_axes(), lambda a, b, g: (1.0 + np.cos(b)) * np.cos(a + g)),
-    ]:
-        tensor = assemble_tensor(objective, j_max)
-        if inject_fault and tensor.entries:
-            entries = dict(tensor.entries)
-            entries[sorted(entries)[0]] += 1e-3  # test hook: deliberate corruption
-            tensor = SparseCoefficientTensor(j_max, objective, entries)
-        coeff_worst = max(coeff_worst, coefficient_deviation(tensor, fn, grid))
-    yield "coefficients-vs-quadrature", coeff_worst, 1e-10
+    if wanted("coefficients-vs-quadrature"):
+        coeff_worst = 0.0
+        for objective, fn in [
+            (Objective.z_axis(), lambda a, b, g: np.cos(b)),
+            (Objective.xy_axes(), lambda a, b, g: (1.0 + np.cos(b)) * np.cos(a + g)),
+        ]:
+            tensor = assemble_tensor(objective, j_max)
+            if inject_fault and tensor.entries:
+                entries = dict(tensor.entries)
+                entries[sorted(entries)[0]] += 1e-3  # test hook: deliberate corruption
+                tensor = SparseCoefficientTensor(j_max, objective, entries)
+            coeff_worst = max(coeff_worst, coefficient_deviation(tensor, fn, grid))
+        yield "coefficients-vs-quadrature", coeff_worst, 1e-10
 
     fiducial = FiducialState.random(n, rng)
-    yield "povm-completeness", povm_defect(fiducial, grid), 1e-10
+    if wanted("povm-completeness"):
+        yield "povm-completeness", povm_defect(fiducial, grid), 1e-10
 
 
 def cmd_verify(args, parser) -> int:
@@ -185,9 +196,7 @@ def cmd_verify(args, parser) -> int:
         parser.error("--n must be between 1 and 6 (oracle scale)")
     failures = []
     print(f"{'check':32s} {'worst':>12s} {'tol':>9s}  status")
-    for name, worst, tol in _verify_checks(args.n, args.seed, args.inject_fault):
-        if args.check != "all" and args.check not in name:
-            continue
+    for name, worst, tol in _verify_checks(args.n, args.seed, args.inject_fault, args.check):
         status = "PASS" if worst < tol else "FAIL"
         print(f"{name:32s} {worst:12.3e} {tol:9.0e}  {status}")
         if status == "FAIL":

@@ -8,17 +8,22 @@ sin(beta) d(alpha) d(beta) d(gamma) / 8 pi^2.
 `coefficient_oracle` and `coefficient_block` are the brute-force reference
 for any transmission coefficient, and `coefficient_deviation` compares a
 whole coefficient tensor against them: they never touch the closed forms
-they are used to validate.
+they are used to validate. On the product grid D^j_{mr} conj(D^k_{ns}) =
+exp(i(m-n) alpha) d^j_{mr}(beta) d^k_{ns}(beta) exp(i(r-s) gamma), so the alpha
+and gamma sums of f are one 2-D inverse DFT per beta node and only the beta
+sum needs small-d, at the Gauss-Legendre nodes (the separation behind SO(3)
+FFTs; Kostelec & Rockmore, J. Fourier Anal. Appl. 14, 145, 2008).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
-from .so3 import big_d_matrix
+from .so3 import small_d_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,7 +34,8 @@ class SO3Grid:
 
     beta_nodes holds (cos beta, weight) Gauss-Legendre pairs whose weights sum
     to 2; alpha and gamma are uniform grids on [0, 2pi). Flattened node arrays
-    and normalized weights (summing to 1) are precomputed.
+    (alpha-major) and normalized weights (summing to 1) are precomputed, and
+    small-d at the beta nodes is cached.
     """
 
     beta_nodes: tuple[tuple[float, float], ...]
@@ -59,8 +65,7 @@ def make_grid(j_max: int, oversample: int = 0) -> SO3Grid:
     n_az = 4 * j_max + 4 + 2 * oversample
     x, w = np.polynomial.legendre.leggauss(n_beta)
     alphas = TWO_PI * np.arange(n_az) / n_az
-    gammas = TWO_PI * np.arange(n_az) / n_az
-    a_grid, b_grid, g_grid = np.meshgrid(alphas, np.arccos(x), gammas, indexing="ij")
+    a_grid, b_grid, g_grid = np.meshgrid(alphas, np.arccos(x), alphas, indexing="ij")
     w_grid = np.broadcast_to((w / 2.0)[None, :, None], a_grid.shape) / (n_az * n_az)
     return SO3Grid(
         beta_nodes=tuple(zip(x.tolist(), w.tolist())),
@@ -83,11 +88,20 @@ def integrate(fn, grid: SO3Grid) -> complex:
     return complex(np.sum(grid.weights * vals))
 
 
-def big_d_on_grid(grid: SO3Grid, j: int) -> np.ndarray:
-    """D^j at every grid node, shape (nodes, 2j+1, 2j+1); cached per grid."""
-    if j not in grid._d_cache:
-        grid._d_cache[j] = big_d_matrix(j, grid.alphas, grid.betas, grid.gammas)
-    return grid._d_cache[j]
+def coefficient_blocks(f, js, ks, grid: SO3Grid):
+    """Yield (j, k, coefficient_block(f, j, k, grid)) for j in js, k in ks, evaluating f once."""
+    weighted = grid.weights * np.asarray(f(grid.alphas, grid.betas, grid.gammas))
+    # spectrum[p, b, q] = sum over the alpha, gamma nodes of f * weight * exp(i(p alpha + q gamma))
+    spectrum = np.fft.ifft2(weighted.reshape(grid.alpha_count, -1, grid.gamma_count),
+                            axes=(0, 2), norm="forward")
+    for j, k in product(js, ks):
+        for jj in {j, k} - grid._d_cache.keys():  # small-d at the beta nodes, kept per grid
+            grid._d_cache[jj] = small_d_matrix(jj, np.arccos([x for x, _ in grid.beta_nodes]))
+        diff = np.arange(-j, j + 1)[:, None] - np.arange(-k, k + 1)  # m - n, and r - s
+        picked = spectrum[(diff % grid.alpha_count)[:, None, :, None], :,
+                          (diff % grid.gamma_count)[None, :, None, :]]  # [m, r, n, s, b]
+        block = np.einsum("mrnsb,bmr,bns->mrns", picked, grid._d_cache[j], grid._d_cache[k])
+        yield j, k, math.sqrt((2 * j + 1) * (2 * k + 1)) * block
 
 
 def coefficient_block(f, j: int, k: int, grid: SO3Grid) -> np.ndarray:
@@ -96,13 +110,7 @@ def coefficient_block(f, j: int, k: int, grid: SO3Grid) -> np.ndarray:
     Returns c[m+j, r+j, n+k, s+k] = sqrt((2j+1)(2k+1)) *
     integral of D^j_{mr} conj(D^k_{ns}) f over the Haar measure.
     """
-    dj, dk = 2 * j + 1, 2 * k + 1
-    fvals = np.broadcast_to(np.asarray(f(grid.alphas, grid.betas, grid.gammas)), grid.weights.shape)
-    dmat_j = big_d_on_grid(grid, j).reshape(grid.node_count, dj * dj)
-    dmat_k = big_d_on_grid(grid, k).reshape(grid.node_count, dk * dk)
-    block = (dmat_j * (grid.weights * fvals)[:, None]).T @ dmat_k.conj()
-    block *= math.sqrt((2 * j + 1) * (2 * k + 1))
-    return block.reshape(dj, dj, dk, dk)
+    return next(coefficient_blocks(f, [j], [k], grid))[2]
 
 
 def coefficient_deviation(tensor, f, grid: SO3Grid) -> float:
@@ -115,13 +123,13 @@ def coefficient_deviation(tensor, f, grid: SO3Grid) -> float:
     keys = np.array(list(tensor.entries), dtype=int).reshape(-1, 6)
     vals = np.array(list(tensor.entries.values()), dtype=complex)
     worst = 0.0
-    for j in range(tensor.j_max + 1):
-        for k in range(tensor.j_max + 1):
-            mine = (keys[:, 0] == j) & (keys[:, 1] == k)
-            _, _, m, n, r, s = keys[mine].T
-            dense = np.zeros((2 * j + 1, 2 * j + 1, 2 * k + 1, 2 * k + 1), dtype=complex)
-            dense[m + j, r + j, n + k, s + k] = vals[mine]
-            worst = max(worst, float(np.max(np.abs(coefficient_block(f, j, k, grid) - dense))))
+    levels = range(tensor.j_max + 1)
+    for j, k, block in coefficient_blocks(f, levels, levels, grid):
+        mine = (keys[:, 0] == j) & (keys[:, 1] == k)
+        _, _, m, n, r, s = keys[mine].T
+        dense = np.zeros_like(block)
+        dense[m + j, r + j, n + k, s + k] = vals[mine]
+        worst = max(worst, float(np.max(np.abs(block - dense))))
     return worst
 
 
@@ -134,8 +142,4 @@ def coefficient_oracle(f, j: int, k: int, m: int, n: int, r: int, s: int, grid: 
     """
     if abs(m) > j or abs(r) > j or abs(n) > k or abs(s) > k:
         raise ValueError("magnetic indices out of range")
-    dmat_j = big_d_on_grid(grid, j)
-    dmat_k = big_d_on_grid(grid, k)
-    fvals = np.asarray(f(grid.alphas, grid.betas, grid.gammas))
-    integrand = dmat_j[:, m + j, r + j] * np.conj(dmat_k[:, n + k, s + k]) * fvals
-    return complex(math.sqrt((2 * j + 1) * (2 * k + 1)) * np.sum(grid.weights * integrand))
+    return complex(coefficient_block(f, j, k, grid)[m + j, r + j, n + k, s + k])

@@ -2,27 +2,28 @@
 
 The detector fiducial vector, rotated over the whole group with per-block
 weights sqrt(2j+1), resolves the identity; `povm_defect` verifies that on a
-quadrature grid. Measurement outcomes follow the density
-|<A| U(true)^dagger U(outcome) |B>|^2 relative to the Haar measure. Since
-U(true)^dagger U(outcome) = U(error) for the discrepancy rotation
-error = R(true)^T R(outcome), the density is scored at the error rotation's
-angles. The weighted amplitude <A|U(alpha, beta, gamma)|B> is one 3-D
-trigonometric polynomial, built once per state pair from the Fourier
+quadrature grid, block (j, k) being the quadrature coefficient block of f = 1
+contracted with b_j and conj(b_k), so no D^j is built at the grid nodes.
+Measurement outcomes follow the density |<A| U(true)^dagger U(outcome) |B>|^2
+relative to the Haar measure. Since U(true)^dagger U(outcome) = U(error) for
+the discrepancy rotation error = R(true)^T R(outcome), the density is scored at
+the error rotation's angles. The weighted amplitude <A|U(alpha, beta, gamma)|B>
+is one 3-D trigonometric polynomial, built once per state pair from the Fourier
 coefficients of the small-d matrices, so scoring a batch of proposals takes
-three phase vectors, one matmul and one contraction. Outcomes are sampled by
-rejection against Haar-uniform proposals with envelope n^2.
+three phase vectors, one matmul and one contraction per SCORE_ROWS proposals.
+Outcomes are rejection-sampled against Haar-uniform proposals, envelope n^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .basis import block_slice, total_dim
 from .objective import AliceState, FiducialState
-from .quadrature import SO3Grid, big_d_on_grid
+from .quadrature import SO3Grid, coefficient_blocks
 from .so3 import (
     EulerAngles,
     angles_from_matrices,
@@ -31,6 +32,8 @@ from .so3 import (
 )
 
 DEFAULT_CHUNK = 16384
+# proposals scored per amplitude evaluation; each holds a (2n-1)^2 complex row
+SCORE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -47,31 +50,7 @@ class MonteCarloReport:
     acceptance_rate: float
 
     def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "mean_cos_z": self.mean_cos_z,
-            "stderr_cos_z": self.stderr_cos_z,
-            "mean_cos_x_plus_y": self.mean_cos_x_plus_y,
-            "stderr_cos_x_plus_y": self.stderr_cos_x_plus_y,
-            "mean_cos_sum": self.mean_cos_sum,
-            "stderr_cos_sum": self.stderr_cos_sum,
-            "acceptance_rate": self.acceptance_rate,
-        }
-
-
-def _apply_block_rotations(vec: np.ndarray, n: int, count: int, d_of) -> np.ndarray:
-    """Apply D^j_t = d_of(j)[t] to block j of vec for every j, batched over count t's."""
-    out = np.empty((count, total_dim(n)), dtype=complex)
-    for j in range(n):
-        out[:, block_slice(j)] = np.einsum("tmr,r->tm", d_of(j), vec[block_slice(j)])
-    return out
-
-
-def _block_weights(n: int) -> np.ndarray:
-    w = np.empty(total_dim(n))
-    for j in range(n):
-        w[block_slice(j)] = math.sqrt(2 * j + 1)
-    return w
+        return asdict(self)
 
 
 def _resolution_defect(vec: np.ndarray, n: int, grid: SO3Grid) -> float:
@@ -79,9 +58,10 @@ def _resolution_defect(vec: np.ndarray, n: int, grid: SO3Grid) -> float:
     needed_beta = 2 * (n - 1) + 3
     if len(grid.beta_nodes) < needed_beta or grid.alpha_count < 2 * (n - 1) + 1:
         raise ValueError(f"grid is not exact for n={n}; build it with make_grid({n - 1})")
-    rotated = _apply_block_rotations(vec, n, grid.node_count, lambda j: big_d_on_grid(grid, j))
-    rotated *= _block_weights(n)
-    identity_est = (rotated * grid.weights[:, None]).T @ rotated.conj()
+    identity_est = np.empty((total_dim(n), total_dim(n)), dtype=complex)
+    for j, k, block in coefficient_blocks(lambda a, b, g: 1.0, range(n), range(n), grid):
+        identity_est[block_slice(j), block_slice(k)] = np.einsum(
+            "mrns,r,s->mn", block, vec[block_slice(j)], vec[block_slice(k)].conj())
     return float(np.max(np.abs(identity_est - np.eye(total_dim(n)))))
 
 
@@ -123,14 +103,19 @@ def _outcome_amplitudes(poly: np.ndarray, r_true: np.ndarray, r_meas: np.ndarray
     """Weighted amplitudes <U(T_t)A|U(M_t)B> = <A|U(T_t^T M_t)|B> for rotation matrix rows t."""
     width = poly.shape[0]
     half = (width + 1) // 2
-    # exp(i k angle) for k = 0..n-1 as running products, mirrored to k < 0 by conjugation
-    powers = np.empty(r_true.shape[:1] + (3, half), dtype=complex)
-    powers[..., 0] = 1.0
-    powers[..., 1:] = np.exp(1j * angles_from_matrices(_error_matrices(r_true, r_meas)))[..., None]
-    np.cumprod(powers, axis=2, out=powers)
-    phases = np.concatenate([powers[..., :0:-1].conj(), powers], axis=2)
-    by_m_r = (phases[:, 1].conj() @ poly.reshape(width, -1)).reshape(-1, width, width)
-    return np.einsum("tm,tm->t", phases[:, 0], (by_m_r @ phases[:, 2, :, None])[..., 0])
+    angles = angles_from_matrices(_error_matrices(r_true, r_meas))
+    out = np.empty(angles.shape[0], dtype=complex)
+    for lo in range(0, angles.shape[0], SCORE_ROWS):
+        rows = slice(lo, lo + SCORE_ROWS)
+        # exp(i k angle) for k = 0..n-1 as running products, mirrored to k < 0 by conjugation
+        powers = np.empty(angles[rows].shape + (half,), dtype=complex)
+        powers[..., 0] = 1.0
+        powers[..., 1:] = np.exp(1j * angles[rows])[..., None]
+        np.cumprod(powers, axis=2, out=powers)
+        phases = np.concatenate([powers[..., :0:-1].conj(), powers], axis=2)
+        by_m_r = (phases[:, 1].conj() @ poly.reshape(width, -1)).reshape(-1, width, width)
+        out[rows] = np.einsum("tm,tm->t", phases[:, 0], (by_m_r @ phases[:, 2, :, None])[..., 0])
+    return out
 
 
 def outcome_density(a: AliceState, b: FiducialState, true_rot: EulerAngles,

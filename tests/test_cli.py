@@ -98,6 +98,26 @@ class TestVerify:
         assert code == 0
         assert "povm-completeness" in out
 
+    def test_check_filter_runs_only_selected_checks(self, capsys, monkeypatch):
+        from framecast import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unselected check ran")
+
+        monkeypatch.setattr(cli, "coefficient_deviation", refuse)
+        monkeypatch.setattr(cli, "povm_defect", refuse)
+        code, out, _ = run_cli(capsys, "verify", "--check", "grid", "--n", "6")
+        assert code == 0
+        assert out.splitlines()[1].startswith("grid-normalization")
+        assert len(out.splitlines()) == 3
+
+    def test_filtered_check_sees_the_same_inputs(self, capsys):
+        # random inputs are drawn for every check, selected or not
+        _, full, _ = run_cli(capsys, "verify", "--n", "4", "--seed", "5")
+        _, only, _ = run_cli(capsys, "verify", "--n", "4", "--seed", "5", "--check", "povm")
+        povm_line = [line for line in full.splitlines() if line.startswith("povm")]
+        assert only.splitlines()[1:2] == povm_line
+
     def test_injected_fault_detected(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--inject-fault")
         assert code == 3

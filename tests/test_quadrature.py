@@ -104,6 +104,56 @@ class TestCoefficientOracle:
         assert worst < 1e-12
 
 
+def flat_node_blocks(f, j_max, grid):
+    """Oracle: node sums of D^j conj(D^k) f, big_d_matrix at every grid node, keyed (j, k)."""
+    nodes = (grid.alphas, grid.betas, grid.gammas)
+    dmats = [big_d_matrix(j, *nodes).reshape(grid.node_count, -1) for j in range(j_max + 1)]
+    weighted = grid.weights * np.broadcast_to(f(*nodes), grid.weights.shape)
+    blocks = {}
+    for j, dj in enumerate(dmats):
+        for k, dk in enumerate(dmats):
+            block = np.sqrt((2 * j + 1) * (2 * k + 1)) * (dj * weighted[:, None]).T @ dk.conj()
+            blocks[j, k] = block.reshape(2 * j + 1, 2 * j + 1, 2 * k + 1, 2 * k + 1)
+    return blocks
+
+
+class TestSeparableQuadrature:
+    # alpha-gamma coupling and odd terms, so a DFT sign or an index wrap error shows
+    FUNCTIONS = {
+        "cos(a-g) sin b": lambda a, b, g: np.cos(a - g) * np.sin(b),
+        "sin a sin b": lambda a, b, g: np.sin(a) * np.sin(b),
+        "1 + cos b": lambda a, b, g: 1.0 + np.cos(b),
+        "exp(i(2a+g)) sin b": lambda a, b, g: np.exp(1j * (2 * a + g)) * np.sin(b),
+    }
+
+    @pytest.mark.parametrize("oversample", [0, 3])
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_blocks_match_flat_node_sum(self, name, oversample):
+        f = self.FUNCTIONS[name]
+        grid = make_grid(4, oversample)
+        worst = 0.0
+        for (j, k), flat in flat_node_blocks(f, 4, grid).items():
+            worst = max(worst, float(np.max(np.abs(coefficient_block(f, j, k, grid) - flat))))
+        assert worst < 1e-13
+
+    def test_aliased_frequencies_match_flat_node_sum(self):
+        # frequencies beyond the exactness margin wrap modulo the node count in
+        # both sums alike; on 8 azimuthal nodes 6 and 9 alias to -2 and 1
+        f = lambda a, b, g: np.cos(6 * a - 7 * g) + np.sin(9 * g) * np.sin(b)
+        grid = make_grid(1)
+        assert grid.alpha_count == 8
+        for (j, k), flat in flat_node_blocks(f, 1, grid).items():
+            block = coefficient_block(f, j, k, grid)
+            assert np.max(np.abs(block - flat)) < 1e-13
+        assert np.max(np.abs(coefficient_block(f, 1, 1, grid))) > 0.1
+
+    def test_oracle_entry_is_block_entry(self):
+        grid = make_grid(2)
+        f = self.FUNCTIONS["cos(a-g) sin b"]
+        block = coefficient_block(f, 2, 1, grid)
+        assert coefficient_oracle(f, 2, 1, -1, 0, 2, 1, grid) == block[1, 4, 1, 2]
+
+
 class TestCoefficientDeviation:
     def test_unit_function_against_identity_and_empty_tensors(self):
         # f = 1 has the coefficients delta_jk delta_mn delta_rs

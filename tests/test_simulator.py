@@ -24,9 +24,9 @@ from framecast import (
     sample_outcome,
     total_dim,
 )
+from framecast import simulator
 from framecast.simulator import (
     _amplitude_polynomial,
-    _block_weights,
     _outcome_amplitudes,
     _resolution_defect,
     _sample_chunk,
@@ -60,6 +60,21 @@ class TestPovmDefect:
         vec[block_slice(1)] = np.array([0.0, 0.5, 0.0])
         defect = _resolution_defect(vec, n, make_grid(n - 1))
         assert defect == pytest.approx(0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_flat_node_sum(self, n, rng):
+        # oracle: rotate the weighted fiducial by big_d_matrix at every grid
+        # node and sum the projectors with the grid weights
+        grid = make_grid(n - 1)
+        raw = rng.standard_normal(total_dim(n)) + 1j * rng.standard_normal(total_dim(n))
+        for vec in (FiducialState.random(n, rng).b, raw):
+            rotated = np.empty((grid.node_count, total_dim(n)), dtype=complex)
+            for j in range(n):
+                dmats = big_d_matrix(j, grid.alphas, grid.betas, grid.gammas)
+                rotated[:, block_slice(j)] = math.sqrt(2 * j + 1) * (dmats @ vec[block_slice(j)])
+            identity_est = (rotated * grid.weights[:, None]).T @ rotated.conj()
+            flat = np.max(np.abs(identity_est - np.eye(total_dim(n))))
+            assert _resolution_defect(vec, n, grid) == pytest.approx(flat, abs=1e-13)
 
     def test_grid_exactness_guard(self):
         with pytest.raises(ValueError):
@@ -287,8 +302,17 @@ class TestAmplitude:
                   for t, m in zip(true_angles, meas_angles)]
         assert np.max(np.abs(amps - oracle)) < 1e-12
 
-    def test_block_weights(self):
-        w = _block_weights(3)
-        assert w[0] == 1.0
-        assert np.allclose(w[block_slice(1)], math.sqrt(3))
-        assert np.allclose(w[block_slice(2)], math.sqrt(5))
+    def test_sub_batches_match_whole_batch(self, rng, monkeypatch):
+        # scoring SCORE_ROWS proposals at a time must not change any amplitude
+        n = 4
+        a, b = random_state_vectors(n, rng)
+        poly = _amplitude_polynomial(a, b, n)
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=(2, 1000, 3))
+        r_true = rotation_matrix_components(*angles[0].T)
+        r_meas = rotation_matrix_components(*angles[1].T)
+        monkeypatch.setattr(simulator, "SCORE_ROWS", 1000)
+        whole = _outcome_amplitudes(poly, r_true, r_meas)
+        monkeypatch.setattr(simulator, "SCORE_ROWS", 7)
+        batched = _outcome_amplitudes(poly, r_true, r_meas)
+        assert batched.shape == whole.shape
+        assert np.max(np.abs(batched - whole)) < 1e-14
