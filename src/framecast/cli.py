@@ -123,6 +123,10 @@ def cmd_optimize(args, parser) -> int:
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
+VERIFY_CHECKS = ("grid-normalization", "geometry-identities", "error-angle-composition",
+                 "wigner-unitarity", "coefficients-vs-quadrature", "povm-completeness")
+
+
 def _verify_checks(n: int, seed: int, inject_fault: bool, selected: str = "all"):
     """Yield (name, worst, tol) per check whose name contains `selected` (all for "all").
 
@@ -194,6 +198,9 @@ def _verify_checks(n: int, seed: int, inject_fault: bool, selected: str = "all")
 def cmd_verify(args, parser) -> int:
     if args.n < 1 or args.n > 6:
         parser.error("--n must be between 1 and 6 (oracle scale)")
+    if args.check != "all" and not any(args.check in name for name in VERIFY_CHECKS):
+        parser.error(f"--check {args.check!r} matches no check; valid names: "
+                     + ", ".join(VERIFY_CHECKS))
     failures = []
     print(f"{'check':32s} {'worst':>12s} {'tol':>9s}  status")
     for name, worst, tol in _verify_checks(args.n, args.seed, args.inject_fault, args.check):
@@ -333,7 +340,8 @@ def build_parser() -> _Parser:
     sim.add_argument("--samples", type=int, default=100_000)
     sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--true", choices=["haar", "identity"], default="haar",
-                     help="true rotation: Haar-random per sample or fixed identity")
+                     help="true rotation: Haar-random per sample or fixed identity; "
+                          "the measurement is covariant, so this does not change the output")
     sim.add_argument("--tol", type=float, default=1e-12)
     sim.add_argument("--max-iter", type=int, default=200)
     sim.add_argument("--raw-csv", default=None, help="write per-sample rows here")

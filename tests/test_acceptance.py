@@ -186,7 +186,8 @@ def test_criterion_09_monte_carlo_consistency():
         from framecast import fidelity_report
 
         analytic = fidelity_report(result.a, result.b, Objective.xyz_axes())
-        mc = monte_carlo_error(result.a, result.b, samples=100_000, seed=900 + n)
+        mc = monte_carlo_error(result.a, result.b, samples=100_000, seed=900 + n,
+                                rejection=True)
         pulls = [
             abs(mc.mean_cos_z - analytic.expect_cos_z) / mc.stderr_cos_z,
             abs(mc.mean_cos_x_plus_y - analytic.expect_cos_xy) / mc.stderr_cos_x_plus_y,

@@ -118,6 +118,21 @@ class TestVerify:
         povm_line = [line for line in full.splitlines() if line.startswith("povm")]
         assert only.splitlines()[1:2] == povm_line
 
+    def test_unmatched_check_filter_is_usage_error(self, capsys):
+        from framecast.cli import VERIFY_CHECKS
+
+        code, out, err = run_cli(capsys, "verify", "--check", "bogus")
+        assert code == 1
+        assert "all checks passed" not in out
+        assert "matches no check" in err
+        assert all(name in err for name in VERIFY_CHECKS)
+
+    def test_check_names_are_the_listed_ones(self, capsys):
+        from framecast.cli import VERIFY_CHECKS
+
+        _, out, _ = run_cli(capsys, "verify", "--n", "2")
+        assert tuple(line.split()[0] for line in out.splitlines()[1:-1]) == VERIFY_CHECKS
+
     def test_injected_fault_detected(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--inject-fault")
         assert code == 3
@@ -203,7 +218,7 @@ class TestSimulate:
         assert code == 0
         doc = json.loads(out)
         assert abs(doc["mean_cos_z"] - 0.57735) < 3 * doc["stderr_cos_z"]
-        assert doc["acceptance_rate"] == pytest.approx(0.25, abs=0.02)
+        assert doc["acceptance_rate"] == 1.0  # exact sampling wastes no proposal
 
     def test_single_level_means_vanish(self, capsys):
         code, out, _ = run_cli(
@@ -252,6 +267,32 @@ class TestSimulate:
         lines = raw_path.read_text().strip().splitlines()
         assert lines[0] == "alpha,beta,gamma,cos_x,cos_y,cos_z"
         assert len(lines) == 501
+
+    def test_true_rotation_flag_does_not_change_the_output(self, capsys):
+        args = ["simulate", "--n", "2", "--samples", "3000", "--seed", "5"]
+        _, haar, _ = run_cli(capsys, *args, "--true", "haar")
+        _, fixed, _ = run_cli(capsys, *args, "--true", "identity")
+        haar_doc, fixed_doc = json.loads(haar), json.loads(fixed)
+        assert (haar_doc.pop("true_rotation"), fixed_doc.pop("true_rotation")) == ("haar",
+                                                                                     "identity")
+        assert haar_doc == fixed_doc
+
+    def test_raw_csv_rows_rebuild_their_cosines(self, capsys, tmp_path):
+        import numpy as np
+
+        from framecast import rotation_matrix_components
+
+        raw_path = tmp_path / "raw.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--n", "3", "--samples", "400", "--seed", "8",
+                             "--raw-csv", str(raw_path))
+        assert code == 0
+        rows = np.loadtxt(raw_path, delimiter=",", skiprows=1)
+        assert rows.shape == (400, 6)
+        assert np.all((rows[:, [0, 2]] >= 0.0) & (rows[:, [0, 2]] < 2.0 * math.pi))
+        assert np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= math.pi))
+        rebuilt = rotation_matrix_components(rows[:, 0], rows[:, 1], rows[:, 2])
+        # the CSV carries 12 significant digits
+        assert np.max(np.abs(np.diagonal(rebuilt, axis1=1, axis2=2) - rows[:, 3:])) < 1e-10
 
     def test_requires_state_or_n(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--samples", "10")

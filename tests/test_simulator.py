@@ -1,6 +1,8 @@
 """POVM completeness and Monte Carlo outcome simulation."""
 
+import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,12 +16,14 @@ from framecast import (
     block_slice,
     cached_tensor,
     compose,
+    fidelity_report,
     fixed_point_optimize,
     integrate,
     make_grid,
     monte_carlo_error,
     outcome_density,
     povm_defect,
+    rotation_matrix,
     rotation_matrix_components,
     sample_outcome,
     total_dim,
@@ -27,9 +31,15 @@ from framecast import (
 from framecast import simulator
 from framecast.simulator import (
     _amplitude_polynomial,
+    _beta_marginal,
+    _cdf_terms,
+    _invert_cdf,
+    _lag_sums,
     _outcome_amplitudes,
     _resolution_defect,
     _sample_chunk,
+    _sample_errors,
+    _trig_cdf,
 )
 
 ROOT3 = 1.0 / math.sqrt(3)
@@ -126,7 +136,7 @@ class TestSampling:
     def test_single_level_is_haar_uniform(self):
         alice = AliceState(1, [1.0])
         b = FiducialState(1, [1.0])
-        report = monte_carlo_error(alice, b, samples=20_000, seed=11)
+        report = monte_carlo_error(alice, b, samples=20_000, seed=11, rejection=True)
         assert report.acceptance_rate == 1.0
         assert abs(report.mean_cos_z) < 3 * report.stderr_cos_z
         assert abs(report.mean_cos_x_plus_y) < 3 * report.stderr_cos_x_plus_y
@@ -134,7 +144,7 @@ class TestSampling:
 
     def test_optimal_z_level_two_matches_analytic(self):
         alice, b = optimal_pair(2, Objective.z_axis())
-        report = monte_carlo_error(alice, b, samples=60_000, seed=5)
+        report = monte_carlo_error(alice, b, samples=60_000, seed=5, rejection=True)
         assert abs(report.mean_cos_z - ROOT3) < 3 * report.stderr_cos_z
         expected_rate = 1.0 / 4.0
         assert report.acceptance_rate == pytest.approx(expected_rate, abs=0.01)
@@ -144,9 +154,9 @@ class TestSampling:
         # Haar-averaged ones within joint statistical error
         alice, b = optimal_pair(2, Objective.xyz_axes())
         fixed = monte_carlo_error(
-            alice, b, samples=40_000, seed=21, true_rotation=EulerAngles(0, 0, 0)
+            alice, b, samples=40_000, seed=21, true_rotation=EulerAngles(0, 0, 0), rejection=True
         )
-        haar = monte_carlo_error(alice, b, samples=40_000, seed=22)
+        haar = monte_carlo_error(alice, b, samples=40_000, seed=22, rejection=True)
         joint = math.hypot(fixed.stderr_cos_sum, haar.stderr_cos_sum)
         assert abs(fixed.mean_cos_sum - haar.mean_cos_sum) < 3 * joint
 
@@ -189,14 +199,15 @@ class TestSampling:
         # big_d_matrix per proposal; scoring at the error rotation must keep
         # the proposals, the acceptances and so every statistic
         alice, b = optimal_pair(3, Objective.xyz_axes())
-        haar = monte_carlo_error(alice, b, samples=1500, seed=2468, chunk_size=1000)
+        haar = monte_carlo_error(alice, b, samples=1500, seed=2468, chunk_size=1000,
+                                 rejection=True)
         assert haar.acceptance_rate == 1500 / 13210
         assert haar.mean_cos_z == pytest.approx(0.4452193950425932, abs=1e-12)
         assert haar.mean_cos_x_plus_y == pytest.approx(0.986677617106704, abs=1e-12)
         assert haar.mean_cos_sum == pytest.approx(1.4318970121492973, abs=1e-12)
         assert haar.stderr_cos_sum == pytest.approx(0.024482411896409435, abs=1e-12)
         fixed = monte_carlo_error(alice, b, samples=700, seed=1357,
-                                  true_rotation=EulerAngles(0.4, 2.9, 5.1))
+                                  true_rotation=EulerAngles(0.4, 2.9, 5.1), rejection=True)
         assert fixed.acceptance_rate == 700 / 6784
         assert fixed.mean_cos_z == pytest.approx(0.4749969542853423, abs=1e-12)
         assert fixed.mean_cos_x_plus_y == pytest.approx(1.0352601168773128, abs=1e-12)
@@ -247,7 +258,7 @@ class TestSampling:
         from framecast import fidelity_report
 
         analytic = fidelity_report(alice, b, Objective.xyz_axes())
-        report = monte_carlo_error(alice, b, samples=8_000, seed=55)
+        report = monte_carlo_error(alice, b, samples=8_000, seed=55, rejection=True)
         assert abs(report.mean_cos_sum - analytic.expect_cos_sum) < 4 * report.stderr_cos_sum
         assert report.acceptance_rate == pytest.approx(1.0 / 25.0, rel=0.15)
 
@@ -316,3 +327,183 @@ class TestAmplitude:
         batched = _outcome_amplitudes(poly, r_true, r_meas)
         assert batched.shape == whole.shape
         assert np.max(np.abs(batched - whole)) < 1e-14
+
+
+def amplitude_squared(a, b, n, alphas, betas, gammas):
+    """Oracle |<A|U(alpha, beta, gamma)|B>|^2 over broadcast angles, each block by big_d_matrix."""
+    total = 0.0
+    for j in range(n):
+        sl = block_slice(j)
+        dmats = big_d_matrix(j, alphas, betas, gammas)
+        total = total + math.sqrt(2 * j + 1) * np.einsum("m,...mr,r->...", a[sl].conj(), dmats,
+                                                         b[sl])
+    return np.abs(total) ** 2
+
+
+def gauss_integral(fn, upper, nodes=48):
+    """Integral of fn over [0, upper] by Gauss-Legendre (fn takes an array of points)."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * upper * float(np.sum(w * fn(0.5 * upper * (x + 1.0))))
+
+
+class TestExactSampler:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_beta_marginal_integrates_to_one(self, n, rng):
+        a, b = random_state_vectors(n, rng)
+        coef = _beta_marginal(_amplitude_polynomial(a, b, n))
+        total, _ = _trig_cdf(_cdf_terms(coef), np.array(math.pi))
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_beta_marginal_matches_node_sum_of_outcome_density(self, n, rng):
+        # the alpha x gamma mean of outcome_density over 2n+1 equispaced nodes
+        # per axis is exact: the density has degree 2(n-1) in each angle
+        a, b = random_state_vectors(n, rng)
+        alice, fiducial = AliceState(n, a), FiducialState(n, b)
+        terms = _cdf_terms(_beta_marginal(_amplitude_polynomial(a, b, n)))
+        nodes = 2.0 * math.pi * np.arange(2 * n + 1) / (2 * n + 1)
+        for beta in (0.0, 0.3, 1.1, 2.0, math.pi):
+            mean = np.mean([outcome_density(alice, fiducial, EulerAngles(0.0, 0.0, 0.0),
+                                            EulerAngles(alpha, beta, gamma))
+                            for alpha in nodes for gamma in nodes])
+            _, density = _trig_cdf(terms, np.array(beta))
+            assert density == pytest.approx(0.5 * math.sin(beta) * mean, abs=1e-12)
+
+    def test_non_normalized_states_are_refused(self):
+        n = 2
+        a = np.full(total_dim(n), 0.5, dtype=complex)
+        b = np.full(total_dim(n), 3.0 / math.sqrt(3), dtype=complex)
+        b[0] = 1.0
+        with pytest.raises(ValueError, match="integrates to"):
+            _beta_marginal(_amplitude_polynomial(a, b, n))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_angles_are_quantiles_of_brute_force_conditionals(self, n, rng):
+        # each angle must sit at its uniform's quantile of the marginal or
+        # conditional CDF, here integrated by Gauss-Legendre over big_d_matrix
+        # amplitudes (no Fourier coefficients); gamma means use 2n+1 nodes
+        a, b = random_state_vectors(n, rng)
+        poly = _amplitude_polynomial(a, b, n)
+        u = rng.random((6, 3))
+        nodes = 2.0 * math.pi * np.arange(2 * n + 1) / (2 * n + 1)
+
+        def beta_density(x):
+            grid = amplitude_squared(a, b, n, nodes[:, None], x[:, None, None], nodes)
+            return 0.5 * np.sin(x) * np.mean(grid, axis=(1, 2))
+
+        def over_gamma(alphas, beta):
+            return np.mean(amplitude_squared(a, b, n, np.asarray(alphas)[..., None], beta, nodes),
+                           axis=-1)
+
+        for (alpha, beta, gamma), (u_beta, u_alpha, u_gamma) in zip(
+                _sample_errors(poly, _beta_marginal(poly), u), u):
+            beta_cdf = gauss_integral(beta_density, beta)
+            assert beta_cdf == pytest.approx(u_beta, abs=1e-11)
+            alpha_total = 2.0 * math.pi * float(np.mean(over_gamma(nodes, beta)))
+            alpha_cdf = gauss_integral(lambda x: over_gamma(x, beta), alpha)
+            assert alpha_cdf == pytest.approx(u_alpha * alpha_total, abs=1e-11 * alpha_total)
+            gamma_total = 2.0 * math.pi * float(over_gamma(alpha, beta))
+            gamma_cdf = gauss_integral(lambda x: amplitude_squared(a, b, n, alpha, beta, x), gamma)
+            assert gamma_cdf == pytest.approx(u_gamma * gamma_total, abs=1e-11 * gamma_total)
+
+    @pytest.mark.parametrize("width", [1, 2, 9])
+    def test_lag_sums_match_diagonal_traces(self, width, rng):
+        shape = (5, width, width)
+        outer = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        traces = [np.trace(outer, offset=-k, axis1=1, axis2=2) for k in range(width)]
+        assert np.max(np.abs(_lag_sums(outer) - np.stack(traces, axis=1))) < 1e-13
+
+    def test_inversion_meets_residual_guard(self, rng):
+        # autocorrelation lags of random vectors are valid (non-negative) densities
+        vecs = rng.standard_normal((200, 7)) + 1j * rng.standard_normal((200, 7))
+        coef = np.stack([np.sum(vecs[:, k:] * vecs[:, :7 - k].conj(), axis=1)
+                         for k in range(7)], axis=1)
+        u = rng.random(200)
+        x = _invert_cdf(coef, 2.0 * math.pi, u)
+        terms = _cdf_terms(coef)
+        cdf, _ = _trig_cdf(terms, x)
+        total, _ = _trig_cdf(terms, np.full(200, 2.0 * math.pi))
+        assert np.all((x >= 0.0) & (x <= 2.0 * math.pi))
+        assert np.all(np.abs(cdf - u * total) <= 1e-12 * total)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_inversion_guard_raises_on_corrupted_coefficients(self, bad):
+        coef = np.array([[1.0, 0.2 + 0.1j, 0.1], [1.0, 0.3j, bad]])
+        with pytest.raises(ValueError, match="unconverged"):
+            _invert_cdf(coef, 2.0 * math.pi, np.array([0.3, 0.6]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_exact_matches_rejection_oracle(self, n):
+        alice, b = optimal_pair(n, Objective.xyz_axes())
+        exact = monte_carlo_error(alice, b, samples=20_000, seed=610 + n)
+        oracle = monte_carlo_error(alice, b, samples=20_000, seed=710 + n, rejection=True)
+        assert exact.acceptance_rate == 1.0
+        for key in ("cos_z", "cos_x_plus_y", "cos_sum"):
+            gap = getattr(exact, f"mean_{key}") - getattr(oracle, f"mean_{key}")
+            joint = math.hypot(getattr(exact, f"stderr_{key}"), getattr(oracle, f"stderr_{key}"))
+            assert abs(gap) < 3 * joint, key
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_random_complex_states_match_analytic(self, n, rng):
+        a, b = random_state_vectors(n, rng)
+        alice, fiducial = AliceState(n, a), FiducialState(n, b)
+        analytic = fidelity_report(alice, fiducial, Objective.xyz_axes())
+        report = monte_carlo_error(alice, fiducial, samples=40_000, seed=820 + n)
+        for key, expected in (("cos_z", analytic.expect_cos_z),
+                              ("cos_x_plus_y", analytic.expect_cos_xy),
+                              ("cos_sum", analytic.expect_cos_sum)):
+            mean, stderr = getattr(report, f"mean_{key}"), getattr(report, f"stderr_{key}")
+            assert abs(mean - expected) < 3 * stderr, key
+
+    def test_stream_is_pinned(self):
+        # the inversion stops at a residual of 1e-12 of each CDF's total, so
+        # the angles, and with them the means, are pinned to about that
+        alice, b = optimal_pair(3, Objective.xyz_axes())
+        report = monte_carlo_error(alice, b, samples=1500, seed=2468, chunk_size=1000)
+        assert report.acceptance_rate == 1.0
+        assert report.mean_cos_z == pytest.approx(0.47100260946118744, abs=1e-10)
+        assert report.mean_cos_x_plus_y == pytest.approx(1.0140151417766377, abs=1e-10)
+        assert report.mean_cos_sum == pytest.approx(1.485017751237825, abs=1e-10)
+        assert report.stderr_cos_sum == pytest.approx(0.024791227697961167, abs=1e-10)
+
+    def test_sub_blocks_match_whole_block(self, rng, monkeypatch):
+        # the uniforms are drawn per chunk, so the row block size cannot move a sample
+        n = 3
+        a, b = random_state_vectors(n, rng)
+        poly = _amplitude_polynomial(a, b, n)
+        u = rng.random((600, 3))
+        whole = _sample_errors(poly, _beta_marginal(poly), u)
+        monkeypatch.setattr(simulator, "SCORE_ROWS", 7)
+        batched = _sample_errors(poly, _beta_marginal(poly), u)
+        assert np.max(np.abs(batched - whole)) < 1e-12
+
+    def test_sample_outcome_is_true_rotation_times_error(self):
+        alice, b = optimal_pair(3, Objective.xyz_axes())
+        true_rot = EulerAngles(0.3, 0.9, 2.0)
+        outcome = sample_outcome(alice, b, true_rot, rng_seed=42)
+        poly = _amplitude_polynomial(alice.a, b.b, 3)
+        error = _sample_errors(poly, _beta_marginal(poly),
+                               np.random.default_rng(42).random((1, 3)))[0]
+        expected = rotation_matrix(true_rot).r @ rotation_matrix_components(*error)
+        assert np.max(np.abs(rotation_matrix(outcome).r - expected)) < 1e-12
+
+
+@pytest.mark.slow
+def test_level_twenty_exact_replay_matches_analytic(capsys):
+    from framecast.cli import main
+
+    samples = 60_000
+    start = time.perf_counter()
+    code = main(["simulate", "--n", "20", "--samples", str(samples), "--seed", "20"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    result = fixed_point_optimize(cached_tensor(Objective.xyz_axes(), 19), 20, init="uniform")
+    analytic = fidelity_report(result.a, result.b, Objective.xyz_axes())
+    with capsys.disabled():
+        print(f"\nsimulate --n 20 --samples {samples}: {elapsed:.2f} s, "
+              f"{samples / elapsed:.0f} samples/s (optimization included)")
+    for key, expected in (("cos_z", analytic.expect_cos_z),
+                          ("cos_x_plus_y", analytic.expect_cos_xy),
+                          ("cos_sum", analytic.expect_cos_sum)):
+        assert abs(doc[f"mean_{key}"] - expected) < 3 * doc[f"stderr_{key}"], key
