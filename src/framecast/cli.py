@@ -183,10 +183,9 @@ def _verify_checks(n: int, seed: int, inject_fault: bool, selected: str = "all")
             (Objective.xy_axes(), lambda a, b, g: (1.0 + np.cos(b)) * np.cos(a + g)),
         ]:
             tensor = assemble_tensor(objective, j_max)
-            if inject_fault and tensor.entries:
-                entries = dict(tensor.entries)
-                entries[sorted(entries)[0]] += 1e-3  # test hook: deliberate corruption
-                tensor = SparseCoefficientTensor(j_max, objective, entries)
+            if inject_fault:  # test hook: deliberate corruption of the mu = nu = 0 moment
+                bumped = tensor.c_hat + np.diag([0.0, 1e-3, 0.0])
+                tensor = SparseCoefficientTensor(j_max, objective, bumped)
             coeff_worst = max(coeff_worst, coefficient_deviation(tensor, fn, grid))
         yield "coefficients-vs-quadrature", coeff_worst, 1e-10
 

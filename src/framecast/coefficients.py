@@ -1,19 +1,19 @@
-"""Closed-form transmission coefficients and sparse tensor assembly.
+"""Closed-form transmission coefficients in factored form.
 
 Every transmission objective is the expectation of a weighted sum
 sum_ab c_ab R_ab of classical rotation-matrix entries, a quadratic form in
 the sender amplitudes a_{jm} and the fiducial amplitudes b_{jm}. Its
-coefficients come from one formula, `moment_entries`: each R_ab is a
-combination of spin-1 D-matrix entries, so the coefficient of blocks (j, k)
-is a product of two spin-1 Clebsch-Gordan coefficients. It vanishes outside
-|j - k| <= 1. The z axis is c = diag(0, 0, 1) and the joint x and y axes are
-c = diag(1, 1, 0); the brute-force quadrature oracle in `quadrature` checks
-the assembled tensors entrywise without sharing this formula.
+coefficients are rank-1 terms c_hat_{mu nu} cg_mu cg_nu in spin-1
+Clebsch-Gordan vectors that depend on j_max alone (`moment_tensor`), so a
+tensor stores only the 3x3 spherical moment c_hat of c. `contract` builds
+the objective matrix from it in O(d) work; `block` and `entries` expand it
+for the tests and for the brute-force quadrature oracle in `quadrature`,
+which shares nothing with this formula. The z axis is c = diag(0, 0, 1) and
+the joint x and y axes are c = diag(1, 1, 0).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -21,8 +21,6 @@ from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
-
-from .basis import flat_index
 
 
 @dataclass(frozen=True)
@@ -77,58 +75,6 @@ class Objective:
     def to_json(self) -> dict:
         return {"kind": self.kind, "w_z": self.w_z, "w_xy": self.w_xy}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "Objective":
-        return cls(doc["kind"], float(doc["w_z"]), float(doc["w_xy"]))
-
-
-@dataclass(frozen=True)
-class SparseCoefficientTensor:
-    """Nonzero transmission coefficients keyed by (j, k, m, n, r, s).
-
-    Entries stay within |j - k| <= 1 and satisfy the Hermitian symmetry
-    entry(j,k,m,n,r,s) = conj(entry(k,j,n,m,s,r)), with n - m = mu and
-    s - r = nu in {-1, 0, 1}. Objective tensors are real; tensors of single
-    rotation-matrix entries (objective=None) may carry imaginary parts.
-    """
-
-    j_max: int
-    objective: Objective | None
-    entries: dict
-
-    def __post_init__(self):
-        # instances are shared through the assembly cache; freeze the mapping
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-
-    @cached_property
-    def _index_arrays(self):
-        """Precomputed flat-index arrays for fast quadratic-form assembly."""
-        vals = np.array(list(self.entries.values()))
-        j, k, m, n, r, s = np.array(list(self.entries), dtype=np.intp).reshape(-1, 6).T
-        return vals, flat_index(j, m), flat_index(k, n), flat_index(j, r), flat_index(k, s)
-
-    def to_json(self) -> dict:
-        if any(isinstance(v, complex) for v in self.entries.values()):
-            raise ValueError("only real-valued tensors serialize to JSON")
-        entries = [[*key, val] for key, val in sorted(self.entries.items())]
-        objective = self.objective.to_json() if self.objective is not None else None
-        return {"j_max": self.j_max, "objective": objective, "entries": entries}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SparseCoefficientTensor":
-        entries = {tuple(int(i) for i in row[:6]): float(row[6]) for row in doc["entries"]}
-        objective = Objective.from_json(doc["objective"]) if doc["objective"] else None
-        return cls(int(doc["j_max"]), objective, entries)
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "SparseCoefficientTensor":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
 
 # Columns are the spherical unit vectors e_{-1} = (x - iy)/sqrt2, e_0 = z and
 # e_{+1} = -(x + iy)/sqrt2, split into an exact 0, +-1, +-i matrix and real
@@ -137,70 +83,139 @@ _SPHERICAL = np.array([[1, 0, -1], [-1j, 0, -1j], [0, 1, 0]])
 _SPHERICAL_SCALE = 1.0 / np.sqrt(np.outer([2, 1, 2], [2, 1, 2]))
 
 
-def _spin_one_cg(j: int, k: int, mu: int) -> np.ndarray:
-    """Clebsch-Gordan coefficients <j m; 1 mu | k m+mu> for m = -j..j.
+def _spin_one_cg(j: int, k: int) -> np.ndarray:
+    """Clebsch-Gordan coefficients <j m; 1 mu | k m+mu>, rows mu = -1, 0, 1, columns m = -j..j.
 
     Condon-Shortley phases (Varshalovich, Moskalev & Khersonskii 1988, spin-1
     table) for k in {j, j + 1}, k = j needing j >= 1. Every radicand vanishes
     where m + mu falls outside block k, so those entries are exact zeros.
     """
+    mu = np.arange(-1, 2)[:, None]
     n = np.arange(-j, j + 1) + mu
     if k == j + 1:
         sign, den = 1, (2 * j + 1) * (2 * j + 2)
-        num = ((j + n) * (j + n + 1) if mu == 1 else
-               2 * (j - n + 1) * (j + n + 1) if mu == 0 else
-               (j - n) * (j - n + 1))
+        num = np.choose(mu + 1, [(j - n) * (j - n + 1), 2 * (j - n + 1) * (j + n + 1),
+                                 (j + n) * (j + n + 1)])
     else:
         den = 2 * j * (j + 1)
-        sign, num = ((-1, (j + n) * (j - n + 1)) if mu == 1 else
-                     (np.sign(n), 2 * n * n) if mu == 0 else
-                     (1, (j - n) * (j + n + 1)))
+        sign = np.choose(mu + 1, [1, np.sign(n), -1])
+        num = np.choose(mu + 1, [(j - n) * (j + n + 1), 2 * n * n, (j + n) * (j - n + 1)])
     return sign * np.sqrt(num / den)
 
 
-def moment_entries(c, j_max: int) -> dict:
-    """Nonzero coefficients of E[sum_ab c_ab R_ab], keyed by (j, k, m, n, r, s).
+@lru_cache(maxsize=64)
+def _contraction_plan(j_max: int) -> tuple:
+    """Every nonzero <j m; 1 mu | k m+mu>, k in {j, j + 1} (not 0, 0), flattened for `contract`.
 
-    The spherical components c_hat of the real 3x3 matrix c satisfy sum_ab c_ab R_ab
+    rows and cols are the flat indices of (j, m) and (k, m + mu); the terms of
+    segment 3 * pair + mu + 1 are contiguous, never empty, and begin at starts.
+    weight is sqrt((2j+1)/(2k+1)), halved on diagonal pairs as M = P + P^H.
+    """
+    pairs = [(j, k) for j in range(j_max + 1) for k in (j, j + 1) if 0 < k <= j_max]
+    parts = [(np.zeros(0, dtype=np.intp),) * 4]  # keeps j_max = 0, with no pair, well-formed
+    for pair, (j, k) in enumerate(pairs):
+        cg = _spin_one_cg(j, k)
+        mu, m = np.nonzero(cg)
+        parts.append((j * j + m, k * k + m + mu + k - j - 1, cg[mu, m], 3 * pair + mu))
+    plan = [np.concatenate(part) for part in zip(*parts)]
+    plan.append(np.flatnonzero(np.diff(plan[3], prepend=-1)))
+    plan.append(np.array([math.sqrt((2 * j + 1) / (2 * k + 1)) / (2 if k == j else 1)
+                          for j, k in pairs]))
+    for part in plan:
+        part.flags.writeable = False  # shared by every tensor with this j_max
+    return tuple(plan)
+
+
+@dataclass(frozen=True, eq=False)
+class SparseCoefficientTensor:
+    """Transmission coefficients f_{jkmnrs} of one moment matrix, in factored form.
+
+    c_hat[mu + 1, nu + 1] is the spherical moment of `moment_tensor`, which
+    gives the coefficients. Objective tensors are real; tensors of single
+    rotation-matrix entries (objective=None) may carry imaginary parts.
+    """
+
+    j_max: int
+    objective: Objective | None
+    c_hat: np.ndarray
+
+    def __post_init__(self):
+        if self.j_max < 0:
+            raise ValueError("j_max must be non-negative")
+        c_hat = np.array(self.c_hat)
+        c_hat.flags.writeable = False  # instances are shared through the assembly cache
+        object.__setattr__(self, "c_hat", c_hat)
+
+    def block(self, j: int, k: int) -> np.ndarray:
+        """Dense coefficients f[m+j, r+j, n+k, s+k] of blocks (j, k), zero outside |j - k| <= 1."""
+        if not (0 <= j <= self.j_max and 0 <= k <= self.j_max):
+            raise ValueError(f"blocks ({j}, {k}) outside 0..{self.j_max}")
+        if j > k:
+            return self.block(k, j).transpose(2, 3, 0, 1).conj()
+        dense = np.zeros((2 * j + 1, 2 * j + 1, 2 * k + 1, 2 * k + 1), dtype=self.c_hat.dtype)
+        if 0 < k <= j + 1:
+            cg = _spin_one_cg(j, k)
+            # terms[mu + 1, m + j, nu + 1, r + j]
+            terms = (math.sqrt((2 * j + 1) / (2 * k + 1)) * self.c_hat[:, None, :, None]
+                     * cg[:, :, None, None] * cg[None, None, :, :])
+            mu, m, nu, r = np.nonzero(terms)
+            dense[m, r, m + mu + k - j - 1, r + nu + k - j - 1] = terms[mu, m, nu, r]
+        return dense
+
+    @cached_property
+    def entries(self) -> MappingProxyType:
+        """Every nonzero coefficient keyed by (j, k, m, n, r, s), for the oracles and tests only."""
+        entries = {}
+        for j in range(self.j_max + 1):
+            for k in range(max(j - 1, 0), min(j + 1, self.j_max) + 1):
+                block = self.block(j, k)
+                idx = np.nonzero(block)
+                m, r, n, s = ((i - off).tolist() for i, off in zip(idx, (j, j, k, k)))
+                entries.update(zip(zip(repeat(j), repeat(k), m, n, r, s), block[idx].tolist()))
+        return MappingProxyType(entries)
+
+    def contract(self, b: np.ndarray) -> np.ndarray:
+        """Dense Hermitian M[(j,m),(k,n)] = sum_rs f_{jkmnrs} b_{jr} conj(b_{ks}) for flat b.
+
+        Per coupled pair, S_nu = sum_r <j r; 1 nu|k r+nu> b_{jr} conj(b_{k,r+nu})
+        is one scalar and P[(j,m),(k,m+mu)] = sqrt((2j+1)/(2k+1))
+        <j m; 1 mu|k m+mu> sum_nu c_hat_{mu nu} S_nu; the mirror blocks make
+        M = P + P^H, exactly Hermitian, in O(d) work besides the d x d fill.
+        """
+        rows, cols, cg, segment, starts, weight = _contraction_plan(self.j_max)
+        s = np.add.reduceat(cg * b[rows] * np.conj(b[cols]), starts).reshape(-1, 3)
+        vals = cg * (weight[:, None] * (s @ self.c_hat.T)).ravel()[segment]
+        mat = np.zeros((b.size, b.size), dtype=complex)
+        mat[rows, cols] = vals  # the (row, col) pairs are distinct
+        mat[cols, rows] += vals.conj()
+        return mat
+
+
+def moment_tensor(c, j_max: int, objective: Objective | None = None) -> SparseCoefficientTensor:
+    """Coefficient tensor of E[sum_ab c_ab R_ab] for a 3x3 moment matrix c.
+
+    The spherical components c_hat of c satisfy sum_ab c_ab R_ab
     = sum_{mu nu} c_hat_{mu nu} D^1_{mu nu}, and the Haar integral of
     D^j conj(D^k) D^1 is a product of two spin-1 Clebsch-Gordan coefficients.
     Each block pair (|j - k| <= 1) is therefore a sum of rank-1 terms
     sqrt((2j+1)/(2k+1)) c_hat_{mu nu} <j m; 1 mu|k n> <j r; 1 nu|k s> with
     n = m + mu and s = r + nu. Blocks with j > k are the conjugate mirror
     images of those with j < k, so the Hermitian symmetry of the tensor holds
-    exactly. Values are floats when c_hat is real.
+    exactly. c_hat is kept real when it has no imaginary part.
     """
-    if j_max < 0:
-        raise ValueError("j_max must be non-negative")
     c_hat = (_SPHERICAL.conj().T @ np.asarray(c) @ _SPHERICAL) * _SPHERICAL_SCALE
     if not np.any(c_hat.imag):
         c_hat = c_hat.real
-    entries: dict = {}
-    for j in range(j_max + 1):
-        for k in range(j, min(j_max, j + 1) + 1):
-            if k == 0:
-                continue  # spin 1 does not couple the trivial block to itself
-            cg = np.stack([_spin_one_cg(j, k, mu) for mu in (-1, 0, 1)])
-            # block[mu + 1, m + j, nu + 1, r + j]
-            block = (math.sqrt((2 * j + 1) / (2 * k + 1)) * c_hat[:, None, :, None]
-                     * cg[:, :, None, None] * cg[None, None, :, :])
-            mu, m, nu, r = np.nonzero(block)
-            val = block[mu, m, nu, r]
-            m, n, r, s = ((i - j).tolist() for i in (m, m + mu - 1, r, r + nu - 1))
-            entries.update(zip(zip(repeat(j), repeat(k), m, n, r, s), val.tolist()))
-            if k != j:
-                entries.update(zip(zip(repeat(k), repeat(j), n, m, s, r), val.conj().tolist()))
-    return entries
+    return SparseCoefficientTensor(j_max, objective, c_hat)
 
 
 def assemble_tensor(objective: Objective, j_max: int) -> SparseCoefficientTensor:
-    """Sparse coefficient tensor for the requested objective at block cutoff j_max.
+    """Coefficient tensor for the requested objective at block cutoff j_max.
 
     The z term scores R_zz and the joint xy term R_xx + R_yy, so the objective
     is the moment matrix diag(w_xy, w_xy, w_z).
     """
-    c = np.diag([objective.w_xy, objective.w_xy, objective.w_z])
-    return SparseCoefficientTensor(j_max, objective, moment_entries(c, j_max))
+    return moment_tensor(np.diag([objective.w_xy, objective.w_xy, objective.w_z]), j_max, objective)
 
 
 @lru_cache(maxsize=64)

@@ -4,8 +4,8 @@ Transmitting any weighted set of directions scores as a contraction of the
 expected classical rotation matrix with the set's second-moment matrix c;
 that matrix diagonalizes into three orthogonal axes with non-negative
 weights, so nothing beyond the weighted three-axis problem ever arises. The
-expectation itself is linear in c: each nonzero c_ab contributes through the
-closed-form coefficient tensor of the single rotation-matrix entry R_ab.
+expectation itself is one quadratic form (`coefficients.moment_tensor`), and
+a general c costs one objective matrix, as much as a diagonal one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coefficients import SparseCoefficientTensor, moment_entries
+from .coefficients import SparseCoefficientTensor, moment_tensor
 from .objective import AliceState, FiducialState, build_m, expected_value
 
 
@@ -119,21 +119,12 @@ def rotation_entry_tensor(row: int, col: int, j_max: int) -> SparseCoefficientTe
         raise ValueError("rotation entries are indexed 0..2")
     unit = np.zeros((3, 3))
     unit[row, col] = 1.0
-    return SparseCoefficientTensor(j_max, None, moment_entries(unit, j_max))
+    return moment_tensor(unit, j_max)
 
 
 def weighted_objective_expectation(a: AliceState, b: FiducialState,
                                    gram: GramLikeMatrix) -> float:
-    """Expected weighted sum of direction cosines for the moment matrix.
-
-    The expectation of sum_ab c_ab R_ab is linear in c, so it sums the
-    rotation-entry expectations over the nonzero entries of c.
-    """
+    """Expected weighted sum of direction cosines, E[sum_ab c_ab R_ab], for the moment matrix."""
     if a.n != b.n:
         raise ValueError("state dimensions differ")
-    c = gram.c
-    total = 0.0
-    for row, col in zip(*np.nonzero(c)):
-        tensor = rotation_entry_tensor(int(row), int(col), a.n - 1)
-        total += c[row, col] * expected_value(build_m(tensor, b), a)
-    return total
+    return expected_value(build_m(moment_tensor(gram.c, a.n - 1), b), a)

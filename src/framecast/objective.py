@@ -1,8 +1,9 @@
 """Signal and fiducial states, the induced Hermitian form, and error reports.
 
 The expected value of any transmission objective is <A|M|A> where M is built
-from the coefficient tensor and the fiducial amplitudes. Per-axis mean square
-errors follow from the expected cosines as (1 - <cos w>)/2 per axis.
+from the factored coefficient tensor and the fiducial amplitudes, which enter
+through three scalars per coupled block pair. Per-axis mean square errors
+follow from the expected cosines as (1 - <cos w>)/2 per axis.
 """
 
 from __future__ import annotations
@@ -166,18 +167,12 @@ class FidelityReport:
 def build_m(tensor: SparseCoefficientTensor, b: FiducialState) -> ObjectiveMatrix:
     """Contract the coefficient tensor with the fiducial amplitudes.
 
-    M[(j,m),(k,n)] = sum over (r,s) of f_{jkmnrs} b_{jr} conj(b_{ks}); the
-    tensor's index symmetry makes the result Hermitian for any b.
+    M[(j,m),(k,n)] = sum over (r,s) of f_{jkmnrs} b_{jr} conj(b_{ks}), from the
+    tensor's factored form in O(d) work besides the dense fill; Hermitian for any b.
     """
     if tensor.j_max != b.n - 1:
         raise ValueError(f"tensor j_max={tensor.j_max} does not match state n={b.n}")
-    d = total_dim(b.n)
-    vals, rows, cols, b_rows, b_cols = tensor._index_arrays
-    mat = np.zeros((d, d), dtype=complex)
-    if vals.size:
-        np.add.at(mat, (rows, cols), vals * b.b[b_rows] * np.conj(b.b[b_cols]))
-    mat = 0.5 * (mat + mat.conj().T)
-    return ObjectiveMatrix(b.n, mat)
+    return ObjectiveMatrix(b.n, tensor.contract(b.b))
 
 
 def expected_value(m: ObjectiveMatrix, a: AliceState) -> float:

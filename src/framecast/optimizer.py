@@ -234,10 +234,14 @@ def best_of_restarts(
 
 
 def z_sector_matrix(n: int, m: int) -> np.ndarray:
-    """Tridiagonal z-objective block for magnetic number m, blocks j >= |m|."""
-    entries = cached_tensor(Objective.z_axis(), n - 1).entries
-    js = range(abs(m), n)
-    return np.array([[entries.get((j, k, m, m, m, m), 0.0) for k in js] for j in js])
+    """Tridiagonal z-objective block for magnetic number m, blocks j >= |m|.
+
+    Contracting with b_{jr} = delta_{rm} leaves M[(j,m),(k,m)] = f_{jkmmmm}.
+    """
+    sector = [flat_index(j, m) for j in range(abs(m), n)]
+    b = np.zeros(total_dim(n))
+    b[sector] = 1.0
+    return cached_tensor(Objective.z_axis(), n - 1).contract(b)[np.ix_(sector, sector)].real
 
 
 def optimize_z_single_m(n: int, m: int) -> OptimizationResult:

@@ -114,22 +114,15 @@ def coefficient_block(f, j: int, k: int, grid: SO3Grid) -> np.ndarray:
 
 
 def coefficient_deviation(tensor, f, grid: SO3Grid) -> float:
-    """Largest |coefficient_block(f) - tensor| over every block pair j, k <= tensor.j_max.
+    """Largest |coefficient_block(f) - tensor.block(j, k)| over every j, k <= tensor.j_max.
 
-    `tensor` is a SparseCoefficientTensor; each of its (j, k) blocks is
-    scattered into a dense array, absent keys counting as zero, so blocks
-    outside |j - k| <= 1 are compared as well.
+    `tensor` needs only `j_max` and a dense `block(j, k)` in the layout of
+    `coefficient_block`; blocks outside |j - k| <= 1 are compared as well.
     """
-    keys = np.array(list(tensor.entries), dtype=int).reshape(-1, 6)
-    vals = np.array(list(tensor.entries.values()), dtype=complex)
     worst = 0.0
     levels = range(tensor.j_max + 1)
     for j, k, block in coefficient_blocks(f, levels, levels, grid):
-        mine = (keys[:, 0] == j) & (keys[:, 1] == k)
-        _, _, m, n, r, s = keys[mine].T
-        dense = np.zeros_like(block)
-        dense[m + j, r + j, n + k, s + k] = vals[mine]
-        worst = max(worst, float(np.max(np.abs(block - dense))))
+        worst = max(worst, float(np.max(np.abs(block - tensor.block(j, k)))))
     return worst
 
 

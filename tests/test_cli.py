@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from framecast import Objective, cached_tensor
 from framecast.cli import main
 
 
@@ -84,6 +85,13 @@ class TestOptimize:
             "--wz", "0", "--wxy", "0",
         )
         assert code == 1
+
+    def test_optimize_never_expands_entries(self, capsys):
+        cached_tensor.cache_clear()
+        code, _, _ = run_cli(capsys, "optimize", "--n", "4", "--objective", "xyz")
+        assert code == 0
+        for objective in (Objective.xyz_axes(), Objective.z_axis(), Objective.xy_axes()):
+            assert "entries" not in cached_tensor(objective, 3).__dict__
 
 
 class TestVerify:

@@ -9,7 +9,6 @@ from framecast import (
     AliceState,
     FiducialState,
     Objective,
-    SparseCoefficientTensor,
     assemble_tensor,
     build_m,
     coefficient_deviation,
@@ -33,10 +32,6 @@ class TestObjective:
             Objective.weighted(-1.0, 1.0)
         with pytest.raises(ValueError):
             Objective.weighted(0.0, 0.0)
-
-    def test_json_round_trip(self):
-        obj = Objective.weighted(0.25, 1.75)
-        assert Objective.from_json(obj.to_json()) == obj
 
 
 Z3 = assemble_tensor(Objective.z_axis(), 3).entries
@@ -168,17 +163,3 @@ class TestAssembleTensor:
                 val = expected_value(build_m(tensor, fiducial), alice)
                 assert abs(val) <= bound + 1e-12
 
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        tensor = assemble_tensor(Objective.xyz_axes(), 2)
-        clone = SparseCoefficientTensor.from_json(tensor.to_json())
-        assert clone.j_max == tensor.j_max
-        assert clone.objective == tensor.objective
-        assert clone.entries == tensor.entries
-
-    def test_dump_load(self, tmp_path):
-        tensor = assemble_tensor(Objective.weighted(1.0, 2.0), 3)
-        path = tmp_path / "tensor.json"
-        tensor.dump(path)
-        assert SparseCoefficientTensor.load(path).entries == tensor.entries

@@ -18,6 +18,7 @@ from framecast import (
     fixed_point_optimize,
     flat_index,
     make_grid,
+    rotation_entry_tensor,
     total_dim,
 )
 
@@ -58,7 +59,43 @@ class TestStates:
         assert np.allclose(clone_b.b, fiducial.b, atol=0)
 
 
+def expanded_entry_matrix(tensor, b):
+    """Reference M: np.add.at of f_{jkmnrs} b_{jr} conj(b_{ks}) over every entry, symmetrized."""
+    j, k, m, n, r, s = np.array(list(tensor.entries), dtype=np.intp).reshape(-1, 6).T
+    vals = np.array(list(tensor.entries.values()), dtype=complex)
+    d = total_dim(b.n)
+    mat = np.zeros((d, d), dtype=complex)
+    np.add.at(mat, (flat_index(j, m), flat_index(k, n)),
+              vals * b.b[flat_index(j, r)] * np.conj(b.b[flat_index(k, s)]))
+    return 0.5 * (mat + mat.conj().T)
+
+
+FACTORED_CASES = {
+    "z": lambda j_max: assemble_tensor(Objective.z_axis(), j_max),
+    "xy": lambda j_max: assemble_tensor(Objective.xy_axes(), j_max),
+    "xyz": lambda j_max: assemble_tensor(Objective.xyz_axes(), j_max),
+    "weighted": lambda j_max: assemble_tensor(Objective.weighted(0.3, 1.7), j_max),
+    **{f"R{row}{col}": (lambda j_max, row=row, col=col: rotation_entry_tensor(row, col, j_max))
+       for row in range(3) for col in range(3)},
+}
+
+
 class TestBuildM:
+    @pytest.mark.parametrize("name", list(FACTORED_CASES))
+    def test_factored_form_matches_expanded_entries(self, name, rng):
+        for n in (1, 2, 3, 7, 12):
+            tensor = FACTORED_CASES[name](n - 1)
+            b = FiducialState.random(n, rng)
+            mat = build_m(tensor, b).matrix
+            assert np.array_equal(mat, mat.conj().T)
+            assert np.max(np.abs(mat - expanded_entry_matrix(tensor, b))) < 1e-14, n
+
+    def test_large_level_never_expands_entries(self):
+        tensor = assemble_tensor(Objective.xyz_axes(), 49)
+        mat = build_m(tensor, FiducialState.uniform(50)).matrix
+        assert mat.shape == (2500, 2500)
+        assert "entries" not in tensor.__dict__
+
     def test_hand_assembled_z_block(self):
         # fiducial concentrated at b_00 = 1 and b_10 = 1: the only couplings
         # left are the adjacent-block ones in the m = 0 sector

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from framecast import (
-    SparseCoefficientTensor,
     big_d_matrix,
     coefficient_block,
     coefficient_deviation,
@@ -154,6 +153,21 @@ class TestSeparableQuadrature:
         assert coefficient_oracle(f, 2, 1, -1, 0, 2, 1, grid) == block[1, 4, 1, 2]
 
 
+class DictTensor:
+    """Stand-in tensor: blocks scattered from a dict keyed by (j, k, m, n, r, s)."""
+
+    def __init__(self, j_max, entries):
+        self.j_max = j_max
+        self.entries = entries
+
+    def block(self, j, k):
+        dense = np.zeros((2 * j + 1, 2 * j + 1, 2 * k + 1, 2 * k + 1), dtype=complex)
+        for (jj, kk, m, n, r, s), val in self.entries.items():
+            if (jj, kk) == (j, k):
+                dense[m + j, r + j, n + k, s + k] = val
+        return dense
+
+
 class TestCoefficientDeviation:
     def test_unit_function_against_identity_and_empty_tensors(self):
         # f = 1 has the coefficients delta_jk delta_mn delta_rs
@@ -161,10 +175,10 @@ class TestCoefficientDeviation:
         one = lambda a, b, g: 1.0
         identity = {(j, j, m, m, r, r): 1.0
                     for j in range(3) for m in range(-j, j + 1) for r in range(-j, j + 1)}
-        assert coefficient_deviation(SparseCoefficientTensor(2, None, identity), one, grid) < 1e-12
-        empty = SparseCoefficientTensor(2, None, {})
+        assert coefficient_deviation(DictTensor(2, identity), one, grid) < 1e-12
+        empty = DictTensor(2, {})
         assert coefficient_deviation(empty, one, grid) == pytest.approx(1.0, abs=1e-12)
 
     def test_entry_outside_band_is_compared(self):
-        stray = SparseCoefficientTensor(2, None, {(2, 0, 1, 0, -1, 0): 0.25})
+        stray = DictTensor(2, {(2, 0, 1, 0, -1, 0): 0.25})
         assert coefficient_deviation(stray, lambda a, b, g: 0.0, make_grid(2)) == 0.25
