@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def total_dim(n: int) -> int:
     """Dimension of the n-th level: sum of (2j+1) over j < n, i.e. n**2."""
@@ -16,6 +18,11 @@ def flat_index(j: int, m: int) -> int:
 def block_slice(j: int) -> slice:
     """Slice covering the 2j+1 components of block j."""
     return slice(j * j, j * j + 2 * j + 1)
+
+
+def block_norms(vec: np.ndarray, n: int) -> np.ndarray:
+    """Euclidean norm of each block j < n of a flat state vector, in one reduction."""
+    return np.sqrt(np.add.reduceat(vec.real**2 + vec.imag**2, np.arange(n) ** 2))
 
 
 def iter_jm(n: int):

@@ -197,6 +197,9 @@ def _verify_checks(n: int, seed: int, inject_fault: bool, selected: str = "all")
 def cmd_verify(args, parser) -> int:
     if args.n < 1 or args.n > 6:
         parser.error("--n must be between 1 and 6 (oracle scale)")
+    if args.inject_fault and args.n < 2:
+        parser.error("--inject-fault needs --n >= 2: at n = 1 no block pair is coupled, "
+                     "so the fault changes nothing")
     if args.check != "all" and not any(args.check in name for name in VERIFY_CHECKS):
         parser.error(f"--check {args.check!r} matches no check; valid names: "
                      + ", ".join(VERIFY_CHECKS))

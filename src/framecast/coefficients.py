@@ -181,6 +181,8 @@ class SparseCoefficientTensor:
         is one scalar and P[(j,m),(k,m+mu)] = sqrt((2j+1)/(2k+1))
         <j m; 1 mu|k m+mu> sum_nu c_hat_{mu nu} S_nu; the mirror blocks make
         M = P + P^H, exactly Hermitian, in O(d) work besides the d x d fill.
+        The fresh matrix is returned read-only, so `ObjectiveMatrix` keeps it
+        without a copy.
         """
         rows, cols, cg, segment, starts, weight = _contraction_plan(self.j_max)
         s = np.add.reduceat(cg * b[rows] * np.conj(b[cols]), starts).reshape(-1, 3)
@@ -188,6 +190,7 @@ class SparseCoefficientTensor:
         mat = np.zeros((b.size, b.size), dtype=complex)
         mat[rows, cols] = vals  # the (row, col) pairs are distinct
         mat[cols, rows] += vals.conj()
+        mat.flags.writeable = False
         return mat
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import block_slice, flat_index, iter_jm, total_dim
+from .basis import block_norms, block_slice, flat_index, iter_jm, total_dim
 from .coefficients import Objective, SparseCoefficientTensor, cached_tensor
 from .so3 import AngularIndex
 
@@ -86,9 +86,9 @@ class FiducialState:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         vec = _as_state_vector(self.n, self.b)
-        for j in range(self.n):
-            if abs(np.linalg.norm(vec[block_slice(j)]) - 1.0) > NORM_TOL:
-                raise ValueError(f"fiducial block j={j} is not unit-normalized")
+        bad = np.flatnonzero(np.abs(block_norms(vec, self.n) - 1.0) > NORM_TOL)
+        if bad.size:
+            raise ValueError(f"fiducial block j={bad[0]} is not unit-normalized")
         object.__setattr__(self, "b", vec)
         object.__setattr__(self, "uniform_filled_blocks", tuple(self.uniform_filled_blocks))
 
@@ -134,8 +134,10 @@ class ObjectiveMatrix:
             raise ValueError(f"expected a {d}x{d} matrix for n={self.n}")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
             raise ValueError("objective matrix must be Hermitian within 1e-12")
-        mat = mat.copy()
-        mat.flags.writeable = False
+        # a read-only array that owns its data cannot change under us; copy anything else
+        if mat.flags.writeable or not mat.flags.owndata:
+            mat = mat.copy()
+            mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
 

@@ -2,9 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import framecast
 from framecast import Objective, cached_tensor
 from framecast.cli import main
 
@@ -13,6 +17,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the direct-search oracle needs scipy.optimize, and no command calls it
+    probe = "import sys, framecast.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(framecast.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, cwd=src)
+    assert out.stdout.strip() == "False"
 
 
 class TestOptimize:
@@ -145,6 +158,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--inject-fault")
         assert code == 3
         assert "worst offender" in out
+
+    def test_injected_fault_at_single_level_is_usage_error(self, capsys):
+        # at n = 1 no block pair is coupled, so the fault would corrupt nothing
+        code, out, err = run_cli(capsys, "verify", "--n", "1", "--inject-fault")
+        assert code == 1
+        assert "all checks passed" not in out
+        assert "n >= 2" in err
 
     def test_scale_guard(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--n", "9")

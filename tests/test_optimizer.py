@@ -1,6 +1,8 @@
 """Fixed-point optimization, direct-search cross-checks, sweeps, and fits."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from framecast import (
     total_dim,
     z_sector_matrix,
 )
+from framecast import optimizer
 from framecast.objective import ObjectiveMatrix
 
 ROOT3 = 1.0 / math.sqrt(3)
@@ -223,6 +226,136 @@ class TestFixedPoint:
             fixed_point_optimize(tensor, 2, max_iter=0)
         with pytest.raises(ValueError):
             fixed_point_optimize(tensor, 2, init="banana")
+
+
+def _all_dense_fixed_point(tensor, n, init, seed, tol=1e-12, max_iter=2000):
+    """Reference loop: a dense top eigenpair every round, stopped by the plain rule."""
+    b = FiducialState.uniform(n) if init == "uniform" else FiducialState.random(
+        n, np.random.default_rng(seed))
+    lam_prev = a_prev = None
+    for _ in range(max_iter):
+        lam, vec = optimizer._top_eigh(build_m(tensor, b).matrix, previous=a_prev)
+        done = (lam_prev is not None and abs(lam - lam_prev) < tol
+                and np.linalg.norm(vec - a_prev) < math.sqrt(tol))
+        a_prev, lam_prev = vec, lam
+        b = b_from_a(AliceState(n, vec))
+        if done:
+            return expected_value(build_m(tensor, b), AliceState(n, a_prev))
+    raise AssertionError("the all-dense reference loop did not converge")
+
+
+class _FixedMatrixTensor:
+    """Stand-in tensor whose objective matrix ignores the fiducial state."""
+
+    def __init__(self, n, mat):
+        self.j_max = n - 1
+        self.mat = mat
+
+    def contract(self, b):
+        return self.mat
+
+
+class TestWarmRounds:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.0, 0.5), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_ritz_value_between_start_and_top(self, d, spread, real, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((d, d))
+        if not real:
+            raw = raw + 1j * rng.standard_normal((d, d))
+        herm = (raw + raw.conj().T) / 2
+        top = np.linalg.eigvalsh(herm)[-1]
+        start = np.linalg.eigh(herm)[1][:, -1] + spread * (
+            rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        start /= np.linalg.norm(start)
+        lam, vec = optimizer._ritz_step(herm, start)
+        assert lam >= np.vdot(start, herm @ start).real - 1e-12
+        assert lam <= top + 1e-12
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+        assert abs(np.vdot(vec, herm @ vec).real - lam) < 1e-10
+        pivot = vec[np.argmax(np.abs(vec))]
+        assert abs(pivot.imag) < 1e-14 and pivot.real > 0
+
+    def test_certificate_escapes_a_non_top_eigenvector(self, rng, monkeypatch):
+        # M is exactly block diagonal, so a Krylov space started at the top
+        # eigenvector of the low block never leaves that block
+        n = 3
+        low = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        high = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        mat = np.zeros((9, 9), dtype=complex)
+        mat[:3, :3] = (low + low.conj().T) / 2
+        mat[3:, 3:] = (high + high.conj().T) / 2 + 10.0 * np.eye(6)
+        w, v = np.linalg.eigh(mat)
+        trap = np.zeros(9, dtype=complex)
+        w_low, v_low = np.linalg.eigh(mat[:3, :3])
+        trap[:3] = v_low[:, -1]
+        assert optimizer._ritz_step(mat, trap)[0] == pytest.approx(w_low[-1], abs=1e-12)
+
+        dense = optimizer._top_eigh
+        calls = []
+
+        def trapped_first_round(m, previous=None):
+            calls.append(previous is None)
+            if len(calls) == 1:
+                return float(w_low[-1]), trap
+            return dense(m, previous)
+
+        monkeypatch.setattr(optimizer, "_top_eigh", trapped_first_round)
+        result = fixed_point_optimize(_FixedMatrixTensor(n, mat), n)
+        assert result.converged
+        assert result.lam == pytest.approx(w[-1], abs=1e-12)
+        assert abs(abs(np.vdot(v[:, -1], result.a.a)) - 1.0) < 1e-12
+        assert result.lambda_trajectory[0] == pytest.approx(w_low[-1], abs=1e-12)
+        # round 1, one rejected certificate, one accepted
+        assert calls == [True, False, False]
+
+    @pytest.mark.parametrize("kind", ["z", "xy", "xyz"])
+    def test_converged_values_match_the_all_dense_loop(self, kind):
+        for n in range(1, 9):
+            tensor = cached_tensor(Objective.from_kind(kind), n - 1)
+            for init, seed in [("uniform", None), ("random", 0), ("random", 1)]:
+                result = fixed_point_optimize(tensor, n, init=init, seed=seed, max_iter=2000)
+                assert result.converged
+                reference = _all_dense_fixed_point(tensor, n, init, seed)
+                assert result.lam == pytest.approx(reference, abs=1e-12)
+
+    def test_two_dense_solves_per_fixed_point(self, monkeypatch):
+        dense = optimizer._top_eigh
+        log = []
+
+        def counted(m, previous=None):
+            lam, vec = dense(m, previous)
+            # a certificate is rejected when the dense pair leaves the Ritz pair
+            rejected = previous is not None and not optimizer._close(
+                lam, vec, *optimizer._ritz_step(m, previous), optimizer.DEFAULT_TOL)
+            log.append(rejected)
+            return lam, vec
+
+        monkeypatch.setattr(optimizer, "_top_eigh", counted)
+        for kind in ("z", "xy", "xyz"):
+            for n in range(2, 7):
+                tensor = cached_tensor(Objective.from_kind(kind), n - 1)
+                for init, seed in [("uniform", None), ("random", 0), ("random", 1)]:
+                    log.clear()
+                    result = fixed_point_optimize(tensor, n, init=init, seed=seed, max_iter=2000)
+                    assert result.converged
+                    assert len(log) <= 2 + sum(log)
+
+    def test_single_round_is_one_dense_solve(self, monkeypatch):
+        dense = optimizer._top_eigh
+        calls = []
+        monkeypatch.setattr(optimizer, "_top_eigh",
+                            lambda m, previous=None: calls.append(1) or dense(m, previous))
+        fixed_point_optimize(cached_tensor(Objective.xyz_axes(), 3), 4, max_iter=1)
+        assert len(calls) == 1
+
+    @pytest.mark.slow
+    def test_sweep_matches_the_benchmark_reference(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "sweep_xyz.json"
+        reference = json.loads(path.read_text())["lambda"]
+        for row in sweep(Objective.xyz_axes(), 15, 20, restarts=3, seed=0):
+            assert row.converged
+            assert row.lam == pytest.approx(reference[str(row.n)], abs=1e-9)
 
 
 class TestSingleM:
