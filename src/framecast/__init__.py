@@ -27,7 +27,6 @@ from .objective import (
     AliceState,
     FidelityReport,
     FiducialState,
-    ObjectiveMatrix,
     build_m,
     expected_value,
     fidelity_report,
@@ -43,7 +42,6 @@ from .optimizer import (
     fixed_point_optimize,
     optimize_z_single_m,
     sweep,
-    top_eigenpair,
     z_sector_matrix,
 )
 from .quadrature import (

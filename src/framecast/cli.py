@@ -87,11 +87,27 @@ def _objective_from_args(args, parser) -> Objective:
         parser.error(str(exc))
 
 
-def _seed(text: str) -> int:
-    """argparse type for --seed: numpy seed streams need a non-negative integer."""
+def _non_negative_int(text: str) -> int:
+    """argparse type for --seed and --restarts: numpy seed streams need a non-negative integer."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for level numbers, sample counts and iteration caps."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for tolerances: finite and > 0, so nan and inf are refused."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
     return value
 
 
@@ -110,8 +126,6 @@ def _parse_n_range(text: str, parser) -> tuple[int, int]:
 
 
 def cmd_optimize(args, parser) -> int:
-    if args.n < 1:
-        parser.error("--n must be >= 1")
     objective = _objective_from_args(args, parser)
     result = best_of_restarts(cached_tensor(objective, args.n - 1), args.n, args.restarts,
                               args.seed, tol=args.tol, max_iter=args.max_iter)
@@ -185,7 +199,7 @@ def _verify_checks(n: int, seed: int, inject_fault: bool, selected: str = "all")
             tensor = assemble_tensor(objective, j_max)
             if inject_fault:  # test hook: deliberate corruption of the mu = nu = 0 moment
                 bumped = tensor.c_hat + np.diag([0.0, 1e-3, 0.0])
-                tensor = SparseCoefficientTensor(j_max, objective, bumped)
+                tensor = SparseCoefficientTensor(j_max, bumped)
             coeff_worst = max(coeff_worst, coefficient_deviation(tensor, fn, grid))
         yield "coefficients-vs-quadrature", coeff_worst, 1e-10
 
@@ -249,8 +263,6 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
-    if args.samples < 1:
-        parser.error("--samples must be >= 1")
     if args.state_file is not None:
         try:
             doc = json.loads(Path(args.state_file).read_text(encoding="utf-8"))
@@ -262,8 +274,6 @@ def cmd_simulate(args, parser) -> int:
     else:
         if args.n is None:
             parser.error("provide --state-file or --n")
-        if args.n < 1:
-            parser.error("--n must be >= 1")
         objective = _objective_from_args(args, parser)
         tensor = cached_tensor(objective, args.n - 1)
         result = fixed_point_optimize(tensor, args.n, init="uniform",
@@ -293,10 +303,13 @@ def cmd_simulate(args, parser) -> int:
 
 
 def _add_common_optimize_flags(sub):
-    sub.add_argument("--tol", type=float, default=1e-12, help="fixed-point tolerance on lambda")
-    sub.add_argument("--max-iter", type=int, default=200, help="fixed-point iteration cap")
-    sub.add_argument("--restarts", type=int, default=3, help="seeded random restarts")
-    sub.add_argument("--seed", type=_seed, default=0, help="master seed")
+    sub.add_argument("--tol", type=_positive_float, default=1e-12,
+                     help="fixed-point tolerance on lambda")
+    sub.add_argument("--max-iter", type=_positive_int, default=200,
+                     help="fixed-point iteration cap")
+    sub.add_argument("--restarts", type=_non_negative_int, default=3,
+                     help="seeded random restarts")
+    sub.add_argument("--seed", type=_non_negative_int, default=0, help="master seed")
 
 
 def build_parser() -> _Parser:
@@ -305,7 +318,7 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     opt = commands.add_parser("optimize", help="fixed-point optimization at one n")
-    opt.add_argument("--n", type=int, required=True, help="level number (dimension n^2)")
+    opt.add_argument("--n", type=_positive_int, required=True, help="level number (dimension n^2)")
     opt.add_argument("--objective", choices=["z", "xy", "xyz", "weighted"], default="xyz")
     opt.add_argument("--wz", type=float, default=None, help="weight of the z term")
     opt.add_argument("--wxy", type=float, default=None, help="weight of the xy term")
@@ -315,7 +328,7 @@ def build_parser() -> _Parser:
 
     ver = commands.add_parser("verify", help="run the oracle suites")
     ver.add_argument("--n", type=int, default=3, help="oracle scale (1..6)")
-    ver.add_argument("--seed", type=_seed, default=0)
+    ver.add_argument("--seed", type=_non_negative_int, default=0)
     ver.add_argument("--check", default="all",
                      help="substring filter: grid, geometry, wigner, coefficients, povm")
     ver.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
@@ -335,17 +348,17 @@ def build_parser() -> _Parser:
     sim = commands.add_parser("simulate", help="Monte Carlo measurement simulation")
     sim.add_argument("--state-file", default=None,
                      help="JSON produced by optimize (alice + fiducial)")
-    sim.add_argument("--n", type=int, default=None, help="optimize inline at this n")
+    sim.add_argument("--n", type=_positive_int, default=None, help="optimize inline at this n")
     sim.add_argument("--objective", choices=["z", "xy", "xyz", "weighted"], default="xyz")
     sim.add_argument("--wz", type=float, default=None)
     sim.add_argument("--wxy", type=float, default=None)
-    sim.add_argument("--samples", type=int, default=100_000)
-    sim.add_argument("--seed", type=_seed, default=0)
+    sim.add_argument("--samples", type=_positive_int, default=100_000)
+    sim.add_argument("--seed", type=_non_negative_int, default=0)
     sim.add_argument("--true", choices=["haar", "identity"], default="haar",
                      help="true rotation: Haar-random per sample or fixed identity; "
                           "the measurement is covariant, so this does not change the output")
-    sim.add_argument("--tol", type=float, default=1e-12)
-    sim.add_argument("--max-iter", type=int, default=200)
+    sim.add_argument("--tol", type=_positive_float, default=1e-12)
+    sim.add_argument("--max-iter", type=_positive_int, default=200)
     sim.add_argument("--raw-csv", default=None, help="write per-sample rows here")
     sim.add_argument("--output", default=None, help="JSON output path (default stdout)")
     sim.set_defaults(func=cmd_simulate)

@@ -132,11 +132,10 @@ class SparseCoefficientTensor:
 
     c_hat[mu + 1, nu + 1] is the spherical moment of `moment_tensor`, which
     gives the coefficients. Objective tensors are real; tensors of single
-    rotation-matrix entries (objective=None) may carry imaginary parts.
+    off-diagonal rotation-matrix entries carry imaginary parts.
     """
 
     j_max: int
-    objective: Objective | None
     c_hat: np.ndarray
 
     def __post_init__(self):
@@ -181,8 +180,7 @@ class SparseCoefficientTensor:
         is one scalar and P[(j,m),(k,m+mu)] = sqrt((2j+1)/(2k+1))
         <j m; 1 mu|k m+mu> sum_nu c_hat_{mu nu} S_nu; the mirror blocks make
         M = P + P^H, exactly Hermitian, in O(d) work besides the d x d fill.
-        The fresh matrix is returned read-only, so `ObjectiveMatrix` keeps it
-        without a copy.
+        The result is a fresh array that the caller owns.
         """
         rows, cols, cg, segment, starts, weight = _contraction_plan(self.j_max)
         s = np.add.reduceat(cg * b[rows] * np.conj(b[cols]), starts).reshape(-1, 3)
@@ -190,11 +188,10 @@ class SparseCoefficientTensor:
         mat = np.zeros((b.size, b.size), dtype=complex)
         mat[rows, cols] = vals  # the (row, col) pairs are distinct
         mat[cols, rows] += vals.conj()
-        mat.flags.writeable = False
         return mat
 
 
-def moment_tensor(c, j_max: int, objective: Objective | None = None) -> SparseCoefficientTensor:
+def moment_tensor(c, j_max: int) -> SparseCoefficientTensor:
     """Coefficient tensor of E[sum_ab c_ab R_ab] for a 3x3 moment matrix c.
 
     The spherical components c_hat of c satisfy sum_ab c_ab R_ab
@@ -209,7 +206,7 @@ def moment_tensor(c, j_max: int, objective: Objective | None = None) -> SparseCo
     c_hat = (_SPHERICAL.conj().T @ np.asarray(c) @ _SPHERICAL) * _SPHERICAL_SCALE
     if not np.any(c_hat.imag):
         c_hat = c_hat.real
-    return SparseCoefficientTensor(j_max, objective, c_hat)
+    return SparseCoefficientTensor(j_max, c_hat)
 
 
 def assemble_tensor(objective: Objective, j_max: int) -> SparseCoefficientTensor:
@@ -218,7 +215,7 @@ def assemble_tensor(objective: Objective, j_max: int) -> SparseCoefficientTensor
     The z term scores R_zz and the joint xy term R_xx + R_yy, so the objective
     is the moment matrix diag(w_xy, w_xy, w_z).
     """
-    return moment_tensor(np.diag([objective.w_xy, objective.w_xy, objective.w_z]), j_max, objective)
+    return moment_tensor(np.diag([objective.w_xy, objective.w_xy, objective.w_z]), j_max)
 
 
 @lru_cache(maxsize=64)

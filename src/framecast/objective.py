@@ -1,9 +1,11 @@
 """Signal and fiducial states, the induced Hermitian form, and error reports.
 
-The expected value of any transmission objective is <A|M|A> where M is built
-from the factored coefficient tensor and the fiducial amplitudes, which enter
-through three scalars per coupled block pair. Per-axis mean square errors
-follow from the expected cosines as (1 - <cos w>)/2 per axis.
+The expected value of any transmission objective is <A|M|A> where M, a plain
+d x d complex array, is what `SparseCoefficientTensor.contract` returns for
+the fiducial amplitudes, which enter through three scalars per coupled block
+pair. It is Hermitian by construction, so nothing here checks it again.
+Per-axis mean square errors follow from the expected cosines as
+(1 - <cos w>)/2 per axis.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class AliceState:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         vec = _as_state_vector(self.n, self.a)
-        if abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
+        if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:  # NaN compares false
             raise ValueError("signal amplitudes must have unit total norm")
         object.__setattr__(self, "a", vec)
 
@@ -86,7 +88,7 @@ class FiducialState:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         vec = _as_state_vector(self.n, self.b)
-        bad = np.flatnonzero(np.abs(block_norms(vec, self.n) - 1.0) > NORM_TOL)
+        bad = np.flatnonzero(~(np.abs(block_norms(vec, self.n) - 1.0) <= NORM_TOL))
         if bad.size:
             raise ValueError(f"fiducial block j={bad[0]} is not unit-normalized")
         object.__setattr__(self, "b", vec)
@@ -121,27 +123,6 @@ class FiducialState:
 
 
 @dataclass(frozen=True)
-class ObjectiveMatrix:
-    """Dense Hermitian matrix of the objective quadratic form, indexed by (j, m)."""
-
-    n: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = total_dim(self.n)
-        if mat.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix for n={self.n}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ValueError("objective matrix must be Hermitian within 1e-12")
-        # a read-only array that owns its data cannot change under us; copy anything else
-        if mat.flags.writeable or not mat.flags.owndata:
-            mat = mat.copy()
-            mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True)
 class FidelityReport:
     """Expected error cosines and the per-axis mean square error.
 
@@ -166,23 +147,24 @@ class FidelityReport:
         }
 
 
-def build_m(tensor: SparseCoefficientTensor, b: FiducialState) -> ObjectiveMatrix:
+def build_m(tensor: SparseCoefficientTensor, b: FiducialState) -> np.ndarray:
     """Contract the coefficient tensor with the fiducial amplitudes.
 
-    M[(j,m),(k,n)] = sum over (r,s) of f_{jkmnrs} b_{jr} conj(b_{ks}), from the
-    tensor's factored form in O(d) work besides the dense fill; Hermitian for any b.
+    M[(j,m),(k,n)] = sum over (r,s) of f_{jkmnrs} b_{jr} conj(b_{ks}), a dense
+    d x d array from the tensor's factored form in O(d) work besides the fill;
+    `contract` builds it as P + P^H, so it is exactly Hermitian for any b.
     """
     if tensor.j_max != b.n - 1:
         raise ValueError(f"tensor j_max={tensor.j_max} does not match state n={b.n}")
-    return ObjectiveMatrix(b.n, tensor.contract(b.b))
+    return tensor.contract(b.b)
 
 
-def expected_value(m: ObjectiveMatrix, a: AliceState) -> float:
-    """Real quadratic form value <A|M|A>."""
-    if m.n != a.n:
-        raise ValueError(f"matrix n={m.n} does not match state n={a.n}")
-    val = np.vdot(a.a, m.matrix @ a.a)
-    return float(val.real)
+def expected_value(m: np.ndarray, a: AliceState) -> float:
+    """Real quadratic form value <A|M|A> for the d x d objective matrix m."""
+    d = a.a.size
+    if m.shape != (d, d):
+        raise ValueError(f"expected a {d}x{d} matrix for n={a.n}, got shape {m.shape}")
+    return float(np.vdot(a.a, m @ a.a).real)
 
 
 def mse_per_axis_from_lambda(lam: float, objective: Objective) -> float:

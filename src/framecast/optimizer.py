@@ -31,7 +31,6 @@ from .coefficients import Objective, SparseCoefficientTensor, cached_tensor
 from .objective import (
     AliceState,
     FiducialState,
-    ObjectiveMatrix,
     build_m,
     expected_value,
     mse_per_axis_from_lambda,
@@ -168,16 +167,6 @@ def _close(lam: float, vec: np.ndarray, lam_ref: float, vec_ref: np.ndarray, tol
     return bool(abs(lam - lam_ref) < tol and np.linalg.norm(phase * vec - vec_ref) < math.sqrt(tol))
 
 
-def top_eigenpair(m: ObjectiveMatrix, previous: AliceState | None = None) -> tuple[float, AliceState]:
-    """Largest eigenvalue and a unit eigenvector, phase-gauged.
-
-    Inside a degenerate top eigenspace the eigenvector is the one closest to
-    the previous state, when one is given.
-    """
-    lam, vec = _top_eigh(m.matrix, None if previous is None else previous.a)
-    return lam, AliceState(m.n, vec)
-
-
 def b_from_a(a: AliceState) -> FiducialState:
     """Per-block renormalized copy of the sender amplitudes.
 
@@ -225,7 +214,7 @@ def fixed_point_optimize(
     converged=False. A decrease of the trajectory beyond 1e-9 aborts: the
     quadratic form must make that impossible.
     """
-    if tol <= 0 or max_iter < 1:
+    if not tol > 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
     rng = np.random.default_rng(seed)
     b = _initial_fiducial(init, n, rng)
@@ -235,7 +224,7 @@ def fixed_point_optimize(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        m = build_m(tensor, b).matrix
+        m = build_m(tensor, b)
         if a_prev is None:
             lam, vec = _top_eigh(m)
         else:

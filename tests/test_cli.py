@@ -90,7 +90,7 @@ class TestOptimize:
     def test_negative_seed_is_usage_error(self, capsys, command):
         code, _, err = run_cli(capsys, *command, "--seed", "-1")
         assert code == 1
-        assert "seed must be >= 0" in err
+        assert "argument --seed: must be >= 0" in err
 
     def test_invalid_weights_rejected(self, capsys):
         code, _, _ = run_cli(
@@ -285,6 +285,24 @@ class TestSimulate:
         assert code == 1
         assert "cannot read state file" in err
 
+    @pytest.mark.parametrize("party", ["alice", "fiducial"])
+    def test_nan_state_file_is_rejected(self, capsys, tmp_path, party):
+        state_path = tmp_path / "state.json"
+        code, _, _ = run_cli(
+            capsys, "optimize", "--n", "2", "--objective", "xyz", "--output", str(state_path)
+        )
+        assert code == 0
+        doc = json.loads(state_path.read_text())
+        doc[party]["coefficients"][1][2] = math.nan
+        state_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "simulate", "--state-file", str(state_path), "--samples", "10"
+        )
+        assert code == 1
+        assert out == ""
+        assert "cannot read state file" in err
+        assert "Traceback" not in err
+
     def test_raw_csv(self, capsys, tmp_path):
         raw_path = tmp_path / "raw.csv"
         code, _, _ = run_cli(
@@ -325,3 +343,30 @@ class TestSimulate:
     def test_requires_state_or_n(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--samples", "10")
         assert code == 1
+
+
+BAD_NUMERIC_FLAGS = [
+    (["optimize", "--n", "2", "--restarts", "-1"], "argument --restarts: must be >= 0"),
+    (["sweep", "--n", "2", "--restarts", "-2"], "argument --restarts: must be >= 0"),
+    (["optimize", "--n", "2", "--tol", "0"], "argument --tol: must be a finite number > 0"),
+    (["sweep", "--n", "2", "--tol", "0"], "argument --tol: must be a finite number > 0"),
+    (["simulate", "--n", "2", "--tol", "0"], "argument --tol: must be a finite number > 0"),
+    (["optimize", "--n", "2", "--tol", "nan"], "argument --tol: must be a finite number > 0"),
+    (["sweep", "--n", "2", "--tol", "nan"], "argument --tol: must be a finite number > 0"),
+    (["simulate", "--n", "2", "--tol", "inf"], "argument --tol: must be a finite number > 0"),
+    (["optimize", "--n", "2", "--max-iter", "0"], "argument --max-iter: must be >= 1"),
+    (["sweep", "--n", "2", "--max-iter", "0"], "argument --max-iter: must be >= 1"),
+    (["simulate", "--n", "2", "--max-iter", "0"], "argument --max-iter: must be >= 1"),
+    (["simulate", "--n", "2", "--samples", "0"], "argument --samples: must be >= 1"),
+    (["simulate", "--n", "0"], "argument --n: must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_NUMERIC_FLAGS,
+                         ids=[f"{argv[0]}{argv[-2]}={argv[-1]}" for argv, _ in BAD_NUMERIC_FLAGS])
+def test_bad_numeric_flag_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err

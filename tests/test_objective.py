@@ -36,12 +36,17 @@ class TestStates:
             AliceState(2, np.zeros(3))
         with pytest.raises(ValueError):
             AliceState(0, np.ones(0))
+        with pytest.raises(ValueError, match="unit total norm"):
+            AliceState(2, [math.nan, 0.0, 0.0, 0.0])
 
     def test_fiducial_per_block_normalization_enforced(self):
         vec = np.zeros(4, dtype=complex)
         vec[0] = 1.0
         vec[flat_index(1, 0)] = 0.5  # block 1 norm 0.5, invalid
         with pytest.raises(ValueError):
+            FiducialState(2, vec)
+        vec[flat_index(1, 0)] = math.nan
+        with pytest.raises(ValueError, match="j=1 is not unit-normalized"):
             FiducialState(2, vec)
 
     def test_uniform_fiducial(self):
@@ -86,14 +91,14 @@ class TestBuildM:
         for n in (1, 2, 3, 7, 12):
             tensor = FACTORED_CASES[name](n - 1)
             b = FiducialState.random(n, rng)
-            mat = build_m(tensor, b).matrix
+            mat = build_m(tensor, b)
             assert np.array_equal(mat, mat.conj().T)
             assert np.max(np.abs(mat - expanded_entry_matrix(tensor, b))) < 1e-14, n
 
     def test_large_level_never_expands_entries(self):
         tensor = assemble_tensor(Objective.xyz_axes(), 49)
-        mat = build_m(tensor, FiducialState.uniform(50)).matrix
-        assert mat.shape == (2500, 2500)
+        mat = build_m(tensor, FiducialState.uniform(50))
+        assert type(mat) is np.ndarray and mat.shape == (2500, 2500)
         assert "entries" not in tensor.__dict__
 
     def test_hand_assembled_z_block(self):
@@ -103,7 +108,7 @@ class TestBuildM:
         vec[flat_index(0, 0)] = 1.0
         vec[flat_index(1, 0)] = 1.0
         b = FiducialState(2, vec)
-        mat = build_m(assemble_tensor(Objective.z_axis(), 1), b).matrix
+        mat = build_m(assemble_tensor(Objective.z_axis(), 1), b)
         expected = np.zeros((4, 4))
         expected[flat_index(0, 0), flat_index(1, 0)] = 1.0 / math.sqrt(3)
         expected[flat_index(1, 0), flat_index(0, 0)] = 1.0 / math.sqrt(3)
@@ -113,13 +118,13 @@ class TestBuildM:
         for objective in (Objective.z_axis(), Objective.xy_axes(), Objective.xyz_axes()):
             tensor = assemble_tensor(objective, 3)
             b = FiducialState.random(4, rng)
-            mat = build_m(tensor, b).matrix
+            mat = build_m(tensor, b)
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 
     def test_z_block_diagonality(self, rng):
         n = 4
         tensor = assemble_tensor(Objective.z_axis(), n - 1)
-        mat = build_m(tensor, FiducialState.random(n, rng)).matrix
+        mat = build_m(tensor, FiducialState.random(n, rng))
         for j in range(n):
             for m in range(-j, j + 1):
                 for k in range(n):
@@ -136,7 +141,7 @@ class TestBuildM:
         n = 2
         b = FiducialState.uniform(n)
         tensor = assemble_tensor(Objective.xyz_axes(), n - 1)
-        mat = build_m(tensor, b).matrix
+        mat = build_m(tensor, b)
         grid = make_grid(n - 1)
         fvals = np.cos(grid.betas) + (1.0 + np.cos(grid.betas)) * np.cos(grid.alphas + grid.gammas)
         rotated = {}
@@ -166,7 +171,7 @@ class TestExpectedValue:
         n = 3
         tensor = assemble_tensor(Objective.xyz_axes(), n - 1)
         mat = build_m(tensor, FiducialState.random(n, rng))
-        evals, evecs = np.linalg.eigh(mat.matrix)
+        evals, evecs = np.linalg.eigh(mat)
         top = AliceState(n, evecs[:, -1])
         assert expected_value(mat, top) == pytest.approx(evals[-1], abs=1e-12)
 
