@@ -30,7 +30,6 @@ from .objective import (
     build_m,
     expected_value,
     fidelity_report,
-    mse_per_axis_from_lambda,
 )
 from .optimizer import (
     OptimizationResult,
@@ -62,16 +61,11 @@ from .simulator import (
 from .so3 import (
     AngularIndex,
     EulerAngles,
-    RotationMatrix,
     angles_from_matrices,
-    angles_from_matrix,
-    axis_cosines,
-    big_d,
     big_d_matrix,
-    compose,
     error_angles,
+    error_matrices,
     jacobi_polynomial,
-    rotation_matrix,
     rotation_matrix_components,
     small_d,
     small_d_fourier,

@@ -36,8 +36,9 @@ class Objective:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.w_z < 0 or self.w_xy < 0 or (self.w_z == 0 and self.w_xy == 0):
-            raise ValueError("objective weights must be non-negative and not all zero")
+        in_range = all(0 <= w < math.inf for w in (self.w_z, self.w_xy))
+        if not in_range or (self.w_z == 0 and self.w_xy == 0):
+            raise ValueError("objective weights must be finite, non-negative and not all zero")
 
     @classmethod
     def z_axis(cls) -> "Objective":
@@ -63,14 +64,8 @@ class Objective:
 
     @property
     def axis_count(self) -> int:
-        """Number of axes being optimized (weighted counts axes with weight > 0)."""
-        if self.kind == "z":
-            return 1
-        if self.kind == "xy":
-            return 2
-        if self.kind == "xyz":
-            return 3
-        return (1 if self.w_z > 0 else 0) + (2 if self.w_xy > 0 else 0)
+        """Number of axes being optimized: z if w_z > 0, x and y if w_xy > 0."""
+        return int(self.w_z > 0) + 2 * int(self.w_xy > 0)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "w_z": self.w_z, "w_xy": self.w_xy}

@@ -167,12 +167,6 @@ def expected_value(m: np.ndarray, a: AliceState) -> float:
     return float(np.vdot(a.a, m @ a.a).real)
 
 
-def mse_per_axis_from_lambda(lam: float, objective: Objective) -> float:
-    """Average of (1 - <cos w>)/2 over the K axes the objective optimizes."""
-    k = objective.axis_count
-    return (k - lam) / (2 * k)
-
-
 def fidelity_report(a: AliceState, b: FiducialState,
                     objective: Objective = Objective.xyz_axes()) -> FidelityReport:
     """Expected cosines of the state pair, scored under the given objective."""

@@ -33,7 +33,7 @@ from .objective import (
     FiducialState,
     build_m,
     expected_value,
-    mse_per_axis_from_lambda,
+    fidelity_report,
 )
 
 DEFAULT_TOL = 1e-12
@@ -418,7 +418,7 @@ def sweep(
                 n=n,
                 d=n * n,
                 lam=best.lam,
-                mse_per_axis=mse_per_axis_from_lambda(best.lam, objective),
+                mse_per_axis=fidelity_report(best.a, best.b, objective).mse_per_axis,
                 converged=best.converged,
             )
         )

@@ -6,10 +6,11 @@ quadrature grid, block (j, k) being the quadrature coefficient block of f = 1
 contracted with b_j and conj(b_k), so no D^j is built at the grid nodes.
 Measurement outcomes follow the density |<A| U(true)^dagger U(outcome) |B>|^2
 relative to the Haar measure. Since U(true)^dagger U(outcome) = U(error) for
-the discrepancy rotation error = R(true)^T R(outcome), the statistics depend
-on the true rotation only through the error rotation. The weighted amplitude
-P = <A|U(alpha, beta, gamma)|B> is one 3-D trigonometric polynomial, built
-once per state pair from the Fourier coefficients of the small-d matrices.
+the discrepancy rotation error = R(true)^T R(outcome) (`so3.error_matrices`),
+the statistics depend on the true rotation only through the error rotation.
+The weighted amplitude P = <A|U(alpha, beta, gamma)|B> is one 3-D
+trigonometric polynomial, built once per state pair from the Fourier
+coefficients of the small-d matrices.
 
 The error rotation is drawn exactly, by the chain rule beta -> alpha | beta
 -> gamma | alpha, beta (Devroye, Non-Uniform Random Variate Generation, 1986,
@@ -37,7 +38,7 @@ from .so3 import (
     EulerAngles,
     _wrap_angle,
     angles_from_matrices,
-    compose,
+    error_matrices,
     rotation_matrix_components,
     small_d_fourier,
 )
@@ -125,16 +126,11 @@ def _phases(x: np.ndarray, degree: int) -> np.ndarray:
     return np.concatenate([powers[..., :0:-1].conj(), powers], axis=-1)
 
 
-def _error_matrices(r_true: np.ndarray, r_meas: np.ndarray) -> np.ndarray:
-    """Discrepancy rotations R(true_t)^T R(meas_t), batched over t."""
-    return np.swapaxes(r_true, -1, -2) @ r_meas
-
-
 def _outcome_amplitudes(poly: np.ndarray, r_true: np.ndarray, r_meas: np.ndarray) -> np.ndarray:
     """Weighted amplitudes <U(T_t)A|U(M_t)B> = <A|U(T_t^T M_t)|B> for rotation matrix rows t."""
     width = poly.shape[0]
     half = (width + 1) // 2
-    angles = angles_from_matrices(_error_matrices(r_true, r_meas))
+    angles = angles_from_matrices(error_matrices(r_true, r_meas))
     out = np.empty(angles.shape[0], dtype=complex)
     for lo in range(0, angles.shape[0], SCORE_ROWS):
         rows = slice(lo, lo + SCORE_ROWS)
@@ -210,7 +206,7 @@ def _rejection_errors(poly: np.ndarray, n: int, count: int, rng: np.random.Gener
     r_true = rotation_matrix_components(t_alpha, t_beta, t_gamma)
     meas, proposals = _sample_chunk(poly, r_true, n, rng)
     r_meas = rotation_matrix_components(meas[:, 0], meas[:, 1], meas[:, 2])
-    return _error_matrices(r_true, r_meas), proposals
+    return error_matrices(r_true, r_meas), proposals
 
 
 @functools.lru_cache(maxsize=None)
@@ -332,7 +328,9 @@ def sample_outcome(a: AliceState, b: FiducialState, true_rot: EulerAngles,
     poly = _amplitude_polynomial(a.a, b.b, a.n)
     u = np.random.default_rng(rng_seed).random((1, 3))
     error = _sample_errors(poly, _beta_marginal(poly), u)[0]
-    return compose(true_rot, EulerAngles(*error))
+    r_true = rotation_matrix_components(*true_rot.as_tuple())
+    outcome = r_true @ rotation_matrix_components(*error)
+    return EulerAngles(*angles_from_matrices(outcome).tolist())
 
 
 def monte_carlo_error(

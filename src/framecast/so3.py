@@ -1,8 +1,10 @@
 """Rotation representations and geometry.
 
-Jacobi polynomials, Wigner small-d and big-D matrix elements, classical zyz
-rotation matrices, Euler-angle composition, and the per-axis error cosines
-used to score frame transmission.
+Jacobi polynomials, Wigner small-d and big-D matrices, classical zyz
+rotation matrices, angle extraction, and the error rotation
+R(true)^T R(estimate) whose diagonal holds the per-axis error cosines used to
+score frame transmission. Every rotation function is batched: angles and
+matrices carry any leading shape, a single rotation having the empty one.
 
 Conventions
 -----------
@@ -64,24 +66,6 @@ class EulerAngles:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
-
-
-@dataclass(frozen=True)
-class RotationMatrix:
-    """Proper orthogonal 3x3 matrix (R^T R = I, det R = +1, within 1e-12)."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.array(self.r, dtype=float)
-        if r.shape != (3, 3):
-            raise ValueError(f"rotation matrix must be 3x3, got {r.shape}")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-12:
-            raise ValueError("matrix is not orthogonal within 1e-12")
-        if abs(np.linalg.det(r) - 1.0) > 1e-12:
-            raise ValueError("matrix determinant is not +1 within 1e-12")
-        r.flags.writeable = False
-        object.__setattr__(self, "r", r)
 
 
 @dataclass(frozen=True)
@@ -174,14 +158,6 @@ def small_d_fourier(j: int) -> np.ndarray:
     return np.einsum("up,pmr->umr", fourier, small_d_matrix(j, betas))
 
 
-def big_d(j: int, m: int, r: int, angles: EulerAngles) -> complex:
-    """Rotation matrix element exp(i(m*alpha + r*gamma)) d^j_{mr}(beta)."""
-    _check_indices(j, m, r)
-    return complex(
-        np.exp(1j * (m * angles.alpha + r * angles.gamma)) * small_d(j, m, r, angles.beta)
-    )
-
-
 def big_d_matrix(j: int, alpha, beta, gamma) -> np.ndarray:
     """Full D^j matrix over broadcast angle arrays, shape (..., 2j+1, 2j+1)."""
     alpha, beta, gamma = np.broadcast_arrays(
@@ -215,11 +191,6 @@ def rotation_matrix_components(alpha, beta, gamma) -> np.ndarray:
     return out
 
 
-def rotation_matrix(angles: EulerAngles) -> RotationMatrix:
-    """Classical orthogonal rotation matrix of the given Euler angles."""
-    return RotationMatrix(rotation_matrix_components(angles.alpha, angles.beta, angles.gamma))
-
-
 def angles_from_matrices(r) -> np.ndarray:
     """zyz Euler angles of rotation matrices, shape (..., 3, 3) -> (..., 3).
 
@@ -242,33 +213,23 @@ def angles_from_matrices(r) -> np.ndarray:
     return np.stack([_wrap_angle(alpha), beta, _wrap_angle(gamma)], axis=-1)
 
 
-def angles_from_matrix(r) -> EulerAngles:
-    """Extract zyz Euler angles from one rotation matrix (see angles_from_matrices)."""
-    r = r.r if isinstance(r, RotationMatrix) else r
-    return EulerAngles(*angles_from_matrices(r).tolist())
+def error_matrices(r_true, r_est) -> np.ndarray:
+    """Discrepancy rotations R(true)^T R(estimate), batched over leading axes.
 
-
-def compose(first: EulerAngles, second: EulerAngles) -> EulerAngles:
-    """Angles of the product rotation R(first) R(second)."""
-    prod = rotation_matrix(first).r @ rotation_matrix(second).r
-    return angles_from_matrix(prod)
-
-
-def error_angles(true_rot: EulerAngles, estimate: EulerAngles) -> EulerAngles:
-    """Angles of the discrepancy rotation R(true)^T R(estimate).
-
-    These angles carry the estimated frame back by the true rotation, so they
-    measure the estimation error independently of the true frame.
+    They carry the estimated frame back by the true rotation, so they measure
+    the estimation error independently of the true frame. Their diagonal
+    holds the per-axis error cosines, whose sum is 1 + 2 cos(Omega), Omega the
+    single-rotation angle carrying one frame into the other.
     """
-    rel = rotation_matrix(true_rot).r.T @ rotation_matrix(estimate).r
-    return angles_from_matrix(rel)
+    return np.swapaxes(r_true, -1, -2) @ r_est
 
 
-def axis_cosines(err: EulerAngles) -> tuple[float, float, float]:
-    """Cosines of the per-axis errors: the diagonal of the rotation matrix.
+def error_angles(true_angles, est_angles) -> np.ndarray:
+    """zyz angles of the error rotations, (..., 3) angle arrays -> (..., 3).
 
-    Their sum is 1 + 2 cos(Omega), with Omega the single-rotation angle
-    carrying one frame into the other.
+    The angles of error_matrices, extracted and normalized like
+    angles_from_matrices.
     """
-    r = rotation_matrix_components(err.alpha, err.beta, err.gamma)
-    return (float(r[0, 0]), float(r[1, 1]), float(r[2, 2]))
+    r_true = rotation_matrix_components(*np.moveaxis(true_angles, -1, 0))
+    r_est = rotation_matrix_components(*np.moveaxis(est_angles, -1, 0))
+    return angles_from_matrices(error_matrices(r_true, r_est))

@@ -18,16 +18,16 @@ from framecast import (
     cached_tensor,
     coefficient_deviation,
     direct_search_optimize,
+    fidelity_report,
     fit_asymptote,
     fixed_point_optimize,
     make_grid,
     monte_carlo_error,
-    mse_per_axis_from_lambda,
     optimize_z_single_m,
     povm_defect,
-    rotation_matrix_components,
     sweep,
 )
+from framecast.cli import _verify_checks
 
 ROOT3 = 1.0 / math.sqrt(3)
 
@@ -49,7 +49,7 @@ def test_criterion_01_trivial_floor():
     worst = 0.0
     for objective in (Objective.z_axis(), Objective.xy_axes(), Objective.xyz_axes()):
         result = fixed_point_optimize(cached_tensor(objective, 0), 1)
-        mse = mse_per_axis_from_lambda(result.lam, objective)
+        mse = fidelity_report(result.a, result.b, objective).mse_per_axis
         worst = max(worst, abs(mse - 0.5))
     elapsed = time.perf_counter() - start
     report(1, "trivial floor n=1", worst == 0.0, f"max |mse - 0.5| = {worst:g}", elapsed, 1.0)
@@ -58,7 +58,7 @@ def test_criterion_01_trivial_floor():
 def test_criterion_02_analytic_level_two():
     start = time.perf_counter()
     result = fixed_point_optimize(cached_tensor(Objective.z_axis(), 1), 2)
-    mse = mse_per_axis_from_lambda(result.lam, Objective.z_axis())
+    mse = fidelity_report(result.a, result.b, Objective.z_axis()).mse_per_axis
     lam_err = abs(result.lam - ROOT3)
     mse_err = abs(mse - (1.0 - ROOT3) / 2.0)
     elapsed = time.perf_counter() - start
@@ -220,17 +220,8 @@ def test_criterion_10_single_m_sector_claim():
 
 def test_criterion_11_geometry_identities():
     start = time.perf_counter()
-    rng = np.random.default_rng(1111)
-    triples = rng.uniform(0.0, 2.0 * math.pi, size=(10_000, 3))
-    triples[:, 1] = np.arccos(rng.uniform(-1.0, 1.0, 10_000))
-    mats = rotation_matrix_components(triples[:, 0], triples[:, 1], triples[:, 2])
-    worst_zz = float(np.max(np.abs(mats[:, 2, 2] - np.cos(triples[:, 1]))))
-    predicted = (1.0 + np.cos(triples[:, 1])) * np.cos(triples[:, 0] + triples[:, 2])
-    worst_xy = float(np.max(np.abs(mats[:, 0, 0] + mats[:, 1, 1] - predicted)))
-    omega = np.max(np.abs(np.angle(np.linalg.eigvals(mats))), axis=1)
-    trace = mats[:, 0, 0] + mats[:, 1, 1] + mats[:, 2, 2]
-    worst_trace = float(np.max(np.abs(trace - (1.0 + 2.0 * np.cos(omega)))))
-    worst = max(worst_zz, worst_xy, worst_trace)
+    # verify's geometry check draws its 10^4 triples first from the seed
+    [(_, worst, _)] = _verify_checks(1, 1111, False, "geometry-identities")
     elapsed = time.perf_counter() - start
     report(11, "rotation-matrix identities, 10^4 triples", worst < 1e-12,
            f"worst identity deviation = {worst:.2e}", elapsed, 10.0)

@@ -181,6 +181,16 @@ class TestSweep:
         _, rows, _ = run_cli(capsys, "sweep", "--n", "3", *common)
         assert float(rows.splitlines()[1].split(",")[2]) == json.loads(out)["lambda"]
 
+    def test_weighted_row_error_matches_optimize_report(self, capsys):
+        # the row's mse_per_axis averages the unweighted cosines, not lambda
+        common = ["--n", "3", "--objective", "weighted", "--wz", "2", "--wxy", "0.5"]
+        _, out, _ = run_cli(capsys, "optimize", *common)
+        _, rows, _ = run_cli(capsys, "sweep", *common)
+        doc = json.loads(out)
+        n, _, lam, mse, _ = rows.splitlines()[1].split(",")
+        assert (int(n), float(lam)) == (3, doc["lambda"])
+        assert float(mse) == doc["report"]["mse_per_axis"]
+
     def test_csv_format_and_exit(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--objective", "z", "--n", "2..5")
         assert code == 0
@@ -359,6 +369,11 @@ BAD_NUMERIC_FLAGS = [
     (["simulate", "--n", "2", "--max-iter", "0"], "argument --max-iter: must be >= 1"),
     (["simulate", "--n", "2", "--samples", "0"], "argument --samples: must be >= 1"),
     (["simulate", "--n", "0"], "argument --n: must be >= 1"),
+] + [
+    ([command, "--n", "2", "--objective", "weighted", flag, value],
+     "objective weights must be finite")
+    for command in ("optimize", "sweep", "simulate")
+    for flag, value in (("--wz", "nan"), ("--wxy", "inf"))
 ]
 
 

@@ -32,6 +32,11 @@ class TestObjective:
             Objective.weighted(-1.0, 1.0)
         with pytest.raises(ValueError):
             Objective.weighted(0.0, 0.0)
+        for w_z, w_xy in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                Objective("weighted", w_z, w_xy)
+            with pytest.raises(ValueError, match="finite"):
+                Objective.weighted(w_z, w_xy)
 
 
 Z3 = assemble_tensor(Objective.z_axis(), 3).entries

@@ -22,10 +22,10 @@ from framecast import (
     cached_tensor,
     direct_search_optimize,
     expected_value,
+    fidelity_report,
     fit_asymptote,
     fixed_point_optimize,
     flat_index,
-    mse_per_axis_from_lambda,
     optimize_z_single_m,
     sweep,
     total_dim,
@@ -175,14 +175,14 @@ class TestFixedPoint:
             assert result.lam == 0.0
             assert result.converged
             assert result.iterations <= 2
-            assert mse_per_axis_from_lambda(result.lam, objective) == 0.5
+            assert fidelity_report(result.a, result.b, objective).mse_per_axis == 0.5
 
     def test_level_two_z_analytic(self):
         result = fixed_point_optimize(cached_tensor(Objective.z_axis(), 1), 2)
         assert result.converged
         assert result.lam == pytest.approx(ROOT3, abs=1e-12)
-        assert mse_per_axis_from_lambda(result.lam, Objective.z_axis()) == pytest.approx(
-            0.2113248654, abs=1e-9
+        assert fidelity_report(result.a, result.b, Objective.z_axis()).mse_per_axis == (
+            pytest.approx(0.2113248654, abs=1e-9)
         )
 
     def test_trajectory_never_decreases_materially(self):
@@ -398,8 +398,9 @@ class TestSingleM:
         limit = jn_zeros(0, 1)[0] ** 2 / 4
         scaled = []
         for n in (2, 3, 5, 10, 20, 30):
-            lam = optimize_z_single_m(n, 0).lam
-            scaled.append(n * n * mse_per_axis_from_lambda(lam, Objective.z_axis()))
+            result = optimize_z_single_m(n, 0)
+            mse = fidelity_report(result.a, result.b, Objective.z_axis()).mse_per_axis
+            scaled.append(n * n * mse)
             assert 0 < limit - scaled[-1] < 1.5 / n, n
         assert all(lo < hi for lo, hi in zip(scaled, scaled[1:]))
 

@@ -12,10 +12,10 @@ from framecast import (
     EulerAngles,
     FiducialState,
     Objective,
+    angles_from_matrices,
     big_d_matrix,
     block_slice,
     cached_tensor,
-    compose,
     fidelity_report,
     fixed_point_optimize,
     integrate,
@@ -23,7 +23,6 @@ from framecast import (
     monte_carlo_error,
     outcome_density,
     povm_defect,
-    rotation_matrix,
     rotation_matrix_components,
     sample_outcome,
     total_dim,
@@ -302,8 +301,8 @@ class TestAmplitude:
         # gimbal-locked discrepancies: none, a pure z turn, a flip by pi
         meas_angles[0] = true_angles[0]
         meas_angles[1] = true_angles[1] + [0.0, 0.0, 0.7]
-        meas_angles[2] = compose(EulerAngles(*true_angles[2]),
-                                 EulerAngles(0.7, math.pi, 0.2)).as_tuple()
+        meas_angles[2] = angles_from_matrices(rotation_matrix_components(*true_angles[2])
+                                              @ rotation_matrix_components(0.7, math.pi, 0.2))
         amps = _outcome_amplitudes(
             _amplitude_polynomial(a, b, n),
             rotation_matrix_components(*true_angles.T),
@@ -484,8 +483,9 @@ class TestExactSampler:
         poly = _amplitude_polynomial(alice.a, b.b, 3)
         error = _sample_errors(poly, _beta_marginal(poly),
                                np.random.default_rng(42).random((1, 3)))[0]
-        expected = rotation_matrix(true_rot).r @ rotation_matrix_components(*error)
-        assert np.max(np.abs(rotation_matrix(outcome).r - expected)) < 1e-12
+        expected = (rotation_matrix_components(*true_rot.as_tuple())
+                    @ rotation_matrix_components(*error))
+        assert np.max(np.abs(rotation_matrix_components(*outcome.as_tuple()) - expected)) < 1e-12
 
 
 @pytest.mark.slow

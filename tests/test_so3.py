@@ -10,16 +10,11 @@ from hypothesis import strategies as st
 from framecast import (
     AngularIndex,
     EulerAngles,
-    RotationMatrix,
     angles_from_matrices,
-    angles_from_matrix,
-    axis_cosines,
-    big_d,
     big_d_matrix,
-    compose,
     error_angles,
+    error_matrices,
     jacobi_polynomial,
-    rotation_matrix,
     rotation_matrix_components,
     small_d,
     small_d_fourier,
@@ -44,12 +39,11 @@ def scalar_angles_reference(r) -> tuple[float, float, float]:
             wrap(math.atan2(r[2, 1], -r[2, 0])))
 
 
-def random_angles(rng) -> EulerAngles:
-    return EulerAngles(
-        rng.uniform(0.0, 2.0 * math.pi),
-        math.acos(rng.uniform(-1.0, 1.0)),
-        rng.uniform(0.0, 2.0 * math.pi),
-    )
+def random_angles(rng, count: int) -> np.ndarray:
+    """(count, 3) Haar-random zyz angles, normalized like EulerAngles."""
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=(count, 3))
+    angles[:, 1] = np.arccos(rng.uniform(-1.0, 1.0, count))
+    return angles
 
 
 class TestJacobiPolynomial:
@@ -137,19 +131,17 @@ class TestSmallD:
 
 class TestBigD:
     def test_identity_rotation(self):
-        ident = EulerAngles(0.0, 0.0, 0.0)
         for j in range(4):
-            for m in range(-j, j + 1):
-                for r in range(-j, j + 1):
-                    assert big_d(j, m, r, ident) == (1.0 if m == r else 0.0)
+            assert np.array_equal(big_d_matrix(j, 0.0, 0.0, 0.0), np.eye(2 * j + 1))
 
     def test_pure_z_phase(self):
-        assert big_d(1, 1, 1, EulerAngles(math.pi, 0.0, 0.0)) == pytest.approx(-1.0, abs=1e-15)
+        # D^1_{11}(pi, 0, 0) = exp(i pi)
+        assert big_d_matrix(1, math.pi, 0.0, 0.0)[2, 2] == pytest.approx(-1.0, abs=1e-15)
 
     def test_phases_cancel_at_zero_magnetic_numbers(self, rng):
-        for _ in range(10):
-            ang = random_angles(rng)
-            assert big_d(1, 0, 0, ang) == pytest.approx(math.cos(ang.beta), abs=1e-14)
+        angles = random_angles(rng, 10)
+        middle = big_d_matrix(1, *angles.T)[:, 1, 1]
+        assert np.max(np.abs(middle - np.cos(angles[:, 1]))) < 1e-14
 
     def test_unitarity(self, rng):
         worst = 0.0
@@ -167,57 +159,63 @@ class TestBigD:
         assert np.max(np.abs(mat @ mat.conj().T - np.eye(2 * j + 1))) < 1e-12
 
     def test_representation_property(self, rng):
+        x, y = random_angles(rng, 20), random_angles(rng, 20)
+        xy = angles_from_matrices(rotation_matrix_components(*x.T)
+                                  @ rotation_matrix_components(*y.T))
         worst = 0.0
-        for _ in range(20):
-            x, y = random_angles(rng), random_angles(rng)
-            xy = compose(x, y)
-            for j in range(5):
-                lhs = big_d_matrix(j, xy.alpha, xy.beta, xy.gamma)
-                rhs = big_d_matrix(j, x.alpha, x.beta, x.gamma) @ big_d_matrix(
-                    j, y.alpha, y.beta, y.gamma
-                )
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        for j in range(5):
+            lhs = big_d_matrix(j, *xy.T)
+            rhs = big_d_matrix(j, *x.T) @ big_d_matrix(j, *y.T)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         assert worst < 1e-10
 
 
 class TestRotationGeometry:
     def test_identity_matrix(self):
-        assert np.allclose(rotation_matrix(EulerAngles(0, 0, 0)).r, np.eye(3), atol=1e-15)
+        assert np.allclose(rotation_matrix_components(0, 0, 0), np.eye(3), atol=1e-15)
 
     def test_diagonal_identities(self, rng):
-        triples = rng.uniform(0.0, 2.0 * math.pi, size=(10_000, 3))
-        triples[:, 1] = np.arccos(rng.uniform(-1.0, 1.0, 10_000))
-        mats = rotation_matrix_components(triples[:, 0], triples[:, 1], triples[:, 2])
+        triples = random_angles(rng, 10_000)
+        mats = rotation_matrix_components(*triples.T)
         assert np.max(np.abs(mats[:, 2, 2] - np.cos(triples[:, 1]))) < 1e-12
         predicted = (1.0 + np.cos(triples[:, 1])) * np.cos(triples[:, 0] + triples[:, 2])
         assert np.max(np.abs(mats[:, 0, 0] + mats[:, 1, 1] - predicted)) < 1e-12
 
-    def test_orthogonality_validated(self):
-        with pytest.raises(ValueError):
-            RotationMatrix(np.eye(3) * 1.1)
-        with pytest.raises(ValueError):
-            RotationMatrix(np.diag([1.0, 1.0, -1.0]))  # improper
+    @settings(max_examples=300, deadline=None)
+    @given(*(st.floats(-50.0, 50.0),) * 3)
+    def test_proper_orthogonal_at_any_angles(self, alpha, beta, gamma):
+        r = rotation_matrix_components(alpha, beta, gamma)
+        assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-12
+        assert abs(np.linalg.det(r) - 1.0) < 1e-12
 
     def test_error_angles_identity_cases(self, rng):
-        x = random_angles(rng)
+        # error_angles keeps any leading shape; equal rotations give the
+        # gimbal-locked identity error, the identity leaves the estimate
+        x = random_angles(rng, 12).reshape(3, 4, 3)
         self_err = error_angles(x, x)
-        assert np.allclose(rotation_matrix(self_err).r, np.eye(3), atol=1e-12)
-        y = random_angles(rng)
-        from_identity = error_angles(EulerAngles(0, 0, 0), y)
-        assert from_identity.as_tuple() == pytest.approx(y.as_tuple(), abs=1e-12)
+        assert self_err.shape == (3, 4, 3)
+        assert np.all(self_err[..., 1] == 0.0) and np.all(self_err[..., 2] == 0.0)
+        rebuilt = rotation_matrix_components(*np.moveaxis(self_err, -1, 0))
+        assert np.max(np.abs(rebuilt - np.eye(3))) < 1e-12
+        y = random_angles(rng, 12)
+        from_identity = error_angles(np.zeros(3), y)
+        assert np.max(np.abs(from_identity - y)) < 1e-12
 
     def test_error_angles_matrix_oracle(self, rng):
-        worst = 0.0
-        for _ in range(100):
-            x, y = random_angles(rng), random_angles(rng)
-            relative = rotation_matrix(x).r.T @ rotation_matrix(y).r
-            rebuilt = rotation_matrix(error_angles(x, y)).r
-            worst = max(worst, float(np.max(np.abs(rebuilt - relative))))
-        assert worst < 1e-12
+        x, y = random_angles(rng, 100), random_angles(rng, 100)
+        y[0] = x[0]  # gimbal-locked identity error
+        r_x, r_y = rotation_matrix_components(*x.T), rotation_matrix_components(*y.T)
+        relative = np.array([rx.T @ ry for rx, ry in zip(r_x, r_y)])
+        assert np.max(np.abs(error_matrices(r_x, r_y) - relative)) < 1e-15
+        err = error_angles(x, y)
+        assert np.max(np.abs(rotation_matrix_components(*err.T) - relative)) < 1e-12
+        reference = np.array([scalar_angles_reference(r) for r in relative])
+        # numpy's arctan2 and hypot may differ from math's in the last bit
+        assert np.max(np.abs(err - reference)) < 4e-15
+        assert err[0, 1] == 0.0 and err[0, 2] == 0.0
 
     def test_batched_extraction_matches_scalar_reference(self, rng):
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=(200, 3))
-        angles[:, 1] = np.arccos(rng.uniform(-1.0, 1.0, 200))
+        angles = random_angles(rng, 200)
         angles[0] = (0.3, 1e-13, 0.4)  # gimbal lock, beta near 0
         angles[1] = (0.3, math.pi, 0.4)  # gimbal lock, beta = pi
         angles[2] = (-1e-17, 1.0, -1e-17)  # alpha, gamma round up to 2pi
@@ -229,24 +227,19 @@ class TestRotationGeometry:
         assert batched[0, 2] == 0.0 and batched[1, 2] == 0.0
         assert batched[0, 1] == 0.0 and batched[1, 1] == math.pi
         assert batched[2, 0] == 0.0 and batched[2, 2] == 0.0
-        for row, mat in zip(batched, mats):
-            assert angles_from_matrix(mat).as_tuple() == tuple(row)
 
     def test_axis_cosines_trivial(self):
-        assert axis_cosines(EulerAngles(0, 0, 0)) == (1.0, 1.0, 1.0)
-        cx, cy, cz = axis_cosines(EulerAngles(0, math.pi, 0))
+        # the per-axis error cosines are the diagonal of the error rotation
+        assert np.array_equal(np.diagonal(rotation_matrix_components(0, 0, 0)), np.ones(3))
+        cx, cy, cz = np.diagonal(rotation_matrix_components(0, math.pi, 0))
         assert cz == pytest.approx(-1.0, abs=1e-15)
         assert cx + cy + cz == pytest.approx(-1.0, abs=1e-12)  # Omega = pi
 
     def test_trace_identity_against_eigenvalues(self, rng):
-        worst = 0.0
-        for _ in range(200):
-            err = random_angles(rng)
-            cx, cy, cz = axis_cosines(err)
-            eigvals = np.linalg.eigvals(rotation_matrix(err).r)
-            omega = np.max(np.abs(np.angle(eigvals)))
-            worst = max(worst, abs(cx + cy + cz - (1.0 + 2.0 * math.cos(omega))))
-        assert worst < 1e-12
+        mats = rotation_matrix_components(*random_angles(rng, 200).T)
+        omega = np.max(np.abs(np.angle(np.linalg.eigvals(mats))), axis=1)
+        trace = np.trace(mats, axis1=1, axis2=2)
+        assert np.max(np.abs(trace - (1.0 + 2.0 * np.cos(omega)))) < 1e-12
 
 
 class TestEulerAngleNormalization:
@@ -254,13 +247,13 @@ class TestEulerAngleNormalization:
         bent = EulerAngles(0.4, -0.9, 5.1)
         assert 0.0 <= bent.beta <= math.pi
         direct = rotation_matrix_components(0.4, -0.9, 5.1)
-        assert np.allclose(rotation_matrix(bent).r, direct, atol=1e-12)
+        assert np.allclose(rotation_matrix_components(*bent.as_tuple()), direct, atol=1e-12)
 
     def test_beta_beyond_pi_identification(self):
         bent = EulerAngles(1.0, 4.0, 2.0)
         assert 0.0 <= bent.beta <= math.pi
         direct = rotation_matrix_components(1.0, 4.0, 2.0)
-        assert np.allclose(rotation_matrix(bent).r, direct, atol=1e-12)
+        assert np.allclose(rotation_matrix_components(*bent.as_tuple()), direct, atol=1e-12)
 
     def test_alpha_gamma_wrapped(self):
         wrapped = EulerAngles(-0.5, 0.3, 7.0)
@@ -283,15 +276,15 @@ class TestEulerAngleNormalization:
         assert 0.0 <= angles.beta <= math.pi
         assert 0.0 <= angles.gamma < 2.0 * math.pi
         direct = rotation_matrix_components(alpha, beta, gamma)
-        assert np.max(np.abs(rotation_matrix(angles).r - direct)) < 1e-12
+        assert np.max(np.abs(rotation_matrix_components(*angles.as_tuple()) - direct)) < 1e-12
 
     def test_gimbal_lock_convention(self):
-        near_zero = angles_from_matrix(rotation_matrix_components(0.3, 1e-13, 0.4))
-        assert near_zero.gamma == 0.0
-        assert near_zero.alpha == pytest.approx(0.7, abs=1e-10)
-        near_pi = angles_from_matrix(rotation_matrix_components(0.3, math.pi, 0.4))
-        assert near_pi.gamma == 0.0
-        assert near_pi.beta == pytest.approx(math.pi, abs=1e-12)
+        alpha, _, gamma = angles_from_matrices(rotation_matrix_components(0.3, 1e-13, 0.4))
+        assert gamma == 0.0
+        assert alpha == pytest.approx(0.7, abs=1e-10)
+        _, beta, gamma = angles_from_matrices(rotation_matrix_components(0.3, math.pi, 0.4))
+        assert gamma == 0.0
+        assert beta == pytest.approx(math.pi, abs=1e-12)
 
     def test_angular_index_validation(self):
         AngularIndex(2, -2)
