@@ -65,9 +65,7 @@ from .so3 import (
     big_d_matrix,
     error_angles,
     error_matrices,
-    jacobi_polynomial,
     rotation_matrix_components,
-    small_d,
     small_d_fourier,
     small_d_matrix,
 )

@@ -233,6 +233,8 @@ def cmd_verify(args, parser) -> int:
 def cmd_sweep(args, parser) -> int:
     n_from, n_to = _parse_n_range(args.n, parser)
     objective = _objective_from_args(args, parser)
+    if args.fit_from is not None and n_to - max(n_from, args.fit_from) + 1 < 3:
+        parser.error("--fit-from leaves fewer than 3 rows to fit")
     rows = sweep(objective, n_from, n_to, tol=args.tol, max_iter=args.max_iter,
                  restarts=args.restarts, seed=args.seed)
     lines = ["n,d,lambda,mse_per_axis,converged"]
@@ -248,9 +250,6 @@ def cmd_sweep(args, parser) -> int:
         output.parent.mkdir(parents=True, exist_ok=True)
         output.write_text(csv_text, encoding="utf-8")
     if args.fit_from is not None:
-        usable = [row for row in rows if row.n >= args.fit_from]
-        if len(usable) < 3:
-            parser.error("--fit-from leaves fewer than 3 rows to fit")
         prefactor, exponent = fit_asymptote(rows, args.fit_from)
         fit_doc = {"prefactor": prefactor, "exponent": exponent, "fit_from": args.fit_from}
         if output is None:
@@ -261,12 +260,16 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
+    if args.samples < 2:
+        parser.error("--samples must be >= 2: a standard error needs two samples")
     if args.state_file is not None:
         try:
             doc = json.loads(Path(args.state_file).read_text(encoding="utf-8"))
             alice = AliceState.from_json(doc["alice"])
             fiducial = FiducialState.from_json(doc["fiducial"])
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+            if alice.n != fiducial.n:
+                raise ValueError(f"alice has n = {alice.n} but fiducial has n = {fiducial.n}")
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"cannot read state file {args.state_file}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:

@@ -1,9 +1,9 @@
 """Rotation representations and geometry.
 
-Jacobi polynomials, Wigner small-d and big-D matrices, classical zyz
-rotation matrices, angle extraction, and the error rotation
-R(true)^T R(estimate) whose diagonal holds the per-axis error cosines used to
-score frame transmission. Every rotation function is batched: angles and
+Wigner small-d and big-D matrices from one cached diagonalization of J_y
+per spin, classical zyz rotation matrices, angle extraction, and the error
+rotation R(true)^T R(estimate) whose diagonal holds the per-axis error
+cosines used to score frame transmission. Every rotation function is batched: angles and
 matrices carry any leading shape, a single rotation having the empty one.
 
 Conventions
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,82 +81,42 @@ class AngularIndex:
             raise ValueError(f"invalid angular index (j={self.j}, m={self.m})")
 
 
-def jacobi_polynomial(k: int, a: int, b: int, x):
-    """Jacobi polynomial P_k^{(a,b)}(x) by the three-term recurrence.
+@lru_cache(maxsize=None)
+def _jy_eigenvectors(j: int) -> np.ndarray:
+    """Eigenvectors v_mu of J_y on spin j as read-only columns, mu ascending from -j to j.
 
-    Stable for the non-negative integer parameters used by the Wigner small-d
-    elements; x may be a scalar or an ndarray.
+    J_y has the exact eigenvalues mu = -j..j, which eigh returns in ascending
+    order. Only the projectors v_mu v_mu^H are used, and they do not depend on
+    the phase eigh gives each eigenvector. The cache holds (2j+1)^2 numbers per j.
     """
-    if k < 0:
-        raise ValueError("polynomial degree must be non-negative")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if k == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = (a + 1) + (a + b + 2) * (x - 1.0) / 2.0
-    for deg in range(2, k + 1):
-        c0 = 2.0 * deg * (deg + a + b) * (2 * deg + a + b - 2)
-        c1 = (2 * deg + a + b - 1) * ((2 * deg + a + b) * (2 * deg + a + b - 2) * x + a * a - b * b)
-        c2 = 2.0 * (deg + a - 1) * (deg + b - 1) * (2 * deg + a + b)
-        p, p_prev = (c1 * p - c2 * p_prev) / c0, p
-    return p if p.ndim else float(p)
-
-
-def _check_indices(j: int, m: int, r: int) -> None:
-    if j < 0 or abs(m) > j or abs(r) > j:
-        raise ValueError(f"indices out of range for spin j={j}: m={m}, r={r}")
-
-
-def small_d(j: int, m: int, r: int, beta):
-    """Wigner small-d element d^j_{mr}(beta) = <j m| exp(-i beta J_y) |j r>.
-
-    Evaluated through the Jacobi-polynomial form, which stays stable far
-    beyond the factorial-ratio formula (target j <= 20). beta may be a scalar
-    or an ndarray.
-    """
-    _check_indices(j, m, r)
-    k = min(j + r, j - r, j + m, j - m)
-    if k == j + r:
-        a = m - r
-        sign = -1.0 if (m - r) % 2 else 1.0
-    elif k == j - r:
-        a, sign = r - m, 1.0
-    elif k == j + m:
-        a, sign = r - m, 1.0
-    else:
-        a = m - r
-        sign = -1.0 if (m - r) % 2 else 1.0
-    b = 2 * (j - k) - a
-    pref = sign * math.sqrt(math.comb(2 * j - k, k + a) / math.comb(k + b, b))
-    beta = np.asarray(beta, dtype=float)
-    half = beta / 2.0
-    val = pref * np.sin(half) ** a * np.cos(half) ** b * jacobi_polynomial(k, a, b, np.cos(beta))
-    return val if val.ndim else float(val)
-
-
-def small_d_matrix(j: int, beta) -> np.ndarray:
-    """Full small-d matrix, shape beta.shape + (2j+1, 2j+1), m and r ascending."""
-    beta = np.asarray(beta, dtype=float)
-    dim = 2 * j + 1
-    out = np.empty(beta.shape + (dim, dim))
-    for mi, m in enumerate(range(-j, j + 1)):
-        for ri, r in enumerate(range(-j, j + 1)):
-            out[..., mi, ri] = small_d(j, m, r, beta)
-    return out
+    ms = np.arange(-j, j)
+    below = -0.5j * np.sqrt(j * (j + 1) - ms * (ms + 1))  # <m+1| J_y |m>
+    _, vecs = np.linalg.eigh(np.diag(below, -1) + np.diag(below.conj(), 1))
+    vecs.flags.writeable = False
+    return vecs
 
 
 def small_d_fourier(j: int) -> np.ndarray:
     """Fourier coefficients c[mu, m, r] with d^j_{mr}(beta) = sum_mu c[mu, m, r] exp(-i mu beta).
 
-    d^j(beta) is a trigonometric polynomial of degree j in beta (Risbo, J.
-    Geodesy 70, 383, 1996), so its coefficients are exactly the discrete
-    Fourier transform of small_d_matrix at 2j+1 equispaced beta in [0, 2pi).
-    Indices mu, m, r ascend from -j to j.
+    d^j(beta) = exp(-i beta J_y) is a trigonometric polynomial of degree j in
+    beta (Risbo, J. Geodesy 70, 383, 1996), and its coefficients are the J_y
+    eigenprojectors c[mu] = v_mu v_mu^H (exact diagonalization: Feng, Wang,
+    Yang & Jin, PRE 92, 043307, 2015). Indices mu, m, r ascend from -j to j.
     """
-    dim = 2 * j + 1
-    betas = TWO_PI * np.arange(dim) / dim
-    fourier = np.exp(1j * np.outer(np.arange(-j, j + 1), betas)) / dim
-    return np.einsum("up,pmr->umr", fourier, small_d_matrix(j, betas))
+    vecs = _jy_eigenvectors(j).T
+    return vecs[:, :, None] * vecs.conj()[:, None, :]
+
+
+def small_d_matrix(j: int, beta) -> np.ndarray:
+    """Full small-d matrix, shape beta.shape + (2j+1, 2j+1), m and r ascending.
+
+    Evaluated as I + Re sum_mu (exp(-i mu beta) - 1) c[mu] over the
+    small_d_fourier coefficients, which sum to I: at beta = 0 every term is
+    exactly zero, so the identity comes out exactly.
+    """
+    phases = np.expm1(-1j * np.asarray(beta, dtype=float)[..., None] * np.arange(-j, j + 1))
+    return np.tensordot(phases, small_d_fourier(j), axes=1).real + np.eye(2 * j + 1)
 
 
 def big_d_matrix(j: int, alpha, beta, gamma) -> np.ndarray:

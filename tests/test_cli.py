@@ -238,6 +238,16 @@ class TestSweep:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("n_range, fit_from", [("2..4", "3"), ("1..1", "1"), ("2..9", "10")])
+    def test_fit_from_refused_before_sweeping(self, capsys, n_range, fit_from):
+        # the row count follows from the n range alone, so no row is computed or written
+        code, out, err = run_cli(
+            capsys, "sweep", "--objective", "z", "--n", n_range, "--fit-from", fit_from
+        )
+        assert code == 1
+        assert out == ""
+        assert "fewer than 3 rows" in err
+
     def test_partial_non_convergence_flagged(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--objective", "xyz", "--n", "3..4",
@@ -313,6 +323,31 @@ class TestSimulate:
         assert "cannot read state file" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fault", ["mismatched-n", "string-entry", "list-top-level"])
+    def test_malformed_state_file_is_rejected(self, capsys, tmp_path, fault):
+        docs = {}
+        for n in (2, 3):
+            path = tmp_path / f"state{n}.json"
+            assert run_cli(capsys, "optimize", "--n", str(n), "--restarts", "0",
+                           "--output", str(path))[0] == 0
+            docs[n] = json.loads(path.read_text())
+        doc = docs[2]
+        if fault == "mismatched-n":
+            doc["alice"] = docs[3]["alice"]
+        elif fault == "string-entry":
+            doc["alice"]["coefficients"][0][2] = "0.5"
+        else:
+            doc = [doc]
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "simulate", "--state-file", str(state_path), "--samples", "10"
+        )
+        assert code == 1
+        assert out == ""
+        assert "cannot read state file" in err
+        assert "Traceback" not in err
+
     def test_raw_csv(self, capsys, tmp_path):
         raw_path = tmp_path / "raw.csv"
         code, _, _ = run_cli(
@@ -368,6 +403,7 @@ BAD_NUMERIC_FLAGS = [
     (["sweep", "--n", "2", "--max-iter", "0"], "argument --max-iter: must be >= 1"),
     (["simulate", "--n", "2", "--max-iter", "0"], "argument --max-iter: must be >= 1"),
     (["simulate", "--n", "2", "--samples", "0"], "argument --samples: must be >= 1"),
+    (["simulate", "--n", "2", "--samples", "1"], "--samples must be >= 2"),
     (["simulate", "--n", "0"], "argument --n: must be >= 1"),
 ] + [
     ([command, "--n", "2", "--objective", "weighted", flag, value],

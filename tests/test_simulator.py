@@ -489,19 +489,20 @@ class TestExactSampler:
 
 
 @pytest.mark.slow
-def test_level_twenty_exact_replay_matches_analytic(capsys):
+@pytest.mark.parametrize("n, samples", [(20, 60_000), (30, 6000)])
+def test_large_level_exact_replay_matches_analytic(capsys, n, samples):
     from framecast.cli import main
 
-    samples = 60_000
     start = time.perf_counter()
-    code = main(["simulate", "--n", "20", "--samples", str(samples), "--seed", "20"])
+    code = main(["simulate", "--n", str(n), "--samples", str(samples), "--seed", str(n)])
     elapsed = time.perf_counter() - start
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    result = fixed_point_optimize(cached_tensor(Objective.xyz_axes(), 19), 20, init="uniform")
+    tensor = cached_tensor(Objective.xyz_axes(), n - 1)
+    result = fixed_point_optimize(tensor, n, init="uniform")
     analytic = fidelity_report(result.a, result.b, Objective.xyz_axes())
     with capsys.disabled():
-        print(f"\nsimulate --n 20 --samples {samples}: {elapsed:.2f} s, "
+        print(f"\nsimulate --n {n} --samples {samples}: {elapsed:.2f} s, "
               f"{samples / elapsed:.0f} samples/s (optimization included)")
     for key, expected in (("cos_z", analytic.expect_cos_z),
                           ("cos_x_plus_y", analytic.expect_cos_xy),

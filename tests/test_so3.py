@@ -1,4 +1,4 @@
-"""Rotation representations: polynomials, Wigner elements, angle geometry."""
+"""Rotation representations: Wigner elements against the Jacobi oracle, angle geometry."""
 
 import math
 
@@ -14,13 +14,11 @@ from framecast import (
     big_d_matrix,
     error_angles,
     error_matrices,
-    jacobi_polynomial,
     rotation_matrix_components,
-    small_d,
     small_d_fourier,
     small_d_matrix,
 )
-from conftest import generator_small_d_matrix
+from conftest import jacobi_polynomial, jacobi_small_d, jacobi_small_d_matrix
 
 
 def scalar_angles_reference(r) -> tuple[float, float, float]:
@@ -65,65 +63,67 @@ class TestJacobiPolynomial:
 
 
 class TestSmallD:
+    # the element tests pin the Jacobi oracle itself; the matrix tests hold
+    # the eigenprojector route of small_d_matrix and small_d_fourier to it
     def test_trivial_representation(self):
         for beta in np.linspace(0.0, math.pi, 7):
-            assert small_d(0, 0, 0, beta) == 1.0
+            assert jacobi_small_d(0, 0, 0, beta) == 1.0
 
     def test_spin_one_middle_is_cosine(self):
         betas = np.linspace(0.0, math.pi, 9)
-        assert small_d(1, 0, 0, betas) == pytest.approx(np.cos(betas), abs=1e-15)
+        assert jacobi_small_d(1, 0, 0, betas) == pytest.approx(np.cos(betas), abs=1e-15)
 
     def test_spin_one_raising_sign(self):
-        assert small_d(1, 1, 0, math.pi / 2) == pytest.approx(-1.0 / math.sqrt(2), abs=1e-15)
+        assert jacobi_small_d(1, 1, 0, math.pi / 2) == pytest.approx(-1.0 / math.sqrt(2), abs=1e-15)
 
     def test_identity_at_zero_is_exact(self):
         for j in range(6):
             mat = small_d_matrix(j, 0.0)
             assert np.array_equal(mat, np.eye(2 * j + 1))
 
-    def test_matches_generator_diagonalization(self, rng):
+    def test_matches_jacobi_oracle(self, rng):
         worst = 0.0
         for j in range(7):
-            for beta in rng.uniform(0.0, math.pi, 6):
-                ref = generator_small_d_matrix(j, beta)
-                worst = max(worst, np.max(np.abs(small_d_matrix(j, beta) - ref)))
+            betas = rng.uniform(0.0, math.pi, 6)
+            worst = max(worst, np.max(np.abs(small_d_matrix(j, betas)
+                                             - jacobi_small_d_matrix(j, betas))))
         assert worst < 1e-12
 
     def test_stable_at_large_j(self, rng):
-        # factorial-ratio evaluations overflow around j = 15; the recurrence
+        # factorial-ratio evaluations overflow around j = 15; the eigenprojector
         # route must stay clean through the working range
         for j in (15, 20, 30, 40):
             beta = rng.uniform(0.0, math.pi)
             mat = small_d_matrix(j, beta)
             assert np.max(np.abs(mat @ mat.T - np.eye(2 * j + 1))) < 1e-12
-            assert np.max(np.abs(mat - generator_small_d_matrix(j, beta))) < 1e-12
+            assert np.max(np.abs(mat - jacobi_small_d_matrix(j, beta))) < 1e-12
 
     def test_fourier_coefficients_rebuild_beyond_pi(self, rng):
-        # the error rotation's beta stays in [0, pi], but the coefficients
-        # sample small_d on all of [0, 2pi): check the rebuilt polynomial past
-        # pi against the J_y oracle, which shares no code with small_d
+        # the error rotation's beta stays in [0, pi], but the sampler's
+        # polynomial covers all of [0, 2pi): check the rebuilt polynomial past
+        # pi against the Jacobi oracle
         for j in range(21):
-            coeffs = small_d_fourier(j)
-            for beta in rng.uniform(math.pi, 2.0 * math.pi, 3):
-                rebuilt = np.einsum("umr,u->mr", coeffs, np.exp(-1j * np.arange(-j, j + 1) * beta))
-                assert np.max(np.abs(rebuilt - generator_small_d_matrix(j, beta))) < 1e-12
+            betas = rng.uniform(math.pi, 2.0 * math.pi, 3)
+            phases = np.exp(-1j * np.outer(betas, np.arange(-j, j + 1)))
+            rebuilt = np.einsum("umr,bu->bmr", small_d_fourier(j), phases)
+            assert np.max(np.abs(rebuilt - jacobi_small_d_matrix(j, betas))) < 1e-12
 
     def test_index_range_enforced(self):
         with pytest.raises(ValueError):
-            small_d(1, 2, 0, 0.3)
+            jacobi_small_d(1, 2, 0, 0.3)
         with pytest.raises(ValueError):
-            small_d(2, 0, -3, 0.3)
+            jacobi_small_d(2, 0, -3, 0.3)
 
     def test_orthogonality_over_beta(self):
         # integral of d^j_mr d^j'_mr sin(beta) d(beta) = 2 delta_jj' / (2j+1)
         nodes, weights = np.polynomial.legendre.leggauss(16)
-        betas = np.arccos(nodes)
+        mats = [small_d_matrix(j, np.arccos(nodes)) for j in range(6)]
         worst = 0.0
         for j in range(6):
             for jp in range(6):
                 for m in range(-min(j, jp), min(j, jp) + 1):
                     for r in range(-min(j, jp), min(j, jp) + 1):
-                        val = np.sum(weights * small_d(j, m, r, betas) * small_d(jp, m, r, betas))
+                        val = np.sum(weights * mats[j][:, m + j, r + j] * mats[jp][:, m + jp, r + jp])
                         ref = 2.0 / (2 * j + 1) if j == jp else 0.0
                         worst = max(worst, abs(val - ref))
         assert worst < 1e-10
