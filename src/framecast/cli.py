@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import numpy.random
 
 from .coefficients import Objective, SparseCoefficientTensor, assemble_tensor, cached_tensor
 from .objective import AliceState, FiducialState, fidelity_report

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random
 
 from .basis import block_norms, block_slice, flat_index, iter_jm, total_dim
 from .coefficients import Objective, SparseCoefficientTensor, cached_tensor

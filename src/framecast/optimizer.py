@@ -5,13 +5,14 @@ top eigenvector as the sender state, then renormalize it per block to get the
 next fiducial state. A few rounds reach a joint fixed point at which the
 fiducial amplitudes are the per-block normalization of the sender amplitudes.
 
-Round 1 solves densely for the top eigenpair. Every later round takes the top
-Ritz pair of a small Lanczos basis started at the previous sender state, so
-the trajectory never decreases and its entries after round 1 are Ritz values.
-Once a round looks converged, one dense solve certifies that the Ritz pair is
-the top eigenpair; if it is not, the loop continues from the dense pair. The
-round count may therefore differ by a few from an all-dense loop, while the
-converged fixed point is the same.
+Round 1 solves densely for the top eigenpair: the spectrum from eigvalsh, the
+vector by inverse iteration at that eigenvalue, numpy alone. Every later
+round takes the top Ritz pair of a small Lanczos basis started at the
+previous sender state, so the trajectory never decreases and its entries
+after round 1 are Ritz values. Once a round looks converged, one dense solve
+certifies that the Ritz pair is the top eigenpair; if it is not, the loop
+continues from the dense pair. The round count may therefore differ by a few
+from an all-dense loop, while the converged fixed point is the same.
 
 A derivative-free direct search over unconstrained amplitudes (small n only)
 serves as an independent cross-check, and sweeps over n feed the asymptotic
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+import numpy.random
 
 from .basis import block_norms, block_slice, flat_index, total_dim
 from .coefficients import Objective, SparseCoefficientTensor, cached_tensor
@@ -47,6 +49,13 @@ DEGENERACY_GAP = 1e-12
 
 # Lanczos basis size of the warm rounds after the first
 KRYLOV_DIM = 6
+
+# inverse iteration shifts to lambda_1 + SHIFT_ULPS eps ||M|| and accepts a unit
+# vector once ||M v - lambda_1 v|| <= RESIDUAL_ULPS eps ||M||, within
+# INVERSE_STEPS steps; eigh decides otherwise
+SHIFT_ULPS = 4
+RESIDUAL_ULPS = 16
+INVERSE_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -96,19 +105,82 @@ def _gauge_fixed(vec: np.ndarray) -> np.ndarray:
     return vec * (np.conj(phase) / abs(phase))
 
 
+def _norm(vec: np.ndarray) -> float:
+    """Euclidean norm of a vector; one BLAS dot, without np.linalg.norm's temporaries."""
+    return math.sqrt(np.vdot(vec, vec).real)
+
+
+@lru_cache(maxsize=None)
+def _start_vector(d: int) -> np.ndarray:
+    """Fixed real Gaussian start vector of inverse iteration, read-only.
+
+    A draw from a fixed seed has no symmetry that the top eigenvector of a
+    structured M could be orthogonal to, and it never depends on the caller.
+    """
+    vec = np.random.default_rng(0).standard_normal(d)
+    vec.flags.writeable = False
+    return vec
+
+
+def _shifted_solve(mat: np.ndarray, sigma: float, rhs: np.ndarray) -> np.ndarray:
+    """Solution y of (M - sigma I) y = rhs.
+
+    The diagonal of a writable M is shifted in place for the solve and then
+    restored bit for bit, which saves a d x d copy; a read-only M is copied.
+    """
+    if not mat.flags.writeable:
+        mat = mat.copy()
+    diagonal = mat.diagonal().copy()
+    np.fill_diagonal(mat, diagonal - sigma)
+    try:
+        return np.linalg.solve(mat, rhs)
+    finally:
+        np.fill_diagonal(mat, diagonal)
+
+
+def _inverse_iteration(mat: np.ndarray, lam: float, scale: float) -> np.ndarray | None:
+    """Unit eigenvector for the top eigenvalue lam of M, or None if it cannot be certified.
+
+    Inverse iteration (Ipsen, SIAM Rev. 39, 254, 1997) from `_start_vector`,
+    shifted SHIFT_ULPS eps ||M|| above lam, where scale = ||M||. A step is
+    accepted once the residual ||M v - lam v|| is at most RESIDUAL_ULPS eps
+    ||M||, the accuracy of a backward-stable eigensolver. After one step the
+    residual is about the shift over the start vector's overlap with the
+    eigenvector, which meets the bound for small d only; the second step
+    starts from the first step's vector, whose overlap is near one. A
+    singular shifted matrix, or no accepted step within INVERSE_STEPS, gives
+    None.
+    """
+    eps = np.finfo(float).eps
+    sigma = lam + SHIFT_ULPS * eps * scale
+    bound = RESIDUAL_ULPS * eps * scale
+    vec = _start_vector(mat.shape[0])
+    for _ in range(INVERSE_STEPS):
+        try:
+            vec = _shifted_solve(mat, sigma, vec)
+        except np.linalg.LinAlgError:
+            return None
+        vec = vec / _norm(vec)
+        if _norm(mat @ vec - lam * vec) <= bound:
+            return vec
+    return None
+
+
 def _top_eigh(mat: np.ndarray, previous: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of a Hermitian matrix and a phase-gauged unit eigenvector.
 
-    LAPACK's MRRR driver (?heevr) solves for the top two eigenpairs only. When
-    they lie within DEGENERACY_GAP and a previous state is given, the full
-    spectrum is taken and the eigenvector is the normalized projection of the
-    previous state onto the top eigenspace, so the choice inside a degenerate
-    eigenspace stays close to it (the last eigenvector if the projection
-    vanishes).
+    The spectrum comes from eigvalsh, the eigenvector from `_inverse_iteration`
+    at its top eigenvalue; where that vector fails its residual bound, the
+    full eigh gives the pair. When the top two eigenvalues lie within
+    DEGENERACY_GAP and a previous state is given, the full eigh is taken and
+    the eigenvector is the normalized projection of the previous state onto
+    the top eigenspace, so the choice inside a degenerate eigenspace stays
+    close to it (the last eigenvector if the projection vanishes).
     """
-    d = mat.shape[0]
-    w, v = scipy.linalg.eigh(mat, subset_by_index=[max(d - 2, 0), d - 1], driver="evr")
-    lam, vec = float(w[-1]), v[:, -1]
+    # M is real whenever the fiducial amplitudes are (the uniform init of
+    # every axis objective); the real eigvalsh takes a quarter of the flops
+    w = np.linalg.eigvalsh(mat.real if np.iscomplexobj(mat) and not mat.imag.any() else mat)
+    lam = float(w[-1])
     if previous is not None and w.size > 1 and w[-1] - w[-2] < DEGENERACY_GAP:
         w, v = np.linalg.eigh(mat)
         lam, vec = float(w[-1]), v[:, -1]
@@ -117,6 +189,11 @@ def _top_eigh(mat: np.ndarray, previous: np.ndarray | None = None) -> tuple[floa
         nrm = np.linalg.norm(proj)
         if nrm > 1e-8:
             vec = proj / nrm
+        return lam, _gauge_fixed(vec)
+    vec = _inverse_iteration(mat, lam, max(-float(w[0]), lam))
+    if vec is None:
+        w, v = np.linalg.eigh(mat)
+        lam, vec = float(w[-1]), v[:, -1]
     return lam, _gauge_fixed(vec)
 
 
@@ -131,7 +208,7 @@ def _ritz_step(mat: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
     # rows are the basis vectors, so V^H w = conj(V^T conj(w)) needs no matrix conjugate
     basis = np.empty((min(KRYLOV_DIM, start.size), start.size), dtype=complex)
     images = np.empty_like(basis)
-    basis[0] = start / np.linalg.norm(start)
+    basis[0] = start / _norm(start)
     size = 1
     while True:
         images[size - 1] = mat @ basis[size - 1]
@@ -139,9 +216,9 @@ def _ritz_step(mat: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
             break
         vec = images[size - 1]
         for _ in range(2):
-            kept = np.linalg.norm(vec)
+            kept = _norm(vec)
             vec = vec - (basis[:size] @ vec.conj()).conj() @ basis[:size]
-        nrm = np.linalg.norm(vec)
+        nrm = _norm(vec)
         # twice is enough (Kahan-Parlett): if the second pass still removes
         # more than a 1/sqrt(2) share, the vector lies in the span and the space closed
         if not nrm > kept / math.sqrt(2):
@@ -152,7 +229,7 @@ def _ritz_step(mat: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
     h = basis.conj() @ images.T
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
     vec = v[:, -1] @ basis
-    return float(w[-1]), _gauge_fixed(vec / np.linalg.norm(vec))
+    return float(w[-1]), _gauge_fixed(vec / _norm(vec))
 
 
 def _close(lam: float, vec: np.ndarray, lam_ref: float, vec_ref: np.ndarray, tol: float) -> bool:
@@ -164,7 +241,7 @@ def _close(lam: float, vec: np.ndarray, lam_ref: float, vec_ref: np.ndarray, tol
     """
     overlap = np.vdot(vec, vec_ref)
     phase = overlap / abs(overlap) if overlap != 0 else 1.0
-    return bool(abs(lam - lam_ref) < tol and np.linalg.norm(phase * vec - vec_ref) < math.sqrt(tol))
+    return bool(abs(lam - lam_ref) < tol and _norm(phase * vec - vec_ref) < math.sqrt(tol))
 
 
 def b_from_a(a: AliceState) -> FiducialState:

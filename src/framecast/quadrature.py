@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+import numpy.fft
+import numpy.polynomial.legendre
 
 from .so3 import small_d_matrix
 

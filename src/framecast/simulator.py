@@ -30,6 +30,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import numpy.random
 
 from .basis import block_slice, total_dim
 from .objective import AliceState, FiducialState
@@ -218,11 +219,21 @@ def _lag_index(width: int) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
-def _lag_sums(outer: np.ndarray) -> np.ndarray:
-    """s[..., k] = sum of outer[..., p, q] over p - q = k, for lags k = 0..w-1."""
+def _lag_sums(outer: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """s[..., k] = sum of outer[..., p, q] over p - q = k, for lags k = 0..w-1.
+
+    The entries are regrouped by lag first: into the front of `scratch` (a
+    contiguous array of outer's dtype and at least its size) if given,
+    otherwise into a new array.
+    """
     order, starts = _lag_index(outer.shape[-1])
     flat = outer.reshape(outer.shape[:-2] + (-1,))
-    return np.add.reduceat(flat[..., order], starts, axis=-1)
+    shape = flat.shape[:-1] + order.shape
+    gathered = None if scratch is None else scratch.reshape(-1)[:math.prod(shape)].reshape(shape)
+    # every index is in range; mode="clip" writes straight into `gathered`,
+    # where the default mode would stage the result in a temporary first
+    return np.add.reduceat(np.take(flat, order, axis=-1, out=gathered, mode="clip"),
+                           starts, axis=-1)
 
 
 def _cdf_terms(coef: np.ndarray) -> np.ndarray:
@@ -301,21 +312,27 @@ def _sample_errors(poly: np.ndarray, beta_coef: np.ndarray, u: np.ndarray) -> np
     Per block of SCORE_ROWS rows: G[m, r] = sum_mu exp(-i mu beta) H[mu, m, r]
     is one matmul, the lags of G G^dagger give the alpha | beta density, and
     the autocorrelation of F_r = sum_m G[m, r] exp(i m alpha) the gamma | alpha,
-    beta density.
+    beta density. The three (rows, w, w) work arrays are allocated once per
+    call, not per block: fresh ones cost a page fault per 4 KiB touched.
     """
     width = poly.shape[0]
     degree = (width - 1) // 2
     flat = poly.reshape(width, -1)
     out = np.empty((u.shape[0], 3))
+    g_work, spare, outer = (np.empty((min(SCORE_ROWS, u.shape[0]), width, width), dtype=complex)
+                            for _ in range(3))
     for lo in range(0, u.shape[0], SCORE_ROWS):
         rows = slice(lo, lo + SCORE_ROWS)
         betas = _invert_cdf(beta_coef, math.pi, u[rows, 0])
-        g_rows = (_phases(betas, degree).conj() @ flat).reshape(-1, width, width)
-        alphas = _invert_cdf(_lag_sums(g_rows @ g_rows.conj().swapaxes(1, 2)),
-                             2.0 * math.pi, u[rows, 1])
+        count = betas.size
+        g_rows = g_work[:count]
+        np.matmul(_phases(betas, degree).conj(), flat, out=g_rows.reshape(count, -1))
+        g_conj = np.conjugate(g_rows, out=spare[:count])
+        np.matmul(g_rows, g_conj.swapaxes(1, 2), out=outer[:count])
+        alphas = _invert_cdf(_lag_sums(outer[:count], spare), 2.0 * math.pi, u[rows, 1])
         f_rows = np.einsum("tm,tmr->tr", _phases(alphas, degree), g_rows)
-        gammas = _invert_cdf(_lag_sums(f_rows[:, :, None] * f_rows.conj()[:, None, :]),
-                             2.0 * math.pi, u[rows, 2])
+        np.multiply(f_rows[:, :, None], f_rows.conj()[:, None, :], out=outer[:count])
+        gammas = _invert_cdf(_lag_sums(outer[:count], spare), 2.0 * math.pi, u[rows, 2])
         out[rows] = np.stack([_wrap_angle(alphas), betas, _wrap_angle(gammas)], axis=1)
     return out
 

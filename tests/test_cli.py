@@ -19,13 +19,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only the direct-search oracle needs scipy.optimize, and no command calls it
-    probe = "import sys, framecast.cli; print('scipy.optimize' in sys.modules)"
+@pytest.mark.parametrize("argv", [[], ["optimize", "--n", "3"], ["verify", "--n", "2"],
+                                  ["simulate", "--n", "2", "--samples", "50"]])
+def test_cli_leaves_scipy_submodules_unloaded(argv):
+    # every command solves with numpy alone; only the direct-search oracle,
+    # which no command calls, imports scipy.optimize
+    probe = (
+        "import contextlib, io, sys\n"
+        "import framecast.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = framecast.cli.main({argv!r}) if {argv!r} else 0\n"
+        "mods = ('scipy.linalg', 'scipy.sparse', 'scipy.special', 'scipy.optimize')\n"
+        "print(code, [m for m in mods if m in sys.modules])\n"
+    )
     src = str(Path(framecast.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, cwd=src)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "0 []"
 
 
 class TestOptimize:

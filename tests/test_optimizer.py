@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh as lapack_eigh
 from scipy.special import jn_zeros
 
 from framecast import (
@@ -116,6 +117,77 @@ class TestTopEigenpair:
         lam_prev, vec_prev = optimizer._top_eigh(herm, previous=other / np.linalg.norm(other))
         assert lam_prev == lam
         assert np.array_equal(vec_prev, vec)
+
+
+def _spectrum_matrix(rng, d, gap, kind):
+    """Hermitian matrix with a random eigenbasis, top eigenvalue 1, the next 1 - gap, the rest below.
+
+    kind "real" is a float matrix, "real-valued" the same as a complex one
+    with an exactly zero imaginary part, "complex" a complex eigenbasis.
+    """
+    raw = rng.standard_normal((d, d))
+    if kind == "complex":
+        raw = raw + 1j * rng.standard_normal((d, d))
+    elif kind == "real-valued":
+        raw = raw.astype(complex)
+    basis, _ = np.linalg.qr(raw)
+    w = np.concatenate([rng.uniform(-1.0, 1.0 - 2 * gap, d - 2), [1.0 - gap, 1.0]])
+    mat = (basis * w) @ basis.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+class TestTopEigenpairOracle:
+    """`_top_eigh` against LAPACK's MRRR solver (?heevr), which shares no code with it."""
+
+    @staticmethod
+    def _check(mat, lam, vec):
+        d = mat.shape[0]
+        w_ref, v_ref = lapack_eigh(mat, subset_by_index=[d - 2, d - 1], driver="evr")
+        assert abs(lam - w_ref[-1]) < 1e-12
+        assert abs(abs(np.vdot(v_ref[:, -1], vec)) - 1.0) < 1e-10
+        # the residual of a backward-stable solver: evr's own stays below
+        # 8 eps ||M|| on these matrices
+        scale = np.max(np.abs(np.linalg.eigvalsh(mat)))
+        assert np.linalg.norm(mat @ vec - lam * vec) <= 16 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("kind", ["real", "real-valued", "complex"])
+    @pytest.mark.parametrize("gap", [0.3, 1e-5, 1e-9])
+    @pytest.mark.parametrize("d", [2, 9, 49, 196])
+    def test_matches_lapack_evr(self, rng, d, gap, kind):
+        mat = _spectrum_matrix(rng, d, gap, kind)
+        before = mat.copy()
+        lam, vec = optimizer._top_eigh(mat)
+        # the in-place diagonal shift of the solve leaves no trace
+        assert np.array_equal(mat, before)
+        self._check(mat, lam, vec)
+
+    def test_read_only_matrix(self, rng):
+        mat = _spectrum_matrix(rng, 16, 0.1, "complex")
+        mat.flags.writeable = False
+        lam, vec = optimizer._top_eigh(mat)
+        self._check(mat, lam, vec)
+
+    @pytest.mark.parametrize("failure", ["singular", "residual"])
+    def test_uncertified_vector_falls_back_to_eigh(self, rng, monkeypatch, failure):
+        if failure == "singular":
+            def singular(mat, sigma, rhs):
+                raise np.linalg.LinAlgError("Singular matrix")
+            monkeypatch.setattr(optimizer, "_shifted_solve", singular)
+        else:
+            monkeypatch.setattr(optimizer, "RESIDUAL_ULPS", 0.0)
+        calls = []
+        full = np.linalg.eigh
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return full(mat)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        mat = _spectrum_matrix(rng, 25, 0.05, "complex")
+        lam, vec = optimizer._top_eigh(mat)
+        assert calls == [(25, 25)]
+        monkeypatch.undo()
+        self._check(mat, lam, vec)
 
 
 class TestBFromA:
