@@ -19,6 +19,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the direct-search oracle needs scipy.optimize, and no command calls it
+    probe = "import sys, framecast.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(framecast.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, cwd=src)
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("argv", [[], ["optimize", "--n", "3"], ["verify", "--n", "2"],
                                   ["simulate", "--n", "2", "--samples", "50"]])
 def test_cli_leaves_scipy_submodules_unloaded(argv):
