@@ -146,6 +146,9 @@ def _verify_checks(n: int, seed: int, inject_fault: bool, selected: str = "all")
     """Yield (name, worst, tol) per check whose name contains `selected` (all for "all").
 
     Every check's random inputs are drawn even when it does not run, so filtering keeps them.
+    geometry-identities tests 10^4 random rotation matrices for SO(3)
+    membership, R^T R = I and det R = 1, and for the closed-form entries
+    R_zz = cos beta and R_xx + R_yy = (1 + cos beta) cos(alpha + gamma).
     """
     rng = np.random.default_rng(seed)
     j_max = n - 1
@@ -164,13 +167,17 @@ def _verify_checks(n: int, seed: int, inject_fault: bool, selected: str = "all")
             rmats[:, 0, 0] + rmats[:, 1, 1]
             - (1.0 + np.cos(triples[:, 1])) * np.cos(triples[:, 0] + triples[:, 2])
         ))
-        eigvals = np.linalg.eigvals(rmats)
-        # the rotation angle is the argument of the complex eigenvalue pair
-        omega = np.max(np.abs(np.angle(eigvals)), axis=1)
-        worst_trace = np.max(np.abs(
-            rmats[:, 0, 0] + rmats[:, 1, 1] + rmats[:, 2, 2] - (1.0 + 2.0 * np.cos(omega))
+        # R is in SO(3) exactly when its columns c_k are orthonormal (R^T R = I)
+        # and right-handed (det R = (c_0 x c_1) . c_2 = 1); a rotation's
+        # spectrum alone would also pass S R S^-1 for any invertible S
+        cols = rmats.transpose(2, 0, 1)
+        worst_gram = max(np.max(np.abs(np.einsum("ti,ti->t", cols[k], cols[l]) - (k == l)))
+                         for k in range(3) for l in range(k, 3))
+        worst_det = np.max(np.abs(
+            np.einsum("ti,ti->t", np.cross(cols[0], cols[1]), cols[2]) - 1.0
         ))
-        yield "geometry-identities", float(max(worst_zz, worst_xy, worst_trace)), 1e-12
+        worst = max(worst_zz, worst_xy, worst_gram, worst_det)
+        yield "geometry-identities", float(worst), 1e-12
 
     pairs = rng.uniform(0.0, 2.0 * math.pi, size=(50, 2, 3))
     if wanted("error-angle-composition"):
@@ -326,7 +333,7 @@ def build_parser() -> _Parser:
     opt.add_argument("--wxy", type=float, default=None, help="weight of the xy term")
     _add_common_optimize_flags(opt)
     opt.add_argument("--output", default=None, help="JSON output path (default stdout)")
-    opt.set_defaults(func=cmd_optimize)
+    opt.set_defaults(func=cmd_optimize, subparser=opt)
 
     ver = commands.add_parser("verify", help="run the oracle suites")
     ver.add_argument("--n", type=int, default=3, help="oracle scale (1..6)")
@@ -334,7 +341,7 @@ def build_parser() -> _Parser:
     ver.add_argument("--check", default="all",
                      help="substring filter: grid, geometry, wigner, coefficients, povm")
     ver.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=cmd_verify, subparser=ver)
 
     swp = commands.add_parser("sweep", help="sweep n and emit CSV rows")
     swp.add_argument("--n", required=True, help="range like 2..10 (or a single n)")
@@ -345,7 +352,7 @@ def build_parser() -> _Parser:
                      help="fit a power law over rows with n >= this")
     _add_common_optimize_flags(swp)
     swp.add_argument("--output", default=None, help="CSV output path (default stdout)")
-    swp.set_defaults(func=cmd_sweep)
+    swp.set_defaults(func=cmd_sweep, subparser=swp)
 
     sim = commands.add_parser("simulate", help="Monte Carlo measurement simulation")
     sim.add_argument("--state-file", default=None,
@@ -363,7 +370,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--max-iter", type=_positive_int, default=200)
     sim.add_argument("--raw-csv", default=None, help="write per-sample rows here")
     sim.add_argument("--output", default=None, help="JSON output path (default stdout)")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, subparser=sim)
 
     return parser
 
@@ -375,7 +382,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.subparser)
     except SystemExit as exc:
         return int(exc.code or 0)
     except OSError as exc:

@@ -51,10 +51,11 @@ DEGENERACY_GAP = 1e-12
 KRYLOV_DIM = 6
 
 # inverse iteration shifts to lambda_1 + SHIFT_ULPS eps ||M|| and accepts a unit
-# vector once ||M v - lambda_1 v|| <= RESIDUAL_ULPS eps ||M||, within
-# INVERSE_STEPS steps; eigh decides otherwise
+# vector once ||M v - lambda_1 v|| <= RESIDUAL_ULPS eps ||M|| max(1, sqrt(d /
+# RESIDUAL_DIM)), within INVERSE_STEPS steps; eigh decides otherwise
 SHIFT_ULPS = 4
 RESIDUAL_ULPS = 16
+RESIDUAL_DIM = 196
 INVERSE_STEPS = 2
 
 
@@ -144,17 +145,21 @@ def _inverse_iteration(mat: np.ndarray, lam: float, scale: float) -> np.ndarray 
     Inverse iteration (Ipsen, SIAM Rev. 39, 254, 1997) from `_start_vector`,
     shifted SHIFT_ULPS eps ||M|| above lam, where scale = ||M||. A step is
     accepted once the residual ||M v - lam v|| is at most RESIDUAL_ULPS eps
-    ||M||, the accuracy of a backward-stable eigensolver. After one step the
-    residual is about the shift over the start vector's overlap with the
-    eigenvector, which meets the bound for small d only; the second step
-    starts from the first step's vector, whose overlap is near one. A
-    singular shifted matrix, or no accepted step within INVERSE_STEPS, gives
-    None.
+    ||M||, the accuracy of a backward-stable eigensolver, up to d =
+    RESIDUAL_DIM. The rounding floor of the residual grows with d (about 8,
+    22 and 25 eps ||M|| at d = 196, 900 and 1600), so beyond RESIDUAL_DIM the
+    bound grows like sqrt(d / RESIDUAL_DIM); a fixed bound sends large
+    matrices to eigh. After one step the residual is about the shift over
+    the start vector's overlap with the eigenvector, which meets the bound
+    for small d only; the second step starts from the first step's vector,
+    whose overlap is near one. A singular shifted matrix, or no accepted step
+    within INVERSE_STEPS, gives None.
     """
     eps = np.finfo(float).eps
     sigma = lam + SHIFT_ULPS * eps * scale
-    bound = RESIDUAL_ULPS * eps * scale
-    vec = _start_vector(mat.shape[0])
+    d = mat.shape[0]
+    bound = RESIDUAL_ULPS * max(1.0, math.sqrt(d / RESIDUAL_DIM)) * eps * scale
+    vec = _start_vector(d)
     for _ in range(INVERSE_STEPS):
         try:
             vec = _shifted_solve(mat, sigma, vec)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import framecast
@@ -188,6 +189,37 @@ class TestVerify:
     def test_scale_guard(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--n", "9")
         assert code == 1
+
+    @pytest.mark.parametrize("fault", ["similar", "improper", "scaled"])
+    def test_geometry_rejects_non_rotations(self, capsys, monkeypatch, fault):
+        from framecast import cli
+
+        exact = cli.rotation_matrix_components
+        stretch = np.diag([1.0, 1.0 + 1e-6, 1.0])
+
+        def wrong(*angles):
+            rmats = exact(*angles)
+            if fault == "similar":
+                # S R S^-1 keeps R's spectrum, trace, R_zz and R_xx + R_yy
+                return stretch @ rmats @ np.linalg.inv(stretch)
+            if fault == "improper":
+                return rmats * np.array([-1.0, 1.0, 1.0])  # column 0 negated: det R = -1
+            return (1.0 + 1e-9) * rmats
+
+        monkeypatch.setattr(cli, "rotation_matrix_components", wrong)
+        code, out, _ = run_cli(capsys, "verify", "--check", "geometry")
+        assert code == 3
+        row = out.splitlines()[1].split()
+        assert (row[0], row[-1]) == ("geometry-identities", "FAIL")
+
+    def test_runs_no_per_matrix_eigensolver(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        code, out, _ = run_cli(capsys, "verify", "--n", "6")
+        assert code == 0
+        assert "all checks passed" in out
 
 
 class TestSweep:
@@ -388,8 +420,6 @@ class TestSimulate:
         assert haar_doc == fixed_doc
 
     def test_raw_csv_rows_rebuild_their_cosines(self, capsys, tmp_path):
-        import numpy as np
-
         from framecast import rotation_matrix_components
 
         raw_path = tmp_path / "raw.csv"
@@ -424,6 +454,8 @@ BAD_NUMERIC_FLAGS = [
     (["simulate", "--n", "2", "--samples", "0"], "argument --samples: must be >= 1"),
     (["simulate", "--n", "2", "--samples", "1"], "--samples must be >= 2"),
     (["simulate", "--n", "0"], "argument --n: must be >= 1"),
+    (["verify", "--n", "0"], "--n must be between 1 and 6"),
+    (["sweep", "--n", "5..3"], "invalid n range '5..3'"),
 ] + [
     ([command, "--n", "2", "--objective", "weighted", flag, value],
      "objective weights must be finite")
@@ -438,5 +470,7 @@ def test_bad_numeric_flag_is_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert message in err
+    # the error names its subcommand, whichever check refused the value
+    assert err.startswith(f"usage: framecast {argv[0]} [-h]")
+    assert f"framecast {argv[0]}: error: {message}" in err
     assert "Traceback" not in err

@@ -167,6 +167,29 @@ class TestTopEigenpairOracle:
         lam, vec = optimizer._top_eigh(mat)
         self._check(mat, lam, vec)
 
+    @pytest.mark.parametrize("matrix", ["random", "xyz-uniform"])
+    @pytest.mark.parametrize("d", [900, 1600])
+    def test_large_d_needs_no_eigh(self, rng, monkeypatch, d, matrix):
+        # the rounding floor of the residual grows with d: at d = 1600 the
+        # second step ends at 21-23 eps ||M|| on the xyz matrix and 14-24 on
+        # the random one (by BLAS thread count), so a bound fixed at 16 eps
+        # ||M|| sends the xyz one, and the random one on one thread, to eigh
+        if matrix == "random":
+            mat = _spectrum_matrix(rng, d, 0.3, "real")
+        else:
+            n = math.isqrt(d)
+            mat = build_m(cached_tensor(Objective.xyz_axes(), n - 1), FiducialState.uniform(n))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh fallback")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        lam, vec = optimizer._top_eigh(mat)
+        monkeypatch.undo()
+        w_ref, v_ref = lapack_eigh(mat, subset_by_index=[d - 2, d - 1], driver="evr")
+        assert abs(lam - w_ref[-1]) < 1e-12
+        assert abs(abs(np.vdot(v_ref[:, -1], vec)) - 1.0) < 1e-10
+
     @pytest.mark.parametrize("failure", ["singular", "residual"])
     def test_uncertified_vector_falls_back_to_eigh(self, rng, monkeypatch, failure):
         if failure == "singular":
