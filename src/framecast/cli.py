@@ -223,19 +223,23 @@ def cmd_verify(args, parser) -> int:
     if args.check != "all" and not any(args.check in name for name in VERIFY_CHECKS):
         parser.error(f"--check {args.check!r} matches no check; valid names: "
                      + ", ".join(VERIFY_CHECKS))
-    failures = []
-    print(f"{'check':32s} {'worst':>12s} {'tol':>9s}  status")
+    rows = []
+    if not args.json:
+        print(f"{'check':32s} {'worst':>12s} {'tol':>9s}  status")
     for name, worst, tol in _verify_checks(args.n, args.seed, args.inject_fault, args.check):
-        status = "PASS" if worst < tol else "FAIL"
-        print(f"{name:32s} {worst:12.3e} {tol:9.0e}  {status}")
-        if status == "FAIL":
-            failures.append((name, worst, tol))
-    if failures:
-        worst_name, worst_val, tol = max(failures, key=lambda item: item[1] / item[2])
-        print(f"FAILED: worst offender {worst_name} deviates {_fmt(worst_val)} (tol {tol:.0e})")
-        return EXIT_VERIFY_FAILED
-    print("all checks passed")
-    return EXIT_OK
+        rows.append({"name": name, "worst": worst, "tol": tol, "pass": bool(worst < tol)})
+        if not args.json:
+            print(f"{name:32s} {worst:12.3e} {tol:9.0e}  {'PASS' if rows[-1]['pass'] else 'FAIL'}")
+    failures = [row for row in rows if not row["pass"]]
+    if args.json:
+        _emit_json({"checks": rows, "passed": not failures}, None)
+    elif failures:
+        offender = max(failures, key=lambda row: row["worst"] / row["tol"])
+        print(f"FAILED: worst offender {offender['name']} deviates {_fmt(offender['worst'])} "
+              f"(tol {offender['tol']:.0e})")
+    else:
+        print("all checks passed")
+    return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
 def cmd_sweep(args, parser) -> int:
@@ -340,6 +344,9 @@ def build_parser() -> _Parser:
     ver.add_argument("--seed", type=_non_negative_int, default=0)
     ver.add_argument("--check", default="all",
                      help="substring filter: grid, geometry, wigner, coefficients, povm")
+    ver.add_argument("--json", action="store_true",
+                     help='print {"checks": [{"name", "worst", "tol", "pass"}], "passed"} '
+                          "instead of the table")
     ver.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     ver.set_defaults(func=cmd_verify, subparser=ver)
 

@@ -168,22 +168,41 @@ class SparseCoefficientTensor:
                 entries.update(zip(zip(repeat(j), repeat(k), m, n, r, s), block[idx].tolist()))
         return MappingProxyType(entries)
 
-    def contract(self, b: np.ndarray) -> np.ndarray:
-        """Dense Hermitian M[(j,m),(k,n)] = sum_rs f_{jkmnrs} b_{jr} conj(b_{ks}) for flat b.
+    def _pair_values(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat (row, col) indices and values of P, the half of M = P + P^H.
+
+        `contract` and `expectation` both take P from here.
 
         Per coupled pair, S_nu = sum_r <j r; 1 nu|k r+nu> b_{jr} conj(b_{k,r+nu})
         is one scalar and P[(j,m),(k,m+mu)] = sqrt((2j+1)/(2k+1))
-        <j m; 1 mu|k m+mu> sum_nu c_hat_{mu nu} S_nu; the mirror blocks make
-        M = P + P^H, exactly Hermitian, in O(d) work besides the d x d fill.
-        The result is a fresh array that the caller owns.
+        <j m; 1 mu|k m+mu> sum_nu c_hat_{mu nu} S_nu, in O(d) work; the
+        (row, col) pairs are distinct.
         """
         rows, cols, cg, segment, starts, weight = _contraction_plan(self.j_max)
         s = np.add.reduceat(cg * b[rows] * np.conj(b[cols]), starts).reshape(-1, 3)
         vals = cg * (weight[:, None] * (s @ self.c_hat.T)).ravel()[segment]
+        return rows, cols, vals
+
+    def contract(self, b: np.ndarray) -> np.ndarray:
+        """Dense Hermitian M[(j,m),(k,n)] = sum_rs f_{jkmnrs} b_{jr} conj(b_{ks}) for flat b.
+
+        The mirror blocks of `_pair_values` make M = P + P^H, exactly
+        Hermitian, in O(d) work besides the d x d fill. The result is a fresh
+        array that the caller owns.
+        """
+        rows, cols, vals = self._pair_values(b)
         mat = np.zeros((b.size, b.size), dtype=complex)
-        mat[rows, cols] = vals  # the (row, col) pairs are distinct
+        mat[rows, cols] = vals
         mat[cols, rows] += vals.conj()
         return mat
+
+    def expectation(self, a: np.ndarray, b: np.ndarray) -> float:
+        """<a|M|a> for M = contract(b) in O(d), with no d x d array.
+
+        M = P + P^H makes it 2 Re sum conj(a_row) P[row, col] a_col.
+        """
+        rows, cols, vals = self._pair_values(b)
+        return 2.0 * float(np.vdot(a[rows], vals * a[cols]).real)
 
 
 def moment_tensor(c, j_max: int) -> SparseCoefficientTensor:

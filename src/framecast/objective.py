@@ -170,12 +170,15 @@ def expected_value(m: np.ndarray, a: AliceState) -> float:
 
 def fidelity_report(a: AliceState, b: FiducialState,
                     objective: Objective = Objective.xyz_axes()) -> FidelityReport:
-    """Expected cosines of the state pair, scored under the given objective."""
+    """Expected cosines of the state pair, scored under the given objective.
+
+    Each cosine is the z or xy tensor's `expectation`, so no d x d matrix is built.
+    """
     if a.n != b.n:
         raise ValueError("state dimensions differ")
     j_max = a.n - 1
-    cos_z = expected_value(build_m(cached_tensor(Objective.z_axis(), j_max), b), a)
-    cos_xy = expected_value(build_m(cached_tensor(Objective.xy_axes(), j_max), b), a)
+    cos_z = cached_tensor(Objective.z_axis(), j_max).expectation(a.a, b.b)
+    cos_xy = cached_tensor(Objective.xy_axes(), j_max).expectation(a.a, b.b)
     lam = objective.w_z * cos_z + objective.w_xy * cos_xy
     k = objective.axis_count
     active = (cos_z if objective.w_z > 0 else 0.0) + (cos_xy if objective.w_xy > 0 else 0.0)

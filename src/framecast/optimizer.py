@@ -9,10 +9,14 @@ Round 1 solves densely for the top eigenpair: the spectrum from eigvalsh, the
 vector by inverse iteration at that eigenvalue, numpy alone. Every later
 round takes the top Ritz pair of a small Lanczos basis started at the
 previous sender state, so the trajectory never decreases and its entries
-after round 1 are Ritz values. Once a round looks converged, one dense solve
-certifies that the Ritz pair is the top eigenpair; if it is not, the loop
-continues from the dense pair. The round count may therefore differ by a few
-from an all-dense loop, while the converged fixed point is the same.
+after round 1 are Ritz values. Once a round looks converged, one Cholesky
+factorization proves that the Ritz pair lies within the stopping rule of the
+top eigenpair (`_certified`), and the certified round's entry is the Ritz
+value. Where no proof is found (a degenerate top eigenvalue, or a Krylov
+space that missed the top eigenvector), one dense solve decides, and the loop
+continues from the dense pair if it differs. The round count may therefore
+differ by a few from an all-dense loop, while the converged fixed point is
+the same.
 
 A derivative-free direct search over unconstrained amplitudes (small n only)
 serves as an independent cross-check, and sweeps over n feed the asymptotic
@@ -50,9 +54,20 @@ DEGENERACY_GAP = 1e-12
 # Lanczos basis size of the warm rounds after the first
 KRYLOV_DIM = 6
 
+# Lanczos basis size of the certificate's second pass, run when the round's
+# own Ritz pair cannot pass the Cholesky test
+CERT_KRYLOV_DIM = 24
+
+# the certificate's gap g is at least CERT_ULPS d eps ||M||_inf, far above the
+# rounding error of forming and factoring its d x d operand
+CERT_ULPS = 1e3
+
+# row blocks of this many entries form the certificate's operand in place
+ROW_BLOCK_ENTRIES = 1 << 13
+
 # inverse iteration shifts to lambda_1 + SHIFT_ULPS eps ||M|| and accepts a unit
-# vector once ||M v - lambda_1 v|| <= RESIDUAL_ULPS eps ||M|| max(1, sqrt(d /
-# RESIDUAL_DIM)), within INVERSE_STEPS steps; eigh decides otherwise
+# vector v once ||M v - rho v|| <= RESIDUAL_ULPS eps ||M|| max(1, sqrt(d /
+# RESIDUAL_DIM)) for rho = v^H M v, within INVERSE_STEPS steps; eigh decides otherwise
 SHIFT_ULPS = 4
 RESIDUAL_ULPS = 16
 RESIDUAL_DIM = 196
@@ -139,21 +154,26 @@ def _shifted_solve(mat: np.ndarray, sigma: float, rhs: np.ndarray) -> np.ndarray
         np.fill_diagonal(mat, diagonal)
 
 
-def _inverse_iteration(mat: np.ndarray, lam: float, scale: float) -> np.ndarray | None:
+def _inverse_iteration(mat: np.ndarray, lam: float, lam_next: float,
+                       scale: float) -> np.ndarray | None:
     """Unit eigenvector for the top eigenvalue lam of M, or None if it cannot be certified.
 
     Inverse iteration (Ipsen, SIAM Rev. 39, 254, 1997) from `_start_vector`,
-    shifted SHIFT_ULPS eps ||M|| above lam, where scale = ||M||. A step is
-    accepted once the residual ||M v - lam v|| is at most RESIDUAL_ULPS eps
-    ||M||, the accuracy of a backward-stable eigensolver, up to d =
-    RESIDUAL_DIM. The rounding floor of the residual grows with d (about 8,
-    22 and 25 eps ||M|| at d = 196, 900 and 1600), so beyond RESIDUAL_DIM the
-    bound grows like sqrt(d / RESIDUAL_DIM); a fixed bound sends large
-    matrices to eigh. After one step the residual is about the shift over
-    the start vector's overlap with the eigenvector, which meets the bound
-    for small d only; the second step starts from the first step's vector,
-    whose overlap is near one. A singular shifted matrix, or no accepted step
-    within INVERSE_STEPS, gives None.
+    shifted SHIFT_ULPS eps ||M|| above lam, where scale = ||M|| and lam_next
+    is the second eigenvalue (-inf for d = 1). A step's unit vector v is
+    accepted once its Rayleigh quotient rho = v^H M v, from the same matrix
+    product, lies closer to lam than to lam_next and the residual
+    ||M v - rho v|| is at most RESIDUAL_ULPS eps ||M||, the accuracy of a
+    backward-stable eigensolver, up to d = RESIDUAL_DIM. Measured against rho
+    rather than lam, the residual does not carry eigvalsh's own eigenvalue
+    error. The rounding floor of the residual grows with d (about 8, 22 and
+    25 eps ||M|| at d = 196, 900 and 1600), so beyond RESIDUAL_DIM the bound
+    grows like sqrt(d / RESIDUAL_DIM); a fixed bound sends large matrices to
+    eigh. After one step the residual is about the shift over the start
+    vector's overlap with the eigenvector, which meets the bound for small d
+    only; the second step starts from the first step's vector, whose overlap
+    is near one. A singular shifted matrix, or no accepted step within
+    INVERSE_STEPS, gives None.
     """
     eps = np.finfo(float).eps
     sigma = lam + SHIFT_ULPS * eps * scale
@@ -166,7 +186,9 @@ def _inverse_iteration(mat: np.ndarray, lam: float, scale: float) -> np.ndarray 
         except np.linalg.LinAlgError:
             return None
         vec = vec / _norm(vec)
-        if _norm(mat @ vec - lam * vec) <= bound:
+        image = mat @ vec
+        rho = np.vdot(vec, image).real
+        if abs(rho - lam) < abs(rho - lam_next) and _norm(image - rho * vec) <= bound:
             return vec
     return None
 
@@ -195,34 +217,40 @@ def _top_eigh(mat: np.ndarray, previous: np.ndarray | None = None) -> tuple[floa
         if nrm > 1e-8:
             vec = proj / nrm
         return lam, _gauge_fixed(vec)
-    vec = _inverse_iteration(mat, lam, max(-float(w[0]), lam))
+    lam_next = float(w[-2]) if w.size > 1 else -math.inf
+    vec = _inverse_iteration(mat, lam, lam_next, max(-float(w[0]), lam))
     if vec is None:
         w, v = np.linalg.eigh(mat)
         lam, vec = float(w[-1]), v[:, -1]
     return lam, _gauge_fixed(vec)
 
 
-def _ritz_step(mat: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top Ritz pair of a Lanczos basis of up to KRYLOV_DIM vectors started at `start`.
+def _ritz_step(mat: np.ndarray, start: np.ndarray,
+               krylov_dim: int = KRYLOV_DIM) -> tuple[float, np.ndarray, float]:
+    """Top Ritz pair and second Ritz value of a Lanczos basis of up to krylov_dim vectors.
 
-    Every new vector is orthogonalized twice against the whole basis (full
-    reorthogonalization); the basis stops early when the Krylov space closes.
-    `start` lies in the basis, so the Ritz value is at least its Rayleigh
-    quotient and at most the top eigenvalue.
+    The basis starts at `start`. Every new vector is orthogonalized twice
+    against the whole basis (full reorthogonalization); the basis stops early
+    when the Krylov space closes. `start` lies in the basis, so the top Ritz
+    value is at least its Rayleigh quotient and at most the top eigenvalue.
+    The second Ritz value is at most the second eigenvalue (Cauchy
+    interlacing), -inf when the basis closes at one vector.
     """
-    # rows are the basis vectors, so V^H w = conj(V^T conj(w)) needs no matrix conjugate
-    basis = np.empty((min(KRYLOV_DIM, start.size), start.size), dtype=complex)
+    # rows are the basis vectors; their conjugates give V^H w as one product
+    basis = np.empty((min(krylov_dim, start.size), start.size), dtype=complex)
+    conj_basis = np.empty_like(basis)
     images = np.empty_like(basis)
     basis[0] = start / _norm(start)
     size = 1
     while True:
+        np.conjugate(basis[size - 1], out=conj_basis[size - 1])
         images[size - 1] = mat @ basis[size - 1]
         if size == len(basis):
             break
         vec = images[size - 1]
         for _ in range(2):
             kept = _norm(vec)
-            vec = vec - (basis[:size] @ vec.conj()).conj() @ basis[:size]
+            vec = vec - (conj_basis[:size] @ vec) @ basis[:size]
         nrm = _norm(vec)
         # twice is enough (Kahan-Parlett): if the second pass still removes
         # more than a 1/sqrt(2) share, the vector lies in the span and the space closed
@@ -230,11 +258,11 @@ def _ritz_step(mat: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
             break
         basis[size] = vec / nrm
         size += 1
-    basis, images = basis[:size], images[:size]
-    h = basis.conj() @ images.T
+    h = conj_basis[:size] @ images[:size].T
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    vec = v[:, -1] @ basis
-    return float(w[-1]), _gauge_fixed(vec / _norm(vec))
+    vec = v[:, -1] @ basis[:size]
+    second = float(w[-2]) if size > 1 else -math.inf
+    return float(w[-1]), _gauge_fixed(vec / _norm(vec)), second
 
 
 def _close(lam: float, vec: np.ndarray, lam_ref: float, vec_ref: np.ndarray, tol: float) -> bool:
@@ -247,6 +275,81 @@ def _close(lam: float, vec: np.ndarray, lam_ref: float, vec_ref: np.ndarray, tol
     overlap = np.vdot(vec, vec_ref)
     phase = overlap / abs(overlap) if overlap != 0 else 1.0
     return bool(abs(lam - lam_ref) < tol and _norm(phase * vec - vec_ref) < math.sqrt(tol))
+
+
+def _certified(mat: np.ndarray, lam: float, vec: np.ndarray, second: float,
+               tol: float) -> tuple[float, np.ndarray] | None:
+    """A Ritz pair that one Cholesky factorization proves close to M's top eigenpair, or None.
+
+    For the Ritz pair (rho, v) = (lam, vec) with residual r = ||M v - rho v||,
+    let c = 2 ||M||_inf, F = CERT_ULPS d eps ||M||_inf and
+    g = max(2 r / sqrt(tol), F). If A = (rho - g - F) I - M + c w w^H has a
+    Cholesky factorization (w = v, or its real part when M is real; any w
+    will do), then M - c w w^H < (rho - g) I, and interlacing for a rank-one
+    update gives lambda_2(M) < rho - g. F covers the rounding error of
+    forming and factoring A: a few d eps ||A|| in practice, (d + 1) d eps
+    ||A|| at worst (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 10), with ||A|| <= 6 ||M||_inf, so below F up to d = 165. Then
+    (Parlett, The Symmetric Eigenvalue Problem, 1998) Kato-Temple gives
+    0 <= lambda_1 - rho <= r^2 / g, required below tol, and the sin theta
+    bound gives sin angle(v, u_1) <= r / g <= sqrt(tol) / 2: the stopping
+    rule of `_close`, proven against the top eigenpair.
+
+    Interlacing also puts the second Ritz value `second` below lambda_2, so
+    the factorization cannot succeed when second >= rho - g - F. A few-vector
+    basis's second Ritz value often lies far below lambda_2, so the round's
+    pair is tested only when second < rho - 2 g - F; otherwise one longer
+    Lanczos pass from v (CERT_KRYLOV_DIM vectors) gives the pair to test.
+    The pair that passes is returned unchanged. A degenerate top eigenvalue,
+    or a Krylov space that missed u_1, gives None.
+
+    M must be a C-contiguous array that the caller owns and no longer needs:
+    the operand is formed in its buffer, row block by row block, as a real
+    array when M has no imaginary part (a complex M that owns its buffer then
+    shrinks to the operand's half before the factorization).
+    """
+    d = mat.shape[0]
+    step = max(1, ROW_BLOCK_ENTRIES // d)
+    blocks = [slice(i, i + step) for i in range(0, d, step)]
+    scale = max(float(np.abs(mat[rows]).sum(axis=1).max()) for rows in blocks)
+    floor = CERT_ULPS * d * np.finfo(float).eps * scale
+
+    def provable_gap(lam, vec):
+        r = _norm(mat @ vec - lam * vec)
+        gap = max(2.0 * r / math.sqrt(tol), floor)
+        return gap if r * r < tol * gap else None
+
+    gap = provable_gap(lam, vec)
+    if gap is None or second >= lam - 2.0 * gap - floor:
+        lam, vec, second = _ritz_step(mat, vec, CERT_KRYLOV_DIM)
+        gap = provable_gap(lam, vec)
+        if gap is None or second >= lam - gap - floor:
+            return None
+    complex_mat = np.iscomplexobj(mat)
+    real = not complex_mat or not mat.imag.any()
+    w = vec.real if real else vec
+    operand = mat
+    if real and complex_mat:
+        # the real operand fills the first half of M's buffer; block i's rows
+        # lie at or before the complex rows it reads, which later blocks need
+        operand = mat.view(np.float64).reshape(-1)[: d * d].reshape(d, d)
+    cw, w_conj = 2.0 * scale * w, w.conj()
+    for rows in blocks:
+        term = np.outer(cw[rows], w_conj)
+        term -= mat[rows].real if real else mat[rows]
+        operand[rows] = term
+    if operand is not mat and mat.flags.owndata:
+        # the factorization copies its operand twice; the unused half goes first
+        del operand
+        mat.resize((d * d + 1) // 2, refcheck=False)
+        operand = mat.view(np.float64)[: d * d].reshape(d, d)
+    diagonal = np.arange(d)
+    operand[diagonal, diagonal] += lam - gap - floor
+    try:
+        np.linalg.cholesky(operand)
+    except np.linalg.LinAlgError:
+        return None
+    return lam, vec
 
 
 def b_from_a(a: AliceState) -> FiducialState:
@@ -277,6 +380,27 @@ def _initial_fiducial(init, n: int, rng: np.random.Generator) -> FiducialState:
     raise ValueError(f"unknown init {init!r}")
 
 
+def _round(tensor: SparseCoefficientTensor, bvec: np.ndarray, a_prev: np.ndarray | None,
+           lam_prev: float | None, tol: float) -> tuple[float, np.ndarray, bool]:
+    """One round at fiducial amplitudes bvec: the round's pair and whether the loop converged.
+
+    The objective matrix lives only inside this call, so no two of them
+    coexist across rounds.
+    """
+    m = tensor.contract(bvec)
+    if a_prev is None:
+        return *_top_eigh(m), False
+    lam, vec, second = _ritz_step(m, a_prev)
+    if not _close(lam, vec, lam_prev, a_prev, tol):
+        return lam, vec, False
+    certified = _certified(m, lam, vec, second, tol)
+    if certified is not None:
+        return *certified, True
+    del m  # its buffer holds the certificate's operand; the dense solve contracts afresh
+    dense_lam, dense_vec = _top_eigh(tensor.contract(bvec), previous=a_prev)
+    return dense_lam, dense_vec, _close(dense_lam, dense_vec, lam, vec, tol)
+
+
 def fixed_point_optimize(
     tensor: SparseCoefficientTensor,
     n: int,
@@ -289,32 +413,30 @@ def fixed_point_optimize(
 
     Round 1 takes the dense top eigenpair, later rounds the warm Ritz pair
     (`_ritz_step`). Once the objective value moves by less than tol and the
-    sender state, up to its global phase, by less than sqrt(tol), a dense
-    solve certifies the round: the loop stops if the dense pair agrees with
-    the Ritz pair within the same tolerances and otherwise continues from the
-    dense pair. Without a certified round it runs to max_iter and reports
-    converged=False. A decrease of the trajectory beyond 1e-9 aborts: the
-    quadratic form must make that impossible.
+    sender state, up to its global phase, by less than sqrt(tol), the round
+    is checked (`_round`): a Cholesky certificate that proves the Ritz pair
+    within the same tolerances of the top eigenpair stops the loop with the
+    Ritz value as the round's entry; otherwise a dense solve decides, and the
+    loop stops if the dense pair agrees with the Ritz pair and continues from
+    the dense pair if not. Without a certified round it runs to max_iter and
+    reports converged=False. A decrease of the trajectory beyond 1e-9 aborts:
+    the quadratic form must make that impossible. The rounds work on plain
+    amplitude vectors; the returned states are built and validated once.
     """
     if not tol > 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
+    if tensor.j_max != n - 1:
+        raise ValueError(f"tensor j_max={tensor.j_max} does not match state n={n}")
     rng = np.random.default_rng(seed)
-    b = _initial_fiducial(init, n, rng)
+    bvec = _initial_fiducial(init, n, rng).b
+    sizes = 2 * np.arange(n) + 1
     lam_prev = None
     a_prev = None
     trajectory = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        m = build_m(tensor, b)
-        if a_prev is None:
-            lam, vec = _top_eigh(m)
-        else:
-            lam, vec = _ritz_step(m, a_prev)
-            if _close(lam, vec, lam_prev, a_prev, tol):
-                ritz_lam, ritz_vec = lam, vec
-                lam, vec = _top_eigh(m, previous=a_prev)
-                converged = _close(lam, vec, ritz_lam, ritz_vec, tol)
+        lam, vec, converged = _round(tensor, bvec, a_prev, lam_prev, tol)
         if lam_prev is not None and lam < lam_prev - DECREASE_ABORT:
             raise RuntimeError(
                 f"objective decreased from {lam_prev!r} to {lam!r} at iteration "
@@ -322,11 +444,16 @@ def fixed_point_optimize(
             )
         trajectory.append(lam)
         a_prev, lam_prev = vec, lam
-        b = b_from_a(AliceState(n, vec))
+        norms = block_norms(vec, n)
+        if norms.min() >= 1e-14:
+            bvec = vec / np.repeat(norms, sizes)
+        else:
+            bvec = b_from_a(AliceState(n, vec)).b
         if converged:
             break
     a = AliceState(n, a_prev)
-    lam_final = expected_value(build_m(tensor, b), a)
+    b = b_from_a(a)
+    lam_final = tensor.expectation(a.a, b.b)
     return OptimizationResult(
         a=a,
         b=b,

@@ -179,6 +179,18 @@ class TestVerify:
         assert code == 3
         assert "worst offender" in out
 
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_json_matches_the_table(self, capsys, fault):
+        argv = ["verify", "--n", "4", "--seed", "2"] + (["--inject-fault"] if fault else [])
+        table_code, table, _ = run_cli(capsys, *argv)
+        json_code, out, _ = run_cli(capsys, *argv, "--json")
+        doc = json.loads(out)
+        assert json_code == table_code == (3 if fault else 0)
+        assert doc["passed"] is not fault
+        rows = [line.split() for line in table.splitlines()[1:-1]]
+        assert [[check["name"], f"{check['worst']:.3e}", f"{check['tol']:.0e}",
+                 "PASS" if check["pass"] else "FAIL"] for check in doc["checks"]] == rows
+
     def test_injected_fault_at_single_level_is_usage_error(self, capsys):
         # at n = 1 no block pair is coupled, so the fault would corrupt nothing
         code, out, err = run_cli(capsys, "verify", "--n", "1", "--inject-fault")

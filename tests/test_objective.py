@@ -9,6 +9,7 @@ from framecast import (
     AliceState,
     FiducialState,
     Objective,
+    SparseCoefficientTensor,
     assemble_tensor,
     big_d_matrix,
     block_slice,
@@ -94,6 +95,14 @@ class TestBuildM:
             mat = build_m(tensor, b)
             assert np.array_equal(mat, mat.conj().T)
             assert np.max(np.abs(mat - expanded_entry_matrix(tensor, b))) < 1e-14, n
+
+    @pytest.mark.parametrize("name", list(FACTORED_CASES))
+    def test_expectation_matches_the_dense_form(self, name, rng):
+        for n in (1, 2, 3, 7, 12):
+            tensor = FACTORED_CASES[name](n - 1)
+            alice, b = random_alice(n, rng), FiducialState.random(n, rng)
+            dense = expected_value(build_m(tensor, b), alice)
+            assert abs(tensor.expectation(alice.a, b.b) - dense) < 1e-14, n
 
     def test_large_level_never_expands_entries(self):
         tensor = assemble_tensor(Objective.xyz_axes(), 49)
@@ -230,6 +239,18 @@ class TestFidelityReport:
         z_only = fidelity_report(alice, b, Objective.z_axis())
         assert z_only.lam == pytest.approx(report.expect_cos_z, abs=1e-12)
         assert z_only.mse_per_axis == pytest.approx((1 - report.expect_cos_z) / 2, abs=1e-12)
+
+    def test_large_level_builds_no_matrix(self, rng, monkeypatch):
+        # at n = 50 a d x d matrix is 100 MB; the report needs none
+        alice, b = random_alice(50, rng), FiducialState.random(50, rng)
+
+        def refuse(self, b):
+            raise AssertionError("fidelity_report contracted a d x d matrix")
+
+        monkeypatch.setattr(SparseCoefficientTensor, "contract", refuse)
+        report = fidelity_report(alice, b, Objective.xyz_axes())
+        assert abs(report.expect_cos_z) <= 1.0 and abs(report.expect_cos_xy) <= 2.0
+        assert report.lam == pytest.approx(report.expect_cos_sum, abs=1e-12)
 
     def test_report_json_fields(self, rng):
         report = fidelity_report(random_alice(2, rng), FiducialState.uniform(2))

@@ -190,6 +190,29 @@ class TestTopEigenpairOracle:
         assert abs(lam - w_ref[-1]) < 1e-12
         assert abs(abs(np.vdot(v_ref[:, -1], vec)) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_residual_is_measured_against_the_rayleigh_quotient(self, rng, monkeypatch, kind):
+        # an eigvalsh whose top eigenvalue is off by 60 eps ||M||, beyond the
+        # 16 eps ||M|| residual bound: the exact vector is still accepted,
+        # since its residual is taken against its own Rayleigh quotient
+        d = 196
+        mat = _spectrum_matrix(rng, d, 0.3, kind)
+        eigvalsh = np.linalg.eigvalsh
+
+        def shifted(m):
+            w = eigvalsh(m)
+            return w + 60 * np.finfo(float).eps * np.max(np.abs(w))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh fallback")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        _, vec = optimizer._top_eigh(mat)
+        monkeypatch.undo()
+        _, v_ref = lapack_eigh(mat, subset_by_index=[d - 2, d - 1], driver="evr")
+        assert abs(abs(np.vdot(v_ref[:, -1], vec)) - 1.0) < 1e-10
+
     @pytest.mark.parametrize("failure", ["singular", "residual"])
     def test_uncertified_vector_falls_back_to_eigh(self, rng, monkeypatch, failure):
         if failure == "singular":
@@ -211,6 +234,73 @@ class TestTopEigenpairOracle:
         assert calls == [(25, 25)]
         monkeypatch.undo()
         self._check(mat, lam, vec)
+
+
+class TestCertificate:
+    """`_certified` against numpy's full eigh, which shares no code with its proof."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 40), st.floats(-8.0, 0.0),
+           st.sampled_from(["at", "near", "away", "random", "tilted", "second"]),
+           st.sampled_from(["real", "real-valued", "complex"]), st.sampled_from([1e-12, 1e-8]),
+           st.integers(0, 2**32 - 1))
+    def test_accepts_only_proven_top_pairs(self, d, log_gap, start, kind, tol, seed):
+        rng = np.random.default_rng(seed)
+        gap = 10.0 ** log_gap
+        mat = _spectrum_matrix(rng, d, gap, kind)
+        w, v = np.linalg.eigh(mat)
+        top = v[:, -1]
+        noise = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        if start in ("tilted", "second"):
+            # a pair handed over as is, with no second Ritz value to skip on:
+            # the factorization alone must refuse it
+            vec = top + 1e-5 * v[:, -2] if start == "tilted" else v[:, -2]
+            vec = vec / np.linalg.norm(vec)
+            lam, second = np.vdot(vec, mat @ vec).real, -math.inf
+        else:
+            scale = {"at": 0.0, "near": 1e-7, "away": 0.3, "random": 1e3}[start]
+            lam, vec, second = optimizer._ritz_step(mat, top + scale * noise)
+        residual = np.linalg.norm(mat @ vec - lam * vec)
+        g = 2 * residual / math.sqrt(tol)
+        result = optimizer._certified(mat.copy(), lam, vec, second, tol)
+        if start == "second":
+            assert result is None
+        elif start == "tilted" and gap <= g and residual**2 < tol * g:
+            # the proof needs lambda_2 < rho - g; r^2 < tol g keeps the pair
+            # itself under test, with no longer Lanczos pass
+            assert result is None
+        if result is None:
+            return
+        lam, vec = result
+        residual = np.linalg.norm(mat @ vec - lam * vec)
+        assert abs(w[-1] - lam) < tol
+        assert abs(np.vdot(top, vec)) >= 1 - tol / 8
+        assert w[-1] - w[-2] > 2 * residual / math.sqrt(tol)
+
+    def test_rejects_a_degenerate_top(self, rng):
+        m, _ = TestTopEigenpair._degenerate_matrix(rng, 4, 2)
+        lam, vec, second = optimizer._ritz_step(m, rng.standard_normal(16) + 0j)
+        assert optimizer._certified(m.copy(), lam, vec, second, 1e-12) is None
+
+    @pytest.mark.parametrize("kind", ["real-valued", "complex"])
+    def test_forms_its_operand_in_place(self, rng, monkeypatch, kind):
+        # the operand lives in M's own buffer, real when M has no imaginary part
+        mat = _spectrum_matrix(rng, 49, 0.3, kind)
+        w, v = np.linalg.eigh(mat)
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def spy(operand):
+            factored.append(operand)
+            return cholesky(operand)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        owned, top = mat.copy(), v[:, -1]
+        result = optimizer._certified(owned, w[-1], top, -math.inf, 1e-12)
+        assert result is not None and result[1] is top
+        (operand,) = factored
+        assert np.shares_memory(operand, owned)
+        assert operand.dtype == (float if kind == "real-valued" else complex)
 
 
 class TestBFromA:
@@ -346,7 +436,10 @@ class _FixedMatrixTensor:
         self.mat = mat
 
     def contract(self, b):
-        return self.mat
+        return self.mat.copy()  # a fresh array that the caller owns, as contract's is
+
+    def expectation(self, a, b):
+        return float(np.vdot(a, self.mat @ a).real)
 
 
 class TestWarmRounds:
@@ -358,13 +451,16 @@ class TestWarmRounds:
         if not real:
             raw = raw + 1j * rng.standard_normal((d, d))
         herm = (raw + raw.conj().T) / 2
-        top = np.linalg.eigvalsh(herm)[-1]
+        spectrum = np.linalg.eigvalsh(herm)
+        top = spectrum[-1]
         start = np.linalg.eigh(herm)[1][:, -1] + spread * (
             rng.standard_normal(d) + 1j * rng.standard_normal(d))
         start /= np.linalg.norm(start)
-        lam, vec = optimizer._ritz_step(herm, start)
+        lam, vec, second = optimizer._ritz_step(herm, start)
         assert lam >= np.vdot(start, herm @ start).real - 1e-12
         assert lam <= top + 1e-12
+        # Cauchy interlacing: the second Ritz value never exceeds lambda_2
+        assert second <= (spectrum[-2] if d > 1 else -math.inf) + 1e-12
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
         assert abs(np.vdot(vec, herm @ vec).real - lam) < 1e-10
         pivot = vec[np.argmax(np.abs(vec))]
@@ -384,6 +480,7 @@ class TestWarmRounds:
         w_low, v_low = np.linalg.eigh(mat[:3, :3])
         trap[:3] = v_low[:, -1]
         assert optimizer._ritz_step(mat, trap)[0] == pytest.approx(w_low[-1], abs=1e-12)
+        assert optimizer._certified(mat.copy(), w_low[-1], trap, -math.inf, 1e-12) is None
 
         dense = optimizer._top_eigh
         calls = []
@@ -400,8 +497,9 @@ class TestWarmRounds:
         assert result.lam == pytest.approx(w[-1], abs=1e-12)
         assert abs(abs(np.vdot(v[:, -1], result.a.a)) - 1.0) < 1e-12
         assert result.lambda_trajectory[0] == pytest.approx(w_low[-1], abs=1e-12)
-        # round 1, one rejected certificate, one accepted
-        assert calls == [True, False, False]
+        # round 1, and the dense solve after the rejected certificate; the
+        # Cholesky certificate accepts the next round without one
+        assert calls == [True, False]
 
     @pytest.mark.parametrize("kind", ["z", "xy", "xyz"])
     def test_converged_values_match_the_all_dense_loop(self, kind):
@@ -413,27 +511,46 @@ class TestWarmRounds:
                 reference = _all_dense_fixed_point(tensor, n, init, seed)
                 assert result.lam == pytest.approx(reference, abs=1e-12)
 
-    def test_two_dense_solves_per_fixed_point(self, monkeypatch):
-        dense = optimizer._top_eigh
-        log = []
+    def test_one_dense_solve_per_fixed_point(self, monkeypatch):
+        # round 1 is dense; after that only a rejected certificate takes a dense solve
+        dense, certify = optimizer._top_eigh, optimizer._certified
+        dense_calls, rejected = [], []
 
-        def counted(m, previous=None):
-            lam, vec = dense(m, previous)
-            # a certificate is rejected when the dense pair leaves the Ritz pair
-            rejected = previous is not None and not optimizer._close(
-                lam, vec, *optimizer._ritz_step(m, previous), optimizer.DEFAULT_TOL)
-            log.append(rejected)
-            return lam, vec
+        def counted_dense(m, previous=None):
+            dense_calls.append(previous is None)
+            return dense(m, previous)
 
-        monkeypatch.setattr(optimizer, "_top_eigh", counted)
+        def counted_certify(*args):
+            result = certify(*args)
+            rejected.append(result is None)
+            return result
+
+        monkeypatch.setattr(optimizer, "_top_eigh", counted_dense)
+        monkeypatch.setattr(optimizer, "_certified", counted_certify)
         for kind in ("z", "xy", "xyz"):
             for n in range(2, 7):
                 tensor = cached_tensor(Objective.from_kind(kind), n - 1)
                 for init, seed in [("uniform", None), ("random", 0), ("random", 1)]:
-                    log.clear()
+                    dense_calls.clear()
+                    rejected.clear()
                     result = fixed_point_optimize(tensor, n, init=init, seed=seed, max_iter=2000)
                     assert result.converged
-                    assert len(log) <= 2 + sum(log)
+                    assert dense_calls.count(True) == 1
+                    assert len(dense_calls) == 1 + sum(rejected)
+
+    def test_large_level_takes_one_dense_solve(self, capsys, monkeypatch):
+        # optimize --n 40 --restarts 0: round 1 is the only eigensolve; every
+        # later round, the certificate included, avoids the d = 1600 dense solve
+        from framecast.cli import main
+
+        dense = optimizer._top_eigh
+        calls = []
+        monkeypatch.setattr(optimizer, "_top_eigh",
+                            lambda m, previous=None: calls.append(1) or dense(m, previous))
+        assert main(["optimize", "--n", "40", "--restarts", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"]
+        assert len(calls) == 1
 
     def test_single_round_is_one_dense_solve(self, monkeypatch):
         dense = optimizer._top_eigh
