@@ -81,9 +81,10 @@ def _emit_json(doc: dict, output: Path | None) -> None:
 
 
 def _objective_from_args(args, parser) -> Objective:
+    if args.objective != "weighted" and (args.wz is not None or args.wxy is not None):
+        parser.error(f"--wz and --wxy need --objective weighted, not {args.objective}")
     try:
-        return Objective.from_kind(args.objective, getattr(args, "wz", None),
-                                   getattr(args, "wxy", None))
+        return Objective.from_kind(args.objective, args.wz, args.wxy)
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
 

@@ -5,7 +5,8 @@ expected classical rotation matrix with the set's second-moment matrix c;
 that matrix diagonalizes into three orthogonal axes with non-negative
 weights, so nothing beyond the weighted three-axis problem ever arises. The
 expectation itself is one quadratic form (`coefficients.moment_tensor`), and
-a general c costs one objective matrix, as much as a diagonal one.
+a general c costs one O(d) `expectation`, as much as a diagonal one, with no
+d x d matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficients import SparseCoefficientTensor, moment_tensor
-from .objective import AliceState, FiducialState, build_m, expected_value
+from .objective import AliceState, FiducialState
 
 
 @dataclass(frozen=True)
@@ -127,4 +128,4 @@ def weighted_objective_expectation(a: AliceState, b: FiducialState,
     """Expected weighted sum of direction cosines, E[sum_ab c_ab R_ab], for the moment matrix."""
     if a.n != b.n:
         raise ValueError("state dimensions differ")
-    return expected_value(build_m(moment_tensor(gram.c, a.n - 1), b), a)
+    return moment_tensor(gram.c, a.n - 1).expectation(a.a, b.b)

@@ -10,6 +10,7 @@ Per-axis mean square errors follow from the expected cosines as
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,17 @@ def _coeff_rows(vec: np.ndarray, n: int) -> list:
             for j, m in iter_jm(n)]
 
 
+def _integer(value) -> int:
+    """An index read from a state file; 2.5, a string or inf is an error, not truncated."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"expected an integer index, got {value!r}")
+    return int(value)
+
+
 def _vec_from_rows(n: int, rows) -> np.ndarray:
     vec = np.zeros(total_dim(n), dtype=complex)
     for j, m, re, im in rows:
-        index = AngularIndex(int(j), int(m))
+        index = AngularIndex(_integer(j), _integer(m))
         if index.j >= n:
             raise ValueError(f"coefficient block j={index.j} exceeds n-1={n - 1}")
         vec[flat_index(index.j, index.m)] = re + 1j * im
@@ -69,7 +77,7 @@ class AliceState:
 
     @classmethod
     def from_json(cls, doc: dict) -> "AliceState":
-        n = int(doc["n"])
+        n = _integer(doc["n"])
         return cls(n, _vec_from_rows(n, doc["coefficients"]))
 
 
@@ -119,7 +127,7 @@ class FiducialState:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FiducialState":
-        n = int(doc["n"])
+        n = _integer(doc["n"])
         return cls(n, _vec_from_rows(n, doc["coefficients"]))
 
 

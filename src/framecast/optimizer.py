@@ -5,18 +5,17 @@ top eigenvector as the sender state, then renormalize it per block to get the
 next fiducial state. A few rounds reach a joint fixed point at which the
 fiducial amplitudes are the per-block normalization of the sender amplitudes.
 
-Round 1 solves densely for the top eigenpair: the spectrum from eigvalsh, the
-vector by inverse iteration at that eigenvalue, numpy alone. Every later
-round takes the top Ritz pair of a small Lanczos basis started at the
-previous sender state, so the trajectory never decreases and its entries
-after round 1 are Ritz values. Once a round looks converged, one Cholesky
-factorization proves that the Ritz pair lies within the stopping rule of the
-top eigenpair (`_certified`), and the certified round's entry is the Ritz
-value. Where no proof is found (a degenerate top eigenvalue, or a Krylov
-space that missed the top eigenvector), one dense solve decides, and the loop
-continues from the dense pair if it differs. The round count may therefore
-differ by a few from an all-dense loop, while the converged fixed point is
-the same.
+Every round takes the top Ritz pair of a Lanczos basis: round 1 a wide
+basis (WIDE_KRYLOV_DIM vectors) started at the fiducial amplitudes, every
+later round a small one started at the previous sender state, so the
+trajectory never decreases and its entries are Ritz values. Once a round
+looks converged, one Cholesky factorization proves that the Ritz pair lies
+within the stopping rule of the top eigenpair (`_certified`), and the
+certified round's entry is the Ritz value. Where no proof is found (a
+degenerate top eigenvalue, or a Krylov space that missed the top
+eigenvector), one dense solve decides, and the loop continues from the dense
+pair if it differs. The round count may therefore differ by a few from an
+all-dense loop, while the converged fixed point is the same.
 
 A derivative-free direct search over unconstrained amplitudes (small n only)
 serves as an independent cross-check, and sweeps over n feed the asymptotic
@@ -27,20 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import numpy.random
 
 from .basis import block_norms, block_slice, flat_index, total_dim
 from .coefficients import Objective, SparseCoefficientTensor, cached_tensor
-from .objective import (
-    AliceState,
-    FiducialState,
-    build_m,
-    expected_value,
-    fidelity_report,
-)
+from .objective import AliceState, FiducialState, fidelity_report
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
@@ -54,9 +46,10 @@ DEGENERACY_GAP = 1e-12
 # Lanczos basis size of the warm rounds after the first
 KRYLOV_DIM = 6
 
-# Lanczos basis size of the certificate's second pass, run when the round's
-# own Ritz pair cannot pass the Cholesky test
-CERT_KRYLOV_DIM = 24
+# Lanczos basis size of round 1, started at the fiducial amplitudes, and of the
+# certificate's second pass, run when a round's own Ritz pair cannot pass the
+# Cholesky test: both need the top pair from a start far from it
+WIDE_KRYLOV_DIM = 24
 
 # the certificate's gap g is at least CERT_ULPS d eps ||M||_inf, far above the
 # rounding error of forming and factoring its d x d operand
@@ -64,14 +57,6 @@ CERT_ULPS = 1e3
 
 # row blocks of this many entries form the certificate's operand in place
 ROW_BLOCK_ENTRIES = 1 << 13
-
-# inverse iteration shifts to lambda_1 + SHIFT_ULPS eps ||M|| and accepts a unit
-# vector v once ||M v - rho v|| <= RESIDUAL_ULPS eps ||M|| max(1, sqrt(d /
-# RESIDUAL_DIM)) for rho = v^H M v, within INVERSE_STEPS steps; eigh decides otherwise
-SHIFT_ULPS = 4
-RESIDUAL_ULPS = 16
-RESIDUAL_DIM = 196
-INVERSE_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -126,102 +111,23 @@ def _norm(vec: np.ndarray) -> float:
     return math.sqrt(np.vdot(vec, vec).real)
 
 
-@lru_cache(maxsize=None)
-def _start_vector(d: int) -> np.ndarray:
-    """Fixed real Gaussian start vector of inverse iteration, read-only.
-
-    A draw from a fixed seed has no symmetry that the top eigenvector of a
-    structured M could be orthogonal to, and it never depends on the caller.
-    """
-    vec = np.random.default_rng(0).standard_normal(d)
-    vec.flags.writeable = False
-    return vec
-
-
-def _shifted_solve(mat: np.ndarray, sigma: float, rhs: np.ndarray) -> np.ndarray:
-    """Solution y of (M - sigma I) y = rhs.
-
-    The diagonal of a writable M is shifted in place for the solve and then
-    restored bit for bit, which saves a d x d copy; a read-only M is copied.
-    """
-    if not mat.flags.writeable:
-        mat = mat.copy()
-    diagonal = mat.diagonal().copy()
-    np.fill_diagonal(mat, diagonal - sigma)
-    try:
-        return np.linalg.solve(mat, rhs)
-    finally:
-        np.fill_diagonal(mat, diagonal)
-
-
-def _inverse_iteration(mat: np.ndarray, lam: float, lam_next: float,
-                       scale: float) -> np.ndarray | None:
-    """Unit eigenvector for the top eigenvalue lam of M, or None if it cannot be certified.
-
-    Inverse iteration (Ipsen, SIAM Rev. 39, 254, 1997) from `_start_vector`,
-    shifted SHIFT_ULPS eps ||M|| above lam, where scale = ||M|| and lam_next
-    is the second eigenvalue (-inf for d = 1). A step's unit vector v is
-    accepted once its Rayleigh quotient rho = v^H M v, from the same matrix
-    product, lies closer to lam than to lam_next and the residual
-    ||M v - rho v|| is at most RESIDUAL_ULPS eps ||M||, the accuracy of a
-    backward-stable eigensolver, up to d = RESIDUAL_DIM. Measured against rho
-    rather than lam, the residual does not carry eigvalsh's own eigenvalue
-    error. The rounding floor of the residual grows with d (about 8, 22 and
-    25 eps ||M|| at d = 196, 900 and 1600), so beyond RESIDUAL_DIM the bound
-    grows like sqrt(d / RESIDUAL_DIM); a fixed bound sends large matrices to
-    eigh. After one step the residual is about the shift over the start
-    vector's overlap with the eigenvector, which meets the bound for small d
-    only; the second step starts from the first step's vector, whose overlap
-    is near one. A singular shifted matrix, or no accepted step within
-    INVERSE_STEPS, gives None.
-    """
-    eps = np.finfo(float).eps
-    sigma = lam + SHIFT_ULPS * eps * scale
-    d = mat.shape[0]
-    bound = RESIDUAL_ULPS * max(1.0, math.sqrt(d / RESIDUAL_DIM)) * eps * scale
-    vec = _start_vector(d)
-    for _ in range(INVERSE_STEPS):
-        try:
-            vec = _shifted_solve(mat, sigma, vec)
-        except np.linalg.LinAlgError:
-            return None
-        vec = vec / _norm(vec)
-        image = mat @ vec
-        rho = np.vdot(vec, image).real
-        if abs(rho - lam) < abs(rho - lam_next) and _norm(image - rho * vec) <= bound:
-            return vec
-    return None
-
-
 def _top_eigh(mat: np.ndarray, previous: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of a Hermitian matrix and a phase-gauged unit eigenvector.
+    """Largest eigenvalue of a Hermitian matrix and a phase-gauged unit eigenvector, from eigh.
 
-    The spectrum comes from eigvalsh, the eigenvector from `_inverse_iteration`
-    at its top eigenvalue; where that vector fails its residual bound, the
-    full eigh gives the pair. When the top two eigenvalues lie within
-    DEGENERACY_GAP and a previous state is given, the full eigh is taken and
-    the eigenvector is the normalized projection of the previous state onto
-    the top eigenspace, so the choice inside a degenerate eigenspace stays
-    close to it (the last eigenvector if the projection vanishes).
+    When the top two eigenvalues lie within DEGENERACY_GAP and a previous
+    state is given, the eigenvector is the normalized projection of the
+    previous state onto the top eigenspace, so the choice inside a degenerate
+    eigenspace stays close to it (the last eigenvector if the projection
+    vanishes).
     """
-    # M is real whenever the fiducial amplitudes are (the uniform init of
-    # every axis objective); the real eigvalsh takes a quarter of the flops
-    w = np.linalg.eigvalsh(mat.real if np.iscomplexobj(mat) and not mat.imag.any() else mat)
-    lam = float(w[-1])
+    w, v = np.linalg.eigh(mat)
+    lam, vec = float(w[-1]), v[:, -1]
     if previous is not None and w.size > 1 and w[-1] - w[-2] < DEGENERACY_GAP:
-        w, v = np.linalg.eigh(mat)
-        lam, vec = float(w[-1]), v[:, -1]
         top = v[:, w > lam - DEGENERACY_GAP]
         proj = top @ (top.conj().T @ previous)
         nrm = np.linalg.norm(proj)
         if nrm > 1e-8:
             vec = proj / nrm
-        return lam, _gauge_fixed(vec)
-    lam_next = float(w[-2]) if w.size > 1 else -math.inf
-    vec = _inverse_iteration(mat, lam, lam_next, max(-float(w[0]), lam))
-    if vec is None:
-        w, v = np.linalg.eigh(mat)
-        lam, vec = float(w[-1]), v[:, -1]
     return lam, _gauge_fixed(vec)
 
 
@@ -299,7 +205,7 @@ def _certified(mat: np.ndarray, lam: float, vec: np.ndarray, second: float,
     the factorization cannot succeed when second >= rho - g - F. A few-vector
     basis's second Ritz value often lies far below lambda_2, so the round's
     pair is tested only when second < rho - 2 g - F; otherwise one longer
-    Lanczos pass from v (CERT_KRYLOV_DIM vectors) gives the pair to test.
+    Lanczos pass from v (WIDE_KRYLOV_DIM vectors) gives the pair to test.
     The pair that passes is returned unchanged. A degenerate top eigenvalue,
     or a Krylov space that missed u_1, gives None.
 
@@ -321,7 +227,7 @@ def _certified(mat: np.ndarray, lam: float, vec: np.ndarray, second: float,
 
     gap = provable_gap(lam, vec)
     if gap is None or second >= lam - 2.0 * gap - floor:
-        lam, vec, second = _ritz_step(mat, vec, CERT_KRYLOV_DIM)
+        lam, vec, second = _ritz_step(mat, vec, WIDE_KRYLOV_DIM)
         gap = provable_gap(lam, vec)
         if gap is None or second >= lam - gap - floor:
             return None
@@ -384,12 +290,15 @@ def _round(tensor: SparseCoefficientTensor, bvec: np.ndarray, a_prev: np.ndarray
            lam_prev: float | None, tol: float) -> tuple[float, np.ndarray, bool]:
     """One round at fiducial amplitudes bvec: the round's pair and whether the loop converged.
 
-    The objective matrix lives only inside this call, so no two of them
-    coexist across rounds.
+    Round 1 (no a_prev) is the wide Lanczos pass from bvec; later rounds are
+    the warm pass from a_prev, certified once they look converged, with a
+    dense solve only where the certificate fails. The objective matrix lives
+    only inside this call, so no two of them coexist across rounds.
     """
     m = tensor.contract(bvec)
     if a_prev is None:
-        return *_top_eigh(m), False
+        lam, vec, _ = _ritz_step(m, bvec, WIDE_KRYLOV_DIM)
+        return lam, vec, False
     lam, vec, second = _ritz_step(m, a_prev)
     if not _close(lam, vec, lam_prev, a_prev, tol):
         return lam, vec, False
@@ -411,16 +320,18 @@ def fixed_point_optimize(
 ) -> OptimizationResult:
     """Alternate eigenvector extraction and per-block renormalization.
 
-    Round 1 takes the dense top eigenpair, later rounds the warm Ritz pair
-    (`_ritz_step`). Once the objective value moves by less than tol and the
-    sender state, up to its global phase, by less than sqrt(tol), the round
-    is checked (`_round`): a Cholesky certificate that proves the Ritz pair
-    within the same tolerances of the top eigenpair stops the loop with the
-    Ritz value as the round's entry; otherwise a dense solve decides, and the
-    loop stops if the dense pair agrees with the Ritz pair and continues from
-    the dense pair if not. Without a certified round it runs to max_iter and
-    reports converged=False. A decrease of the trajectory beyond 1e-9 aborts:
-    the quadratic form must make that impossible. The rounds work on plain
+    Every round takes a top Ritz pair (`_ritz_step`): round 1 from a wide
+    Lanczos basis started at the fiducial amplitudes, later rounds from a
+    warm one started at the previous sender state. Once the objective value
+    moves by less than tol and the sender state, up to its global phase, by
+    less than sqrt(tol), the round is checked (`_round`): a Cholesky
+    certificate that proves the Ritz pair within the same tolerances of the
+    top eigenpair stops the loop with the Ritz value as the round's entry;
+    otherwise a dense solve decides, and the loop stops if the dense pair
+    agrees with the Ritz pair and continues from the dense pair if not.
+    Without a certified round it runs to max_iter and reports
+    converged=False. A decrease of the trajectory beyond 1e-9 aborts: the
+    quadratic form must make that impossible. The rounds work on plain
     amplitude vectors; the returned states are built and validated once.
     """
     if not tol > 0 or max_iter < 1:
@@ -563,6 +474,8 @@ def direct_search_optimize(
     """
     if n > 4:
         raise ValueError("direct search is a small-n validation tool (n <= 4)")
+    if tensor.j_max != n - 1:
+        raise ValueError(f"tensor j_max={tensor.j_max} does not match state n={n}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     from scipy.optimize import minimize  # deferred: only this oracle needs it
@@ -575,7 +488,7 @@ def direct_search_optimize(
         if pair is None:
             return 1e6
         a, b = pair
-        return -expected_value(build_m(tensor, b), a)
+        return -tensor.expectation(a.a, b.b)
 
     best = None
     best_pair = None

@@ -386,7 +386,8 @@ class TestSimulate:
         assert "cannot read state file" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("fault", ["mismatched-n", "string-entry", "list-top-level"])
+    @pytest.mark.parametrize("fault", ["mismatched-n", "string-entry", "list-top-level",
+                                       "fractional-n", "fractional-index"])
     def test_malformed_state_file_is_rejected(self, capsys, tmp_path, fault):
         docs = {}
         for n in (2, 3):
@@ -399,6 +400,10 @@ class TestSimulate:
             doc["alice"] = docs[3]["alice"]
         elif fault == "string-entry":
             doc["alice"]["coefficients"][0][2] = "0.5"
+        elif fault == "fractional-n":
+            doc["alice"]["n"] = 2.5  # int() would read it as 2
+        elif fault == "fractional-index":
+            doc["alice"]["coefficients"][1][0] = 1.9  # the row of j = 1; int() gives 1
         else:
             doc = [doc]
         state_path = tmp_path / "state.json"
@@ -485,4 +490,18 @@ def test_bad_numeric_flag_is_usage_error(capsys, argv, message):
     # the error names its subcommand, whichever check refused the value
     assert err.startswith(f"usage: framecast {argv[0]} [-h]")
     assert f"framecast {argv[0]}: error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--wz", "--wxy"])
+@pytest.mark.parametrize("objective", ["z", "xy", "xyz", None])
+@pytest.mark.parametrize("command", ["optimize", "sweep", "simulate"])
+def test_weight_without_weighted_objective_is_usage_error(capsys, command, objective, flag):
+    # a weight that the objective would ignore is refused, not dropped
+    chosen = [] if objective is None else ["--objective", objective]
+    code, out, err = run_cli(capsys, command, "--n", "3", *chosen, flag, "5")
+    assert code == 1
+    assert out == ""
+    assert f"framecast {command}: error: --wz and --wxy need --objective weighted, " \
+           f"not {objective or 'xyz'}" in err
     assert "Traceback" not in err

@@ -167,74 +167,6 @@ class TestTopEigenpairOracle:
         lam, vec = optimizer._top_eigh(mat)
         self._check(mat, lam, vec)
 
-    @pytest.mark.parametrize("matrix", ["random", "xyz-uniform"])
-    @pytest.mark.parametrize("d", [900, 1600])
-    def test_large_d_needs_no_eigh(self, rng, monkeypatch, d, matrix):
-        # the rounding floor of the residual grows with d: at d = 1600 the
-        # second step ends at 21-23 eps ||M|| on the xyz matrix and 14-24 on
-        # the random one (by BLAS thread count), so a bound fixed at 16 eps
-        # ||M|| sends the xyz one, and the random one on one thread, to eigh
-        if matrix == "random":
-            mat = _spectrum_matrix(rng, d, 0.3, "real")
-        else:
-            n = math.isqrt(d)
-            mat = build_m(cached_tensor(Objective.xyz_axes(), n - 1), FiducialState.uniform(n))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.eigh fallback")
-
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        lam, vec = optimizer._top_eigh(mat)
-        monkeypatch.undo()
-        w_ref, v_ref = lapack_eigh(mat, subset_by_index=[d - 2, d - 1], driver="evr")
-        assert abs(lam - w_ref[-1]) < 1e-12
-        assert abs(abs(np.vdot(v_ref[:, -1], vec)) - 1.0) < 1e-10
-
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_residual_is_measured_against_the_rayleigh_quotient(self, rng, monkeypatch, kind):
-        # an eigvalsh whose top eigenvalue is off by 60 eps ||M||, beyond the
-        # 16 eps ||M|| residual bound: the exact vector is still accepted,
-        # since its residual is taken against its own Rayleigh quotient
-        d = 196
-        mat = _spectrum_matrix(rng, d, 0.3, kind)
-        eigvalsh = np.linalg.eigvalsh
-
-        def shifted(m):
-            w = eigvalsh(m)
-            return w + 60 * np.finfo(float).eps * np.max(np.abs(w))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.eigh fallback")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        _, vec = optimizer._top_eigh(mat)
-        monkeypatch.undo()
-        _, v_ref = lapack_eigh(mat, subset_by_index=[d - 2, d - 1], driver="evr")
-        assert abs(abs(np.vdot(v_ref[:, -1], vec)) - 1.0) < 1e-10
-
-    @pytest.mark.parametrize("failure", ["singular", "residual"])
-    def test_uncertified_vector_falls_back_to_eigh(self, rng, monkeypatch, failure):
-        if failure == "singular":
-            def singular(mat, sigma, rhs):
-                raise np.linalg.LinAlgError("Singular matrix")
-            monkeypatch.setattr(optimizer, "_shifted_solve", singular)
-        else:
-            monkeypatch.setattr(optimizer, "RESIDUAL_ULPS", 0.0)
-        calls = []
-        full = np.linalg.eigh
-
-        def counted(mat):
-            calls.append(mat.shape)
-            return full(mat)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        mat = _spectrum_matrix(rng, 25, 0.05, "complex")
-        lam, vec = optimizer._top_eigh(mat)
-        assert calls == [(25, 25)]
-        monkeypatch.undo()
-        self._check(mat, lam, vec)
-
 
 class TestCertificate:
     """`_certified` against numpy's full eigh, which shares no code with its proof."""
@@ -482,24 +414,32 @@ class TestWarmRounds:
         assert optimizer._ritz_step(mat, trap)[0] == pytest.approx(w_low[-1], abs=1e-12)
         assert optimizer._certified(mat.copy(), w_low[-1], trap, -math.inf, 1e-12) is None
 
-        dense = optimizer._top_eigh
-        calls = []
+        ritz_step = optimizer._ritz_step
+        steps, calls = [], []
 
-        def trapped_first_round(m, previous=None):
+        def trapped_first_round(m, start, krylov_dim=optimizer.KRYLOV_DIM):
+            steps.append(krylov_dim)
+            if len(steps) == 1:
+                return float(w_low[-1]), trap, -math.inf
+            return ritz_step(m, start, krylov_dim)
+
+        dense = optimizer._top_eigh
+
+        def counted_dense(m, previous=None):
             calls.append(previous is None)
-            if len(calls) == 1:
-                return float(w_low[-1]), trap
             return dense(m, previous)
 
-        monkeypatch.setattr(optimizer, "_top_eigh", trapped_first_round)
+        monkeypatch.setattr(optimizer, "_ritz_step", trapped_first_round)
+        monkeypatch.setattr(optimizer, "_top_eigh", counted_dense)
         result = fixed_point_optimize(_FixedMatrixTensor(n, mat), n)
         assert result.converged
         assert result.lam == pytest.approx(w[-1], abs=1e-12)
         assert abs(abs(np.vdot(v[:, -1], result.a.a)) - 1.0) < 1e-12
         assert result.lambda_trajectory[0] == pytest.approx(w_low[-1], abs=1e-12)
-        # round 1, and the dense solve after the rejected certificate; the
-        # Cholesky certificate accepts the next round without one
-        assert calls == [True, False]
+        assert steps[0] == optimizer.WIDE_KRYLOV_DIM
+        # only the dense solve after the rejected certificate; the Cholesky
+        # certificate accepts the next round without one
+        assert calls == [False]
 
     @pytest.mark.parametrize("kind", ["z", "xy", "xyz"])
     def test_converged_values_match_the_all_dense_loop(self, kind):
@@ -511,8 +451,9 @@ class TestWarmRounds:
                 reference = _all_dense_fixed_point(tensor, n, init, seed)
                 assert result.lam == pytest.approx(reference, abs=1e-12)
 
-    def test_one_dense_solve_per_fixed_point(self, monkeypatch):
-        # round 1 is dense; after that only a rejected certificate takes a dense solve
+    def test_dense_solves_follow_rejected_certificates(self, monkeypatch):
+        # every round is a Ritz round; only a rejected certificate takes a
+        # dense solve, and that one starts from the previous sender state
         dense, certify = optimizer._top_eigh, optimizer._certified
         dense_calls, rejected = [], []
 
@@ -535,30 +476,50 @@ class TestWarmRounds:
                     rejected.clear()
                     result = fixed_point_optimize(tensor, n, init=init, seed=seed, max_iter=2000)
                     assert result.converged
-                    assert dense_calls.count(True) == 1
-                    assert len(dense_calls) == 1 + sum(rejected)
+                    assert True not in dense_calls
+                    assert len(dense_calls) == sum(rejected)
 
-    def test_large_level_takes_one_dense_solve(self, capsys, monkeypatch):
-        # optimize --n 40 --restarts 0: round 1 is the only eigensolve; every
-        # later round, the certificate included, avoids the d = 1600 dense solve
+    def test_large_level_takes_no_dense_solve(self, capsys, monkeypatch):
+        # optimize --n 40 --restarts 0: no round, round 1 and the certificate
+        # included, solves the d = 1600 matrix; eigh sees Lanczos projections only
         from framecast.cli import main
 
-        dense = optimizer._top_eigh
-        calls = []
-        monkeypatch.setattr(optimizer, "_top_eigh",
-                            lambda m, previous=None: calls.append(1) or dense(m, previous))
+        eigh = np.linalg.eigh
+
+        def projection_eigh(mat, *args, **kwargs):
+            if mat.shape[0] > optimizer.WIDE_KRYLOV_DIM:
+                raise AssertionError(f"np.linalg.eigh of a {mat.shape} matrix")
+            return eigh(mat, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve")
+
+        monkeypatch.setattr(optimizer, "_top_eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", projection_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         assert main(["optimize", "--n", "40", "--restarts", "0"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["converged"]
-        assert len(calls) == 1
+        assert doc["lambda"] == pytest.approx(2.91563672943, abs=1e-11)
 
-    def test_single_round_is_one_dense_solve(self, monkeypatch):
-        dense = optimizer._top_eigh
-        calls = []
-        monkeypatch.setattr(optimizer, "_top_eigh",
-                            lambda m, previous=None: calls.append(1) or dense(m, previous))
-        fixed_point_optimize(cached_tensor(Objective.xyz_axes(), 3), 4, max_iter=1)
-        assert len(calls) == 1
+    @pytest.mark.parametrize("kind", ["z", "xy", "xyz"])
+    def test_round_one_reaches_the_dense_top_eigenvalue(self, monkeypatch, kind):
+        # the wide Lanczos pass from the fiducial amplitudes: the top
+        # eigenvalue itself up to n = 6, never above it, and no dense solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense solve in round 1")
+
+        monkeypatch.setattr(optimizer, "_top_eigh", refuse)
+        for n in range(1, 15):
+            tensor = cached_tensor(Objective.from_kind(kind), n - 1)
+            for seed in (None, 0, 1):
+                b = FiducialState.uniform(n) if seed is None else FiducialState.random(
+                    n, np.random.default_rng(seed))
+                top = np.linalg.eigvalsh(tensor.contract(b.b))[-1]
+                first = fixed_point_optimize(tensor, n, init=b, max_iter=1).lambda_trajectory[0]
+                assert first <= top + 1e-12, (n, seed)
+                if n <= 6:
+                    assert first == pytest.approx(top, abs=1e-12), (n, seed)
 
     @pytest.mark.slow
     def test_sweep_matches_the_benchmark_reference(self):
