@@ -276,6 +276,10 @@ def cmd_simulate(args, parser) -> int:
     if args.samples < 2:
         parser.error("--samples must be >= 2: a standard error needs two samples")
     if args.state_file is not None:
+        names = ("n", "objective", "wz", "wxy", "tol", "max_iter")
+        given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+        if given:
+            parser.error(f"{', '.join(given)} would be ignored: --state-file fixes the state pair")
         try:
             doc = json.loads(Path(args.state_file).read_text(encoding="utf-8"))
             alice = AliceState.from_json(doc["alice"])
@@ -288,10 +292,11 @@ def cmd_simulate(args, parser) -> int:
     else:
         if args.n is None:
             parser.error("provide --state-file or --n")
+        args.objective = args.objective or "xyz"
         objective = _objective_from_args(args, parser)
         tensor = cached_tensor(objective, args.n - 1)
-        result = fixed_point_optimize(tensor, args.n, init="uniform",
-                                      tol=args.tol, max_iter=args.max_iter)
+        result = fixed_point_optimize(tensor, args.n, init="uniform", tol=args.tol or 1e-12,
+                                      max_iter=args.max_iter or 200)
         alice, fiducial = result.a, result.b
     true_rotation = EulerAngles(0.0, 0.0, 0.0) if args.true == "identity" else None
     outcome = monte_carlo_error(
@@ -366,7 +371,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--state-file", default=None,
                      help="JSON produced by optimize (alice + fiducial)")
     sim.add_argument("--n", type=_positive_int, default=None, help="optimize inline at this n")
-    sim.add_argument("--objective", choices=["z", "xy", "xyz", "weighted"], default="xyz")
+    sim.add_argument("--objective", choices=["z", "xy", "xyz", "weighted"], default=None)
     sim.add_argument("--wz", type=float, default=None)
     sim.add_argument("--wxy", type=float, default=None)
     sim.add_argument("--samples", type=_positive_int, default=100_000)
@@ -374,8 +379,8 @@ def build_parser() -> _Parser:
     sim.add_argument("--true", choices=["haar", "identity"], default="haar",
                      help="true rotation: Haar-random per sample or fixed identity; "
                           "the measurement is covariant, so this does not change the output")
-    sim.add_argument("--tol", type=_positive_float, default=1e-12)
-    sim.add_argument("--max-iter", type=_positive_int, default=200)
+    sim.add_argument("--tol", type=_positive_float, default=None)
+    sim.add_argument("--max-iter", type=_positive_int, default=None)
     sim.add_argument("--raw-csv", default=None, help="write per-sample rows here")
     sim.add_argument("--output", default=None, help="JSON output path (default stdout)")
     sim.set_defaults(func=cmd_simulate, subparser=sim)

@@ -5,11 +5,12 @@ sum_ab c_ab R_ab of classical rotation-matrix entries, a quadratic form in
 the sender amplitudes a_{jm} and the fiducial amplitudes b_{jm}. Its
 coefficients are rank-1 terms c_hat_{mu nu} cg_mu cg_nu in spin-1
 Clebsch-Gordan vectors that depend on j_max alone (`moment_tensor`), so a
-tensor stores only the 3x3 spherical moment c_hat of c. `contract` builds
-the objective matrix from it in O(d) work; `block` and `entries` expand it
-for the tests and for the brute-force quadrature oracle in `quadrature`,
-which shares nothing with this formula. The z axis is c = diag(0, 0, 1) and
-the joint x and y axes are c = diag(1, 1, 0).
+tensor stores only the 3x3 spherical moment c_hat of c. `operator` builds
+the objective matrix from it as its O(d) nonzeros (`contract`, densely, for
+the tests); `block` and `entries` expand it for the tests and for the
+brute-force quadrature oracle in `quadrature`, which shares nothing with
+this formula. The z axis is c = diag(0, 0, 1) and the joint x and y axes
+are c = diag(1, 1, 0).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,13 +100,23 @@ def _spin_one_cg(j: int, k: int) -> np.ndarray:
     return sign * np.sqrt(num / den)
 
 
-@lru_cache(maxsize=64)
-def _contraction_plan(j_max: int) -> tuple:
-    """Every nonzero <j m; 1 mu | k m+mu>, k in {j, j + 1} (not 0, 0), flattened for `contract`.
+_Plan = NamedTuple("_Plan", [(field, np.ndarray) for field in (
+    "rows", "cols", "cg", "segment", "starts", "weight",
+    "order", "slot_starts", "slot_rows", "slot_cols", "row_starts")])
+
+
+@lru_cache(maxsize=4)  # about 60 d numbers each; a sweep uses one level at a time
+def _contraction_plan(j_max: int) -> _Plan:
+    """Every nonzero <j m; 1 mu | k m+mu>, k in {j, j + 1} (not 0, 0), and M's slots.
 
     rows and cols are the flat indices of (j, m) and (k, m + mu); the terms of
     segment 3 * pair + mu + 1 are contiguous, never empty, and begin at starts.
     weight is sqrt((2j+1)/(2k+1)), halved on diagonal pairs as M = P + P^H.
+
+    M's terms are P's, P^H's and a zero at (0, 0) that keeps j_max = 0 well-formed;
+    `order` sorts them stably by (row, col), so the terms of each position, a
+    slot, are adjacent and begin at slot_starts. row_starts holds every row's
+    first slot (each row has one) and then the slot count.
     """
     pairs = [(j, k) for j in range(j_max + 1) for k in (j, j + 1) if 0 < k <= j_max]
     parts = [(np.zeros(0, dtype=np.intp),) * 4]  # keeps j_max = 0, with no pair, well-formed
@@ -112,13 +124,46 @@ def _contraction_plan(j_max: int) -> tuple:
         cg = _spin_one_cg(j, k)
         mu, m = np.nonzero(cg)
         parts.append((j * j + m, k * k + m + mu + k - j - 1, cg[mu, m], 3 * pair + mu))
-    plan = [np.concatenate(part) for part in zip(*parts)]
-    plan.append(np.flatnonzero(np.diff(plan[3], prepend=-1)))
-    plan.append(np.array([math.sqrt((2 * j + 1) / (2 * k + 1)) / (2 if k == j else 1)
-                          for j, k in pairs]))
+    rows, cols, cg, segment = (np.concatenate(part) for part in zip(*parts))
+    weight = np.array([math.sqrt((2 * j + 1) / (2 * k + 1)) / (2 if k == j else 1)
+                       for j, k in pairs])
+    d = (j_max + 1) ** 2
+    term_rows, term_cols = np.concatenate((rows, cols, [0])), np.concatenate((cols, rows, [0]))
+    order = np.lexsort((term_cols, term_rows))
+    slot_starts = np.flatnonzero(np.diff((term_rows * d + term_cols)[order], prepend=-1))
+    slot_rows, slot_cols = term_rows[order][slot_starts], term_cols[order][slot_starts]
+    plan = _Plan(rows, cols, cg, segment, np.flatnonzero(np.diff(segment, prepend=-1)), weight,
+                 order, slot_starts, slot_rows, slot_cols,
+                 np.searchsorted(slot_rows, np.arange(d + 1)))
     for part in plan:
         part.flags.writeable = False  # shared by every tensor with this j_max
-    return tuple(plan)
+    return plan
+
+
+class ObjectiveOperator(NamedTuple):
+    """M = contract(b) as its nonzeros (at most 9 per row), one per slot of `plan`."""
+
+    values: np.ndarray
+    plan: _Plan
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """M x: one gather, one product and one sum per row."""
+        return np.add.reduceat(self.values * x[self.plan.slot_cols], self.plan.row_starts[:-1])
+
+    @property
+    def norm_inf(self) -> float:  # ||M||_inf, the largest absolute row sum
+        return float(np.add.reduceat(np.abs(self.values), self.plan.row_starts[:-1]).max())
+
+    def blocks(self):
+        """Dense (M_jj, M_{j,j+1}) for j = 0..j_max; the last M_{j,j+1} has no columns."""
+        plan, n = self.plan, math.isqrt(len(self.plan.row_starts) - 1)
+        for j in range(n):
+            # block row j's slots fill a strip over the columns of blocks j - 1 to j + 1
+            first = max(j - 1, 0) ** 2
+            strip = np.zeros((2 * j + 1, min(j + 2, n) ** 2 - first), dtype=complex)
+            slots = slice(plan.row_starts[j * j], plan.row_starts[(j + 1) ** 2])
+            strip[plan.slot_rows[slots] - j * j, plan.slot_cols[slots] - first] = self.values[slots]
+            yield strip[:, j * j - first : (j + 1) ** 2 - first], strip[:, (j + 1) ** 2 - first :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,14 +216,12 @@ class SparseCoefficientTensor:
     def _pair_values(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat (row, col) indices and values of P, the half of M = P + P^H.
 
-        `contract` and `expectation` both take P from here.
-
         Per coupled pair, S_nu = sum_r <j r; 1 nu|k r+nu> b_{jr} conj(b_{k,r+nu})
         is one scalar and P[(j,m),(k,m+mu)] = sqrt((2j+1)/(2k+1))
         <j m; 1 mu|k m+mu> sum_nu c_hat_{mu nu} S_nu, in O(d) work; the
         (row, col) pairs are distinct.
         """
-        rows, cols, cg, segment, starts, weight = _contraction_plan(self.j_max)
+        rows, cols, cg, segment, starts, weight = _contraction_plan(self.j_max)[:6]
         s = np.add.reduceat(cg * b[rows] * np.conj(b[cols]), starts).reshape(-1, 3)
         vals = cg * (weight[:, None] * (s @ self.c_hat.T)).ravel()[segment]
         return rows, cols, vals
@@ -187,14 +230,20 @@ class SparseCoefficientTensor:
         """Dense Hermitian M[(j,m),(k,n)] = sum_rs f_{jkmnrs} b_{jr} conj(b_{ks}) for flat b.
 
         The mirror blocks of `_pair_values` make M = P + P^H, exactly
-        Hermitian, in O(d) work besides the d x d fill. The result is a fresh
-        array that the caller owns.
+        Hermitian, in O(d) work besides the d x d fill.
         """
         rows, cols, vals = self._pair_values(b)
         mat = np.zeros((b.size, b.size), dtype=complex)
         mat[rows, cols] = vals
         mat[cols, rows] += vals.conj()
         return mat
+
+    def operator(self, b: np.ndarray) -> ObjectiveOperator:
+        """M = contract(b) as its O(d) nonzeros, each the very sum that `contract` forms."""
+        plan = _contraction_plan(self.j_max)
+        vals = self._pair_values(b)[2]
+        terms = np.concatenate((vals, vals.conj(), [0.0]))[plan.order]
+        return ObjectiveOperator(np.add.reduceat(terms, plan.slot_starts), plan)
 
     def expectation(self, a: np.ndarray, b: np.ndarray) -> float:
         """<a|M|a> for M = contract(b) in O(d), with no d x d array.

@@ -1,11 +1,11 @@
 """Signal and fiducial states, the induced Hermitian form, and error reports.
 
-The expected value of any transmission objective is <A|M|A> where M, a plain
-d x d complex array, is what `SparseCoefficientTensor.contract` returns for
-the fiducial amplitudes, which enter through three scalars per coupled block
-pair. It is Hermitian by construction, so nothing here checks it again.
-Per-axis mean square errors follow from the expected cosines as
-(1 - <cos w>)/2 per axis.
+The expected value of any transmission objective is <A|M|A>, where M is
+Hermitian by construction and the fiducial amplitudes enter it through three
+scalars per coupled block pair. The reports take it in O(d) from
+`SparseCoefficientTensor.expectation`; `build_m` and `expected_value` keep
+the dense d x d form as the tests' oracle. Per-axis mean square errors
+follow from the expected cosines as (1 - <cos w>)/2 per axis.
 """
 
 from __future__ import annotations
@@ -105,10 +105,8 @@ class FiducialState:
 
     @classmethod
     def uniform(cls, n: int) -> "FiducialState":
-        vec = np.zeros(total_dim(n), dtype=complex)
-        for j in range(n):
-            vec[block_slice(j)] = 1.0 / np.sqrt(2 * j + 1)
-        return cls(n, vec)
+        sizes = 2 * np.arange(n) + 1
+        return cls(n, np.repeat(1.0 / np.sqrt(sizes), sizes))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "FiducialState":
@@ -157,11 +155,9 @@ class FidelityReport:
 
 
 def build_m(tensor: SparseCoefficientTensor, b: FiducialState) -> np.ndarray:
-    """Contract the coefficient tensor with the fiducial amplitudes.
+    """The dense d x d objective matrix M of the fiducial state (`contract`): the tests' oracle.
 
-    M[(j,m),(k,n)] = sum over (r,s) of f_{jkmnrs} b_{jr} conj(b_{ks}), a dense
-    d x d array from the tensor's factored form in O(d) work besides the fill;
-    `contract` builds it as P + P^H, so it is exactly Hermitian for any b.
+    M[(j,m),(k,n)] = sum over (r,s) of f_{jkmnrs} b_{jr} conj(b_{ks}), exactly Hermitian.
     """
     if tensor.j_max != b.n - 1:
         raise ValueError(f"tensor j_max={tensor.j_max} does not match state n={b.n}")

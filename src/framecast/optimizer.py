@@ -1,21 +1,13 @@
 """Alternating eigenvalue optimization of the sender/fiducial state pair.
 
-One round: contract the tensor with the current fiducial amplitudes, take the
-top eigenvector as the sender state, then renormalize it per block to get the
-next fiducial state. A few rounds reach a joint fixed point at which the
-fiducial amplitudes are the per-block normalization of the sender amplitudes.
-
-Every round takes the top Ritz pair of a Lanczos basis: round 1 a wide
-basis (WIDE_KRYLOV_DIM vectors) started at the fiducial amplitudes, every
-later round a small one started at the previous sender state, so the
-trajectory never decreases and its entries are Ritz values. Once a round
-looks converged, one Cholesky factorization proves that the Ritz pair lies
-within the stopping rule of the top eigenpair (`_certified`), and the
-certified round's entry is the Ritz value. Where no proof is found (a
-degenerate top eigenvalue, or a Krylov space that missed the top
-eigenvector), one dense solve decides, and the loop continues from the dense
-pair if it differs. The round count may therefore differ by a few from an
-all-dense loop, while the converged fixed point is the same.
+One round: build the objective matrix M for the current fiducial amplitudes
+(`SparseCoefficientTensor.operator`, never a d x d array), take the top Ritz
+pair of a Lanczos basis as the sender state, then renormalize it per block
+to get the next fiducial state. Round 1's basis (WIDE_KRYLOV_DIM vectors)
+starts at the fiducial amplitudes, later ones at the previous sender state,
+so the trajectory never decreases. The loop stops at a joint fixed point
+once an inertia count over the j blocks proves the Ritz pair within the
+stopping rule of the top eigenpair (`_certified`).
 
 A derivative-free direct search over unconstrained amplitudes (small n only)
 serves as an independent cross-check, and sweeps over n feed the asymptotic
@@ -40,23 +32,17 @@ DEFAULT_MAX_ITER = 200
 # a trajectory decrease beyond this signals a broken quadratic form, not noise
 DECREASE_ABORT = 1e-9
 
-# eigenvalues this close to the top one count as the same eigenvalue
-DEGENERACY_GAP = 1e-12
-
 # Lanczos basis size of the warm rounds after the first
 KRYLOV_DIM = 6
 
 # Lanczos basis size of round 1, started at the fiducial amplitudes, and of the
 # certificate's second pass, run when a round's own Ritz pair cannot pass the
-# Cholesky test: both need the top pair from a start far from it
+# inertia count: both need the top pair from a start far from it
 WIDE_KRYLOV_DIM = 24
 
-# the certificate's gap g is at least CERT_ULPS d eps ||M||_inf, far above the
-# rounding error of forming and factoring its d x d operand
+# the certificate's gap g and its pivot floor are at least CERT_ULPS d eps
+# ||M||_inf, far above the rounding error of the block elimination
 CERT_ULPS = 1e3
-
-# row blocks of this many entries form the certificate's operand in place
-ROW_BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -111,36 +97,23 @@ def _norm(vec: np.ndarray) -> float:
     return math.sqrt(np.vdot(vec, vec).real)
 
 
-def _top_eigh(mat: np.ndarray, previous: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of a Hermitian matrix and a phase-gauged unit eigenvector, from eigh.
-
-    When the top two eigenvalues lie within DEGENERACY_GAP and a previous
-    state is given, the eigenvector is the normalized projection of the
-    previous state onto the top eigenspace, so the choice inside a degenerate
-    eigenspace stays close to it (the last eigenvector if the projection
-    vanishes).
-    """
+def _top_eigh(mat: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of a dense Hermitian matrix and a phase-gauged unit eigenvector."""
     w, v = np.linalg.eigh(mat)
-    lam, vec = float(w[-1]), v[:, -1]
-    if previous is not None and w.size > 1 and w[-1] - w[-2] < DEGENERACY_GAP:
-        top = v[:, w > lam - DEGENERACY_GAP]
-        proj = top @ (top.conj().T @ previous)
-        nrm = np.linalg.norm(proj)
-        if nrm > 1e-8:
-            vec = proj / nrm
-    return lam, _gauge_fixed(vec)
+    return float(w[-1]), _gauge_fixed(v[:, -1])
 
 
-def _ritz_step(mat: np.ndarray, start: np.ndarray,
+def _ritz_step(op, start: np.ndarray,
                krylov_dim: int = KRYLOV_DIM) -> tuple[float, np.ndarray, float]:
     """Top Ritz pair and second Ritz value of a Lanczos basis of up to krylov_dim vectors.
 
-    The basis starts at `start`. Every new vector is orthogonalized twice
-    against the whole basis (full reorthogonalization); the basis stops early
-    when the Krylov space closes. `start` lies in the basis, so the top Ritz
-    value is at least its Rayleigh quotient and at most the top eigenvalue.
-    The second Ritz value is at most the second eigenvalue (Cauchy
-    interlacing), -inf when the basis closes at one vector.
+    op is M as anything with `op @ x`; the basis starts at `start`. Every new
+    vector is orthogonalized twice against the whole basis (full
+    reorthogonalization); the basis stops early when the Krylov space closes.
+    `start` lies in the basis, so the top Ritz value is at least its Rayleigh
+    quotient and at most the top eigenvalue. The second Ritz value is at most
+    the second eigenvalue (Cauchy interlacing), -inf when the basis closes at
+    one vector.
     """
     # rows are the basis vectors; their conjugates give V^H w as one product
     basis = np.empty((min(krylov_dim, start.size), start.size), dtype=complex)
@@ -150,7 +123,7 @@ def _ritz_step(mat: np.ndarray, start: np.ndarray,
     size = 1
     while True:
         np.conjugate(basis[size - 1], out=conj_basis[size - 1])
-        images[size - 1] = mat @ basis[size - 1]
+        images[size - 1] = op @ basis[size - 1]
         if size == len(basis):
             break
         vec = images[size - 1]
@@ -183,95 +156,97 @@ def _close(lam: float, vec: np.ndarray, lam_ref: float, vec_ref: np.ndarray, tol
     return bool(abs(lam - lam_ref) < tol and _norm(phase * vec - vec_ref) < math.sqrt(tol))
 
 
-def _certified(mat: np.ndarray, lam: float, vec: np.ndarray, second: float,
+def _eigenvalues_above(op, sigma: float, floor: float) -> int | None:
+    """How many eigenvalues of M exceed sigma, by block elimination; None when unsure.
+
+    B = sigma I - M is block tridiagonal in j, with Schur complements S_0 = B_00
+    and S_j = B_jj - (T^H / w) T, where S_{j-1} = V diag(w) V^H (`eigh`) and
+    T = V^H M_{j-1,j}. By Sylvester's law of inertia and Haynsworth's inertia
+    additivity (Linear Algebra Appl. 1, 73, 1968) M has as many eigenvalues
+    above sigma as the S_j have negative ones.
+
+    Floor: the computed S_j are exact for sigma I - M', M - M' block diagonal
+    with block j a modest multiple of (2j + 1) eps (e_{j-1} + e_j) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, chs. 3 and 11),
+    where e_j = |sigma| + max |w_j| + sum_i ||t_i||^2 / |w_{j,i}| (t_i the rows
+    of T) bounds S_j, its update and M_jj; by Weyl's theorem no eigenvalue
+    moves further. Nothing bounds e_j a priori, so the count is refused when
+    (2j + 1) eps e_j > floor / 8, keeping ||M - M'|| below floor, or when a
+    pivot |w| < floor, so that no sign rests on rounding.
+    """
+    count, update, eps = 0, 0.0, np.finfo(float).eps
+    for diagonal, upper in op.blocks():
+        schur = -diagonal - update
+        schur.flat[:: len(schur) + 1] += sigma
+        w, v = np.linalg.eigh(schur)  # ascending
+        magnitudes, t = np.abs(w), v.conj().T @ upper
+        bound = abs(sigma) + max(-w[0], w[-1]) + np.vdot(t, t / magnitudes[:, None]).real
+        if magnitudes.min() < floor or len(w) * eps * bound > floor / 8:
+            return None
+        count += int(np.searchsorted(w, 0.0))
+        update = t.conj().T @ (t / w[:, None])
+    return count
+
+
+def _certified(op, lam: float, vec: np.ndarray, second: float,
                tol: float) -> tuple[float, np.ndarray] | None:
-    """A Ritz pair that one Cholesky factorization proves close to M's top eigenpair, or None.
+    """A Ritz pair that an inertia count proves close to M's top eigenpair, or None.
 
     For the Ritz pair (rho, v) = (lam, vec) with residual r = ||M v - rho v||,
-    let c = 2 ||M||_inf, F = CERT_ULPS d eps ||M||_inf and
-    g = max(2 r / sqrt(tol), F). If A = (rho - g - F) I - M + c w w^H has a
-    Cholesky factorization (w = v, or its real part when M is real; any w
-    will do), then M - c w w^H < (rho - g) I, and interlacing for a rank-one
-    update gives lambda_2(M) < rho - g. F covers the rounding error of
-    forming and factoring A: a few d eps ||A|| in practice, (d + 1) d eps
-    ||A|| at worst (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, ch. 10), with ||A|| <= 6 ||M||_inf, so below F up to d = 165. Then
-    (Parlett, The Symmetric Eigenvalue Problem, 1998) Kato-Temple gives
+    let F = CERT_ULPS d eps ||M||_inf and g = max(2 r / sqrt(tol), F). Exactly
+    one eigenvalue above sigma = rho - g - F (`_eigenvalues_above`, whose
+    rounding F covers) proves lambda_2(M) < rho - g. Then (Parlett, The
+    Symmetric Eigenvalue Problem, 1998) Kato-Temple gives
     0 <= lambda_1 - rho <= r^2 / g, required below tol, and the sin theta
     bound gives sin angle(v, u_1) <= r / g <= sqrt(tol) / 2: the stopping
     rule of `_close`, proven against the top eigenpair.
 
-    Interlacing also puts the second Ritz value `second` below lambda_2, so
-    the factorization cannot succeed when second >= rho - g - F. A few-vector
-    basis's second Ritz value often lies far below lambda_2, so the round's
-    pair is tested only when second < rho - 2 g - F; otherwise one longer
-    Lanczos pass from v (WIDE_KRYLOV_DIM vectors) gives the pair to test.
-    The pair that passes is returned unchanged. A degenerate top eigenvalue,
-    or a Krylov space that missed u_1, gives None.
-
-    M must be a C-contiguous array that the caller owns and no longer needs:
-    the operand is formed in its buffer, row block by row block, as a real
-    array when M has no imaginary part (a complex M that owns its buffer then
-    shrinks to the operand's half before the factorization).
+    By interlacing the count exceeds one when the second Ritz value
+    `second` >= sigma, and a few-vector basis's often lies far below
+    lambda_2; so the round's pair is tested only when second < rho - 2 g - F,
+    and otherwise the pair of one longer Lanczos pass from v (WIDE_KRYLOV_DIM
+    vectors). A degenerate top eigenvalue, or a Krylov space that missed u_1,
+    gives None.
     """
-    d = mat.shape[0]
-    step = max(1, ROW_BLOCK_ENTRIES // d)
-    blocks = [slice(i, i + step) for i in range(0, d, step)]
-    scale = max(float(np.abs(mat[rows]).sum(axis=1).max()) for rows in blocks)
-    floor = CERT_ULPS * d * np.finfo(float).eps * scale
+    scale = op.norm_inf
+    if scale == 0.0:  # M = 0 (n = 1): every unit vector is a top eigenvector
+        return lam, vec
+    floor = CERT_ULPS * vec.size * np.finfo(float).eps * scale
 
     def provable_gap(lam, vec):
-        r = _norm(mat @ vec - lam * vec)
+        r = _norm(op @ vec - lam * vec)
         gap = max(2.0 * r / math.sqrt(tol), floor)
         return gap if r * r < tol * gap else None
 
     gap = provable_gap(lam, vec)
     if gap is None or second >= lam - 2.0 * gap - floor:
-        lam, vec, second = _ritz_step(mat, vec, WIDE_KRYLOV_DIM)
+        lam, vec, second = _ritz_step(op, vec, WIDE_KRYLOV_DIM)
         gap = provable_gap(lam, vec)
         if gap is None or second >= lam - gap - floor:
             return None
-    complex_mat = np.iscomplexobj(mat)
-    real = not complex_mat or not mat.imag.any()
-    w = vec.real if real else vec
-    operand = mat
-    if real and complex_mat:
-        # the real operand fills the first half of M's buffer; block i's rows
-        # lie at or before the complex rows it reads, which later blocks need
-        operand = mat.view(np.float64).reshape(-1)[: d * d].reshape(d, d)
-    cw, w_conj = 2.0 * scale * w, w.conj()
-    for rows in blocks:
-        term = np.outer(cw[rows], w_conj)
-        term -= mat[rows].real if real else mat[rows]
-        operand[rows] = term
-    if operand is not mat and mat.flags.owndata:
-        # the factorization copies its operand twice; the unused half goes first
-        del operand
-        mat.resize((d * d + 1) // 2, refcheck=False)
-        operand = mat.view(np.float64)[: d * d].reshape(d, d)
-    diagonal = np.arange(d)
-    operand[diagonal, diagonal] += lam - gap - floor
-    try:
-        np.linalg.cholesky(operand)
-    except np.linalg.LinAlgError:
-        return None
-    return lam, vec
+    return (lam, vec) if _eigenvalues_above(op, lam - gap - floor, floor) == 1 else None
 
 
 def b_from_a(a: AliceState) -> FiducialState:
     """Per-block renormalized copy of the sender amplitudes.
 
-    Blocks with no weight (norm below 1e-14) are set to the uniform vector and
-    recorded in uniform_filled_blocks; the fixed-point relation leaves them
-    unconstrained.
+    Blocks with no weight (norm below 1e-14) get the uniform vector and go in
+    uniform_filled_blocks; the fixed-point relation leaves them free.
     """
-    sizes = 2 * np.arange(a.n) + 1
-    norms = block_norms(a.a, a.n)
-    empty = norms < 1e-14
-    vec = np.where(np.repeat(empty, sizes), np.repeat(1.0 / np.sqrt(sizes), sizes),
-                   a.a / np.repeat(np.where(empty, 1.0, norms), sizes))
-    filled = tuple(int(j) for j in np.flatnonzero(empty))
+    vec, filled = _unit_blocks(a.a, a.n)
     return FiducialState(a.n, vec, uniform_filled_blocks=filled)
+
+
+def _unit_blocks(vec: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:
+    """vec unit-normalized per block, and the blocks below 1e-14 that are set uniform instead."""
+    sizes = 2 * np.arange(n) + 1
+    norms = block_norms(vec, n)
+    empty = norms < 1e-14
+    if not empty.any():
+        return vec / np.repeat(norms, sizes), ()
+    return (np.where(np.repeat(empty, sizes), FiducialState.uniform(n).b,
+                     vec / np.repeat(np.where(empty, 1.0, norms), sizes)),
+            tuple(int(j) for j in np.flatnonzero(empty)))
 
 
 def _initial_fiducial(init, n: int, rng: np.random.Generator) -> FiducialState:
@@ -290,24 +265,15 @@ def _round(tensor: SparseCoefficientTensor, bvec: np.ndarray, a_prev: np.ndarray
            lam_prev: float | None, tol: float) -> tuple[float, np.ndarray, bool]:
     """One round at fiducial amplitudes bvec: the round's pair and whether the loop converged.
 
-    Round 1 (no a_prev) is the wide Lanczos pass from bvec; later rounds are
-    the warm pass from a_prev, certified once they look converged, with a
-    dense solve only where the certificate fails. The objective matrix lives
-    only inside this call, so no two of them coexist across rounds.
+    Round 1 (no a_prev) is the wide Lanczos pass from bvec, later rounds the
+    warm pass from a_prev, certified once they look converged.
     """
-    m = tensor.contract(bvec)
+    op = tensor.operator(bvec)
     if a_prev is None:
-        lam, vec, _ = _ritz_step(m, bvec, WIDE_KRYLOV_DIM)
-        return lam, vec, False
-    lam, vec, second = _ritz_step(m, a_prev)
-    if not _close(lam, vec, lam_prev, a_prev, tol):
-        return lam, vec, False
-    certified = _certified(m, lam, vec, second, tol)
-    if certified is not None:
-        return *certified, True
-    del m  # its buffer holds the certificate's operand; the dense solve contracts afresh
-    dense_lam, dense_vec = _top_eigh(tensor.contract(bvec), previous=a_prev)
-    return dense_lam, dense_vec, _close(dense_lam, dense_vec, lam, vec, tol)
+        return *_ritz_step(op, bvec, WIDE_KRYLOV_DIM)[:2], False
+    lam, vec, second = _ritz_step(op, a_prev)
+    certified = _close(lam, vec, lam_prev, a_prev, tol) and _certified(op, lam, vec, second, tol)
+    return (*certified, True) if certified else (lam, vec, False)
 
 
 def fixed_point_optimize(
@@ -320,32 +286,21 @@ def fixed_point_optimize(
 ) -> OptimizationResult:
     """Alternate eigenvector extraction and per-block renormalization.
 
-    Every round takes a top Ritz pair (`_ritz_step`): round 1 from a wide
-    Lanczos basis started at the fiducial amplitudes, later rounds from a
-    warm one started at the previous sender state. Once the objective value
-    moves by less than tol and the sender state, up to its global phase, by
-    less than sqrt(tol), the round is checked (`_round`): a Cholesky
-    certificate that proves the Ritz pair within the same tolerances of the
-    top eigenpair stops the loop with the Ritz value as the round's entry;
-    otherwise a dense solve decides, and the loop stops if the dense pair
-    agrees with the Ritz pair and continues from the dense pair if not.
-    Without a certified round it runs to max_iter and reports
-    converged=False. A decrease of the trajectory beyond 1e-9 aborts: the
-    quadratic form must make that impossible. The rounds work on plain
-    amplitude vectors; the returned states are built and validated once.
+    A round whose objective value moves by less than tol and whose sender
+    state, up to its global phase, moves by less than sqrt(tol) stops the
+    loop if its certificate proves the Ritz pair within the same tolerances
+    of the top eigenpair (`_round`); without one the loop runs to max_iter and
+    reports converged=False. A decrease of the trajectory beyond 1e-9 aborts:
+    the quadratic form must make that impossible. The returned states are
+    built and validated once.
     """
     if not tol > 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
     if tensor.j_max != n - 1:
         raise ValueError(f"tensor j_max={tensor.j_max} does not match state n={n}")
-    rng = np.random.default_rng(seed)
-    bvec = _initial_fiducial(init, n, rng).b
-    sizes = 2 * np.arange(n) + 1
-    lam_prev = None
-    a_prev = None
-    trajectory = []
-    converged = False
-    iterations = 0
+    bvec = _initial_fiducial(init, n, np.random.default_rng(seed)).b
+    lam_prev = a_prev = None
+    trajectory, converged, iterations = [], False, 0
     for iterations in range(1, max_iter + 1):
         lam, vec, converged = _round(tensor, bvec, a_prev, lam_prev, tol)
         if lam_prev is not None and lam < lam_prev - DECREASE_ABORT:
@@ -355,20 +310,15 @@ def fixed_point_optimize(
             )
         trajectory.append(lam)
         a_prev, lam_prev = vec, lam
-        norms = block_norms(vec, n)
-        if norms.min() >= 1e-14:
-            bvec = vec / np.repeat(norms, sizes)
-        else:
-            bvec = b_from_a(AliceState(n, vec)).b
+        bvec = _unit_blocks(vec, n)[0]
         if converged:
             break
     a = AliceState(n, a_prev)
     b = b_from_a(a)
-    lam_final = tensor.expectation(a.a, b.b)
     return OptimizationResult(
         a=a,
         b=b,
-        lam=lam_final,
+        lam=tensor.expectation(a.a, b.b),
         lambda_trajectory=tuple(trajectory),
         iterations=iterations,
         converged=converged,
@@ -387,13 +337,15 @@ def best_of_restarts(
 
     Random inits draw from independent child streams of SeedSequence((seed, n)),
     so no two (n, restart) pairs share a stream and a given (n, seed) gives the
-    same result wherever it is optimized.
+    same result wherever it is optimized. A restart replaces the incumbent
+    only when it is better by more than tol, so fixed points that tie to
+    rounding keep the earlier one.
     """
     best = fixed_point_optimize(tensor, n, init="uniform", tol=tol, max_iter=max_iter)
     for stream in np.random.SeedSequence((seed, n)).spawn(restarts):
         candidate = fixed_point_optimize(tensor, n, init="random", tol=tol,
                                          max_iter=max_iter, seed=stream)
-        if candidate.lam > best.lam:
+        if candidate.lam > best.lam + tol:
             best = candidate
     return best
 
@@ -425,10 +377,8 @@ def optimize_z_single_m(n: int, m: int) -> OptimizationResult:
         a_vec[flat_index(j, m)] = vec_sector[i]
         b_vec[flat_index(j, m)] = 1.0
     # blocks below |m| cannot hold this magnetic number; they carry no sender
-    # weight, so give them the uniform fiducial vector
-    filled = tuple(range(abs(m)))
-    for j in filled:
-        b_vec[block_slice(j)] = 1.0 / math.sqrt(2 * j + 1)
+    # weight, so `_unit_blocks` gives them the uniform fiducial vector
+    b_vec, filled = _unit_blocks(b_vec, n)
     return OptimizationResult(
         a=AliceState(n, a_vec),
         b=FiducialState(n, b_vec, uniform_filled_blocks=filled),

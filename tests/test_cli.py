@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import framecast
-from framecast import Objective, cached_tensor
-from framecast.cli import main
+from framecast import Objective, cached_tensor, fixed_point_optimize
+from framecast.cli import _round_floats, main
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +56,16 @@ class TestOptimize:
         assert doc["lambda"] == pytest.approx(0.5773502691896258, abs=1e-7)
         assert doc["converged"] is True
         assert doc["report"]["mse_per_axis"] == pytest.approx(0.2113248654, abs=1e-7)
+
+    def test_restart_that_only_ties_keeps_the_uniform_init(self, capsys):
+        # at z, n = 5, restart 1 reaches the uniform-init value to the last
+        # digits with another per-block phase; a tie keeps the incumbent
+        code, out, _ = run_cli(capsys, "optimize", "--n", "5", "--objective", "z")
+        assert code == 0
+        doc = json.loads(out)
+        uniform = fixed_point_optimize(cached_tensor(Objective.z_axis(), 4), 5)
+        assert doc["alice"] == json.loads(json.dumps(_round_floats(uniform.a.to_json())))
+        assert doc["fiducial"] == json.loads(json.dumps(_round_floats(uniform.b.to_json())))
 
     def test_single_level_floor(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--n", "1", "--objective", "xyz")
@@ -345,6 +355,20 @@ class TestSimulate:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("flag", [["--n", "5"], ["--objective", "z"], ["--wz", "3"],
+                                      ["--wxy", "2"], ["--tol", "1e-9"], ["--max-iter", "50"]],
+                             ids=lambda flag: flag[0])
+    def test_state_file_refuses_optimizer_flags(self, capsys, tmp_path, flag):
+        # the state file fixes the pair, so an optimizer flag would be ignored
+        state_path = tmp_path / "state.json"
+        assert run_cli(capsys, "optimize", "--n", "2", "--output", str(state_path))[0] == 0
+        code, out, err = run_cli(capsys, "simulate", "--state-file", str(state_path), *flag,
+                                 "--samples", "100")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: framecast simulate [-h]")
+        assert f"error: {flag[0]} would be ignored: --state-file fixes the state pair" in err
 
     def test_round_trip_with_optimize(self, capsys, tmp_path):
         state_path = tmp_path / "state.json"

@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecast import (
     AliceState,
     FiducialState,
     Objective,
     assemble_tensor,
+    block_slice,
     build_m,
     coefficient_deviation,
     expected_value,
     make_grid,
+    rotation_entry_tensor,
 )
 
 
@@ -168,3 +172,40 @@ class TestAssembleTensor:
                 val = expected_value(build_m(tensor, fiducial), alice)
                 assert abs(val) <= bound + 1e-12
 
+
+
+class TestOperator:
+    """`operator(b)`, the sparse M, against the dense `contract(b)`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10),
+           st.sampled_from(["z", "xy", "xyz", "weighted", "rotation-entry"]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_contraction(self, n, kind, uniform, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "rotation-entry":
+            # an off-diagonal entry: complex coefficients
+            tensor = rotation_entry_tensor(*rng.choice(3, size=2, replace=False), n - 1)
+        elif kind == "weighted":
+            tensor = assemble_tensor(Objective.weighted(*rng.uniform(0.1, 2.0, size=2)), n - 1)
+        else:
+            tensor = assemble_tensor(Objective.from_kind(kind), n - 1)
+        b = (FiducialState.uniform(n) if uniform else FiducialState.random(n, rng)).b
+        op, dense = tensor.operator(b), tensor.contract(b)
+        x = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+        assert np.max(np.abs(op @ x - dense @ x)) < 1e-14
+        assert op.norm_inf == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-14)
+        blocks = list(op.blocks())
+        assert len(blocks) == n
+        for j, (diagonal, upper) in enumerate(blocks):
+            right = slice((j + 1) ** 2, min(j + 2, n) ** 2)
+            assert np.array_equal(diagonal, dense[block_slice(j), block_slice(j)])
+            assert np.array_equal(upper, dense[block_slice(j), right])
+        # M is block tridiagonal in j: the blocks and their mirrors are all of it
+        rebuilt = np.zeros_like(dense)
+        for j, (diagonal, upper) in enumerate(blocks):
+            right = slice((j + 1) ** 2, min(j + 2, n) ** 2)
+            rebuilt[block_slice(j), block_slice(j)] = diagonal
+            rebuilt[block_slice(j), right] = upper
+            rebuilt[right, block_slice(j)] = upper.conj().T
+        assert np.array_equal(rebuilt, dense)

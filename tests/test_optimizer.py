@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from framecast import (
     AliceState,
     FiducialState,
     Objective,
+    SparseCoefficientTensor,
     SweepRow,
     assemble_tensor,
     b_from_a,
@@ -73,19 +75,6 @@ class TestTopEigenpair:
         return (mat + mat.conj().T) / 2, basis[:, d - fold:]
 
     @pytest.mark.parametrize("fold", [2, 3])
-    def test_degenerate_top_follows_previous(self, rng, fold):
-        m, top = self._degenerate_matrix(rng, 3, fold)
-        raw = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        previous = raw / np.linalg.norm(raw)
-        lam, vec = optimizer._top_eigh(m, previous=previous)
-        proj = top @ (top.conj().T @ previous)
-        expected = proj / np.linalg.norm(proj)
-        pivot = expected[np.argmax(np.abs(expected))]
-        expected = expected * np.conj(pivot) / abs(pivot)
-        assert lam == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(vec - expected)) < 1e-12
-
-    @pytest.mark.parametrize("fold", [2, 3])
     def test_degenerate_top_without_previous(self, rng, fold):
         m, _ = self._degenerate_matrix(rng, 3, fold)
         lam, vec = optimizer._top_eigh(m)
@@ -112,11 +101,6 @@ class TestTopEigenpair:
         pivot = vec[np.argmax(np.abs(vec))]
         assert abs(pivot.imag) < 1e-14
         assert pivot.real > 0
-        # outside a degenerate top eigenspace a previous state changes nothing
-        other = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        lam_prev, vec_prev = optimizer._top_eigh(herm, previous=other / np.linalg.norm(other))
-        assert lam_prev == lam
-        assert np.array_equal(vec_prev, vec)
 
 
 def _spectrum_matrix(rng, d, gap, kind):
@@ -157,7 +141,7 @@ class TestTopEigenpairOracle:
         mat = _spectrum_matrix(rng, d, gap, kind)
         before = mat.copy()
         lam, vec = optimizer._top_eigh(mat)
-        # the in-place diagonal shift of the solve leaves no trace
+        # the solve leaves its input as it was
         assert np.array_equal(mat, before)
         self._check(mat, lam, vec)
 
@@ -168,36 +152,88 @@ class TestTopEigenpairOracle:
         self._check(mat, lam, vec)
 
 
+class _DenseOperator:
+    """A dense Hermitian M, block tridiagonal in j, behind the interface of `operator(b)`."""
+
+    def __init__(self, mat):
+        self.mat = mat
+        self.n = math.isqrt(len(mat))
+        for j in range(self.n):
+            assert not mat[block_slice(j), (j + 2) ** 2:].any(), "not block tridiagonal"
+
+    def __matmul__(self, x):
+        return self.mat @ x
+
+    @property
+    def norm_inf(self):
+        return float(np.abs(self.mat).sum(axis=1).max())
+
+    def blocks(self):
+        for j in range(self.n):
+            rows = block_slice(j)
+            yield self.mat[rows, rows], self.mat[rows, (j + 1) ** 2:(j + 2) ** 2]
+
+
+def _block_tridiagonal(rng, n, gap, kind, coupling):
+    """Hermitian M, block tridiagonal in j, with top eigenvalues near 1 and 1 - gap.
+
+    The diagonal blocks have random eigenbases; two random eigenvalues of
+    theirs are 1 and 1 - gap, the rest lie in [-1, 1 - 2 gap]. Adjacent blocks
+    couple through `coupling` times a random matrix, so at coupling 0 these
+    are M's eigenvalues. kind is "real", "real-valued" (complex dtype, zero
+    imaginary part) or "complex".
+    """
+    d = total_dim(n)
+    w = rng.uniform(-1.0, 1.0 - 2 * gap, d)
+    w[rng.choice(d, size=2, replace=False)] = [1.0, 1.0 - gap]
+
+    def random(rows, cols):
+        raw = rng.standard_normal((rows, cols))
+        return raw + 1j * rng.standard_normal((rows, cols)) if kind == "complex" else raw
+
+    mat = np.zeros((d, d), dtype=float if kind == "real" else complex)
+    for j in range(n):
+        rows = block_slice(j)
+        basis, _ = np.linalg.qr(random(2 * j + 1, 2 * j + 1))
+        mat[rows, rows] = (basis * w[rows]) @ basis.conj().T
+        if j + 1 < n:
+            right = block_slice(j + 1)
+            mat[rows, right] = coupling * random(2 * j + 1, 2 * j + 3)
+            mat[right, rows] = mat[rows, right].conj().T
+    return (mat + mat.conj().T) / 2
+
+
 class TestCertificate:
-    """`_certified` against numpy's full eigh, which shares no code with its proof."""
+    """`_certified` and its inertia count against numpy's full eigh, which shares no code."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 40), st.floats(-8.0, 0.0),
+    @given(st.integers(2, 6), st.floats(-8.0, 0.0), st.sampled_from([0.0, 1e-4, 1e-2, 0.3]),
            st.sampled_from(["at", "near", "away", "random", "tilted", "second"]),
            st.sampled_from(["real", "real-valued", "complex"]), st.sampled_from([1e-12, 1e-8]),
            st.integers(0, 2**32 - 1))
-    def test_accepts_only_proven_top_pairs(self, d, log_gap, start, kind, tol, seed):
+    def test_accepts_only_proven_top_pairs(self, n, log_gap, coupling, start, kind, tol, seed):
         rng = np.random.default_rng(seed)
-        gap = 10.0 ** log_gap
-        mat = _spectrum_matrix(rng, d, gap, kind)
+        mat = _block_tridiagonal(rng, n, 10.0 ** log_gap, kind, coupling)
+        op = _DenseOperator(mat)
+        d = total_dim(n)
         w, v = np.linalg.eigh(mat)
         top = v[:, -1]
         noise = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         if start in ("tilted", "second"):
             # a pair handed over as is, with no second Ritz value to skip on:
-            # the factorization alone must refuse it
+            # the inertia count alone must refuse it
             vec = top + 1e-5 * v[:, -2] if start == "tilted" else v[:, -2]
             vec = vec / np.linalg.norm(vec)
             lam, second = np.vdot(vec, mat @ vec).real, -math.inf
         else:
             scale = {"at": 0.0, "near": 1e-7, "away": 0.3, "random": 1e3}[start]
-            lam, vec, second = optimizer._ritz_step(mat, top + scale * noise)
+            lam, vec, second = optimizer._ritz_step(op, top + scale * noise)
         residual = np.linalg.norm(mat @ vec - lam * vec)
         g = 2 * residual / math.sqrt(tol)
-        result = optimizer._certified(mat.copy(), lam, vec, second, tol)
+        result = optimizer._certified(op, lam, vec, second, tol)
         if start == "second":
             assert result is None
-        elif start == "tilted" and gap <= g and residual**2 < tol * g:
+        elif start == "tilted" and w[-1] - w[-2] <= g and residual**2 < tol * g:
             # the proof needs lambda_2 < rho - g; r^2 < tol g keeps the pair
             # itself under test, with no longer Lanczos pass
             assert result is None
@@ -210,29 +246,51 @@ class TestCertificate:
         assert w[-1] - w[-2] > 2 * residual / math.sqrt(tol)
 
     def test_rejects_a_degenerate_top(self, rng):
-        m, _ = TestTopEigenpair._degenerate_matrix(rng, 4, 2)
-        lam, vec, second = optimizer._ritz_step(m, rng.standard_normal(16) + 0j)
-        assert optimizer._certified(m.copy(), lam, vec, second, 1e-12) is None
+        mat = _block_tridiagonal(rng, 4, 0.0, "complex", 0.0)
+        op = _DenseOperator(mat)
+        lam, vec, second = optimizer._ritz_step(op, rng.standard_normal(16) + 0j)
+        assert optimizer._certified(op, lam, vec, second, 1e-12) is None
 
-    @pytest.mark.parametrize("kind", ["real-valued", "complex"])
-    def test_forms_its_operand_in_place(self, rng, monkeypatch, kind):
-        # the operand lives in M's own buffer, real when M has no imaginary part
-        mat = _spectrum_matrix(rng, 49, 0.3, kind)
-        w, v = np.linalg.eigh(mat)
-        factored = []
-        cholesky = np.linalg.cholesky
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 8), st.sampled_from(["z", "xy", "xyz", "block-tridiagonal"]),
+           st.integers(0, 63), st.sampled_from([-1e-3, -1e-5, 1e-5, 1e-3]),
+           st.integers(0, 2**32 - 1))
+    def test_inertia_count_matches_eigvalsh(self, n, kind, index, offset, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "block-tridiagonal":
+            op = _DenseOperator(_block_tridiagonal(rng, n, 1e-3, "complex", 0.3))
+            w = np.linalg.eigvalsh(op.mat)
+        else:
+            tensor = cached_tensor(Objective.from_kind(kind), n - 1)
+            b = FiducialState.random(n, rng).b
+            op = tensor.operator(b)
+            w = np.linalg.eigvalsh(tensor.contract(b))
+        # sigma lies |offset| from an eigenvalue; a floor of a tenth of that
+        # keeps the elimination's rounding below the distance that decides the
+        # count. A pivot below the floor (sigma near an eigenvalue of a leading
+        # block) refuses instead
+        sigma = w[index % len(w)] + offset
+        count = optimizer._eigenvalues_above(op, sigma, abs(offset) / 10)
+        assert count is None or count == np.count_nonzero(w > sigma)
 
-        def spy(operand):
-            factored.append(operand)
-            return cholesky(operand)
-
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
-        owned, top = mat.copy(), v[:, -1]
-        result = optimizer._certified(owned, w[-1], top, -math.inf, 1e-12)
-        assert result is not None and result[1] is top
-        (operand,) = factored
-        assert np.shares_memory(operand, owned)
-        assert operand.dtype == (float if kind == "real-valued" else complex)
+    def test_inertia_count_rarely_refuses(self, rng):
+        # sigma 1e-5 and 1e-3 off every eigenvalue of objective matrices: about
+        # 0.6% of such counts meet a pivot below a tenth of the offset
+        answered, refused = 0, 0
+        for n in range(2, 9):
+            for kind in ("z", "xy", "xyz"):
+                tensor = cached_tensor(Objective.from_kind(kind), n - 1)
+                b = FiducialState.random(n, rng).b
+                op, w = tensor.operator(b), np.linalg.eigvalsh(tensor.contract(b))
+                for sigma in np.add.outer(w, [-1e-3, -1e-5, 1e-5, 1e-3]).ravel():
+                    offset = np.min(np.abs(w - sigma))
+                    count = optimizer._eigenvalues_above(op, sigma, offset / 10)
+                    if count is None:
+                        refused += 1
+                    else:
+                        answered += 1
+                        assert count == np.count_nonzero(w > sigma)
+        assert refused <= 0.02 * answered
 
 
 class TestBFromA:
@@ -350,7 +408,7 @@ def _all_dense_fixed_point(tensor, n, init, seed, tol=1e-12, max_iter=2000):
         n, np.random.default_rng(seed))
     lam_prev = a_prev = None
     for _ in range(max_iter):
-        lam, vec = optimizer._top_eigh(build_m(tensor, b), previous=a_prev)
+        lam, vec = optimizer._top_eigh(build_m(tensor, b))
         done = (lam_prev is not None and abs(lam - lam_prev) < tol
                 and np.linalg.norm(vec - a_prev) < math.sqrt(tol))
         a_prev, lam_prev = vec, lam
@@ -360,6 +418,37 @@ def _all_dense_fixed_point(tensor, n, init, seed, tol=1e-12, max_iter=2000):
     raise AssertionError("the all-dense reference loop did not converge")
 
 
+def _optimize_without_dense_algebra(capsys, monkeypatch, n):
+    """`optimize --n n --restarts 0`'s JSON and tracemalloc peak.
+
+    `contract`, Cholesky and any eigh or eigvalsh of more than 2n - 1 rows,
+    the largest Schur block, raise meanwhile.
+    """
+    from framecast.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense objective matrix or factorization")
+
+    def bounded(solve):
+        def checked(mat, *args, **kwargs):
+            if mat.shape[-1] > 2 * n - 1:
+                raise AssertionError(f"{solve.__name__} of a {mat.shape} matrix")
+            return solve(mat, *args, **kwargs)
+        return checked
+
+    monkeypatch.setattr(SparseCoefficientTensor, "contract", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", bounded(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", bounded(np.linalg.eigvalsh))
+    tracemalloc.start()
+    try:
+        assert main(["optimize", "--n", str(n), "--restarts", "0"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return json.loads(capsys.readouterr().out), peak
+
+
 class _FixedMatrixTensor:
     """Stand-in tensor whose objective matrix ignores the fiducial state."""
 
@@ -367,8 +456,8 @@ class _FixedMatrixTensor:
         self.j_max = n - 1
         self.mat = mat
 
-    def contract(self, b):
-        return self.mat.copy()  # a fresh array that the caller owns, as contract's is
+    def operator(self, b):
+        return _DenseOperator(self.mat)
 
     def expectation(self, a, b):
         return float(np.vdot(a, self.mat @ a).real)
@@ -398,7 +487,7 @@ class TestWarmRounds:
         pivot = vec[np.argmax(np.abs(vec))]
         assert abs(pivot.imag) < 1e-14 and pivot.real > 0
 
-    def test_certificate_escapes_a_non_top_eigenvector(self, rng, monkeypatch):
+    def test_certificate_refuses_a_non_top_eigenvector(self, rng, monkeypatch):
         # M is exactly block diagonal, so a Krylov space started at the top
         # eigenvector of the low block never leaves that block
         n = 3
@@ -407,15 +496,15 @@ class TestWarmRounds:
         mat = np.zeros((9, 9), dtype=complex)
         mat[:3, :3] = (low + low.conj().T) / 2
         mat[3:, 3:] = (high + high.conj().T) / 2 + 10.0 * np.eye(6)
-        w, v = np.linalg.eigh(mat)
         trap = np.zeros(9, dtype=complex)
         w_low, v_low = np.linalg.eigh(mat[:3, :3])
         trap[:3] = v_low[:, -1]
-        assert optimizer._ritz_step(mat, trap)[0] == pytest.approx(w_low[-1], abs=1e-12)
-        assert optimizer._certified(mat.copy(), w_low[-1], trap, -math.inf, 1e-12) is None
+        op = _DenseOperator(mat)
+        assert optimizer._ritz_step(op, trap)[0] == pytest.approx(w_low[-1], abs=1e-12)
+        assert optimizer._certified(op, w_low[-1], trap, -math.inf, 1e-12) is None
 
         ritz_step = optimizer._ritz_step
-        steps, calls = [], []
+        steps = []
 
         def trapped_first_round(m, start, krylov_dim=optimizer.KRYLOV_DIM):
             steps.append(krylov_dim)
@@ -423,23 +512,18 @@ class TestWarmRounds:
                 return float(w_low[-1]), trap, -math.inf
             return ritz_step(m, start, krylov_dim)
 
-        dense = optimizer._top_eigh
-
-        def counted_dense(m, previous=None):
-            calls.append(previous is None)
-            return dense(m, previous)
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve")
 
         monkeypatch.setattr(optimizer, "_ritz_step", trapped_first_round)
-        monkeypatch.setattr(optimizer, "_top_eigh", counted_dense)
-        result = fixed_point_optimize(_FixedMatrixTensor(n, mat), n)
-        assert result.converged
-        assert result.lam == pytest.approx(w[-1], abs=1e-12)
-        assert abs(abs(np.vdot(v[:, -1], result.a.a)) - 1.0) < 1e-12
-        assert result.lambda_trajectory[0] == pytest.approx(w_low[-1], abs=1e-12)
+        monkeypatch.setattr(optimizer, "_top_eigh", refuse)
+        # every later round stays in the low block and looks converged; no
+        # certificate passes, so the loop runs out without claiming convergence
+        result = fixed_point_optimize(_FixedMatrixTensor(n, mat), n, max_iter=20)
+        assert not result.converged
+        assert result.iterations == 20
+        assert result.lam == pytest.approx(w_low[-1], abs=1e-12)
         assert steps[0] == optimizer.WIDE_KRYLOV_DIM
-        # only the dense solve after the rejected certificate; the Cholesky
-        # certificate accepts the next round without one
-        assert calls == [False]
 
     @pytest.mark.parametrize("kind", ["z", "xy", "xyz"])
     def test_converged_values_match_the_all_dense_loop(self, kind):
@@ -451,56 +535,51 @@ class TestWarmRounds:
                 reference = _all_dense_fixed_point(tensor, n, init, seed)
                 assert result.lam == pytest.approx(reference, abs=1e-12)
 
-    def test_dense_solves_follow_rejected_certificates(self, monkeypatch):
-        # every round is a Ritz round; only a rejected certificate takes a
-        # dense solve, and that one starts from the previous sender state
-        dense, certify = optimizer._top_eigh, optimizer._certified
-        dense_calls, rejected = [], []
-
-        def counted_dense(m, previous=None):
-            dense_calls.append(previous is None)
-            return dense(m, previous)
+    def test_a_refused_certificate_continues_the_loop(self, monkeypatch):
+        # no round takes a dense solve; a refused certificate leaves its round
+        # unconverged, so the loop stops at its first accepted certificate
+        certify = optimizer._certified
+        accepted = []
 
         def counted_certify(*args):
             result = certify(*args)
-            rejected.append(result is None)
+            accepted.append(result is not None)
             return result
-
-        monkeypatch.setattr(optimizer, "_top_eigh", counted_dense)
-        monkeypatch.setattr(optimizer, "_certified", counted_certify)
-        for kind in ("z", "xy", "xyz"):
-            for n in range(2, 7):
-                tensor = cached_tensor(Objective.from_kind(kind), n - 1)
-                for init, seed in [("uniform", None), ("random", 0), ("random", 1)]:
-                    dense_calls.clear()
-                    rejected.clear()
-                    result = fixed_point_optimize(tensor, n, init=init, seed=seed, max_iter=2000)
-                    assert result.converged
-                    assert True not in dense_calls
-                    assert len(dense_calls) == sum(rejected)
-
-    def test_large_level_takes_no_dense_solve(self, capsys, monkeypatch):
-        # optimize --n 40 --restarts 0: no round, round 1 and the certificate
-        # included, solves the d = 1600 matrix; eigh sees Lanczos projections only
-        from framecast.cli import main
-
-        eigh = np.linalg.eigh
-
-        def projection_eigh(mat, *args, **kwargs):
-            if mat.shape[0] > optimizer.WIDE_KRYLOV_DIM:
-                raise AssertionError(f"np.linalg.eigh of a {mat.shape} matrix")
-            return eigh(mat, *args, **kwargs)
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense eigensolve")
 
         monkeypatch.setattr(optimizer, "_top_eigh", refuse)
-        monkeypatch.setattr(np.linalg, "eigh", projection_eigh)
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        assert main(["optimize", "--n", "40", "--restarts", "0"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(optimizer, "_certified", counted_certify)
+        refused = 0
+        for kind in ("z", "xy", "xyz"):
+            for n in range(2, 9):
+                tensor = cached_tensor(Objective.from_kind(kind), n - 1)
+                # the sweep's restart streams; z at n = 8 refuses two of them once
+                streams = np.random.SeedSequence((0, n)).spawn(3)
+                for init, seed in [("uniform", None), *(("random", s) for s in streams)]:
+                    accepted.clear()
+                    result = fixed_point_optimize(tensor, n, init=init, seed=seed, max_iter=2000)
+                    assert result.converged
+                    assert accepted[-1] and not any(accepted[:-1])
+                    refused += len(accepted) - 1
+        assert refused > 0  # the refused path ran
+
+    def test_large_level_takes_no_dense_solve(self, capsys, monkeypatch):
+        # optimize --n 60: no round or certificate forms the d = 3600 matrix
+        # (one complex d x d array is 207 MB); eigh sees Lanczos projections
+        # and Schur blocks only
+        doc, peak = _optimize_without_dense_algebra(capsys, monkeypatch, 60)
         assert doc["converged"]
-        assert doc["lambda"] == pytest.approx(2.91563672943, abs=1e-11)
+        assert doc["lambda"] == pytest.approx(2.94706102195, abs=1e-11)
+        assert peak < 32e6
+
+    @pytest.mark.slow
+    def test_level_one_hundred(self, capsys, monkeypatch):
+        doc, peak = _optimize_without_dense_algebra(capsys, monkeypatch, 100)
+        assert doc["converged"]
+        assert doc["lambda"] == pytest.approx(2.97033681481, abs=1e-11)
+        assert peak < 64e6
 
     @pytest.mark.parametrize("kind", ["z", "xy", "xyz"])
     def test_round_one_reaches_the_dense_top_eigenvalue(self, monkeypatch, kind):
