@@ -27,8 +27,6 @@ from .objective import (
     AliceState,
     FidelityReport,
     FiducialState,
-    build_m,
-    expected_value,
     fidelity_report,
 )
 from .optimizer import (

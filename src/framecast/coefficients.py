@@ -6,10 +6,11 @@ the sender amplitudes a_{jm} and the fiducial amplitudes b_{jm}. Its
 coefficients are rank-1 terms c_hat_{mu nu} cg_mu cg_nu in spin-1
 Clebsch-Gordan vectors that depend on j_max alone (`moment_tensor`), so a
 tensor stores only the 3x3 spherical moment c_hat of c. `operator` builds
-the objective matrix from it as its O(d) nonzeros (`contract`, densely, for
-the tests); `block` and `entries` expand it for the tests and for the
+the objective matrix from it as its O(d) nonzeros, the only form of that
+matrix in the package. `block` and `entries` expand the coefficients for the
 brute-force quadrature oracle in `quadrature`, which shares nothing with
-this formula. The z axis is c = diag(0, 0, 1) and the joint x and y axes
+this formula, and for the tests, whose dense reference matrix is summed
+from `entries`. The z axis is c = diag(0, 0, 1) and the joint x and y axes
 are c = diag(1, 1, 0).
 """
 
@@ -141,7 +142,7 @@ def _contraction_plan(j_max: int) -> _Plan:
 
 
 class ObjectiveOperator(NamedTuple):
-    """M = contract(b) as its nonzeros (at most 9 per row), one per slot of `plan`."""
+    """M = operator(b) as its nonzeros (at most 9 per row), one per slot of `plan`."""
 
     values: np.ndarray
     plan: _Plan
@@ -226,27 +227,19 @@ class SparseCoefficientTensor:
         vals = cg * (weight[:, None] * (s @ self.c_hat.T)).ravel()[segment]
         return rows, cols, vals
 
-    def contract(self, b: np.ndarray) -> np.ndarray:
-        """Dense Hermitian M[(j,m),(k,n)] = sum_rs f_{jkmnrs} b_{jr} conj(b_{ks}) for flat b.
-
-        The mirror blocks of `_pair_values` make M = P + P^H, exactly
-        Hermitian, in O(d) work besides the d x d fill.
-        """
-        rows, cols, vals = self._pair_values(b)
-        mat = np.zeros((b.size, b.size), dtype=complex)
-        mat[rows, cols] = vals
-        mat[cols, rows] += vals.conj()
-        return mat
-
     def operator(self, b: np.ndarray) -> ObjectiveOperator:
-        """M = contract(b) as its O(d) nonzeros, each the very sum that `contract` forms."""
+        """M[(j,m),(k,n)] = sum_rs f_{jkmnrs} b_{jr} conj(b_{ks}) for flat b, as its O(d) nonzeros.
+
+        Each slot sums its terms of P from `_pair_values` and of the mirror
+        P^H, so M = P + P^H is exactly Hermitian.
+        """
         plan = _contraction_plan(self.j_max)
         vals = self._pair_values(b)[2]
         terms = np.concatenate((vals, vals.conj(), [0.0]))[plan.order]
         return ObjectiveOperator(np.add.reduceat(terms, plan.slot_starts), plan)
 
     def expectation(self, a: np.ndarray, b: np.ndarray) -> float:
-        """<a|M|a> for M = contract(b) in O(d), with no d x d array.
+        """<a|M|a> for M = operator(b) in O(d), with no d x d array.
 
         M = P + P^H makes it 2 Re sum conj(a_row) P[row, col] a_col.
         """

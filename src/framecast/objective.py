@@ -3,9 +3,10 @@
 The expected value of any transmission objective is <A|M|A>, where M is
 Hermitian by construction and the fiducial amplitudes enter it through three
 scalars per coupled block pair. The reports take it in O(d) from
-`SparseCoefficientTensor.expectation`; `build_m` and `expected_value` keep
-the dense d x d form as the tests' oracle. Per-axis mean square errors
-follow from the expected cosines as (1 - <cos w>)/2 per axis.
+`SparseCoefficientTensor.expectation`; M itself exists only as the O(d)
+`SparseCoefficientTensor.operator`, and the tests hold the dense d x d form,
+summed from the coefficient entries, as their oracle. Per-axis mean square
+errors follow from the expected cosines as (1 - <cos w>)/2 per axis.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import numpy.random
 
 from .basis import block_norms, block_slice, flat_index, iter_jm, total_dim
-from .coefficients import Objective, SparseCoefficientTensor, cached_tensor
+from .coefficients import Objective, cached_tensor
 from .so3 import AngularIndex
 
 NORM_TOL = 1e-12
@@ -45,11 +46,18 @@ def _integer(value) -> int:
 
 
 def _vec_from_rows(n: int, rows) -> np.ndarray:
+    """Amplitudes from state-file rows [j, m, re, im]: exactly one row per (j, m) of level n."""
+    if len(rows) != total_dim(n):
+        raise ValueError(f"expected {total_dim(n)} coefficient rows for n={n}, got {len(rows)}")
     vec = np.zeros(total_dim(n), dtype=complex)
+    seen = set()
     for j, m, re, im in rows:
         index = AngularIndex(_integer(j), _integer(m))
         if index.j >= n:
             raise ValueError(f"coefficient block j={index.j} exceeds n-1={n - 1}")
+        if index in seen:
+            raise ValueError(f"duplicate coefficient row j={index.j}, m={index.m}")
+        seen.add(index)
         vec[flat_index(index.j, index.m)] = re + 1j * im
     return vec
 
@@ -152,24 +160,6 @@ class FidelityReport:
             "mse_per_axis": self.mse_per_axis,
             "lambda": self.lam,
         }
-
-
-def build_m(tensor: SparseCoefficientTensor, b: FiducialState) -> np.ndarray:
-    """The dense d x d objective matrix M of the fiducial state (`contract`): the tests' oracle.
-
-    M[(j,m),(k,n)] = sum over (r,s) of f_{jkmnrs} b_{jr} conj(b_{ks}), exactly Hermitian.
-    """
-    if tensor.j_max != b.n - 1:
-        raise ValueError(f"tensor j_max={tensor.j_max} does not match state n={b.n}")
-    return tensor.contract(b.b)
-
-
-def expected_value(m: np.ndarray, a: AliceState) -> float:
-    """Real quadratic form value <A|M|A> for the d x d objective matrix m."""
-    d = a.a.size
-    if m.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} matrix for n={a.n}, got shape {m.shape}")
-    return float(np.vdot(a.a, m @ a.a).real)
 
 
 def fidelity_report(a: AliceState, b: FiducialState,

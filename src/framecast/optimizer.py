@@ -1,17 +1,19 @@
 """Alternating eigenvalue optimization of the sender/fiducial state pair.
 
 One round: build the objective matrix M for the current fiducial amplitudes
-(`SparseCoefficientTensor.operator`, never a d x d array), take the top Ritz
-pair of a Lanczos basis as the sender state, then renormalize it per block
-to get the next fiducial state. Round 1's basis (WIDE_KRYLOV_DIM vectors)
-starts at the fiducial amplitudes, later ones at the previous sender state,
-so the trajectory never decreases. The loop stops at a joint fixed point
-once an inertia count over the j blocks proves the Ritz pair within the
-stopping rule of the top eigenpair (`_certified`).
+(`SparseCoefficientTensor.operator`, the package's only form of M, never a
+d x d array), take the top Ritz pair of a Lanczos basis as the sender
+state, then renormalize it per block to get the next fiducial state. Round
+1's basis (WIDE_KRYLOV_DIM vectors) starts at the fiducial amplitudes,
+later ones at the previous sender state, so the trajectory never decreases.
+The loop stops at a joint fixed point once an inertia count over the j
+blocks proves the Ritz pair within the stopping rule of the top eigenpair
+(`_certified`).
 
 A derivative-free direct search over unconstrained amplitudes (small n only)
-serves as an independent cross-check, and sweeps over n feed the asymptotic
-power-law fits.
+serves as an independent cross-check, the exact single-m z optimum reads its
+tridiagonal sector from the same operator, and sweeps over n feed the
+asymptotic power-law fits.
 """
 
 from __future__ import annotations
@@ -353,12 +355,20 @@ def best_of_restarts(
 def z_sector_matrix(n: int, m: int) -> np.ndarray:
     """Tridiagonal z-objective block for magnetic number m, blocks j >= |m|.
 
-    Contracting with b_{jr} = delta_{rm} leaves M[(j,m),(k,m)] = f_{jkmmmm}.
+    Contracting with b_{jr} = delta_{rm} leaves M[(j,m),(k,m)] = f_{jkmmmm}:
+    the slots of `operator(b)` whose row and column both lie in the sector.
     """
-    sector = [flat_index(j, m) for j in range(abs(m), n)]
+    sector = np.array([flat_index(j, m) for j in range(abs(m), n)])
     b = np.zeros(total_dim(n))
     b[sector] = 1.0
-    return cached_tensor(Objective.z_axis(), n - 1).contract(b)[np.ix_(sector, sector)].real
+    op = cached_tensor(Objective.z_axis(), n - 1).operator(b)
+    position = np.full(total_dim(n), -1)
+    position[sector] = np.arange(sector.size)
+    rows, cols = position[op.plan.slot_rows], position[op.plan.slot_cols]
+    inside = (rows >= 0) & (cols >= 0)
+    mat = np.zeros((sector.size, sector.size))
+    mat[rows[inside], cols[inside]] = op.values[inside].real
+    return mat
 
 
 def optimize_z_single_m(n: int, m: int) -> OptimizationResult:

@@ -1,9 +1,12 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
+
+from framecast import flat_index
 
 
 def jacobi_polynomial(k: int, a: int, b: int, x):
@@ -65,6 +68,32 @@ def jacobi_small_d_matrix(j: int, beta) -> np.ndarray:
         for ri, r in enumerate(range(-j, j + 1)):
             out[..., mi, ri] = jacobi_small_d(j, m, r, beta)
     return out
+
+
+_ENTRY_INDEX = weakref.WeakKeyDictionary()  # per tensor: the flat indices of every entry
+
+
+def entry_matrix(tensor, b) -> np.ndarray:
+    """Dense reference M for flat fiducial amplitudes b (tests only).
+
+    np.add.at of f_{jkmnrs} b_{jr} conj(b_{ks}) over every entry of
+    `tensor.entries`, symmetrized. The entries are checked against group
+    quadrature, and this sum shares no code with `operator` or `expectation`.
+    """
+    if tensor not in _ENTRY_INDEX:
+        j, k, m, n, r, s = np.array(list(tensor.entries), dtype=np.intp).reshape(-1, 6).T
+        vals = np.array(list(tensor.entries.values()), dtype=complex)
+        _ENTRY_INDEX[tensor] = (flat_index(j, m), flat_index(k, n),
+                                flat_index(j, r), flat_index(k, s), vals)
+    row, col, left, right, vals = _ENTRY_INDEX[tensor]
+    mat = np.zeros((b.size, b.size), dtype=complex)
+    np.add.at(mat, (row, col), vals * b[left] * np.conj(b[right]))
+    return 0.5 * (mat + mat.conj().T)
+
+
+def entry_expectation(tensor, a, b) -> float:
+    """<a|M|a> for the reference M = entry_matrix(tensor, b), a and b flat."""
+    return float(np.vdot(a, entry_matrix(tensor, b) @ a).real)
 
 
 @pytest.fixture

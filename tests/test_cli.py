@@ -411,7 +411,8 @@ class TestSimulate:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("fault", ["mismatched-n", "string-entry", "list-top-level",
-                                       "fractional-n", "fractional-index"])
+                                       "fractional-n", "fractional-index", "truncated",
+                                       "duplicate-row"])
     def test_malformed_state_file_is_rejected(self, capsys, tmp_path, fault):
         docs = {}
         for n in (2, 3):
@@ -428,6 +429,14 @@ class TestSimulate:
             doc["alice"]["n"] = 2.5  # int() would read it as 2
         elif fault == "fractional-index":
             doc["alice"]["coefficients"][1][0] = 1.9  # the row of j = 1; int() gives 1
+        elif fault == "truncated":
+            # declared n = 3 but only n = 2's rows: zero-filling them is still a unit state
+            doc = docs[3]
+            doc["alice"]["coefficients"] = docs[2]["alice"]["coefficients"]
+        elif fault == "duplicate-row":
+            # (0, 0) twice and no (1, -1): last-write-wins would still give a unit state
+            doc["alice"]["coefficients"] = [[0, 0, 1.0, 0.0], [0, 0, 1.0, 0.0],
+                                            [1, 0, 0.0, 0.0], [1, 1, 0.0, 0.0]]
         else:
             doc = [doc]
         state_path = tmp_path / "state.json"

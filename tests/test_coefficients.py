@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import entry_expectation, entry_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,12 +14,16 @@ from framecast import (
     Objective,
     assemble_tensor,
     block_slice,
-    build_m,
     coefficient_deviation,
-    expected_value,
     make_grid,
     rotation_entry_tensor,
 )
+from framecast.coefficients import moment_tensor
+
+
+def unit_vector(rng, d):
+    raw = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return raw / np.linalg.norm(raw)
 
 
 class TestObjective:
@@ -169,13 +174,13 @@ class TestAssembleTensor:
                 raw = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
                 alice = AliceState(n, raw / np.linalg.norm(raw))
                 fiducial = FiducialState.random(n, rng)
-                val = expected_value(build_m(tensor, fiducial), alice)
+                val = entry_expectation(tensor, alice.a, fiducial.b)
                 assert abs(val) <= bound + 1e-12
 
 
 
 class TestOperator:
-    """`operator(b)`, the sparse M, against the dense `contract(b)`."""
+    """`operator(b)`, the sparse M, against the dense reference summed from `entries`."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 10),
@@ -191,16 +196,12 @@ class TestOperator:
         else:
             tensor = assemble_tensor(Objective.from_kind(kind), n - 1)
         b = (FiducialState.uniform(n) if uniform else FiducialState.random(n, rng)).b
-        op, dense = tensor.operator(b), tensor.contract(b)
+        op, dense = tensor.operator(b), entry_matrix(tensor, b)
         x = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
         assert np.max(np.abs(op @ x - dense @ x)) < 1e-14
         assert op.norm_inf == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-14)
         blocks = list(op.blocks())
         assert len(blocks) == n
-        for j, (diagonal, upper) in enumerate(blocks):
-            right = slice((j + 1) ** 2, min(j + 2, n) ** 2)
-            assert np.array_equal(diagonal, dense[block_slice(j), block_slice(j)])
-            assert np.array_equal(upper, dense[block_slice(j), right])
         # M is block tridiagonal in j: the blocks and their mirrors are all of it
         rebuilt = np.zeros_like(dense)
         for j, (diagonal, upper) in enumerate(blocks):
@@ -208,4 +209,42 @@ class TestOperator:
             rebuilt[block_slice(j), block_slice(j)] = diagonal
             rebuilt[block_slice(j), right] = upper
             rebuilt[right, block_slice(j)] = upper.conj().T
-        assert np.array_equal(rebuilt, dense)
+        assert np.array_equal(rebuilt, rebuilt.conj().T)
+        assert np.max(np.abs(rebuilt - dense)) < 1e-14
+
+
+class TestExchangeSymmetry:
+    """<a|M(b)|a> = <b|M(a)|b> for a symmetric moment c.
+
+    Exchanging the sender and fiducial states maps the outcome amplitude at R
+    to the conjugate amplitude at R^-1, and R_ab(R^-1) = R_ba(R), so the
+    exchange transposes c.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from(["z", "xy", "xyz", "weighted", "moment"]),
+           st.integers(0, 2**32 - 1))
+    def test_sender_and_fiducial_exchange(self, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "moment":
+            raw = rng.standard_normal((3, 3))
+            tensor = moment_tensor(raw + raw.T, n - 1)
+        elif kind == "weighted":
+            tensor = assemble_tensor(Objective.weighted(*rng.uniform(0.1, 2.0, size=2)), n - 1)
+        else:
+            tensor = assemble_tensor(Objective.from_kind(kind), n - 1)
+        a, b = unit_vector(rng, n * n), unit_vector(rng, n * n)
+        assert abs(tensor.expectation(a, b) - tensor.expectation(b, a)) < 1e-14
+
+    def test_antisymmetric_moment_breaks_the_exchange(self, rng):
+        # c = R_xy - R_yx is odd under the exchange, so it flips the sign
+        c = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        largest = 0.0
+        for n in (2, 3, 4):
+            tensor = moment_tensor(c, n - 1)
+            for _ in range(20):
+                a, b = unit_vector(rng, n * n), unit_vector(rng, n * n)
+                forward, exchanged = tensor.expectation(a, b), tensor.expectation(b, a)
+                assert abs(forward + exchanged) < 1e-14
+                largest = max(largest, abs(forward - exchanged))
+        assert largest > 0.1

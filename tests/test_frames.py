@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import entry_expectation
 
 from framecast import (
     FiducialState,
@@ -14,8 +15,6 @@ from framecast import (
     build_c,
     cached_tensor,
     coefficient_deviation,
-    expected_value,
-    build_m,
     fixed_point_optimize,
     make_grid,
     reduce_to_axes,
@@ -99,20 +98,20 @@ class TestReduceToAxes:
 class TestWeightedExpectation:
     def test_z_selector_matches_z_objective(self):
         alice, b = optimal_pair(2, Objective.z_axis())
-        z_val = expected_value(build_m(cached_tensor(Objective.z_axis(), 1), b), alice)
+        z_val = entry_expectation(cached_tensor(Objective.z_axis(), 1), alice.a, b.b)
         got = weighted_objective_expectation(alice, b, GramLikeMatrix(np.diag([0, 0, 1.0])))
         assert got == pytest.approx(z_val, abs=1e-12)
 
     def test_identity_matches_sum(self):
         alice, b = optimal_pair(3)
-        z_val = expected_value(build_m(cached_tensor(Objective.z_axis(), 2), b), alice)
-        xy_val = expected_value(build_m(cached_tensor(Objective.xy_axes(), 2), b), alice)
+        z_val = entry_expectation(cached_tensor(Objective.z_axis(), 2), alice.a, b.b)
+        xy_val = entry_expectation(cached_tensor(Objective.xy_axes(), 2), alice.a, b.b)
         got = weighted_objective_expectation(alice, b, GramLikeMatrix(np.eye(3)))
         assert got == pytest.approx(z_val + xy_val, abs=1e-12)
 
     def test_rank_one_scaling(self):
         alice, b = optimal_pair(2, Objective.z_axis())
-        z_val = expected_value(build_m(cached_tensor(Objective.z_axis(), 1), b), alice)
+        z_val = entry_expectation(cached_tensor(Objective.z_axis(), 1), alice.a, b.b)
         got = weighted_objective_expectation(alice, b, GramLikeMatrix(np.diag([0, 0, 2.5])))
         assert got == pytest.approx(2.5 * z_val, abs=1e-12)
 

@@ -1,20 +1,19 @@
 """States, the induced Hermitian form, and fidelity reports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import entry_expectation, entry_matrix
 
 from framecast import (
     AliceState,
     FiducialState,
     Objective,
-    SparseCoefficientTensor,
     assemble_tensor,
     big_d_matrix,
     block_slice,
-    build_m,
-    expected_value,
     fidelity_report,
     fixed_point_optimize,
     flat_index,
@@ -65,15 +64,12 @@ class TestStates:
         assert np.allclose(clone_b.b, fiducial.b, atol=0)
 
 
-def expanded_entry_matrix(tensor, b):
-    """Reference M: np.add.at of f_{jkmnrs} b_{jr} conj(b_{ks}) over every entry, symmetrized."""
-    j, k, m, n, r, s = np.array(list(tensor.entries), dtype=np.intp).reshape(-1, 6).T
-    vals = np.array(list(tensor.entries.values()), dtype=complex)
-    d = total_dim(b.n)
-    mat = np.zeros((d, d), dtype=complex)
-    np.add.at(mat, (flat_index(j, m), flat_index(k, n)),
-              vals * b.b[flat_index(j, r)] * np.conj(b.b[flat_index(k, s)]))
-    return 0.5 * (mat + mat.conj().T)
+def operator_matrix(tensor, b):
+    """M = tensor.operator(b) as a dense array: each slot's value at its (row, col)."""
+    op = tensor.operator(b)
+    mat = np.zeros((b.size, b.size), dtype=complex)
+    mat[op.plan.slot_rows, op.plan.slot_cols] = op.values
+    return mat
 
 
 FACTORED_CASES = {
@@ -87,27 +83,28 @@ FACTORED_CASES = {
 
 
 class TestBuildM:
+    """The objective matrix M = operator(b) against the entries oracle and group quadrature."""
+
     @pytest.mark.parametrize("name", list(FACTORED_CASES))
     def test_factored_form_matches_expanded_entries(self, name, rng):
         for n in (1, 2, 3, 7, 12):
             tensor = FACTORED_CASES[name](n - 1)
-            b = FiducialState.random(n, rng)
-            mat = build_m(tensor, b)
+            b = FiducialState.random(n, rng).b
+            mat = operator_matrix(tensor, b)
             assert np.array_equal(mat, mat.conj().T)
-            assert np.max(np.abs(mat - expanded_entry_matrix(tensor, b))) < 1e-14, n
+            assert np.max(np.abs(mat - entry_matrix(tensor, b))) < 1e-14, n
 
     @pytest.mark.parametrize("name", list(FACTORED_CASES))
     def test_expectation_matches_the_dense_form(self, name, rng):
         for n in (1, 2, 3, 7, 12):
             tensor = FACTORED_CASES[name](n - 1)
-            alice, b = random_alice(n, rng), FiducialState.random(n, rng)
-            dense = expected_value(build_m(tensor, b), alice)
-            assert abs(tensor.expectation(alice.a, b.b) - dense) < 1e-14, n
+            a, b = random_alice(n, rng).a, FiducialState.random(n, rng).b
+            assert abs(tensor.expectation(a, b) - entry_expectation(tensor, a, b)) < 1e-14, n
 
     def test_large_level_never_expands_entries(self):
         tensor = assemble_tensor(Objective.xyz_axes(), 49)
-        mat = build_m(tensor, FiducialState.uniform(50))
-        assert type(mat) is np.ndarray and mat.shape == (2500, 2500)
+        op = tensor.operator(FiducialState.uniform(50).b)
+        assert op.values.shape == op.plan.slot_rows.shape and op.values.size < 9 * 2500
         assert "entries" not in tensor.__dict__
 
     def test_hand_assembled_z_block(self):
@@ -116,8 +113,7 @@ class TestBuildM:
         vec = np.zeros(4, dtype=complex)
         vec[flat_index(0, 0)] = 1.0
         vec[flat_index(1, 0)] = 1.0
-        b = FiducialState(2, vec)
-        mat = build_m(assemble_tensor(Objective.z_axis(), 1), b)
+        mat = operator_matrix(assemble_tensor(Objective.z_axis(), 1), FiducialState(2, vec).b)
         expected = np.zeros((4, 4))
         expected[flat_index(0, 0), flat_index(1, 0)] = 1.0 / math.sqrt(3)
         expected[flat_index(1, 0), flat_index(0, 0)] = 1.0 / math.sqrt(3)
@@ -126,14 +122,13 @@ class TestBuildM:
     def test_hermitian_for_random_complex_fiducial(self, rng):
         for objective in (Objective.z_axis(), Objective.xy_axes(), Objective.xyz_axes()):
             tensor = assemble_tensor(objective, 3)
-            b = FiducialState.random(4, rng)
-            mat = build_m(tensor, b)
+            mat = operator_matrix(tensor, FiducialState.random(4, rng).b)
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 
     def test_z_block_diagonality(self, rng):
         n = 4
         tensor = assemble_tensor(Objective.z_axis(), n - 1)
-        mat = build_m(tensor, FiducialState.random(n, rng))
+        mat = operator_matrix(tensor, FiducialState.random(n, rng).b)
         for j in range(n):
             for m in range(-j, j + 1):
                 for k in range(n):
@@ -141,16 +136,11 @@ class TestBuildM:
                         if m != nn:
                             assert abs(mat[flat_index(j, m), flat_index(k, nn)]) < 1e-15
 
-    def test_dimension_mismatch(self, rng):
-        tensor = assemble_tensor(Objective.z_axis(), 1)
-        with pytest.raises(ValueError):
-            build_m(tensor, FiducialState.uniform(3))
-
     def test_matches_quadrature_built_matrix(self, rng):
         n = 2
         b = FiducialState.uniform(n)
         tensor = assemble_tensor(Objective.xyz_axes(), n - 1)
-        mat = build_m(tensor, b)
+        mat = operator_matrix(tensor, b.b)
         grid = make_grid(n - 1)
         fvals = np.cos(grid.betas) + (1.0 + np.cos(grid.betas)) * np.cos(grid.alphas + grid.gammas)
         rotated = {}
@@ -169,27 +159,25 @@ class TestBuildM:
 
 
 class TestExpectedValue:
+    """<a|M|a> from `expectation`, against the entries oracle and group quadrature."""
+
     def test_single_level_is_zero(self, rng):
-        alice = AliceState(1, [1.0])
-        b = FiducialState(1, [1.0])
         for objective in (Objective.z_axis(), Objective.xy_axes(), Objective.xyz_axes()):
-            mat = build_m(assemble_tensor(objective, 0), b)
-            assert expected_value(mat, alice) == 0.0
+            assert assemble_tensor(objective, 0).expectation(np.ones(1), np.ones(1)) == 0.0
 
     def test_rayleigh_quotient_at_top_eigenvector(self, rng):
         n = 3
         tensor = assemble_tensor(Objective.xyz_axes(), n - 1)
-        mat = build_m(tensor, FiducialState.random(n, rng))
-        evals, evecs = np.linalg.eigh(mat)
-        top = AliceState(n, evecs[:, -1])
-        assert expected_value(mat, top) == pytest.approx(evals[-1], abs=1e-12)
+        b = FiducialState.random(n, rng).b
+        evals, evecs = np.linalg.eigh(entry_matrix(tensor, b))
+        assert tensor.expectation(evecs[:, -1], b) == pytest.approx(evals[-1], abs=1e-12)
 
     def test_against_end_to_end_quadrature(self, rng):
         n = 2
         alice = random_alice(n, rng)
         b = FiducialState.random(n, rng)
         tensor = assemble_tensor(Objective.xyz_axes(), n - 1)
-        analytic = expected_value(build_m(tensor, b), alice)
+        analytic = tensor.expectation(alice.a, b.b)
         grid = make_grid(n - 1)
         amp = np.zeros(grid.node_count, dtype=complex)
         for j in range(n):
@@ -200,11 +188,6 @@ class TestExpectedValue:
         fvals = np.cos(grid.betas) + (1.0 + np.cos(grid.betas)) * np.cos(grid.alphas + grid.gammas)
         numeric = np.sum(grid.weights * np.abs(amp) ** 2 * fvals)
         assert analytic == pytest.approx(numeric, abs=1e-10)
-
-    def test_dimension_mismatch(self, rng):
-        mat = build_m(assemble_tensor(Objective.z_axis(), 1), FiducialState.uniform(2))
-        with pytest.raises(ValueError):
-            expected_value(mat, AliceState(1, [1.0]))
 
 
 class TestFidelityReport:
@@ -240,15 +223,16 @@ class TestFidelityReport:
         assert z_only.lam == pytest.approx(report.expect_cos_z, abs=1e-12)
         assert z_only.mse_per_axis == pytest.approx((1 - report.expect_cos_z) / 2, abs=1e-12)
 
-    def test_large_level_builds_no_matrix(self, rng, monkeypatch):
-        # at n = 50 a d x d matrix is 100 MB; the report needs none
+    def test_large_level_builds_no_matrix(self, rng):
+        # at n = 50 a complex d x d matrix is 100 MB; the report needs none
         alice, b = random_alice(50, rng), FiducialState.random(50, rng)
-
-        def refuse(self, b):
-            raise AssertionError("fidelity_report contracted a d x d matrix")
-
-        monkeypatch.setattr(SparseCoefficientTensor, "contract", refuse)
-        report = fidelity_report(alice, b, Objective.xyz_axes())
+        tracemalloc.start()
+        try:
+            report = fidelity_report(alice, b, Objective.xyz_axes())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
         assert abs(report.expect_cos_z) <= 1.0 and abs(report.expect_cos_xy) <= 2.0
         assert report.lam == pytest.approx(report.expect_cos_sum, abs=1e-12)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import entry_expectation, entry_matrix
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh as lapack_eigh
@@ -16,15 +17,12 @@ from framecast import (
     AliceState,
     FiducialState,
     Objective,
-    SparseCoefficientTensor,
     SweepRow,
     assemble_tensor,
     b_from_a,
     block_slice,
-    build_m,
     cached_tensor,
     direct_search_optimize,
-    expected_value,
     fidelity_report,
     fit_asymptote,
     fixed_point_optimize,
@@ -49,7 +47,7 @@ class TestTopEigenpair:
         vec = np.zeros(4, dtype=complex)
         vec[flat_index(0, 0)] = 1.0
         vec[flat_index(1, 0)] = 1.0
-        mat = build_m(assemble_tensor(Objective.z_axis(), 1), FiducialState(2, vec))
+        mat = entry_matrix(assemble_tensor(Objective.z_axis(), 1), FiducialState(2, vec).b)
         lam, top = optimizer._top_eigh(mat)
         assert lam == pytest.approx(ROOT3, abs=1e-14)
         assert abs(top[flat_index(0, 0)]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
@@ -264,7 +262,7 @@ class TestCertificate:
             tensor = cached_tensor(Objective.from_kind(kind), n - 1)
             b = FiducialState.random(n, rng).b
             op = tensor.operator(b)
-            w = np.linalg.eigvalsh(tensor.contract(b))
+            w = np.linalg.eigvalsh(entry_matrix(tensor, b))
         # sigma lies |offset| from an eigenvalue; a floor of a tenth of that
         # keeps the elimination's rounding below the distance that decides the
         # count. A pivot below the floor (sigma near an eigenvalue of a leading
@@ -281,7 +279,7 @@ class TestCertificate:
             for kind in ("z", "xy", "xyz"):
                 tensor = cached_tensor(Objective.from_kind(kind), n - 1)
                 b = FiducialState.random(n, rng).b
-                op, w = tensor.operator(b), np.linalg.eigvalsh(tensor.contract(b))
+                op, w = tensor.operator(b), np.linalg.eigvalsh(entry_matrix(tensor, b))
                 for sigma in np.add.outer(w, [-1e-3, -1e-5, 1e-5, 1e-3]).ravel():
                     offset = np.min(np.abs(w - sigma))
                     count = optimizer._eigenvalues_above(op, sigma, offset / 10)
@@ -378,7 +376,7 @@ class TestFixedPoint:
         n = 3
         tensor = cached_tensor(Objective.xyz_axes(), n - 1)
         result = fixed_point_optimize(tensor, n)
-        direct = expected_value(build_m(tensor, result.b), result.a)
+        direct = entry_expectation(tensor, result.a.a, result.b.b)
         assert result.lam == pytest.approx(direct, abs=1e-10)
 
     def test_random_inits_reach_uniform_init_value(self):
@@ -400,6 +398,8 @@ class TestFixedPoint:
             fixed_point_optimize(tensor, 2, max_iter=0)
         with pytest.raises(ValueError):
             fixed_point_optimize(tensor, 2, init="banana")
+        with pytest.raises(ValueError, match="j_max=1 does not match state n=3"):
+            fixed_point_optimize(tensor, 3)
 
 
 def _all_dense_fixed_point(tensor, n, init, seed, tol=1e-12, max_iter=2000):
@@ -408,21 +408,21 @@ def _all_dense_fixed_point(tensor, n, init, seed, tol=1e-12, max_iter=2000):
         n, np.random.default_rng(seed))
     lam_prev = a_prev = None
     for _ in range(max_iter):
-        lam, vec = optimizer._top_eigh(build_m(tensor, b))
+        lam, vec = optimizer._top_eigh(entry_matrix(tensor, b.b))
         done = (lam_prev is not None and abs(lam - lam_prev) < tol
                 and np.linalg.norm(vec - a_prev) < math.sqrt(tol))
         a_prev, lam_prev = vec, lam
         b = b_from_a(AliceState(n, vec))
         if done:
-            return expected_value(build_m(tensor, b), AliceState(n, a_prev))
+            return entry_expectation(tensor, a_prev, b.b)
     raise AssertionError("the all-dense reference loop did not converge")
 
 
 def _optimize_without_dense_algebra(capsys, monkeypatch, n):
     """`optimize --n n --restarts 0`'s JSON and tracemalloc peak.
 
-    `contract`, Cholesky and any eigh or eigvalsh of more than 2n - 1 rows,
-    the largest Schur block, raise meanwhile.
+    Cholesky and any eigh or eigvalsh of more than 2n - 1 rows, the largest
+    Schur block, raise meanwhile.
     """
     from framecast.cli import main
 
@@ -436,7 +436,6 @@ def _optimize_without_dense_algebra(capsys, monkeypatch, n):
             return solve(mat, *args, **kwargs)
         return checked
 
-    monkeypatch.setattr(SparseCoefficientTensor, "contract", refuse)
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(np.linalg, "eigh", bounded(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", bounded(np.linalg.eigvalsh))
@@ -594,7 +593,7 @@ class TestWarmRounds:
             for seed in (None, 0, 1):
                 b = FiducialState.uniform(n) if seed is None else FiducialState.random(
                     n, np.random.default_rng(seed))
-                top = np.linalg.eigvalsh(tensor.contract(b.b))[-1]
+                top = np.linalg.eigvalsh(entry_matrix(tensor, b.b))[-1]
                 first = fixed_point_optimize(tensor, n, init=b, max_iter=1).lambda_trajectory[0]
                 assert first <= top + 1e-12, (n, seed)
                 if n <= 6:
@@ -636,7 +635,7 @@ class TestSingleM:
     def test_embedded_states_consistent(self):
         result = optimize_z_single_m(4, 1)
         tensor = cached_tensor(Objective.z_axis(), 3)
-        assert expected_value(build_m(tensor, result.b), result.a) == pytest.approx(
+        assert entry_expectation(tensor, result.a.a, result.b.b) == pytest.approx(
             result.lam, abs=1e-12
         )
 
@@ -649,12 +648,23 @@ class TestSingleM:
         # so d * mse_z rises toward j_{0,1}^2 / 4 with a gap that shrinks like 1/n
         limit = jn_zeros(0, 1)[0] ** 2 / 4
         scaled = []
-        for n in (2, 3, 5, 10, 20, 30):
+        for n in (2, 3, 5, 10, 20, 30, 60, 100):
             result = optimize_z_single_m(n, 0)
             mse = fidelity_report(result.a, result.b, Objective.z_axis()).mse_per_axis
             scaled.append(n * n * mse)
             assert 0 < limit - scaled[-1] < 1.5 / n, n
         assert all(lo < hi for lo, hi in zip(scaled, scaled[1:]))
+
+    def test_level_sixty_reads_the_sector_alone(self):
+        # the sector has n - |m| rows; a complex d x d matrix at n = 60 is 207 MB
+        tracemalloc.start()
+        try:
+            result = optimize_z_single_m(60, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert result.lam == pytest.approx(0.999210123227436, abs=1e-12)
 
 
 class TestDirectSearch:
