@@ -45,7 +45,6 @@ from .quadrature import (
     SO3Grid,
     coefficient_block,
     coefficient_deviation,
-    coefficient_oracle,
     integrate,
     make_grid,
 )
@@ -54,11 +53,8 @@ from .simulator import (
     monte_carlo_error,
     outcome_density,
     povm_defect,
-    sample_outcome,
 )
 from .so3 import (
-    AngularIndex,
-    EulerAngles,
     angles_from_matrices,
     big_d_matrix,
     error_angles,

@@ -18,18 +18,19 @@ from pathlib import Path
 import numpy as np
 import numpy.random
 
-from .coefficients import Objective, SparseCoefficientTensor, assemble_tensor, cached_tensor
+from .coefficients import Objective, assemble_tensor, cached_tensor
 from .objective import AliceState, FiducialState, fidelity_report
-from .optimizer import best_of_restarts, fit_asymptote, fixed_point_optimize, sweep
+from .optimizer import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    best_of_restarts,
+    fit_asymptote,
+    fixed_point_optimize,
+    sweep,
+)
 from .quadrature import coefficient_deviation, integrate, make_grid
 from .simulator import monte_carlo_error, povm_defect
-from .so3 import (
-    EulerAngles,
-    big_d_matrix,
-    error_angles,
-    error_matrices,
-    rotation_matrix_components,
-)
+from .so3 import big_d_matrix, error_angles, error_matrices, rotation_matrix_components
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,7 +144,7 @@ VERIFY_CHECKS = ("grid-normalization", "geometry-identities", "error-angle-compo
                  "wigner-unitarity", "coefficients-vs-quadrature", "povm-completeness")
 
 
-def _verify_checks(n: int, seed: int, inject_fault: bool, selected: str = "all"):
+def _verify_checks(n: int, seed: int, selected: str = "all"):
     """Yield (name, worst, tol) per check whose name contains `selected` (all for "all").
 
     Every check's random inputs are drawn even when it does not run, so filtering keeps them.
@@ -204,9 +205,6 @@ def _verify_checks(n: int, seed: int, inject_fault: bool, selected: str = "all")
             (Objective.xy_axes(), lambda a, b, g: (1.0 + np.cos(b)) * np.cos(a + g)),
         ]:
             tensor = assemble_tensor(objective, j_max)
-            if inject_fault:  # test hook: deliberate corruption of the mu = nu = 0 moment
-                bumped = tensor.c_hat + np.diag([0.0, 1e-3, 0.0])
-                tensor = SparseCoefficientTensor(j_max, bumped)
             coeff_worst = max(coeff_worst, coefficient_deviation(tensor, fn, grid))
         yield "coefficients-vs-quadrature", coeff_worst, 1e-10
 
@@ -218,16 +216,13 @@ def _verify_checks(n: int, seed: int, inject_fault: bool, selected: str = "all")
 def cmd_verify(args, parser) -> int:
     if args.n < 1 or args.n > 6:
         parser.error("--n must be between 1 and 6 (oracle scale)")
-    if args.inject_fault and args.n < 2:
-        parser.error("--inject-fault needs --n >= 2: at n = 1 no block pair is coupled, "
-                     "so the fault changes nothing")
     if args.check != "all" and not any(args.check in name for name in VERIFY_CHECKS):
         parser.error(f"--check {args.check!r} matches no check; valid names: "
                      + ", ".join(VERIFY_CHECKS))
     rows = []
     if not args.json:
         print(f"{'check':32s} {'worst':>12s} {'tol':>9s}  status")
-    for name, worst, tol in _verify_checks(args.n, args.seed, args.inject_fault, args.check):
+    for name, worst, tol in _verify_checks(args.n, args.seed, args.check):
         rows.append({"name": name, "worst": worst, "tol": tol, "pass": bool(worst < tol)})
         if not args.json:
             print(f"{name:32s} {worst:12.3e} {tol:9.0e}  {'PASS' if rows[-1]['pass'] else 'FAIL'}")
@@ -295,14 +290,12 @@ def cmd_simulate(args, parser) -> int:
         args.objective = args.objective or "xyz"
         objective = _objective_from_args(args, parser)
         tensor = cached_tensor(objective, args.n - 1)
-        result = fixed_point_optimize(tensor, args.n, init="uniform", tol=args.tol or 1e-12,
-                                      max_iter=args.max_iter or 200)
+        result = fixed_point_optimize(tensor, args.n, init="uniform", tol=args.tol or DEFAULT_TOL,
+                                      max_iter=args.max_iter or DEFAULT_MAX_ITER)
         alice, fiducial = result.a, result.b
-    true_rotation = EulerAngles(0.0, 0.0, 0.0) if args.true == "identity" else None
-    outcome = monte_carlo_error(
-        alice, fiducial, samples=args.samples, seed=args.seed,
-        true_rotation=true_rotation, keep_samples=args.raw_csv is not None,
-    )
+    # the exact sampler draws error rotations only; --true is echoed, not used
+    outcome = monte_carlo_error(alice, fiducial, samples=args.samples, seed=args.seed,
+                                keep_samples=args.raw_csv is not None)
     if args.raw_csv is not None:
         report, raw = outcome
         raw_path = _resolve_output(args.raw_csv)
@@ -322,9 +315,9 @@ def cmd_simulate(args, parser) -> int:
 
 
 def _add_common_optimize_flags(sub):
-    sub.add_argument("--tol", type=_positive_float, default=1e-12,
+    sub.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
                      help="fixed-point tolerance on lambda")
-    sub.add_argument("--max-iter", type=_positive_int, default=200,
+    sub.add_argument("--max-iter", type=_positive_int, default=DEFAULT_MAX_ITER,
                      help="fixed-point iteration cap")
     sub.add_argument("--restarts", type=_non_negative_int, default=3,
                      help="seeded random restarts")
@@ -353,7 +346,6 @@ def build_parser() -> _Parser:
     ver.add_argument("--json", action="store_true",
                      help='print {"checks": [{"name", "worst", "tol", "pass"}], "passed"} '
                           "instead of the table")
-    ver.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     ver.set_defaults(func=cmd_verify, subparser=ver)
 
     swp = commands.add_parser("sweep", help="sweep n and emit CSV rows")

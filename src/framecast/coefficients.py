@@ -214,6 +214,13 @@ class SparseCoefficientTensor:
                 entries.update(zip(zip(repeat(j), repeat(k), m, n, r, s), block[idx].tolist()))
         return MappingProxyType(entries)
 
+    def _check_length(self, vec: np.ndarray) -> None:
+        """Raise ValueError unless vec is a flat vector of (j_max + 1)^2 amplitudes."""
+        d = (self.j_max + 1) ** 2
+        if np.shape(vec) != (d,):
+            raise ValueError(f"expected a flat vector of {d} amplitudes for j_max={self.j_max}, "
+                             f"got shape {np.shape(vec)}")
+
     def _pair_values(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat (row, col) indices and values of P, the half of M = P + P^H.
 
@@ -222,6 +229,7 @@ class SparseCoefficientTensor:
         <j m; 1 mu|k m+mu> sum_nu c_hat_{mu nu} S_nu, in O(d) work; the
         (row, col) pairs are distinct.
         """
+        self._check_length(b)
         rows, cols, cg, segment, starts, weight = _contraction_plan(self.j_max)[:6]
         s = np.add.reduceat(cg * b[rows] * np.conj(b[cols]), starts).reshape(-1, 3)
         vals = cg * (weight[:, None] * (s @ self.c_hat.T)).ravel()[segment]
@@ -243,6 +251,7 @@ class SparseCoefficientTensor:
 
         M = P + P^H makes it 2 Re sum conj(a_row) P[row, col] a_col.
         """
+        self._check_length(a)
         rows, cols, vals = self._pair_values(b)
         return 2.0 * float(np.vdot(a[rows], vals * a[cols]).real)
 

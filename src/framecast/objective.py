@@ -19,7 +19,6 @@ import numpy.random
 
 from .basis import block_norms, block_slice, flat_index, iter_jm, total_dim
 from .coefficients import Objective, cached_tensor
-from .so3 import AngularIndex
 
 NORM_TOL = 1e-12
 
@@ -52,13 +51,14 @@ def _vec_from_rows(n: int, rows) -> np.ndarray:
     vec = np.zeros(total_dim(n), dtype=complex)
     seen = set()
     for j, m, re, im in rows:
-        index = AngularIndex(_integer(j), _integer(m))
-        if index.j >= n:
-            raise ValueError(f"coefficient block j={index.j} exceeds n-1={n - 1}")
+        j, m = _integer(j), _integer(m)
+        if not (0 <= j < n and abs(m) <= j):
+            raise ValueError(f"invalid coefficient index (j={j}, m={m}) for n={n}")
+        index = flat_index(j, m)
         if index in seen:
-            raise ValueError(f"duplicate coefficient row j={index.j}, m={index.m}")
+            raise ValueError(f"duplicate coefficient row j={j}, m={m}")
         seen.add(index)
-        vec[flat_index(index.j, index.m)] = re + 1j * im
+        vec[index] = re + 1j * im
     return vec
 
 
@@ -91,15 +91,10 @@ class AliceState:
 
 @dataclass(frozen=True)
 class FiducialState:
-    """Detector fiducial amplitudes b_{jm}, unit norm within every j block.
-
-    uniform_filled_blocks records blocks that were set to the uniform vector
-    because the source amplitudes carried no weight there.
-    """
+    """Detector fiducial amplitudes b_{jm}, unit norm within every j block."""
 
     n: int
     b: np.ndarray
-    uniform_filled_blocks: tuple = ()
 
     def __post_init__(self):
         if self.n < 1:
@@ -109,7 +104,6 @@ class FiducialState:
         if bad.size:
             raise ValueError(f"fiducial block j={bad[0]} is not unit-normalized")
         object.__setattr__(self, "b", vec)
-        object.__setattr__(self, "uniform_filled_blocks", tuple(self.uniform_filled_blocks))
 
     @classmethod
     def uniform(cls, n: int) -> "FiducialState":

@@ -232,23 +232,21 @@ def _certified(op, lam: float, vec: np.ndarray, second: float,
 def b_from_a(a: AliceState) -> FiducialState:
     """Per-block renormalized copy of the sender amplitudes.
 
-    Blocks with no weight (norm below 1e-14) get the uniform vector and go in
-    uniform_filled_blocks; the fixed-point relation leaves them free.
+    Blocks with no weight (norm below 1e-14) get the uniform vector; the
+    fixed-point relation leaves them free.
     """
-    vec, filled = _unit_blocks(a.a, a.n)
-    return FiducialState(a.n, vec, uniform_filled_blocks=filled)
+    return FiducialState(a.n, _unit_blocks(a.a, a.n))
 
 
-def _unit_blocks(vec: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:
-    """vec unit-normalized per block, and the blocks below 1e-14 that are set uniform instead."""
+def _unit_blocks(vec: np.ndarray, n: int) -> np.ndarray:
+    """vec unit-normalized per block; blocks below 1e-14 are set uniform instead."""
     sizes = 2 * np.arange(n) + 1
     norms = block_norms(vec, n)
     empty = norms < 1e-14
     if not empty.any():
-        return vec / np.repeat(norms, sizes), ()
-    return (np.where(np.repeat(empty, sizes), FiducialState.uniform(n).b,
-                     vec / np.repeat(np.where(empty, 1.0, norms), sizes)),
-            tuple(int(j) for j in np.flatnonzero(empty)))
+        return vec / np.repeat(norms, sizes)
+    return np.where(np.repeat(empty, sizes), FiducialState.uniform(n).b,
+                    vec / np.repeat(np.where(empty, 1.0, norms), sizes))
 
 
 def _initial_fiducial(init, n: int, rng: np.random.Generator) -> FiducialState:
@@ -312,7 +310,7 @@ def fixed_point_optimize(
             )
         trajectory.append(lam)
         a_prev, lam_prev = vec, lam
-        bvec = _unit_blocks(vec, n)[0]
+        bvec = _unit_blocks(vec, n)
         if converged:
             break
     a = AliceState(n, a_prev)
@@ -388,10 +386,9 @@ def optimize_z_single_m(n: int, m: int) -> OptimizationResult:
         b_vec[flat_index(j, m)] = 1.0
     # blocks below |m| cannot hold this magnetic number; they carry no sender
     # weight, so `_unit_blocks` gives them the uniform fiducial vector
-    b_vec, filled = _unit_blocks(b_vec, n)
     return OptimizationResult(
         a=AliceState(n, a_vec),
-        b=FiducialState(n, b_vec, uniform_filled_blocks=filled),
+        b=FiducialState(n, _unit_blocks(b_vec, n)),
         lam=lam,
         lambda_trajectory=(lam,),
         iterations=1,

@@ -5,10 +5,10 @@ factors exactly: Gauss-Legendre in cos(beta), uniform (trapezoidal) grids in
 alpha and gamma. Normalization follows the Haar probability measure
 sin(beta) d(alpha) d(beta) d(gamma) / 8 pi^2.
 
-`coefficient_oracle` and `coefficient_block` are the brute-force reference
-for any transmission coefficient, and `coefficient_deviation` compares a
-whole coefficient tensor against them: they never touch the closed forms
-they are used to validate. On the product grid D^j_{mr} conj(D^k_{ns}) =
+`coefficient_block` is the brute-force reference for any block pair of
+transmission coefficients, and `coefficient_deviation` compares a whole
+coefficient tensor against it: neither touches the closed forms it is used
+to validate. On the product grid D^j_{mr} conj(D^k_{ns}) =
 exp(i(m-n) alpha) d^j_{mr}(beta) d^k_{ns}(beta) exp(i(r-s) gamma), so the alpha
 and gamma sums of f are one 2-D inverse DFT per beta node and only the beta
 sum needs small-d, at the Gauss-Legendre nodes (the separation behind SO(3)
@@ -127,14 +127,3 @@ def coefficient_deviation(tensor, f, grid: SO3Grid) -> float:
         worst = max(worst, float(np.max(np.abs(block - tensor.block(j, k)))))
     return worst
 
-
-def coefficient_oracle(f, j: int, k: int, m: int, n: int, r: int, s: int, grid: SO3Grid) -> complex:
-    """One transmission coefficient by brute-force quadrature.
-
-    With f == 1 the result is delta_{jk} delta_{mn} delta_{rs}: the
-    sqrt((2j+1)(2k+1)) factor restores the per-block weights of the fiducial
-    vector so that total probability integrates to one.
-    """
-    if abs(m) > j or abs(r) > j or abs(n) > k or abs(s) > k:
-        raise ValueError("magnetic indices out of range")
-    return complex(coefficient_block(f, j, k, grid)[m + j, r + j, n + k, s + k])

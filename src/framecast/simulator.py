@@ -8,9 +8,10 @@ Measurement outcomes follow the density |<A| U(true)^dagger U(outcome) |B>|^2
 relative to the Haar measure. Since U(true)^dagger U(outcome) = U(error) for
 the discrepancy rotation error = R(true)^T R(outcome) (`so3.error_matrices`),
 the statistics depend on the true rotation only through the error rotation.
-The weighted amplitude P = <A|U(alpha, beta, gamma)|B> is one 3-D
-trigonometric polynomial, built once per state pair from the Fourier
-coefficients of the small-d matrices.
+`outcome_density` scores whole (..., 3) arrays of zyz true and measured
+angles in one batched call. The weighted amplitude
+P = <A|U(alpha, beta, gamma)|B> is one 3-D trigonometric polynomial, built
+once per state pair from the Fourier coefficients of the small-d matrices.
 
 The error rotation is drawn exactly, by the chain rule beta -> alpha | beta
 -> gamma | alpha, beta (Devroye, Non-Uniform Random Variate Generation, 1986,
@@ -36,7 +37,6 @@ from .basis import block_slice, total_dim
 from .objective import AliceState, FiducialState
 from .quadrature import SO3Grid, coefficient_blocks
 from .so3 import (
-    EulerAngles,
     _wrap_angle,
     angles_from_matrices,
     error_matrices,
@@ -141,21 +141,21 @@ def _outcome_amplitudes(poly: np.ndarray, r_true: np.ndarray, r_meas: np.ndarray
     return out
 
 
-def outcome_density(a: AliceState, b: FiducialState, true_rot: EulerAngles,
-                    meas: EulerAngles) -> float:
-    """Probability density of outcome `meas` relative to the Haar measure.
+def outcome_density(a: AliceState, b: FiducialState, true_angles, meas_angles) -> np.ndarray:
+    """Probability density of outcomes relative to the Haar measure.
 
-    Depends on the pair only through the discrepancy rotation, integrates to
-    one, and is bounded by n^2.
+    true_angles and meas_angles are (..., 3) zyz arrays that broadcast
+    together; the densities come back in their broadcast leading shape. The
+    density depends on the rotations only through the discrepancy rotation,
+    integrates to one, and is bounded by n^2.
     """
     if a.n != b.n:
         raise ValueError("state dimensions differ")
-    amp = _outcome_amplitudes(
-        _amplitude_polynomial(a.a, b.b, a.n),
-        rotation_matrix_components(*true_rot.as_tuple())[None],
-        rotation_matrix_components(*meas.as_tuple())[None],
-    )
-    return float(np.abs(amp[0]) ** 2)
+    pair = np.stack(np.broadcast_arrays(np.asarray(true_angles, float),
+                                        np.asarray(meas_angles, float)))
+    r_true, r_meas = rotation_matrix_components(*np.moveaxis(pair.reshape(2, -1, 3), -1, 0))
+    amp = _outcome_amplitudes(_amplitude_polynomial(a.a, b.b, a.n), r_true, r_meas)
+    return (np.abs(amp) ** 2).reshape(pair.shape[1:-1])
 
 
 def _sample_chunk(poly: np.ndarray, r_true: np.ndarray, n: int,
@@ -193,17 +193,17 @@ def _sample_chunk(poly: np.ndarray, r_true: np.ndarray, n: int,
 
 
 def _rejection_errors(poly: np.ndarray, n: int, count: int, rng: np.random.Generator,
-                      true_rotation: EulerAngles | None) -> tuple[np.ndarray, int]:
+                      true_rotation) -> tuple[np.ndarray, int]:
     """Error rotation matrices of `count` rejection-sampled outcomes, and the proposals spent.
 
-    True rotations are Haar-uniform unless true_rotation fixes them.
+    True rotations are Haar-uniform unless true_rotation, a zyz triple, fixes them.
     """
     if true_rotation is None:
         t_alpha = rng.uniform(0.0, 2.0 * math.pi, count)
         t_beta = np.arccos(rng.uniform(-1.0, 1.0, count))
         t_gamma = rng.uniform(0.0, 2.0 * math.pi, count)
     else:
-        t_alpha, t_beta, t_gamma = (np.full(count, x) for x in true_rotation.as_tuple())
+        t_alpha, t_beta, t_gamma = (np.full(count, x) for x in true_rotation)
     r_true = rotation_matrix_components(t_alpha, t_beta, t_gamma)
     meas, proposals = _sample_chunk(poly, r_true, n, rng)
     r_meas = rotation_matrix_components(meas[:, 0], meas[:, 1], meas[:, 2])
@@ -337,25 +337,12 @@ def _sample_errors(poly: np.ndarray, beta_coef: np.ndarray, u: np.ndarray) -> np
     return out
 
 
-def sample_outcome(a: AliceState, b: FiducialState, true_rot: EulerAngles,
-                   rng_seed: int) -> EulerAngles:
-    """One measurement outcome R(true) R(error), deterministic for a fixed seed."""
-    if a.n != b.n:
-        raise ValueError("state dimensions differ")
-    poly = _amplitude_polynomial(a.a, b.b, a.n)
-    u = np.random.default_rng(rng_seed).random((1, 3))
-    error = _sample_errors(poly, _beta_marginal(poly), u)[0]
-    r_true = rotation_matrix_components(*true_rot.as_tuple())
-    outcome = r_true @ rotation_matrix_components(*error)
-    return EulerAngles(*angles_from_matrices(outcome).tolist())
-
-
 def monte_carlo_error(
     a: AliceState,
     b: FiducialState,
     samples: int,
     seed: int,
-    true_rotation: EulerAngles | None = None,
+    true_rotation=None,
     chunk_size: int = DEFAULT_CHUNK,
     keep_samples: bool = False,
     rejection: bool = False,
@@ -365,11 +352,12 @@ def monte_carlo_error(
     By default error rotations are drawn exactly (`_sample_errors`); the
     measurement is covariant, so no true rotation is drawn and true_rotation
     has no effect. With rejection=True, true rotations are drawn Haar-uniformly
-    unless a fixed one is given, and outcomes are rejection-sampled
-    (`_sample_chunk`), the independent oracle of the exact path. Chunks use
-    independent child streams of the master seed, so results do not depend
-    on chunk scheduling. With keep_samples=True, also returns an array of rows
-    (alpha, beta, gamma, cos_x, cos_y, cos_z) of the error rotation per sample.
+    unless true_rotation fixes one as a zyz triple (alpha, beta, gamma), and
+    outcomes are rejection-sampled (`_sample_chunk`), the independent oracle
+    of the exact path. Chunks use independent child streams of the master
+    seed, so results do not depend on chunk scheduling. With
+    keep_samples=True, also returns an array of rows (alpha, beta, gamma,
+    cos_x, cos_y, cos_z) of the error rotation per sample.
     """
     if a.n != b.n:
         raise ValueError("state dimensions differ")

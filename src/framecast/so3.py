@@ -3,8 +3,11 @@
 Wigner small-d and big-D matrices from one cached diagonalization of J_y
 per spin, classical zyz rotation matrices, angle extraction, and the error
 rotation R(true)^T R(estimate) whose diagonal holds the per-axis error
-cosines used to score frame transmission. Every rotation function is batched: angles and
-matrices carry any leading shape, a single rotation having the empty one.
+cosines used to score frame transmission. Every rotation function is
+batched: angles and matrices carry any leading shape, a single rotation
+having the empty one. Angles are plain arrays, as separate alpha, beta,
+gamma arguments or one (..., 3) zyz array; no class wraps them, since every
+consumer turns them into a matrix at once.
 
 Conventions
 -----------
@@ -22,7 +25,6 @@ the per-axis errors: R_zz = cos(beta) and R_xx + R_yy =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,47 +40,6 @@ def _wrap_angle(x):
     """x modulo 2pi in [0, 2pi); tiny negative x, which rounds up to 2pi, maps to 0."""
     x = np.mod(x, TWO_PI)
     return x * (x < TWO_PI)
-
-
-@dataclass(frozen=True)
-class EulerAngles:
-    """zyz Euler angles, normalized to alpha, gamma in [0, 2pi), beta in [0, pi].
-
-    Out-of-range inputs are folded by 2pi-periodicity and the identity
-    (alpha, -beta, gamma) == (alpha + pi, beta, gamma + pi).
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        a, b, g = float(self.alpha), float(self.beta), float(self.gamma)
-        b = math.fmod(b, TWO_PI)
-        if b < 0.0:
-            b += TWO_PI
-        if b > math.pi:
-            b = TWO_PI - b
-            a += math.pi
-            g += math.pi
-        object.__setattr__(self, "alpha", float(_wrap_angle(a)))
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "gamma", float(_wrap_angle(g)))
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.alpha, self.beta, self.gamma)
-
-
-@dataclass(frozen=True)
-class AngularIndex:
-    """Basis label |j, m> with j >= 0 and |m| <= j."""
-
-    j: int
-    m: int
-
-    def __post_init__(self):
-        if self.j < 0 or abs(self.m) > self.j:
-            raise ValueError(f"invalid angular index (j={self.j}, m={self.m})")
 
 
 @lru_cache(maxsize=None)
@@ -155,8 +116,8 @@ def rotation_matrix_components(alpha, beta, gamma) -> np.ndarray:
 def angles_from_matrices(r) -> np.ndarray:
     """zyz Euler angles of rotation matrices, shape (..., 3, 3) -> (..., 3).
 
-    The last axis holds (alpha, beta, gamma), normalized like EulerAngles. At
-    gimbal lock (|sin beta| below GIMBAL_EPS) the representative with
+    The last axis holds (alpha, beta, gamma), with alpha, gamma in [0, 2pi)
+    and beta in [0, pi]. At gimbal lock (|sin beta| below GIMBAL_EPS) the representative with
     gamma = 0 is returned, the full z-rotation folded into alpha.
     """
     r = np.asarray(r, dtype=float)

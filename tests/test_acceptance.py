@@ -221,7 +221,7 @@ def test_criterion_10_single_m_sector_claim():
 def test_criterion_11_geometry_identities():
     start = time.perf_counter()
     # verify's geometry check draws its 10^4 triples first from the seed
-    [(_, worst, _)] = _verify_checks(1, 1111, False, "geometry-identities")
+    [(_, worst, _)] = _verify_checks(1, 1111, "geometry-identities")
     elapsed = time.perf_counter() - start
     report(11, "rotation-matrix identities, 10^4 triples", worst < 1e-12,
            f"worst identity deviation = {worst:.2e}", elapsed, 10.0)

@@ -20,6 +20,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def corrupt_coefficients(monkeypatch):
+    """Make `verify` assemble every tensor with its mu = nu = 0 moment bumped by 1e-3."""
+    from framecast import SparseCoefficientTensor, cli
+
+    exact = cli.assemble_tensor
+
+    def bumped(objective, j_max):
+        c_hat = exact(objective, j_max).c_hat + np.diag([0.0, 1e-3, 0.0])
+        return SparseCoefficientTensor(j_max, c_hat)
+
+    monkeypatch.setattr(cli, "assemble_tensor", bumped)
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # only the direct-search oracle needs scipy.optimize, and no command calls it
     probe = "import sys, framecast.cli; print('scipy.optimize' in sys.modules)"
@@ -184,14 +197,17 @@ class TestVerify:
         _, out, _ = run_cli(capsys, "verify", "--n", "2")
         assert tuple(line.split()[0] for line in out.splitlines()[1:-1]) == VERIFY_CHECKS
 
-    def test_injected_fault_detected(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--inject-fault")
+    def test_injected_fault_detected(self, capsys, monkeypatch):
+        corrupt_coefficients(monkeypatch)
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 3
         assert "worst offender" in out
 
     @pytest.mark.parametrize("fault", [False, True])
-    def test_json_matches_the_table(self, capsys, fault):
-        argv = ["verify", "--n", "4", "--seed", "2"] + (["--inject-fault"] if fault else [])
+    def test_json_matches_the_table(self, capsys, monkeypatch, fault):
+        if fault:
+            corrupt_coefficients(monkeypatch)
+        argv = ["verify", "--n", "4", "--seed", "2"]
         table_code, table, _ = run_cli(capsys, *argv)
         json_code, out, _ = run_cli(capsys, *argv, "--json")
         doc = json.loads(out)
@@ -200,13 +216,6 @@ class TestVerify:
         rows = [line.split() for line in table.splitlines()[1:-1]]
         assert [[check["name"], f"{check['worst']:.3e}", f"{check['tol']:.0e}",
                  "PASS" if check["pass"] else "FAIL"] for check in doc["checks"]] == rows
-
-    def test_injected_fault_at_single_level_is_usage_error(self, capsys):
-        # at n = 1 no block pair is coupled, so the fault would corrupt nothing
-        code, out, err = run_cli(capsys, "verify", "--n", "1", "--inject-fault")
-        assert code == 1
-        assert "all checks passed" not in out
-        assert "n >= 2" in err
 
     def test_scale_guard(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--n", "9")
@@ -412,7 +421,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("fault", ["mismatched-n", "string-entry", "list-top-level",
                                        "fractional-n", "fractional-index", "truncated",
-                                       "duplicate-row"])
+                                       "duplicate-row", "negative-j", "m-beyond-j",
+                                       "j-beyond-n"])
     def test_malformed_state_file_is_rejected(self, capsys, tmp_path, fault):
         docs = {}
         for n in (2, 3):
@@ -437,6 +447,12 @@ class TestSimulate:
             # (0, 0) twice and no (1, -1): last-write-wins would still give a unit state
             doc["alice"]["coefficients"] = [[0, 0, 1.0, 0.0], [0, 0, 1.0, 0.0],
                                             [1, 0, 0.0, 0.0], [1, 1, 0.0, 0.0]]
+        elif fault == "negative-j":
+            doc["alice"]["coefficients"][0][0] = -1  # (-1, 0) has the flat index of (0, 0)
+        elif fault == "m-beyond-j":
+            doc["alice"]["coefficients"][3][1] = 2  # the row of (1, 1)
+        elif fault == "j-beyond-n":
+            doc["alice"]["coefficients"][1][0] = 2  # the row of (1, -1), at n = 2
         else:
             doc = [doc]
         state_path = tmp_path / "state.json"

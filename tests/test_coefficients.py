@@ -212,6 +212,18 @@ class TestOperator:
         assert np.array_equal(rebuilt, rebuilt.conj().T)
         assert np.max(np.abs(rebuilt - dense)) < 1e-14
 
+    @pytest.mark.parametrize("length", [3, 9])
+    def test_wrong_vector_length_is_refused(self, length):
+        # j_max = 1 needs 4 amplitudes; a longer b once gave a 13-slot operator
+        tensor = assemble_tensor(Objective.z_axis(), 1)
+        good, wrong = FiducialState.uniform(2).b, np.full(length, 1 / 3, dtype=complex)
+        with pytest.raises(ValueError, match="4 amplitudes"):
+            tensor.operator(wrong)
+        with pytest.raises(ValueError, match="4 amplitudes"):
+            tensor.expectation(good, wrong)
+        with pytest.raises(ValueError, match="4 amplitudes"):
+            tensor.expectation(wrong, good)
+
 
 class TestExchangeSymmetry:
     """<a|M(b)|a> = <b|M(a)|b> for a symmetric moment c.

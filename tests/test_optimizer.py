@@ -297,7 +297,6 @@ class TestBFromA:
         vec[flat_index(1, 1)] = 1.0
         b = b_from_a(AliceState(2, vec))
         assert b.b[flat_index(1, 1)] == 1.0
-        assert b.uniform_filled_blocks == (0,)
         assert b.b[flat_index(0, 0)] == 1.0  # uniform fill of the empty block
 
     def test_equal_block_mass_scales_by_sqrt_blocks(self, rng):
@@ -330,7 +329,6 @@ class TestBFromA:
         alice = AliceState(n, raw / np.linalg.norm(raw))
         b = b_from_a(alice)
         filled = tuple(j for j in range(n) if np.linalg.norm(alice.block(j)) < 1e-14)
-        assert b.uniform_filled_blocks == filled
         for j in range(n):
             assert np.linalg.norm(b.block(j)) == pytest.approx(1.0, abs=1e-14)
             if j in filled:

@@ -7,7 +7,6 @@ from framecast import (
     big_d_matrix,
     coefficient_block,
     coefficient_deviation,
-    coefficient_oracle,
     integrate,
     make_grid,
 )
@@ -61,19 +60,16 @@ class TestCoefficientOracle:
     def test_unit_function_gives_orthonormality(self):
         grid = make_grid(2)
         one = lambda a, b, g: 1.0
-        assert coefficient_oracle(one, 2, 2, 1, 1, 0, 0, grid).real == pytest.approx(1.0, abs=1e-12)
-        assert abs(coefficient_oracle(one, 2, 1, 1, 1, 0, 0, grid)) < 1e-12
-        assert abs(coefficient_oracle(one, 2, 2, 1, 1, 0, 1, grid)) < 1e-12
+        # block[m + j, r + j, n + k, s + k] at (m, n, r, s) = (1, 1, 0, 0) of
+        # blocks (2, 2) and (2, 1), then at (1, 1, 0, 1)
+        assert coefficient_block(one, 2, 2, grid)[3, 2, 3, 2].real == pytest.approx(1.0, abs=1e-12)
+        assert abs(coefficient_block(one, 2, 1, grid)[3, 2, 2, 1]) < 1e-12
+        assert abs(coefficient_block(one, 2, 2, grid)[3, 2, 3, 3]) < 1e-12
 
     def test_cos_beta_diagonal_value(self):
         grid = make_grid(1)
-        val = coefficient_oracle(haar_cos_beta, 1, 1, 1, 1, 1, 1, grid)
+        val = coefficient_block(haar_cos_beta, 1, 1, grid)[2, 2, 2, 2]  # m = n = r = s = 1
         assert val.real == pytest.approx(0.5, abs=1e-12)
-
-    def test_index_validation(self):
-        grid = make_grid(1)
-        with pytest.raises(ValueError):
-            coefficient_oracle(haar_cos_beta, 1, 1, 2, 0, 0, 0, grid)
 
     def test_cos_beta_delta_structure(self):
         # entries must vanish unless m = n and r = s
@@ -145,12 +141,6 @@ class TestSeparableQuadrature:
             block = coefficient_block(f, j, k, grid)
             assert np.max(np.abs(block - flat)) < 1e-13
         assert np.max(np.abs(coefficient_block(f, 1, 1, grid))) > 0.1
-
-    def test_oracle_entry_is_block_entry(self):
-        grid = make_grid(2)
-        f = self.FUNCTIONS["cos(a-g) sin b"]
-        block = coefficient_block(f, 2, 1, grid)
-        assert coefficient_oracle(f, 2, 1, -1, 0, 2, 1, grid) == block[1, 4, 1, 2]
 
 
 class DictTensor:

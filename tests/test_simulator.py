@@ -9,13 +9,13 @@ import pytest
 
 from framecast import (
     AliceState,
-    EulerAngles,
     FiducialState,
     Objective,
     angles_from_matrices,
     big_d_matrix,
     block_slice,
     cached_tensor,
+    error_angles,
     fidelity_report,
     fixed_point_optimize,
     integrate,
@@ -24,7 +24,6 @@ from framecast import (
     outcome_density,
     povm_defect,
     rotation_matrix_components,
-    sample_outcome,
     total_dim,
 )
 from framecast import simulator
@@ -94,44 +93,35 @@ class TestOutcomeDensity:
     def test_uniform_for_single_level(self, rng):
         alice = AliceState(1, [1.0])
         b = FiducialState(1, [1.0])
-        for _ in range(5):
-            meas = EulerAngles(*rng.uniform(0, 2 * math.pi, 3))
-            assert outcome_density(alice, b, EulerAngles(0, 0, 0), meas) == pytest.approx(
-                1.0, abs=1e-14
-            )
+        density = outcome_density(alice, b, np.zeros(3), rng.uniform(0, 2 * math.pi, (5, 3)))
+        assert np.max(np.abs(density - 1.0)) < 1e-14
 
     def test_normalized_and_bounded(self, rng):
         for n in (2, 3):
             alice, b = optimal_pair(n, Objective.xyz_axes())
-            true_rot = EulerAngles(0.4, 1.1, 5.0)
-            grid = make_grid(n - 1)
-
-            def density(alphas, betas, gammas):
-                out = np.empty_like(alphas)
-                for i in range(alphas.size):
-                    out[i] = outcome_density(
-                        alice, b, true_rot, EulerAngles(alphas[i], betas[i], gammas[i])
-                    )
-                return out
-
-            total = integrate(density, grid)
+            true_rot = np.array([0.4, 1.1, 5.0])
+            total = integrate(lambda *angles: outcome_density(alice, b, true_rot,
+                                                              np.stack(angles, axis=-1)),
+                              make_grid(n - 1))
             assert total.real == pytest.approx(1.0, abs=1e-10)
-            for _ in range(20):
-                meas = EulerAngles(*rng.uniform(0, 2 * math.pi, 3))
-                val = outcome_density(alice, b, true_rot, meas)
-                assert 0.0 <= val <= n * n + 1e-12
+            vals = outcome_density(alice, b, true_rot, rng.uniform(0, 2 * math.pi, (20, 3)))
+            assert np.all((0.0 <= vals) & (vals <= n * n + 1e-12))
+
+    def test_broadcasts_angle_arrays(self, rng):
+        # densities come back in the broadcast shape and match the per-block
+        # big_d_matrix oracle at the error rotation
+        alice, b = optimal_pair(3, Objective.xyz_axes())
+        true_angles = rng.uniform(0, 2 * math.pi, (4, 1, 3))
+        meas_angles = rng.uniform(0, 2 * math.pi, (5, 3))
+        density = outcome_density(alice, b, true_angles, meas_angles)
+        assert density.shape == (4, 5)
+        err = error_angles(*np.broadcast_arrays(true_angles, meas_angles))
+        oracle = amplitude_squared(alice.a, b.b, 3, *np.moveaxis(err, -1, 0))
+        assert np.max(np.abs(density - oracle)) < 1e-12
+        assert outcome_density(alice, b, true_angles[0, 0], meas_angles[0]).shape == ()
 
 
 class TestSampling:
-    def test_fixed_seed_is_deterministic(self):
-        alice, b = optimal_pair(2, Objective.z_axis())
-        true_rot = EulerAngles(0.3, 0.9, 2.0)
-        first = sample_outcome(alice, b, true_rot, rng_seed=42)
-        second = sample_outcome(alice, b, true_rot, rng_seed=42)
-        assert first == second
-        third = sample_outcome(alice, b, true_rot, rng_seed=43)
-        assert first != third
-
     def test_single_level_is_haar_uniform(self):
         alice = AliceState(1, [1.0])
         b = FiducialState(1, [1.0])
@@ -153,7 +143,7 @@ class TestSampling:
         # Haar-averaged ones within joint statistical error
         alice, b = optimal_pair(2, Objective.xyz_axes())
         fixed = monte_carlo_error(
-            alice, b, samples=40_000, seed=21, true_rotation=EulerAngles(0, 0, 0), rejection=True
+            alice, b, samples=40_000, seed=21, true_rotation=(0, 0, 0), rejection=True
         )
         haar = monte_carlo_error(alice, b, samples=40_000, seed=22, rejection=True)
         joint = math.hypot(fixed.stderr_cos_sum, haar.stderr_cos_sum)
@@ -206,7 +196,7 @@ class TestSampling:
         assert haar.mean_cos_sum == pytest.approx(1.4318970121492973, abs=1e-12)
         assert haar.stderr_cos_sum == pytest.approx(0.024482411896409435, abs=1e-12)
         fixed = monte_carlo_error(alice, b, samples=700, seed=1357,
-                                  true_rotation=EulerAngles(0.4, 2.9, 5.1), rejection=True)
+                                  true_rotation=(0.4, 2.9, 5.1), rejection=True)
         assert fixed.acceptance_rate == 700 / 6784
         assert fixed.mean_cos_z == pytest.approx(0.4749969542853423, abs=1e-12)
         assert fixed.mean_cos_x_plus_y == pytest.approx(1.0352601168773128, abs=1e-12)
@@ -361,12 +351,12 @@ class TestExactSampler:
         alice, fiducial = AliceState(n, a), FiducialState(n, b)
         terms = _cdf_terms(_beta_marginal(_amplitude_polynomial(a, b, n)))
         nodes = 2.0 * math.pi * np.arange(2 * n + 1) / (2 * n + 1)
-        for beta in (0.0, 0.3, 1.1, 2.0, math.pi):
-            mean = np.mean([outcome_density(alice, fiducial, EulerAngles(0.0, 0.0, 0.0),
-                                            EulerAngles(alpha, beta, gamma))
-                            for alpha in nodes for gamma in nodes])
-            _, density = _trig_cdf(terms, np.array(beta))
-            assert density == pytest.approx(0.5 * math.sin(beta) * mean, abs=1e-12)
+        betas = np.array([0.0, 0.3, 1.1, 2.0, math.pi])
+        # meas[alpha node, beta, gamma node] = (alpha, beta, gamma)
+        meas = np.stack(np.broadcast_arrays(nodes[:, None, None], betas[:, None], nodes), axis=-1)
+        mean = outcome_density(alice, fiducial, np.zeros(3), meas).mean(axis=(0, 2))
+        _, density = _trig_cdf(terms, betas)
+        assert np.max(np.abs(density - 0.5 * np.sin(betas) * mean)) < 1e-12
 
     def test_non_normalized_states_are_refused(self):
         n = 2
@@ -475,17 +465,6 @@ class TestExactSampler:
         monkeypatch.setattr(simulator, "SCORE_ROWS", 7)
         batched = _sample_errors(poly, _beta_marginal(poly), u)
         assert np.max(np.abs(batched - whole)) < 1e-12
-
-    def test_sample_outcome_is_true_rotation_times_error(self):
-        alice, b = optimal_pair(3, Objective.xyz_axes())
-        true_rot = EulerAngles(0.3, 0.9, 2.0)
-        outcome = sample_outcome(alice, b, true_rot, rng_seed=42)
-        poly = _amplitude_polynomial(alice.a, b.b, 3)
-        error = _sample_errors(poly, _beta_marginal(poly),
-                               np.random.default_rng(42).random((1, 3)))[0]
-        expected = (rotation_matrix_components(*true_rot.as_tuple())
-                    @ rotation_matrix_components(*error))
-        assert np.max(np.abs(rotation_matrix_components(*outcome.as_tuple()) - expected)) < 1e-12
 
 
 @pytest.mark.slow

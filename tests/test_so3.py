@@ -8,8 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framecast import (
-    AngularIndex,
-    EulerAngles,
     angles_from_matrices,
     big_d_matrix,
     error_angles,
@@ -38,7 +36,7 @@ def scalar_angles_reference(r) -> tuple[float, float, float]:
 
 
 def random_angles(rng, count: int) -> np.ndarray:
-    """(count, 3) Haar-random zyz angles, normalized like EulerAngles."""
+    """(count, 3) Haar-random zyz angles, normalized like angles_from_matrices."""
     angles = rng.uniform(0.0, 2.0 * math.pi, size=(count, 3))
     angles[:, 1] = np.arccos(rng.uniform(-1.0, 1.0, count))
     return angles
@@ -243,40 +241,47 @@ class TestRotationGeometry:
 
 
 class TestEulerAngleNormalization:
+    """No class normalizes angles: rotation_matrix_components takes any triple,
+    and angles_from_matrices returns alpha, gamma in [0, 2pi) and beta in [0, pi]."""
+
     def test_negative_beta_identification(self):
-        bent = EulerAngles(0.4, -0.9, 5.1)
-        assert 0.0 <= bent.beta <= math.pi
         direct = rotation_matrix_components(0.4, -0.9, 5.1)
-        assert np.allclose(rotation_matrix_components(*bent.as_tuple()), direct, atol=1e-12)
+        folded = rotation_matrix_components(0.4 + math.pi, 0.9, 5.1 + math.pi)
+        assert np.max(np.abs(folded - direct)) < 1e-12
+        alpha, beta, gamma = angles_from_matrices(direct)
+        assert (alpha, beta, gamma) == pytest.approx((0.4 + math.pi, 0.9, 5.1 - math.pi),
+                                                     abs=1e-12)
 
     def test_beta_beyond_pi_identification(self):
-        bent = EulerAngles(1.0, 4.0, 2.0)
-        assert 0.0 <= bent.beta <= math.pi
         direct = rotation_matrix_components(1.0, 4.0, 2.0)
-        assert np.allclose(rotation_matrix_components(*bent.as_tuple()), direct, atol=1e-12)
+        folded = rotation_matrix_components(1.0 + math.pi, 2.0 * math.pi - 4.0, 2.0 + math.pi)
+        assert np.max(np.abs(folded - direct)) < 1e-12
+        assert angles_from_matrices(direct)[1] == pytest.approx(2.0 * math.pi - 4.0, abs=1e-12)
 
     def test_alpha_gamma_wrapped(self):
-        wrapped = EulerAngles(-0.5, 0.3, 7.0)
-        assert 0.0 <= wrapped.alpha < 2.0 * math.pi
-        assert 0.0 <= wrapped.gamma < 2.0 * math.pi
+        alpha, _, gamma = angles_from_matrices(rotation_matrix_components(-0.5, 0.3, 7.0))
+        assert alpha == pytest.approx(2.0 * math.pi - 0.5, abs=1e-12)
+        assert gamma == pytest.approx(7.0 - 2.0 * math.pi, abs=1e-12)
 
     def test_tiny_negative_angles_wrap_to_zero(self):
         # -1e-17 % 2pi rounds up to 2pi itself, outside [0, 2pi)
-        wrapped = EulerAngles(-1e-17, 0.3, -1e-17)
-        assert wrapped.alpha == 0.0
-        assert wrapped.gamma == 0.0
+        alpha, _, gamma = angles_from_matrices(rotation_matrix_components(-1e-17, 0.3, -1e-17))
+        assert alpha == 0.0
+        assert gamma == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(*(st.floats(-50.0, 50.0),) * 3)
     @example(-1e-17, 0.3, -1e-17)
     @example(-1e-300, -1e-17, 2.0 * math.pi)
     def test_normalized_ranges_keep_the_rotation(self, alpha, beta, gamma):
-        angles = EulerAngles(alpha, beta, gamma)
-        assert 0.0 <= angles.alpha < 2.0 * math.pi
-        assert 0.0 <= angles.beta <= math.pi
-        assert 0.0 <= angles.gamma < 2.0 * math.pi
         direct = rotation_matrix_components(alpha, beta, gamma)
-        assert np.max(np.abs(rotation_matrix_components(*angles.as_tuple()) - direct)) < 1e-12
+        angles = angles_from_matrices(direct)
+        assert 0.0 <= angles[0] < 2.0 * math.pi
+        assert 0.0 <= angles[1] <= math.pi
+        assert 0.0 <= angles[2] < 2.0 * math.pi
+        # at gimbal lock the dropped sin(beta) < GIMBAL_EPS moves the matrix by as much
+        tol = 1e-12 if abs(math.sin(beta)) > 1e-9 else 1e-9
+        assert np.max(np.abs(rotation_matrix_components(*angles) - direct)) < tol
 
     def test_gimbal_lock_convention(self):
         alpha, _, gamma = angles_from_matrices(rotation_matrix_components(0.3, 1e-13, 0.4))
@@ -285,10 +290,3 @@ class TestEulerAngleNormalization:
         _, beta, gamma = angles_from_matrices(rotation_matrix_components(0.3, math.pi, 0.4))
         assert gamma == 0.0
         assert beta == pytest.approx(math.pi, abs=1e-12)
-
-    def test_angular_index_validation(self):
-        AngularIndex(2, -2)
-        with pytest.raises(ValueError):
-            AngularIndex(1, 2)
-        with pytest.raises(ValueError):
-            AngularIndex(-1, 0)
