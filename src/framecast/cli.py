@@ -284,6 +284,8 @@ def cmd_simulate(args, parser) -> int:
         except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"cannot read state file {args.state_file}: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        # a state file is taken as it is; only an inline optimization can fail to converge
+        converged = True
     else:
         if args.n is None:
             parser.error("provide --state-file or --n")
@@ -292,7 +294,7 @@ def cmd_simulate(args, parser) -> int:
         tensor = cached_tensor(objective, args.n - 1)
         result = fixed_point_optimize(tensor, args.n, init="uniform", tol=args.tol or DEFAULT_TOL,
                                       max_iter=args.max_iter or DEFAULT_MAX_ITER)
-        alice, fiducial = result.a, result.b
+        alice, fiducial, converged = result.a, result.b, result.converged
     # the exact sampler draws error rotations only; --true is echoed, not used
     outcome = monte_carlo_error(alice, fiducial, samples=args.samples, seed=args.seed,
                                 keep_samples=args.raw_csv is not None)
@@ -311,7 +313,7 @@ def cmd_simulate(args, parser) -> int:
     doc["seed"] = args.seed
     doc["true_rotation"] = args.true
     _emit_json(doc, _resolve_output(args.output))
-    return EXIT_OK
+    return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
 def _add_common_optimize_flags(sub):

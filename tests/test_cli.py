@@ -1,6 +1,7 @@
 """Command-line interface: flags, exit codes, output formats, round trips."""
 
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -364,6 +365,31 @@ class TestSimulate:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_inline_non_convergence_exit_code(self, capsys):
+        # the report is still printed; exit 2 flags the unconverged pair, as in optimize
+        code, out, _ = run_cli(capsys, "simulate", "--n", "3", "--max-iter", "1",
+                               "--samples", "100")
+        assert code == 2
+        assert json.loads(out)["samples"] == 100
+
+    def test_state_file_pair_is_taken_as_it_is(self, capsys, tmp_path):
+        state_path = tmp_path / "state.json"
+        code, _, _ = run_cli(capsys, "optimize", "--n", "3", "--max-iter", "1",
+                             "--restarts", "0", "--output", str(state_path))
+        assert code == 2
+        code, out, _ = run_cli(capsys, "simulate", "--state-file", str(state_path),
+                               "--samples", "100")
+        assert code == 0
+        assert json.loads(out)["samples"] == 100
+
+    def test_debug_logging_leaves_output_and_exit_code(self, capsys, caplog):
+        args = ["simulate", "--n", "3", "--samples", "600", "--seed", "5"]
+        quiet = run_cli(capsys, *args)
+        with caplog.at_level(logging.DEBUG, logger="framecast.simulator"):
+            assert run_cli(capsys, *args) == quiet
+        assert quiet[0] == 0 and quiet[2] == ""
+        assert [r.getMessage().split(",")[0] for r in caplog.records] == ["exact chunk: 600 rows"]
 
     @pytest.mark.parametrize("flag", [["--n", "5"], ["--objective", "z"], ["--wz", "3"],
                                       ["--wxy", "2"], ["--tol", "1e-9"], ["--max-iter", "50"]],

@@ -1,6 +1,7 @@
 """POVM completeness and Monte Carlo outcome simulation."""
 
 import json
+import logging
 import math
 import time
 
@@ -335,6 +336,19 @@ def gauss_integral(fn, upper, nodes=48):
     return 0.5 * upper * float(np.sum(w * fn(0.5 * upper * (x + 1.0))))
 
 
+def count_trig_cdf_calls(monkeypatch):
+    """Count every _trig_cdf sweep from here on, in the returned dict's "calls"."""
+    counter = {"calls": 0}
+    sweep = simulator._trig_cdf
+
+    def counted(*args):
+        counter["calls"] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(simulator, "_trig_cdf", counted)
+    return counter
+
+
 class TestExactSampler:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_beta_marginal_integrates_to_one(self, n, rng):
@@ -414,6 +428,55 @@ class TestExactSampler:
         total, _ = _trig_cdf(terms, np.full(200, 2.0 * math.pi))
         assert np.all((x >= 0.0) & (x <= 2.0 * math.pi))
         assert np.all(np.abs(cdf - u * total) <= 1e-12 * total)
+
+    @pytest.mark.parametrize("upper", [math.pi, 2.0 * math.pi])
+    def test_inversion_of_high_order_zeros_and_sharp_peaks(self, upper, rng):
+        # |1 - exp(i x)|^6 has lags (-1)^k C(6, 3 + k) and a zero of order 6;
+        # the Fejer kernel |sum_{k<40} exp(i k x)|^2 (lags 40 - k) peaks
+        # within one table cell; each row shifts its density by some x0
+        zero = np.array([20.0, -15.0, 6.0, -1.0])
+        peak = 40.0 - np.arange(40)
+        x0 = np.concatenate([[0.0, upper], rng.uniform(0.0, upper, 148)])
+        for lags in (zero, peak):
+            coef = lags * np.exp(-1j * np.arange(lags.size) * x0[:, None])
+            u = rng.random(x0.size)
+            x = _invert_cdf(coef, upper, u)
+            terms = _cdf_terms(coef)
+            cdf, _ = _trig_cdf(terms, x)
+            total, _ = _trig_cdf(terms, np.full(x0.size, upper))
+            assert np.all((x >= 0.0) & (x <= upper))
+            assert np.all(np.abs(cdf - u * total) <= 1e-12 * total)
+
+    @pytest.mark.parametrize("count", [1, 7, 500])
+    def test_shared_row_matches_row_broadcast_to_every_u(self, count, rng):
+        a, b = random_state_vectors(4, rng)
+        coef = _beta_marginal(_amplitude_polynomial(a, b, 4))
+        u = rng.random(count)
+        shared = _invert_cdf(coef, math.pi, u)
+        assert np.array_equal(shared, _invert_cdf(np.broadcast_to(coef, (count, coef.size)),
+                                                  math.pi, u))
+        assert np.array_equal(shared, _invert_cdf(np.tile(coef, (count, 1)), math.pi, u))
+
+    def test_newton_sweeps_of_a_seeded_run_stay_under_ceiling(self, monkeypatch):
+        # every inversion starts inside a tabulated cell, and beta is inverted
+        # once per chunk: 199 sweeps here, where starts at u * upper with
+        # beta inverted per 256-row block took 672
+        sweeps = count_trig_cdf_calls(monkeypatch)
+        alice, b = optimal_pair(5, Objective.xyz_axes())
+        monte_carlo_error(alice, b, samples=6000, seed=2024)
+        assert sweeps["calls"] <= 240
+
+    def test_each_chunk_logs_its_sweeps(self, monkeypatch, caplog):
+        sweeps = count_trig_cdf_calls(monkeypatch)
+        alice, b = optimal_pair(3, Objective.xyz_axes())
+        with caplog.at_level(logging.DEBUG, logger="framecast.simulator"):
+            monte_carlo_error(alice, b, samples=1500, seed=2468, chunk_size=1000)
+        records = [r for r in caplog.records if r.name == "framecast.simulator"]
+        assert [(r.levelno, r.args[0]) for r in records] == [(logging.DEBUG, 1000),
+                                                              (logging.DEBUG, 500)]
+        assert all(r.args[4] > 0.0 for r in records)
+        # the beta marginal's normalization check is the one sweep not logged
+        assert sum(sum(r.args[1:4]) for r in records) + 1 == sweeps["calls"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_inversion_guard_raises_on_corrupted_coefficients(self, bad):
