@@ -13,6 +13,17 @@ exp(i(m-n) alpha) d^j_{mr}(beta) d^k_{ns}(beta) exp(i(r-s) gamma), so the alpha
 and gamma sums of f are one 2-D inverse DFT per beta node and only the beta
 sum needs small-d, at the Gauss-Legendre nodes (the separation behind SO(3)
 FFTs; Kostelec & Rockmore, J. Fourier Anal. Appl. 14, 145, 2008).
+
+A pass over many block pairs reads every (m - n, r - s) lag from one small
+periodic table, lags -R..R in both directions with R the largest j + k, each
+taken modulo the grid's node count, so a block wider than the grid wraps its
+lags as the node sum does. Each block's lags are a sliding-window view of
+that table (m - n grows with m and falls with n, hence the reversed n, s
+axes), so no per-block index array is gathered. When f's values are real,
+the weights and f are real and the node sum of f D^k_{ns} conj(D^j_{mr}) is
+the complex conjugate of that of f D^j_{mr} conj(D^k_{ns}); a j > k block is
+then the conjugate transpose of the (k, j) block integrated earlier in the
+same pass. A complex f integrates every block directly.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from itertools import product
 import numpy as np
 import numpy.fft
 import numpy.polynomial.legendre
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .so3 import small_d_matrix
 
@@ -63,6 +75,8 @@ def make_grid(j_max: int, oversample: int = 0) -> SO3Grid:
     """
     if j_max < 0:
         raise ValueError("j_max must be non-negative")
+    if oversample < 0:
+        raise ValueError(f"oversample must be non-negative, got {oversample}")
     n_beta = 2 * j_max + 3 + oversample
     n_az = 4 * j_max + 4 + 2 * oversample
     x, w = np.polynomial.legendre.leggauss(n_beta)
@@ -92,18 +106,32 @@ def integrate(fn, grid: SO3Grid) -> complex:
 
 def coefficient_blocks(f, js, ks, grid: SO3Grid):
     """Yield (j, k, coefficient_block(f, j, k, grid)) for j in js, k in ks, evaluating f once."""
-    weighted = grid.weights * np.asarray(f(grid.alphas, grid.betas, grid.gammas))
+    values = np.asarray(f(grid.alphas, grid.betas, grid.gammas))
     # spectrum[p, b, q] = sum over the alpha, gamma nodes of f * weight * exp(i(p alpha + q gamma))
-    spectrum = np.fft.ifft2(weighted.reshape(grid.alpha_count, -1, grid.gamma_count),
+    spectrum = np.fft.ifft2((grid.weights * values).reshape(grid.alpha_count, -1, grid.gamma_count),
                             axes=(0, 2), norm="forward")
-    for j, k in product(js, ks):
+    pairs = list(product(js, ks))
+    reach = max((j + k for j, k in pairs), default=0)
+    lags = np.arange(-reach, reach + 1)
+    # periodic[p + reach, q + reach, b] = spectrum[p mod A, b, q mod G]: wide lags wrap
+    periodic = spectrum.transpose(0, 2, 1)[np.ix_(lags % grid.alpha_count, lags % grid.gamma_count)]
+    # a real f's j < k blocks whose (k, j) mirror is wanted too; each is kept until that is yielded
+    mirrored = {(k, j) for j, k in pairs if j > k} if np.isrealobj(values) else set()
+    kept = {}
+    for j, k in pairs:
+        if (k, j) in kept:
+            yield j, k, kept.pop((k, j)).transpose(2, 3, 0, 1).conj()
+            continue
         for jj in {j, k} - grid._d_cache.keys():  # small-d at the beta nodes, kept per grid
             grid._d_cache[jj] = small_d_matrix(jj, np.arccos([x for x, _ in grid.beta_nodes]))
-        diff = np.arange(-j, j + 1)[:, None] - np.arange(-k, k + 1)  # m - n, and r - s
-        picked = spectrum[(diff % grid.alpha_count)[:, None, :, None], :,
-                          (diff % grid.gamma_count)[None, :, None, :]]  # [m, r, n, s, b]
-        block = np.einsum("mrnsb,bmr,bns->mrns", picked, grid._d_cache[j], grid._d_cache[k])
-        yield j, k, math.sqrt((2 * j + 1) * (2 * k + 1)) * block
+        # window[m+j, r+j, b, k-n, k-s] = periodic[m - n + reach, r - s + reach, b], a strided view
+        lo, hi = reach - j - k, reach + j + k + 1
+        window = sliding_window_view(periodic[lo:hi, lo:hi], (2 * k + 1, 2 * k + 1), axis=(0, 1))
+        block = math.sqrt((2 * j + 1) * (2 * k + 1)) * np.einsum(
+            "mrbns,bmr,bns->mrns", window[..., ::-1, ::-1], grid._d_cache[j], grid._d_cache[k])
+        if (j, k) in mirrored:
+            kept[j, k] = block
+        yield j, k, block
 
 
 def coefficient_block(f, j: int, k: int, grid: SO3Grid) -> np.ndarray:

@@ -161,9 +161,9 @@ class TestAssembleTensor:
         ids=["z", "xy", "xyz", "weighted"],
     )
     def test_matches_quadrature_oracle_entrywise(self, objective, fn):
-        j_max = 4
-        tensor = assemble_tensor(objective, j_max)
-        assert coefficient_deviation(tensor, fn, make_grid(j_max)) < 1e-10
+        for j_max in (4, 8):
+            tensor = assemble_tensor(objective, j_max)
+            assert coefficient_deviation(tensor, fn, make_grid(j_max)) < 1e-10, j_max
 
     def test_quadratic_form_bounds(self, rng):
         n = 3

@@ -1,15 +1,20 @@
 """Haar quadrature grids and the brute-force coefficient oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from framecast import (
+    Objective,
+    assemble_tensor,
     big_d_matrix,
     coefficient_block,
     coefficient_deviation,
     integrate,
     make_grid,
 )
+from framecast.quadrature import coefficient_blocks
 
 
 def haar_cos_beta(alphas, betas, gammas):
@@ -36,6 +41,13 @@ class TestGrid:
     def test_rejects_negative_jmax(self):
         with pytest.raises(ValueError):
             make_grid(-1)
+
+    @pytest.mark.parametrize("j_max,oversample", [(1, -1), (0, -3)])
+    def test_rejects_negative_oversample(self, j_max, oversample):
+        # (1, -1) would build 4 beta and 6 azimuthal nodes, too few for j_max = 1;
+        # (0, -3) would ask Gauss-Legendre for no nodes at all
+        with pytest.raises(ValueError, match=f"oversample.*{oversample}"):
+            make_grid(j_max, oversample=oversample)
 
 
 class TestIntegrate:
@@ -142,6 +154,29 @@ class TestSeparableQuadrature:
             assert np.max(np.abs(block - flat)) < 1e-13
         assert np.max(np.abs(coefficient_block(f, 1, 1, grid))) > 0.1
 
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_blocks_wider_than_grid_wrap_their_lags(self, name):
+        # make_grid(1) has 8 azimuthal nodes, and m - n reaches +-6 in (3, 3):
+        # both sums wrap it modulo 8, as they wrap the integrand's frequencies
+        f = self.FUNCTIONS[name]
+        grid = make_grid(1)
+        flat = flat_node_blocks(f, 3, grid)
+        for j, k in [(3, 3), (3, 2), (2, 3), (1, 3)]:
+            assert np.max(np.abs(coefficient_block(f, j, k, grid) - flat[j, k])) < 1e-13, (j, k)
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_one_pass_matches_single_pairs(self, name):
+        # a pass yields each j > k block of a real integrand as the conjugate
+        # transpose of its (k, j) block; a single pair always integrates directly
+        f = self.FUNCTIONS[name]
+        grid = make_grid(4)
+        levels = range(5)
+        seen = set()
+        for j, k, block in coefficient_blocks(f, levels, levels, grid):
+            assert np.max(np.abs(block - coefficient_block(f, j, k, grid))) < 1e-15, (j, k)
+            seen.add((j, k))
+        assert seen == {(j, k) for j in levels for k in levels}
+
 
 class DictTensor:
     """Stand-in tensor: blocks scattered from a dict keyed by (j, k, m, n, r, s)."""
@@ -172,3 +207,19 @@ class TestCoefficientDeviation:
     def test_entry_outside_band_is_compared(self):
         stray = DictTensor(2, {(2, 0, 1, 0, -1, 0): 0.25})
         assert coefficient_deviation(stray, lambda a, b, g: 0.0, make_grid(2)) == 0.25
+
+    def test_large_level_gathers_no_block_sized_index(self):
+        # a fancy-index gather of one block's lags would hold 17^4 x 21 complex
+        # values (28 MB) at j = k = 8
+        j_max = 8
+        tensor = assemble_tensor(Objective.xy_axes(), j_max)
+        grid = make_grid(j_max)
+        tracemalloc.start()
+        try:
+            worst = coefficient_deviation(
+                tensor, lambda a, b, g: (1.0 + np.cos(b)) * np.cos(a + g), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert worst < 1e-10
+        assert peak < 20e6
