@@ -12,11 +12,9 @@ from .basis import block_slice, flat_index, iter_jm, total_dim
 from .coefficients import (
     Objective,
     SparseCoefficientTensor,
-    assemble_tensor,
     cached_tensor,
 )
 from .frames import (
-    GramLikeMatrix,
     WeightedVectorSet,
     build_c,
     reduce_to_axes,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import numpy.random
 
-from .coefficients import Objective, assemble_tensor, cached_tensor
+from .coefficients import Objective, cached_tensor, moment_tensor
 from .objective import AliceState, FiducialState, fidelity_report
 from .optimizer import (
     DEFAULT_MAX_ITER,
@@ -82,11 +82,13 @@ def _emit_json(doc: dict, output: Path | None) -> None:
 
 
 def _objective_from_args(args, parser) -> Objective:
-    if args.objective != "weighted" and (args.wz is not None or args.wxy is not None):
-        parser.error(f"--wz and --wxy need --objective weighted, not {args.objective}")
+    if args.objective != "weighted":
+        if args.wz is not None or args.wxy is not None:
+            parser.error(f"--wz and --wxy need --objective weighted, not {args.objective}")
+        return Objective.from_kind(args.objective)
     try:
-        return Objective.from_kind(args.objective, args.wz, args.wxy)
-    except (KeyError, ValueError) as exc:
+        return Objective.weighted(*(1.0 if w is None else w for w in (args.wz, args.wxy)))
+    except ValueError as exc:
         parser.error(str(exc))
 
 
@@ -204,7 +206,7 @@ def _verify_checks(n: int, seed: int, selected: str = "all"):
             (Objective.z_axis(), lambda a, b, g: np.cos(b)),
             (Objective.xy_axes(), lambda a, b, g: (1.0 + np.cos(b)) * np.cos(a + g)),
         ]:
-            tensor = assemble_tensor(objective, j_max)
+            tensor = moment_tensor(objective.c, j_max)
             coeff_worst = max(coeff_worst, coefficient_deviation(tensor, fn, grid))
         yield "coefficients-vs-quadrature", coeff_worst, 1e-10
 
@@ -316,6 +318,12 @@ def cmd_simulate(args, parser) -> int:
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
+def _add_objective_flags(sub, default: str | None = "xyz"):
+    sub.add_argument("--objective", choices=["z", "xy", "xyz", "weighted"], default=default)
+    sub.add_argument("--wz", type=float, default=None, help="weight of the z term")
+    sub.add_argument("--wxy", type=float, default=None, help="weight of the xy term")
+
+
 def _add_common_optimize_flags(sub):
     sub.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
                      help="fixed-point tolerance on lambda")
@@ -333,9 +341,7 @@ def build_parser() -> _Parser:
 
     opt = commands.add_parser("optimize", help="fixed-point optimization at one n")
     opt.add_argument("--n", type=_positive_int, required=True, help="level number (dimension n^2)")
-    opt.add_argument("--objective", choices=["z", "xy", "xyz", "weighted"], default="xyz")
-    opt.add_argument("--wz", type=float, default=None, help="weight of the z term")
-    opt.add_argument("--wxy", type=float, default=None, help="weight of the xy term")
+    _add_objective_flags(opt)
     _add_common_optimize_flags(opt)
     opt.add_argument("--output", default=None, help="JSON output path (default stdout)")
     opt.set_defaults(func=cmd_optimize, subparser=opt)
@@ -352,9 +358,7 @@ def build_parser() -> _Parser:
 
     swp = commands.add_parser("sweep", help="sweep n and emit CSV rows")
     swp.add_argument("--n", required=True, help="range like 2..10 (or a single n)")
-    swp.add_argument("--objective", choices=["z", "xy", "xyz", "weighted"], default="xyz")
-    swp.add_argument("--wz", type=float, default=None)
-    swp.add_argument("--wxy", type=float, default=None)
+    _add_objective_flags(swp)
     swp.add_argument("--fit-from", type=int, default=None,
                      help="fit a power law over rows with n >= this")
     _add_common_optimize_flags(swp)
@@ -365,9 +369,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--state-file", default=None,
                      help="JSON produced by optimize (alice + fiducial)")
     sim.add_argument("--n", type=_positive_int, default=None, help="optimize inline at this n")
-    sim.add_argument("--objective", choices=["z", "xy", "xyz", "weighted"], default=None)
-    sim.add_argument("--wz", type=float, default=None)
-    sim.add_argument("--wxy", type=float, default=None)
+    _add_objective_flags(sim, default=None)  # None: --state-file refuses any given objective
     sim.add_argument("--samples", type=_positive_int, default=100_000)
     sim.add_argument("--seed", type=_non_negative_int, default=0)
     sim.add_argument("--true", choices=["haar", "identity"], default="haar",

@@ -10,8 +10,11 @@ the objective matrix from it as its O(d) nonzeros, the only form of that
 matrix in the package. `block` and `entries` expand the coefficients for the
 brute-force quadrature oracle in `quadrature`, which shares nothing with
 this formula, and for the tests, whose dense reference matrix is summed
-from `entries`. The z axis is c = diag(0, 0, 1) and the joint x and y axes
-are c = diag(1, 1, 0).
+from `entries`. `Objective` holds c and is the package's one description of
+what is scored: the presets z, xy and xyz are c = diag(0, 0, 1),
+diag(1, 1, 0) and the identity, a weighted objective weights the z and the
+joint xy diagonal, and any other symmetric positive-semidefinite c (a set of
+directions, say) is scored the same way.
 """
 
 from __future__ import annotations
@@ -26,52 +29,106 @@ from typing import NamedTuple
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Objective:
-    """Which axes to optimize: weights on the z term and on the joint xy term."""
+    """What a transmission scores: E[sum_ab c_ab R_ab] for a 3x3 moment matrix c.
 
-    kind: str
-    w_z: float
-    w_xy: float
+    c is read-only, symmetric and positive semidefinite: its eigenvectors are
+    the axes being sent and its eigenvalues their weights. name labels the
+    objective in output only. Objectives with equal (name, c) are equal and
+    share one `cached_tensor`.
+    """
 
-    _KINDS = ("z", "xy", "xyz", "weighted")
+    c: np.ndarray
+    name: str = "custom"
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        in_range = all(0 <= w < math.inf for w in (self.w_z, self.w_xy))
-        if not in_range or (self.w_z == 0 and self.w_xy == 0):
+        c = np.array(self.c, dtype=float) + 0.0  # a copy; -0.0 becomes 0.0 for the hash
+        if c.shape != (3, 3):
+            raise ValueError("expected a 3x3 matrix")
+        finite = bool(np.isfinite(c).all())
+        if finite and np.abs(c - c.T).max() > 1e-14:
+            raise ValueError("matrix must be symmetric within 1e-14")
+        c.flags.writeable = False
+        object.__setattr__(self, "c", c)
+        if not finite or self._spectrum[0][0] < -1e-12 or self._spectrum[0][-1] <= 0:
             raise ValueError("objective weights must be finite, non-negative and not all zero")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Objective) and self.name == other.name \
+            and np.array_equal(self.c, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.c.tobytes()))
 
     @classmethod
     def z_axis(cls) -> "Objective":
-        return cls("z", 1.0, 0.0)
+        return cls.from_kind("z")
 
     @classmethod
     def xy_axes(cls) -> "Objective":
-        return cls("xy", 0.0, 1.0)
+        return cls.from_kind("xy")
 
     @classmethod
     def xyz_axes(cls) -> "Objective":
-        return cls("xyz", 1.0, 1.0)
+        return cls.from_kind("xyz")
 
     @classmethod
     def weighted(cls, w_z: float, w_xy: float) -> "Objective":
-        return cls("weighted", float(w_z), float(w_xy))
+        """Weight w_z on the z term R_zz and w_xy on the joint xy term R_xx + R_yy."""
+        return cls(np.diag([w_xy, w_xy, w_z]), "weighted")
 
     @classmethod
-    def from_kind(cls, kind: str, w_z: float | None = None, w_xy: float | None = None) -> "Objective":
-        if kind == "weighted":
-            return cls.weighted(w_z if w_z is not None else 1.0, w_xy if w_xy is not None else 1.0)
-        return {"z": cls.z_axis, "xy": cls.xy_axes, "xyz": cls.xyz_axes}[kind]()
+    def from_kind(cls, kind: str) -> "Objective":
+        """The preset z, xy, xyz or equal-weight weighted objective, built once."""
+        if kind not in _PRESETS:
+            raise ValueError(f"unknown objective kind {kind!r}")
+        return _PRESETS[kind]
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.c)
+
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orthonormal axes (rows) and descending weights reconstructing c, read-only.
+
+        Each axis is sign-fixed so its largest-magnitude component is positive;
+        among weights equal within 1e-12, the axis leaning on the earliest
+        coordinate comes first.
+        """
+        evals, evecs = self._spectrum
+        weights, axes = np.maximum(evals[::-1], 0.0), evecs[:, ::-1].T
+        pivots = np.abs(axes).argmax(axis=1)
+        # a weight starts a new cluster unless within 1e-12 of the one before it
+        gaps = (weights[:-1] - weights[1:] > 1e-12 * max(1.0, weights[0])).tolist()
+        order = sorted(range(3), key=lambda i: (sum(gaps[:i]), pivots[i]))
+        axes = axes[order] * np.sign(axes[order, pivots[order]])[:, None]
+        axes.flags.writeable = weights.flags.writeable = False
+        return axes, weights
 
     @property
     def axis_count(self) -> int:
-        """Number of axes being optimized: z if w_z > 0, x and y if w_xy > 0."""
-        return int(self.w_z > 0) + 2 * int(self.w_xy > 0)
+        """Number of axes being sent: the rank of c."""
+        return int(np.count_nonzero(self.axes[1] > 1e-12 * self.axes[1][0]))
+
+    @cached_property
+    def support(self) -> "Objective":
+        """The projector onto the range of c under the same name: every sent axis weighted 1."""
+        sent = self.axes[0][: self.axis_count]
+        return Objective(sent.T @ sent, self.name)
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "w_z": self.w_z, "w_xy": self.w_xy}
+        """{"kind", "w_z", "w_xy"}, which records only c = diag(w_xy, w_xy, w_z)."""
+        w_xy, w_z = float(self.c[0, 0]), float(self.c[2, 2])
+        if not np.array_equal(self.c, np.diag([w_xy, w_xy, w_z])):
+            raise ValueError(f"objective {self.name!r} is not diag(w_xy, w_xy, w_z), "
+                             "so {kind, w_z, w_xy} cannot record it")
+        return {"kind": self.name, "w_z": w_z, "w_xy": w_xy}
+
+
+_PRESETS = {name: Objective(np.diag(weights), name) for name, weights in (
+    ("z", [0.0, 0.0, 1.0]), ("xy", [1.0, 1.0, 0.0]), ("xyz", [1.0] * 3), ("weighted", [1.0] * 3))}
 
 
 # Columns are the spherical unit vectors e_{-1} = (x - iy)/sqrt2, e_0 = z and
@@ -274,16 +331,7 @@ def moment_tensor(c, j_max: int) -> SparseCoefficientTensor:
     return SparseCoefficientTensor(j_max, c_hat)
 
 
-def assemble_tensor(objective: Objective, j_max: int) -> SparseCoefficientTensor:
-    """Coefficient tensor for the requested objective at block cutoff j_max.
-
-    The z term scores R_zz and the joint xy term R_xx + R_yy, so the objective
-    is the moment matrix diag(w_xy, w_xy, w_z).
-    """
-    return moment_tensor(np.diag([objective.w_xy, objective.w_xy, objective.w_z]), j_max)
-
-
 @lru_cache(maxsize=64)
 def cached_tensor(objective: Objective, j_max: int) -> SparseCoefficientTensor:
-    """Memoized assembly; tensors are immutable so sharing is safe."""
-    return assemble_tensor(objective, j_max)
+    """The objective's `moment_tensor`, memoized; tensors are immutable so sharing is safe."""
+    return moment_tensor(objective.c, j_max)

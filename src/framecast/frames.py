@@ -1,23 +1,23 @@
-"""Reduction of weighted direction sets to three orthogonal axes.
+"""Weighted direction sets as objectives.
 
 Transmitting any weighted set of directions scores as a contraction of the
-expected classical rotation matrix with the set's second-moment matrix c;
-that matrix diagonalizes into three orthogonal axes with non-negative
-weights, so nothing beyond the weighted three-axis problem ever arises. The
-expectation itself is one quadratic form (`coefficients.moment_tensor`), and
-a general c costs one O(d) `expectation`, as much as a diagonal one, with no
-d x d matrix.
+expected classical rotation matrix with the set's second-moment matrix c,
+so `build_c` turns a set into an `Objective` like any preset. c
+diagonalizes into three orthogonal axes with non-negative weights
+(`Objective.axes`), so nothing beyond the weighted three-axis problem ever
+arises. The expectation itself is one quadratic form
+(`coefficients.moment_tensor`), and a general c costs one O(d)
+`expectation`, as much as a diagonal one, with no d x d matrix.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .coefficients import SparseCoefficientTensor, moment_tensor
+from .coefficients import Objective, SparseCoefficientTensor, moment_tensor
 from .objective import AliceState, FiducialState
 
 
@@ -39,8 +39,7 @@ class WeightedVectorSet:
             raise ValueError("all vectors must be unit length within 1e-12")
         if np.any(wts <= 0.0):
             raise ValueError("weights must be positive")
-        vecs.flags.writeable = False
-        wts.flags.writeable = False
+        vecs.flags.writeable = wts.flags.writeable = False
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "weights", wts)
 
@@ -48,66 +47,23 @@ class WeightedVectorSet:
     def from_json(cls, doc: dict) -> "WeightedVectorSet":
         return cls(np.asarray(doc["vectors"], dtype=float), np.asarray(doc["weights"], dtype=float))
 
-    @classmethod
-    def load(cls, path) -> "WeightedVectorSet":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
     def to_json(self) -> dict:
         return {"vectors": self.vectors.tolist(), "weights": self.weights.tolist()}
 
 
-@dataclass(frozen=True)
-class GramLikeMatrix:
-    """Symmetric positive-semidefinite 3x3 second-moment matrix."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.shape != (3, 3):
-            raise ValueError("expected a 3x3 matrix")
-        if np.max(np.abs(c - c.T)) > 1e-14:
-            raise ValueError("matrix must be symmetric within 1e-14")
-        if np.linalg.eigvalsh(c)[0] < -1e-12:
-            raise ValueError("matrix must be positive semidefinite")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
+# perfbench's directions workload imports this name
+GramLikeMatrix = Objective
 
 
-def build_c(vector_set: WeightedVectorSet) -> GramLikeMatrix:
-    """Weighted second-moment matrix sum of w e e^T over the set."""
+def build_c(vector_set: WeightedVectorSet) -> Objective:
+    """The objective of the set: its second-moment matrix sum of w e e^T."""
     c = np.einsum("u,um,un->mn", vector_set.weights, vector_set.vectors, vector_set.vectors)
-    return GramLikeMatrix(0.5 * (c + c.T))
+    return Objective(0.5 * (c + c.T))
 
 
-def reduce_to_axes(gram: GramLikeMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal axes (rows) and weights reconstructing the moment matrix.
-
-    Weights come out descending; each axis is sign-fixed so its
-    largest-magnitude component is positive, and ties between equal weights
-    are broken by putting the axis leaning on the earliest coordinate first.
-    """
-    evals, evecs = np.linalg.eigh(gram.c)
-    order = np.argsort(evals)[::-1]
-    axes = evecs[:, order].T.copy()
-    weights = np.clip(evals[order], 0.0, None)
-    for i in range(3):
-        pivot = int(np.argmax(np.abs(axes[i])))
-        if axes[i, pivot] < 0:
-            axes[i] = -axes[i]
-    tie_tol = 1e-12 * max(1.0, float(weights[0]))
-    start = 0
-    while start < 3:
-        stop = start + 1
-        while stop < 3 and weights[start] - weights[stop] <= tie_tol:
-            stop += 1
-        if stop - start > 1:
-            cluster = sorted(range(start, stop), key=lambda i: int(np.argmax(np.abs(axes[i]))))
-            axes[start:stop] = axes[cluster]
-        start = stop
-    return axes, weights
+def reduce_to_axes(gram: Objective) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal axes (rows) and descending weights reconstructing c: `Objective.axes`."""
+    return gram.axes
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +80,7 @@ def rotation_entry_tensor(row: int, col: int, j_max: int) -> SparseCoefficientTe
 
 
 def weighted_objective_expectation(a: AliceState, b: FiducialState,
-                                   gram: GramLikeMatrix) -> float:
+                                   gram: Objective) -> float:
     """Expected weighted sum of direction cosines, E[sum_ab c_ab R_ab], for the moment matrix."""
     if a.n != b.n:
         raise ValueError("state dimensions differ")

@@ -136,8 +136,8 @@ class FidelityReport:
     """Expected error cosines and the per-axis mean square error.
 
     expect_cos_xy is the x and y contributions combined; mse_per_axis averages
-    (1 - <cos w>)/2 over the axes the active objective optimizes. lam is the
-    active objective's expectation value.
+    (1 - <cos w>)/2 over the axes the objective weights, the range of its c.
+    lam is the objective's expectation value.
     """
 
     expect_cos_z: float
@@ -160,20 +160,14 @@ def fidelity_report(a: AliceState, b: FiducialState,
                     objective: Objective = Objective.xyz_axes()) -> FidelityReport:
     """Expected cosines of the state pair, scored under the given objective.
 
-    Each cosine is the z or xy tensor's `expectation`, so no d x d matrix is built.
+    Every value is a cached tensor's `expectation`, so no d x d matrix is
+    built and lam is the number the optimizer reports for the same pair. The
+    mean square error averages over the axes c weights: its support.
     """
     if a.n != b.n:
         raise ValueError("state dimensions differ")
-    j_max = a.n - 1
-    cos_z = cached_tensor(Objective.z_axis(), j_max).expectation(a.a, b.b)
-    cos_xy = cached_tensor(Objective.xy_axes(), j_max).expectation(a.a, b.b)
-    lam = objective.w_z * cos_z + objective.w_xy * cos_xy
+    cos_z, cos_xy, lam, active = (
+        cached_tensor(scored, a.n - 1).expectation(a.a, b.b)
+        for scored in (Objective.z_axis(), Objective.xy_axes(), objective, objective.support))
     k = objective.axis_count
-    active = (cos_z if objective.w_z > 0 else 0.0) + (cos_xy if objective.w_xy > 0 else 0.0)
-    return FidelityReport(
-        expect_cos_z=cos_z,
-        expect_cos_xy=cos_xy,
-        expect_cos_sum=cos_z + cos_xy,
-        mse_per_axis=(k - active) / (2 * k),
-        lam=lam,
-    )
+    return FidelityReport(cos_z, cos_xy, cos_z + cos_xy, (k - active) / (2 * k), lam)

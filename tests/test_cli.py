@@ -25,13 +25,13 @@ def corrupt_coefficients(monkeypatch):
     """Make `verify` assemble every tensor with its mu = nu = 0 moment bumped by 1e-3."""
     from framecast import SparseCoefficientTensor, cli
 
-    exact = cli.assemble_tensor
+    exact = cli.moment_tensor
 
-    def bumped(objective, j_max):
-        c_hat = exact(objective, j_max).c_hat + np.diag([0.0, 1e-3, 0.0])
+    def bumped(c, j_max):
+        c_hat = exact(c, j_max).c_hat + np.diag([0.0, 1e-3, 0.0])
         return SparseCoefficientTensor(j_max, c_hat)
 
-    monkeypatch.setattr(cli, "assemble_tensor", bumped)
+    monkeypatch.setattr(cli, "moment_tensor", bumped)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

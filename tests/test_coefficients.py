@@ -12,8 +12,8 @@ from framecast import (
     AliceState,
     FiducialState,
     Objective,
-    assemble_tensor,
     block_slice,
+    cached_tensor,
     coefficient_deviation,
     make_grid,
     rotation_entry_tensor,
@@ -35,28 +35,82 @@ class TestObjective:
         assert Objective.weighted(0.5, 1.5).axis_count == 3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Objective("diag", 1.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown objective kind"):
+            Objective.from_kind("diag")
+        with pytest.raises(ValueError, match="3x3"):
+            Objective(np.eye(2))
+        with pytest.raises(ValueError, match="symmetric"):
+            Objective(np.array([[1.0, 0.5, 0], [0.4, 1.0, 0], [0, 0, 1.0]]))
+        with pytest.raises(ValueError, match="non-negative"):
             Objective.weighted(-1.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not all zero"):
             Objective.weighted(0.0, 0.0)
+        with pytest.raises(ValueError, match="not all zero"):
+            Objective(np.zeros((3, 3)))
         for w_z, w_xy in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]:
             with pytest.raises(ValueError, match="finite"):
-                Objective("weighted", w_z, w_xy)
+                Objective(np.diag([w_xy, w_xy, w_z]))
             with pytest.raises(ValueError, match="finite"):
                 Objective.weighted(w_z, w_xy)
 
+    def test_c_is_a_read_only_copy(self):
+        c = np.diag([1.0, 0.3, 0.6])
+        objective = Objective(c)
+        c[0, 0] = 5.0
+        assert objective.c[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            objective.c[0, 0] = 2.0
 
-Z3 = assemble_tensor(Objective.z_axis(), 3).entries
-XY3 = assemble_tensor(Objective.xy_axes(), 3).entries
+    def test_presets_are_moment_matrices(self):
+        assert np.array_equal(Objective.z_axis().c, np.diag([0.0, 0.0, 1.0]))
+        assert np.array_equal(Objective.xy_axes().c, np.diag([1.0, 1.0, 0.0]))
+        assert np.array_equal(Objective.xyz_axes().c, np.eye(3))
+        assert np.array_equal(Objective.weighted(2.0, 0.5).c, np.diag([0.5, 0.5, 2.0]))
+        assert Objective.from_kind("weighted") == Objective.weighted(1.0, 1.0)
+        assert Objective.from_kind("xyz") is Objective.xyz_axes()
+
+    def test_equality_is_on_name_and_c(self):
+        assert Objective.weighted(0.3, 1.7) == Objective.weighted(0.3, 1.7)
+        assert hash(Objective.weighted(0.3, 1.7)) == hash(Objective.weighted(0.3, 1.7))
+        assert Objective.weighted(-0.0, 1.0) == Objective.weighted(0.0, 1.0)
+        assert hash(Objective.weighted(-0.0, 1.0)) == hash(Objective.weighted(0.0, 1.0))
+        assert Objective.weighted(1.0, 1.0) != Objective.xyz_axes()
+        assert Objective(np.eye(3), "xyz") == Objective.xyz_axes()
+
+    def test_support_is_the_projector_onto_the_sent_axes(self):
+        assert Objective.xyz_axes().support == Objective.xyz_axes()
+        assert Objective.weighted(2.0, 0.0).support == Objective(np.diag([0, 0, 1.0]), "weighted")
+        assert Objective.weighted(0.0, 1.5).support == Objective(np.diag([1.0, 1, 0]), "weighted")
+        tilted = Objective(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+        assert tilted.axis_count == 1
+        assert np.allclose(tilted.support.c, tilted.c / 2, atol=1e-15)
+
+    def test_to_json_refuses_a_lossy_record(self):
+        assert Objective.weighted(2.0, 0.5).to_json() == {"kind": "weighted", "w_z": 2.0,
+                                                          "w_xy": 0.5}
+        assert Objective.z_axis().to_json() == {"kind": "z", "w_z": 1.0, "w_xy": 0.0}
+        for c in (np.diag([1.0, 0.3, 0.6]), np.diag([1.0, 0.5, 0.0]),
+                  np.array([[1.0, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]])):
+            with pytest.raises(ValueError, match="cannot record"):
+                Objective(c).to_json()
+
+    def test_equal_objectives_share_one_tensor(self):
+        cached_tensor.cache_clear()
+        first = cached_tensor(Objective.weighted(0.3, 1.7), 7)
+        second = cached_tensor(Objective.weighted(0.3, 1.7), 7)
+        assert second is first
+        assert cached_tensor.cache_info()[:2] == (1, 1)  # one hit, one miss
+
+
+Z3 = cached_tensor(Objective.z_axis(), 3).entries
+XY3 = cached_tensor(Objective.xy_axes(), 3).entries
 
 
 class TestGElement:
     """Equal-m couplings g_jk(m, r): the z tensor entries (j, k, m, m, r, r)."""
 
     def test_zero_magnetic_number_kills_diagonal(self):
-        z5 = assemble_tensor(Objective.z_axis(), 5).entries
+        z5 = cached_tensor(Objective.z_axis(), 5).entries
         for j in (1, 2, 5):
             for s in range(-j, j + 1):
                 assert (j, j, 0, 0, s, s) not in z5
@@ -110,7 +164,7 @@ class TestHElement:
 
 class TestAssembleTensor:
     def test_z_tensor_at_jmax_one_is_exact(self):
-        tensor = assemble_tensor(Objective.z_axis(), 1)
+        tensor = cached_tensor(Objective.z_axis(), 1)
         root3 = 1.0 / math.sqrt(3)
         expected = {
             (1, 0, 0, 0, 0, 0): root3,
@@ -125,24 +179,24 @@ class TestAssembleTensor:
             assert tensor.entries[key] == pytest.approx(val, abs=1e-15)
 
     def test_xyz_is_disjoint_union(self):
-        z = assemble_tensor(Objective.z_axis(), 3)
-        xy = assemble_tensor(Objective.xy_axes(), 3)
-        xyz = assemble_tensor(Objective.xyz_axes(), 3)
+        z = cached_tensor(Objective.z_axis(), 3)
+        xy = cached_tensor(Objective.xy_axes(), 3)
+        xyz = cached_tensor(Objective.xyz_axes(), 3)
         assert set(z.entries).isdisjoint(set(xy.entries))
         assert set(xyz.entries) == set(z.entries) | set(xy.entries)
         for key, val in xyz.entries.items():
             assert val == z.entries.get(key, 0.0) + xy.entries.get(key, 0.0)
 
     def test_symmetry_and_bandedness(self):
-        tensor = assemble_tensor(Objective.xyz_axes(), 4)
+        tensor = cached_tensor(Objective.xyz_axes(), 4)
         for (j, k, m, n, r, s), val in tensor.entries.items():
             assert abs(j - k) <= 1
             assert tensor.entries[(k, j, n, m, s, r)] == pytest.approx(val, abs=1e-15)
 
     def test_weighted_combination(self):
-        z = assemble_tensor(Objective.z_axis(), 2)
-        xy = assemble_tensor(Objective.xy_axes(), 2)
-        mixed = assemble_tensor(Objective.weighted(0.3, 1.7), 2)
+        z = cached_tensor(Objective.z_axis(), 2)
+        xy = cached_tensor(Objective.xy_axes(), 2)
+        mixed = cached_tensor(Objective.weighted(0.3, 1.7), 2)
         for key, val in mixed.entries.items():
             ref = 0.3 * z.entries.get(key, 0.0) + 1.7 * xy.entries.get(key, 0.0)
             assert val == pytest.approx(ref, abs=1e-15)
@@ -162,14 +216,14 @@ class TestAssembleTensor:
     )
     def test_matches_quadrature_oracle_entrywise(self, objective, fn):
         for j_max in (4, 8):
-            tensor = assemble_tensor(objective, j_max)
+            tensor = cached_tensor(objective, j_max)
             assert coefficient_deviation(tensor, fn, make_grid(j_max)) < 1e-10, j_max
 
     def test_quadratic_form_bounds(self, rng):
         n = 3
         cases = [(Objective.z_axis(), 1.0), (Objective.xy_axes(), 2.0), (Objective.xyz_axes(), 3.0)]
         for objective, bound in cases:
-            tensor = assemble_tensor(objective, n - 1)
+            tensor = cached_tensor(objective, n - 1)
             for _ in range(20):
                 raw = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
                 alice = AliceState(n, raw / np.linalg.norm(raw))
@@ -192,9 +246,9 @@ class TestOperator:
             # an off-diagonal entry: complex coefficients
             tensor = rotation_entry_tensor(*rng.choice(3, size=2, replace=False), n - 1)
         elif kind == "weighted":
-            tensor = assemble_tensor(Objective.weighted(*rng.uniform(0.1, 2.0, size=2)), n - 1)
+            tensor = cached_tensor(Objective.weighted(*rng.uniform(0.1, 2.0, size=2)), n - 1)
         else:
-            tensor = assemble_tensor(Objective.from_kind(kind), n - 1)
+            tensor = cached_tensor(Objective.from_kind(kind), n - 1)
         b = (FiducialState.uniform(n) if uniform else FiducialState.random(n, rng)).b
         op, dense = tensor.operator(b), entry_matrix(tensor, b)
         x = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
@@ -215,7 +269,7 @@ class TestOperator:
     @pytest.mark.parametrize("length", [3, 9])
     def test_wrong_vector_length_is_refused(self, length):
         # j_max = 1 needs 4 amplitudes; a longer b once gave a 13-slot operator
-        tensor = assemble_tensor(Objective.z_axis(), 1)
+        tensor = cached_tensor(Objective.z_axis(), 1)
         good, wrong = FiducialState.uniform(2).b, np.full(length, 1 / 3, dtype=complex)
         with pytest.raises(ValueError, match="4 amplitudes"):
             tensor.operator(wrong)
@@ -242,9 +296,9 @@ class TestExchangeSymmetry:
             raw = rng.standard_normal((3, 3))
             tensor = moment_tensor(raw + raw.T, n - 1)
         elif kind == "weighted":
-            tensor = assemble_tensor(Objective.weighted(*rng.uniform(0.1, 2.0, size=2)), n - 1)
+            tensor = cached_tensor(Objective.weighted(*rng.uniform(0.1, 2.0, size=2)), n - 1)
         else:
-            tensor = assemble_tensor(Objective.from_kind(kind), n - 1)
+            tensor = cached_tensor(Objective.from_kind(kind), n - 1)
         a, b = unit_vector(rng, n * n), unit_vector(rng, n * n)
         assert abs(tensor.expectation(a, b) - tensor.expectation(b, a)) < 1e-14
 

@@ -8,7 +8,6 @@ from conftest import entry_expectation
 
 from framecast import (
     FiducialState,
-    GramLikeMatrix,
     Objective,
     WeightedVectorSet,
     big_d_matrix,
@@ -70,19 +69,19 @@ class TestBuildC:
 
 class TestReduceToAxes:
     def test_identity_canonicalizes_to_standard_basis(self):
-        axes, weights = reduce_to_axes(GramLikeMatrix(np.eye(3)))
+        axes, weights = reduce_to_axes(Objective(np.eye(3)))
         assert np.allclose(axes, np.eye(3), atol=1e-14)
         assert np.allclose(weights, np.ones(3), atol=1e-14)
 
     def test_diagonal_descending(self):
-        axes, weights = reduce_to_axes(GramLikeMatrix(np.diag([3.0, 2.0, 1.0])))
+        axes, weights = reduce_to_axes(Objective(np.diag([3.0, 2.0, 1.0])))
         assert np.allclose(weights, [3.0, 2.0, 1.0])
         assert np.allclose(axes, np.eye(3), atol=1e-14)
 
     def test_reconstruction_of_random_psd(self, rng):
         for _ in range(20):
             raw = rng.standard_normal((3, 3))
-            gram = GramLikeMatrix(raw @ raw.T)
+            gram = Objective(raw @ raw.T)
             axes, weights = reduce_to_axes(gram)
             rebuilt = sum(w * np.outer(ax, ax) for w, ax in zip(weights, axes))
             assert np.max(np.abs(rebuilt - gram.c)) < 1e-12
@@ -90,29 +89,29 @@ class TestReduceToAxes:
 
     def test_gram_validation(self):
         with pytest.raises(ValueError):
-            GramLikeMatrix(np.array([[1.0, 0.5, 0], [0.4, 1.0, 0], [0, 0, 1.0]]))
+            Objective(np.array([[1.0, 0.5, 0], [0.4, 1.0, 0], [0, 0, 1.0]]))
         with pytest.raises(ValueError):
-            GramLikeMatrix(-np.eye(3))
+            Objective(-np.eye(3))
 
 
 class TestWeightedExpectation:
     def test_z_selector_matches_z_objective(self):
         alice, b = optimal_pair(2, Objective.z_axis())
         z_val = entry_expectation(cached_tensor(Objective.z_axis(), 1), alice.a, b.b)
-        got = weighted_objective_expectation(alice, b, GramLikeMatrix(np.diag([0, 0, 1.0])))
+        got = weighted_objective_expectation(alice, b, Objective(np.diag([0, 0, 1.0])))
         assert got == pytest.approx(z_val, abs=1e-12)
 
     def test_identity_matches_sum(self):
         alice, b = optimal_pair(3)
         z_val = entry_expectation(cached_tensor(Objective.z_axis(), 2), alice.a, b.b)
         xy_val = entry_expectation(cached_tensor(Objective.xy_axes(), 2), alice.a, b.b)
-        got = weighted_objective_expectation(alice, b, GramLikeMatrix(np.eye(3)))
+        got = weighted_objective_expectation(alice, b, Objective(np.eye(3)))
         assert got == pytest.approx(z_val + xy_val, abs=1e-12)
 
     def test_rank_one_scaling(self):
         alice, b = optimal_pair(2, Objective.z_axis())
         z_val = entry_expectation(cached_tensor(Objective.z_axis(), 1), alice.a, b.b)
-        got = weighted_objective_expectation(alice, b, GramLikeMatrix(np.diag([0, 0, 2.5])))
+        got = weighted_objective_expectation(alice, b, Objective(np.diag([0, 0, 2.5])))
         assert got == pytest.approx(2.5 * z_val, abs=1e-12)
 
     def test_off_diagonal_against_end_to_end_quadrature(self, rng):
@@ -124,7 +123,7 @@ class TestWeightedExpectation:
         alice = AliceState(n, alice_vec)
         b = FiducialState.random(n, rng)
         c = np.array([[0.6, 0.3, -0.1], [0.3, 0.9, 0.2], [-0.1, 0.2, 1.4]])
-        gram = GramLikeMatrix(c)
+        gram = Objective(c)
         got = weighted_objective_expectation(alice, b, gram)
 
         grid = make_grid(n - 1)

@@ -11,9 +11,9 @@ from framecast import (
     AliceState,
     FiducialState,
     Objective,
-    assemble_tensor,
     big_d_matrix,
     block_slice,
+    cached_tensor,
     fidelity_report,
     fixed_point_optimize,
     flat_index,
@@ -73,10 +73,10 @@ def operator_matrix(tensor, b):
 
 
 FACTORED_CASES = {
-    "z": lambda j_max: assemble_tensor(Objective.z_axis(), j_max),
-    "xy": lambda j_max: assemble_tensor(Objective.xy_axes(), j_max),
-    "xyz": lambda j_max: assemble_tensor(Objective.xyz_axes(), j_max),
-    "weighted": lambda j_max: assemble_tensor(Objective.weighted(0.3, 1.7), j_max),
+    "z": lambda j_max: cached_tensor(Objective.z_axis(), j_max),
+    "xy": lambda j_max: cached_tensor(Objective.xy_axes(), j_max),
+    "xyz": lambda j_max: cached_tensor(Objective.xyz_axes(), j_max),
+    "weighted": lambda j_max: cached_tensor(Objective.weighted(0.3, 1.7), j_max),
     **{f"R{row}{col}": (lambda j_max, row=row, col=col: rotation_entry_tensor(row, col, j_max))
        for row in range(3) for col in range(3)},
 }
@@ -102,7 +102,7 @@ class TestBuildM:
             assert abs(tensor.expectation(a, b) - entry_expectation(tensor, a, b)) < 1e-14, n
 
     def test_large_level_never_expands_entries(self):
-        tensor = assemble_tensor(Objective.xyz_axes(), 49)
+        tensor = cached_tensor(Objective.xyz_axes(), 49)
         op = tensor.operator(FiducialState.uniform(50).b)
         assert op.values.shape == op.plan.slot_rows.shape and op.values.size < 9 * 2500
         assert "entries" not in tensor.__dict__
@@ -113,7 +113,7 @@ class TestBuildM:
         vec = np.zeros(4, dtype=complex)
         vec[flat_index(0, 0)] = 1.0
         vec[flat_index(1, 0)] = 1.0
-        mat = operator_matrix(assemble_tensor(Objective.z_axis(), 1), FiducialState(2, vec).b)
+        mat = operator_matrix(cached_tensor(Objective.z_axis(), 1), FiducialState(2, vec).b)
         expected = np.zeros((4, 4))
         expected[flat_index(0, 0), flat_index(1, 0)] = 1.0 / math.sqrt(3)
         expected[flat_index(1, 0), flat_index(0, 0)] = 1.0 / math.sqrt(3)
@@ -121,13 +121,13 @@ class TestBuildM:
 
     def test_hermitian_for_random_complex_fiducial(self, rng):
         for objective in (Objective.z_axis(), Objective.xy_axes(), Objective.xyz_axes()):
-            tensor = assemble_tensor(objective, 3)
+            tensor = cached_tensor(objective, 3)
             mat = operator_matrix(tensor, FiducialState.random(4, rng).b)
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 
     def test_z_block_diagonality(self, rng):
         n = 4
-        tensor = assemble_tensor(Objective.z_axis(), n - 1)
+        tensor = cached_tensor(Objective.z_axis(), n - 1)
         mat = operator_matrix(tensor, FiducialState.random(n, rng).b)
         for j in range(n):
             for m in range(-j, j + 1):
@@ -139,7 +139,7 @@ class TestBuildM:
     def test_matches_quadrature_built_matrix(self, rng):
         n = 2
         b = FiducialState.uniform(n)
-        tensor = assemble_tensor(Objective.xyz_axes(), n - 1)
+        tensor = cached_tensor(Objective.xyz_axes(), n - 1)
         mat = operator_matrix(tensor, b.b)
         grid = make_grid(n - 1)
         fvals = np.cos(grid.betas) + (1.0 + np.cos(grid.betas)) * np.cos(grid.alphas + grid.gammas)
@@ -163,11 +163,11 @@ class TestExpectedValue:
 
     def test_single_level_is_zero(self, rng):
         for objective in (Objective.z_axis(), Objective.xy_axes(), Objective.xyz_axes()):
-            assert assemble_tensor(objective, 0).expectation(np.ones(1), np.ones(1)) == 0.0
+            assert cached_tensor(objective, 0).expectation(np.ones(1), np.ones(1)) == 0.0
 
     def test_rayleigh_quotient_at_top_eigenvector(self, rng):
         n = 3
-        tensor = assemble_tensor(Objective.xyz_axes(), n - 1)
+        tensor = cached_tensor(Objective.xyz_axes(), n - 1)
         b = FiducialState.random(n, rng).b
         evals, evecs = np.linalg.eigh(entry_matrix(tensor, b))
         assert tensor.expectation(evecs[:, -1], b) == pytest.approx(evals[-1], abs=1e-12)
@@ -176,7 +176,7 @@ class TestExpectedValue:
         n = 2
         alice = random_alice(n, rng)
         b = FiducialState.random(n, rng)
-        tensor = assemble_tensor(Objective.xyz_axes(), n - 1)
+        tensor = cached_tensor(Objective.xyz_axes(), n - 1)
         analytic = tensor.expectation(alice.a, b.b)
         grid = make_grid(n - 1)
         amp = np.zeros(grid.node_count, dtype=complex)
@@ -205,7 +205,7 @@ class TestFidelityReport:
             assert report.lam == 0.0
 
     def test_optimal_z_level_two(self):
-        result = fixed_point_optimize(assemble_tensor(Objective.z_axis(), 1), 2)
+        result = fixed_point_optimize(cached_tensor(Objective.z_axis(), 1), 2)
         report = fidelity_report(result.a, result.b, Objective.z_axis())
         assert report.mse_per_axis == pytest.approx((1 - 1 / math.sqrt(3)) / 2, abs=1e-9)
         assert report.lam == pytest.approx(1 / math.sqrt(3), abs=1e-9)
@@ -222,6 +222,23 @@ class TestFidelityReport:
         z_only = fidelity_report(alice, b, Objective.z_axis())
         assert z_only.lam == pytest.approx(report.expect_cos_z, abs=1e-12)
         assert z_only.mse_per_axis == pytest.approx((1 - report.expect_cos_z) / 2, abs=1e-12)
+
+    def test_lambda_is_the_optimizers_number(self):
+        # one formula: the report's lam is the cached tensor's expectation, as in the optimizer
+        for objective in (Objective.z_axis(), Objective.xy_axes(), Objective.xyz_axes(),
+                          Objective.weighted(2.0, 0.5)):
+            result = fixed_point_optimize(cached_tensor(objective, 2), 3)
+            assert fidelity_report(result.a, result.b, objective).lam == result.lam
+
+    def test_general_c_averages_over_its_sent_axes(self, rng):
+        alice, b = random_alice(3, rng), FiducialState.random(3, rng)
+        report = fidelity_report(alice, b, Objective(np.diag([1.0, 0.5, 0.0])))
+        xy = fidelity_report(alice, b, Objective.xy_axes())
+        assert report.mse_per_axis == pytest.approx(xy.mse_per_axis, abs=1e-15)
+        single = fidelity_report(alice, b, Objective(np.diag([2.0, 0.0, 0.0])))
+        r_xx = cached_tensor(Objective(np.diag([1.0, 0.0, 0.0])), 2).expectation(alice.a, b.b)
+        assert single.lam == pytest.approx(2.0 * r_xx, abs=1e-15)
+        assert single.mse_per_axis == pytest.approx((1.0 - r_xx) / 2, abs=1e-15)
 
     def test_large_level_builds_no_matrix(self, rng):
         # at n = 50 a complex d x d matrix is 100 MB; the report needs none

@@ -18,8 +18,8 @@ from framecast import (
     FiducialState,
     Objective,
     SweepRow,
-    assemble_tensor,
     b_from_a,
+    best_of_restarts,
     block_slice,
     cached_tensor,
     direct_search_optimize,
@@ -28,6 +28,7 @@ from framecast import (
     fixed_point_optimize,
     flat_index,
     optimize_z_single_m,
+    rotation_matrix_components,
     sweep,
     total_dim,
     z_sector_matrix,
@@ -47,7 +48,7 @@ class TestTopEigenpair:
         vec = np.zeros(4, dtype=complex)
         vec[flat_index(0, 0)] = 1.0
         vec[flat_index(1, 0)] = 1.0
-        mat = entry_matrix(assemble_tensor(Objective.z_axis(), 1), FiducialState(2, vec).b)
+        mat = entry_matrix(cached_tensor(Objective.z_axis(), 1), FiducialState(2, vec).b)
         lam, top = optimizer._top_eigh(mat)
         assert lam == pytest.approx(ROOT3, abs=1e-14)
         assert abs(top[flat_index(0, 0)]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
@@ -706,6 +707,32 @@ class TestDirectSearch:
             fp = fixed_point_optimize(tensor, n)
             ds = direct_search_optimize(tensor, n, restarts=restarts, seed=5)
             assert ds.lam == pytest.approx(fp.lam, abs=1e-6)
+
+
+class TestGeneralMomentMatrix:
+    """Objectives without rotation symmetry about an axis, end to end."""
+
+    C = np.diag([1.0, 0.3, 0.6])
+
+    def test_matches_direct_search_at_level_two(self):
+        for c in (self.C, np.diag([1.0, 0.5, 0.0])):
+            tensor = cached_tensor(Objective(c), 1)
+            fp = best_of_restarts(tensor, 2, restarts=3, seed=0)
+            ds = direct_search_optimize(tensor, 2)
+            assert fp.converged
+            assert fp.lam == pytest.approx(ds.lam, abs=1e-9)
+
+    def test_lambda_is_invariant_under_rotating_c(self, rng):
+        # lambda(c) = lambda(R c R^T): rotating both parties' states absorbs R
+        rotations = rotation_matrix_components(*rng.uniform(0.0, 2.0 * math.pi, size=(3, 3)).T)
+        for n in (2, 3):
+            reference = best_of_restarts(cached_tensor(Objective(self.C), n - 1), n,
+                                         restarts=8, seed=0, max_iter=5000)
+            for rot in rotations:
+                rotated = best_of_restarts(cached_tensor(Objective(rot @ self.C @ rot.T), n - 1),
+                                           n, restarts=8, seed=0, max_iter=5000)
+                assert rotated.converged
+                assert rotated.lam == pytest.approx(reference.lam, abs=1e-9)
 
 
 class TestSweepAndFit:

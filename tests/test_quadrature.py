@@ -7,8 +7,8 @@ import pytest
 
 from framecast import (
     Objective,
-    assemble_tensor,
     big_d_matrix,
+    cached_tensor,
     coefficient_block,
     coefficient_deviation,
     integrate,
@@ -212,7 +212,7 @@ class TestCoefficientDeviation:
         # a fancy-index gather of one block's lags would hold 17^4 x 21 complex
         # values (28 MB) at j = k = 8
         j_max = 8
-        tensor = assemble_tensor(Objective.xy_axes(), j_max)
+        tensor = cached_tensor(Objective.xy_axes(), j_max)
         grid = make_grid(j_max)
         tracemalloc.start()
         try:
