@@ -8,7 +8,7 @@ brute-force group quadrature, and replays the covariant measurement by Monte
 Carlo sampling.
 """
 
-from .basis import block_slice, flat_index, iter_jm, total_dim
+from .basis import block_slice, flat_index, total_dim
 from .coefficients import (
     Objective,
     SparseCoefficientTensor,

@@ -294,7 +294,7 @@ def cmd_simulate(args, parser) -> int:
         args.objective = args.objective or "xyz"
         objective = _objective_from_args(args, parser)
         tensor = cached_tensor(objective, args.n - 1)
-        result = fixed_point_optimize(tensor, args.n, init="uniform", tol=args.tol or DEFAULT_TOL,
+        result = fixed_point_optimize(tensor, args.n, tol=args.tol or DEFAULT_TOL,
                                       max_iter=args.max_iter or DEFAULT_MAX_ITER)
         alice, fiducial, converged = result.a, result.b, result.converged
     # the exact sampler draws error rotations only; --true is echoed, not used

@@ -249,18 +249,6 @@ def _unit_blocks(vec: np.ndarray, n: int) -> np.ndarray:
                     vec / np.repeat(np.where(empty, 1.0, norms), sizes))
 
 
-def _initial_fiducial(init, n: int, rng: np.random.Generator) -> FiducialState:
-    if isinstance(init, FiducialState):
-        if init.n != n:
-            raise ValueError("initial fiducial state has wrong n")
-        return init
-    if init == "uniform":
-        return FiducialState.uniform(n)
-    if init == "random":
-        return FiducialState.random(n, rng)
-    raise ValueError(f"unknown init {init!r}")
-
-
 def _round(tensor: SparseCoefficientTensor, bvec: np.ndarray, a_prev: np.ndarray | None,
            lam_prev: float | None, tol: float) -> tuple[float, np.ndarray, bool]:
     """One round at fiducial amplitudes bvec: the round's pair and whether the loop converged.
@@ -279,26 +267,28 @@ def _round(tensor: SparseCoefficientTensor, bvec: np.ndarray, a_prev: np.ndarray
 def fixed_point_optimize(
     tensor: SparseCoefficientTensor,
     n: int,
-    init="uniform",
+    init: FiducialState | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    seed: int | np.random.SeedSequence | None = None,
 ) -> OptimizationResult:
     """Alternate eigenvector extraction and per-block renormalization.
 
-    A round whose objective value moves by less than tol and whose sender
-    state, up to its global phase, moves by less than sqrt(tol) stops the
-    loop if its certificate proves the Ritz pair within the same tolerances
-    of the top eigenpair (`_round`); without one the loop runs to max_iter and
-    reports converged=False. A decrease of the trajectory beyond 1e-9 aborts:
-    the quadratic form must make that impossible. The returned states are
-    built and validated once.
+    The loop starts at the fiducial state init, FiducialState.uniform(n) if
+    None. A round whose objective value moves by less than tol and whose
+    sender state, up to its global phase, moves by less than sqrt(tol) stops
+    the loop if its certificate proves the Ritz pair within the same
+    tolerances of the top eigenpair (`_round`); without one the loop runs to
+    max_iter and reports converged=False. A decrease of the trajectory
+    beyond 1e-9 aborts: the quadratic form must make that impossible. The
+    returned states are built and validated once.
     """
     if not tol > 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
     if tensor.j_max != n - 1:
         raise ValueError(f"tensor j_max={tensor.j_max} does not match state n={n}")
-    bvec = _initial_fiducial(init, n, np.random.default_rng(seed)).b
+    if init is not None and init.n != n:
+        raise ValueError("initial fiducial state has wrong n")
+    bvec = (FiducialState.uniform(n) if init is None else init).b
     lam_prev = a_prev = None
     trajectory, converged, iterations = [], False, 0
     for iterations in range(1, max_iter + 1):
@@ -333,18 +323,18 @@ def best_of_restarts(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> OptimizationResult:
-    """Best fixed point from the uniform init and `restarts` random inits.
+    """Best fixed point from the uniform start and `restarts` random starts.
 
-    Random inits draw from independent child streams of SeedSequence((seed, n)),
+    Random starts draw from independent child streams of SeedSequence((seed, n)),
     so no two (n, restart) pairs share a stream and a given (n, seed) gives the
     same result wherever it is optimized. A restart replaces the incumbent
     only when it is better by more than tol, so fixed points that tie to
     rounding keep the earlier one.
     """
-    best = fixed_point_optimize(tensor, n, init="uniform", tol=tol, max_iter=max_iter)
+    best = fixed_point_optimize(tensor, n, tol=tol, max_iter=max_iter)
     for stream in np.random.SeedSequence((seed, n)).spawn(restarts):
-        candidate = fixed_point_optimize(tensor, n, init="random", tol=tol,
-                                         max_iter=max_iter, seed=stream)
+        start = FiducialState.random(n, np.random.default_rng(stream))
+        candidate = fixed_point_optimize(tensor, n, start, tol=tol, max_iter=max_iter)
         if candidate.lam > best.lam + tol:
             best = candidate
     return best
@@ -485,7 +475,7 @@ def sweep(
     restarts: int = 3,
     seed: int = 0,
 ) -> list[SweepRow]:
-    """Best fixed-point result per n, uniform init plus seeded random restarts."""
+    """Best fixed-point result per n, uniform start plus seeded random restarts."""
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")
     rows = []

@@ -47,14 +47,13 @@ class SO3Grid:
     """Product quadrature grid over Euler angles.
 
     beta_nodes holds (cos beta, weight) Gauss-Legendre pairs whose weights sum
-    to 2; alpha and gamma are uniform grids on [0, 2pi). Flattened node arrays
-    (alpha-major) and normalized weights (summing to 1) are precomputed, and
-    small-d at the beta nodes is cached.
+    to 2; alpha and gamma share one uniform grid of alpha_count nodes on
+    [0, 2pi). Flattened node arrays (alpha-major) and normalized weights
+    (summing to 1) are precomputed, and small-d at the beta nodes is cached.
     """
 
     beta_nodes: tuple[tuple[float, float], ...]
     alpha_count: int
-    gamma_count: int
     alphas: np.ndarray = field(repr=False)
     betas: np.ndarray = field(repr=False)
     gammas: np.ndarray = field(repr=False)
@@ -66,19 +65,16 @@ class SO3Grid:
         return self.weights.size
 
 
-def make_grid(j_max: int, oversample: int = 0) -> SO3Grid:
+def make_grid(j_max: int) -> SO3Grid:
     """Grid exact for all D^j conj(D^k) products with j, k <= j_max.
 
     Exactness margin covers extra trigonometric factors of total Fourier
-    degree <= 2 (the transmission objectives). `oversample` adds nodes in
-    every direction, for plateau checks.
+    degree <= 2 (the transmission objectives).
     """
     if j_max < 0:
         raise ValueError("j_max must be non-negative")
-    if oversample < 0:
-        raise ValueError(f"oversample must be non-negative, got {oversample}")
-    n_beta = 2 * j_max + 3 + oversample
-    n_az = 4 * j_max + 4 + 2 * oversample
+    n_beta = 2 * j_max + 3
+    n_az = 4 * j_max + 4
     x, w = np.polynomial.legendre.leggauss(n_beta)
     alphas = TWO_PI * np.arange(n_az) / n_az
     a_grid, b_grid, g_grid = np.meshgrid(alphas, np.arccos(x), alphas, indexing="ij")
@@ -86,7 +82,6 @@ def make_grid(j_max: int, oversample: int = 0) -> SO3Grid:
     return SO3Grid(
         beta_nodes=tuple(zip(x.tolist(), w.tolist())),
         alpha_count=n_az,
-        gamma_count=n_az,
         alphas=a_grid.ravel(),
         betas=b_grid.ravel(),
         gammas=g_grid.ravel(),
@@ -107,14 +102,15 @@ def integrate(fn, grid: SO3Grid) -> complex:
 def coefficient_blocks(f, js, ks, grid: SO3Grid):
     """Yield (j, k, coefficient_block(f, j, k, grid)) for j in js, k in ks, evaluating f once."""
     values = np.asarray(f(grid.alphas, grid.betas, grid.gammas))
+    count = grid.alpha_count
     # spectrum[p, b, q] = sum over the alpha, gamma nodes of f * weight * exp(i(p alpha + q gamma))
-    spectrum = np.fft.ifft2((grid.weights * values).reshape(grid.alpha_count, -1, grid.gamma_count),
+    spectrum = np.fft.ifft2((grid.weights * values).reshape(count, -1, count),
                             axes=(0, 2), norm="forward")
     pairs = list(product(js, ks))
     reach = max((j + k for j, k in pairs), default=0)
     lags = np.arange(-reach, reach + 1)
-    # periodic[p + reach, q + reach, b] = spectrum[p mod A, b, q mod G]: wide lags wrap
-    periodic = spectrum.transpose(0, 2, 1)[np.ix_(lags % grid.alpha_count, lags % grid.gamma_count)]
+    # periodic[p + reach, q + reach, b] = spectrum[p mod A, b, q mod A]: wide lags wrap
+    periodic = spectrum.transpose(0, 2, 1)[np.ix_(lags % count, lags % count)]
     # a real f's j < k blocks whose (k, j) mirror is wanted too; each is kept until that is yielded
     mirrored = {(k, j) for j, k in pairs if j > k} if np.isrealobj(values) else set()
     kept = {}

@@ -6,12 +6,11 @@ quadrature grid, block (j, k) being the quadrature coefficient block of f = 1
 contracted with b_j and conj(b_k), so no D^j is built at the grid nodes.
 Measurement outcomes follow the density |<A| U(true)^dagger U(outcome) |B>|^2
 relative to the Haar measure. Since U(true)^dagger U(outcome) = U(error) for
-the discrepancy rotation error = R(true)^T R(outcome) (`so3.error_matrices`),
-the statistics depend on the true rotation only through the error rotation.
-`outcome_density` scores whole (..., 3) arrays of zyz true and measured
-angles in one batched call. The weighted amplitude
-P = <A|U(alpha, beta, gamma)|B> is one 3-D trigonometric polynomial, built
-once per state pair from the Fourier coefficients of the small-d matrices.
+the discrepancy rotation error = R(true)^T R(outcome), the statistics depend
+on the true rotation only through the error rotation, and densities are
+scored at its zyz angles. The weighted amplitude P = <A|U(alpha, beta, gamma)|B>
+is one 3-D trigonometric polynomial, built once per state pair from the
+Fourier coefficients of the small-d matrices.
 
 The error rotation is drawn exactly, by the chain rule beta -> alpha | beta
 -> gamma | alpha, beta (Devroye, Non-Uniform Random Variate Generation, 1986,
@@ -23,9 +22,10 @@ CDF_CELLS + 1 equispaced nodes and starts Newton inside the bracketing cell
 (Hormann & Leydold, ACM TOMACS 13, 347, 2003); the beta marginal, shared by
 every sample, is inverted once per chunk. Each chunk logs its Newton sweeps
 and throughput at DEBUG level. Because of covariance this path draws no true
-rotation. Rejection sampling of Haar-uniform proposals under the
-envelope n^2 (`_sample_chunk`, monte_carlo_error(rejection=True)) stays as
-the independent oracle of the exact sampler.
+rotation. Rejection sampling of Haar-uniform proposals under the envelope n^2
+(`_sample_chunk`, monte_carlo_error(rejection=True)) stays as the independent
+oracle: it composes true rotations and proposals with `so3.error_angles`,
+which the exact sampler never calls. Both samplers return error angles.
 """
 
 from __future__ import annotations
@@ -42,13 +42,7 @@ import numpy.random
 from .basis import block_slice, total_dim
 from .objective import AliceState, FiducialState
 from .quadrature import SO3Grid, coefficient_blocks
-from .so3 import (
-    _wrap_angle,
-    angles_from_matrices,
-    error_matrices,
-    rotation_matrix_components,
-    small_d_fourier,
-)
+from .so3 import _wrap_angle, error_angles, rotation_matrix_components, small_d_fourier
 
 log = logging.getLogger(__name__)
 
@@ -138,11 +132,10 @@ def _phases(x: np.ndarray, degree: int) -> np.ndarray:
     return np.concatenate([powers[..., :0:-1].conj(), powers], axis=-1)
 
 
-def _outcome_amplitudes(poly: np.ndarray, r_true: np.ndarray, r_meas: np.ndarray) -> np.ndarray:
-    """Weighted amplitudes <U(T_t)A|U(M_t)B> = <A|U(T_t^T M_t)|B> for rotation matrix rows t."""
+def _outcome_amplitudes(poly: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Weighted amplitudes <A|U(E_t)|B> at the zyz angles of error rotations, rows t of angles."""
     width = poly.shape[0]
     half = (width + 1) // 2
-    angles = angles_from_matrices(error_matrices(r_true, r_meas))
     out = np.empty(angles.shape[0], dtype=complex)
     for lo in range(0, angles.shape[0], SCORE_ROWS):
         rows = slice(lo, lo + SCORE_ROWS)
@@ -162,63 +155,47 @@ def outcome_density(a: AliceState, b: FiducialState, true_angles, meas_angles) -
     """
     if a.n != b.n:
         raise ValueError("state dimensions differ")
-    pair = np.stack(np.broadcast_arrays(np.asarray(true_angles, float),
-                                        np.asarray(meas_angles, float)))
-    r_true, r_meas = rotation_matrix_components(*np.moveaxis(pair.reshape(2, -1, 3), -1, 0))
-    amp = _outcome_amplitudes(_amplitude_polynomial(a.a, b.b, a.n), r_true, r_meas)
-    return (np.abs(amp) ** 2).reshape(pair.shape[1:-1])
+    errors = error_angles(*np.broadcast_arrays(np.asarray(true_angles, float),
+                                               np.asarray(meas_angles, float)))
+    amp = _outcome_amplitudes(_amplitude_polynomial(a.a, b.b, a.n), errors.reshape(-1, 3))
+    return (np.abs(amp) ** 2).reshape(errors.shape[:-1])
 
 
-def _sample_chunk(poly: np.ndarray, r_true: np.ndarray, n: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Rejection-sample one outcome per true rotation matrix in r_true; returns angles, proposals.
+def _haar_angles(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count Haar-uniform zyz angle rows, drawn as alphas, then cos(betas), then gammas."""
+    return np.stack([rng.uniform(0.0, 2.0 * math.pi, count),
+                     np.arccos(rng.uniform(-1.0, 1.0, count)),
+                     rng.uniform(0.0, 2.0 * math.pi, count)], axis=1)
 
-    Raises ValueError if a proposal's density exceeds the envelope n^2, which
-    a pair of valid states never reaches.
+
+def _sample_chunk(poly: np.ndarray, n: int, count: int, rng: np.random.Generator,
+                  true_rotation) -> tuple[np.ndarray, int]:
+    """Error angles of `count` rejection-sampled outcomes, and the proposals spent.
+
+    True rotations are Haar-uniform unless true_rotation, a zyz triple, fixes
+    them. Raises ValueError if a proposal's density exceeds the envelope n^2,
+    which a pair of valid states never reaches.
     """
-    count = r_true.shape[0]
+    true_angles = (_haar_angles(rng, count) if true_rotation is None
+                   else np.broadcast_to(np.asarray(true_rotation, float), (count, 3)))
     envelope = float(n * n)
     out = np.empty((count, 3))
     pending = np.arange(count)
     proposals = 0
     while pending.size:
         k = pending.size
-        alphas = rng.uniform(0.0, 2.0 * math.pi, k)
-        betas = np.arccos(rng.uniform(-1.0, 1.0, k))
-        gammas = rng.uniform(0.0, 2.0 * math.pi, k)
+        errors = error_angles(true_angles[pending], _haar_angles(rng, k))
         u = rng.uniform(0.0, 1.0, k)
-        r_meas = rotation_matrix_components(alphas, betas, gammas)
-        density = np.abs(_outcome_amplitudes(poly, r_true[pending], r_meas)) ** 2
+        density = np.abs(_outcome_amplitudes(poly, errors)) ** 2
         peak = float(np.max(density))
         if peak > envelope * (1.0 + 1e-9):
             raise ValueError(f"outcome density {peak!r} exceeds the rejection envelope "
                              f"n^2 = {envelope:g}")
         proposals += k
         accepted = u * envelope <= density
-        hits = pending[accepted]
-        out[hits, 0] = alphas[accepted]
-        out[hits, 1] = betas[accepted]
-        out[hits, 2] = gammas[accepted]
+        out[pending[accepted]] = errors[accepted]
         pending = pending[~accepted]
     return out, proposals
-
-
-def _rejection_errors(poly: np.ndarray, n: int, count: int, rng: np.random.Generator,
-                      true_rotation) -> tuple[np.ndarray, int]:
-    """Error rotation matrices of `count` rejection-sampled outcomes, and the proposals spent.
-
-    True rotations are Haar-uniform unless true_rotation, a zyz triple, fixes them.
-    """
-    if true_rotation is None:
-        t_alpha = rng.uniform(0.0, 2.0 * math.pi, count)
-        t_beta = np.arccos(rng.uniform(-1.0, 1.0, count))
-        t_gamma = rng.uniform(0.0, 2.0 * math.pi, count)
-    else:
-        t_alpha, t_beta, t_gamma = (np.full(count, x) for x in true_rotation)
-    r_true = rotation_matrix_components(t_alpha, t_beta, t_gamma)
-    meas, proposals = _sample_chunk(poly, r_true, n, rng)
-    r_meas = rotation_matrix_components(meas[:, 0], meas[:, 1], meas[:, 2])
-    return error_matrices(r_true, r_meas), proposals
 
 
 @functools.lru_cache(maxsize=None)
@@ -425,11 +402,10 @@ def monte_carlo_error(
         count = min(chunk_size, samples - start)
         rng = np.random.default_rng(stream)
         if rejection:
-            r_err, proposals = _rejection_errors(poly, n, count, rng, true_rotation)
-            angles = angles_from_matrices(r_err) if keep_samples else None
+            angles, proposals = _sample_chunk(poly, n, count, rng, true_rotation)
         else:
-            angles = _sample_errors(poly, beta_coef, rng.random((count, 3)))
-            r_err, proposals = rotation_matrix_components(*angles.T), count
+            angles, proposals = _sample_errors(poly, beta_coef, rng.random((count, 3))), count
+        r_err = rotation_matrix_components(*angles.T)
         total_proposals += proposals
         cosines = np.stack([r_err[:, 0, 0], r_err[:, 1, 1], r_err[:, 2, 2]], axis=1)
         cos_rows.append(cosines)

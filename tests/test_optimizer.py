@@ -38,6 +38,13 @@ from framecast import optimizer
 ROOT3 = 1.0 / math.sqrt(3)
 
 
+def fiducial_start(n, seed=None):
+    """The uniform fiducial start, or a random one drawn from default_rng(seed)."""
+    if seed is None:
+        return FiducialState.uniform(n)
+    return FiducialState.random(n, np.random.default_rng(seed))
+
+
 class TestTopEigenpair:
     def test_one_by_one(self):
         lam, vec = optimizer._top_eigh(np.array([[0.25]]))
@@ -383,7 +390,7 @@ class TestFixedPoint:
         tensor = cached_tensor(Objective.xyz_axes(), n - 1)
         baseline = fixed_point_optimize(tensor, n)
         for seed in range(3):
-            result = fixed_point_optimize(tensor, n, init="random", seed=seed, max_iter=500)
+            result = fixed_point_optimize(tensor, n, fiducial_start(n, seed), max_iter=500)
             assert result.lam <= baseline.lam + 1e-9
             assert result.lam == pytest.approx(baseline.lam, abs=1e-6)
 
@@ -395,16 +402,14 @@ class TestFixedPoint:
             fixed_point_optimize(tensor, 2, tol=math.nan)
         with pytest.raises(ValueError):
             fixed_point_optimize(tensor, 2, max_iter=0)
-        with pytest.raises(ValueError):
-            fixed_point_optimize(tensor, 2, init="banana")
+        with pytest.raises(ValueError, match="wrong n"):
+            fixed_point_optimize(tensor, 2, FiducialState.uniform(3))
         with pytest.raises(ValueError, match="j_max=1 does not match state n=3"):
             fixed_point_optimize(tensor, 3)
 
 
-def _all_dense_fixed_point(tensor, n, init, seed, tol=1e-12, max_iter=2000):
-    """Reference loop: a dense top eigenpair every round, stopped by the plain rule."""
-    b = FiducialState.uniform(n) if init == "uniform" else FiducialState.random(
-        n, np.random.default_rng(seed))
+def _all_dense_fixed_point(tensor, n, b, tol=1e-12, max_iter=2000):
+    """Reference loop from fiducial state b: a dense top eigenpair every round, plain stop rule."""
     lam_prev = a_prev = None
     for _ in range(max_iter):
         lam, vec = optimizer._top_eigh(entry_matrix(tensor, b.b))
@@ -527,10 +532,10 @@ class TestWarmRounds:
     def test_converged_values_match_the_all_dense_loop(self, kind):
         for n in range(1, 9):
             tensor = cached_tensor(Objective.from_kind(kind), n - 1)
-            for init, seed in [("uniform", None), ("random", 0), ("random", 1)]:
-                result = fixed_point_optimize(tensor, n, init=init, seed=seed, max_iter=2000)
+            for seed in (None, 0, 1):
+                result = fixed_point_optimize(tensor, n, fiducial_start(n, seed), max_iter=2000)
                 assert result.converged
-                reference = _all_dense_fixed_point(tensor, n, init, seed)
+                reference = _all_dense_fixed_point(tensor, n, fiducial_start(n, seed))
                 assert result.lam == pytest.approx(reference, abs=1e-12)
 
     def test_a_refused_certificate_continues_the_loop(self, monkeypatch):
@@ -555,9 +560,10 @@ class TestWarmRounds:
                 tensor = cached_tensor(Objective.from_kind(kind), n - 1)
                 # the sweep's restart streams; z at n = 8 refuses two of them once
                 streams = np.random.SeedSequence((0, n)).spawn(3)
-                for init, seed in [("uniform", None), *(("random", s) for s in streams)]:
+                for seed in (None, *streams):
                     accepted.clear()
-                    result = fixed_point_optimize(tensor, n, init=init, seed=seed, max_iter=2000)
+                    result = fixed_point_optimize(tensor, n, fiducial_start(n, seed),
+                                                  max_iter=2000)
                     assert result.converged
                     assert accepted[-1] and not any(accepted[:-1])
                     refused += len(accepted) - 1
@@ -590,8 +596,7 @@ class TestWarmRounds:
         for n in range(1, 15):
             tensor = cached_tensor(Objective.from_kind(kind), n - 1)
             for seed in (None, 0, 1):
-                b = FiducialState.uniform(n) if seed is None else FiducialState.random(
-                    n, np.random.default_rng(seed))
+                b = fiducial_start(n, seed)
                 top = np.linalg.eigvalsh(entry_matrix(tensor, b.b))[-1]
                 first = fixed_point_optimize(tensor, n, init=b, max_iter=1).lambda_trajectory[0]
                 assert first <= top + 1e-12, (n, seed)

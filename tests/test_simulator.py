@@ -171,9 +171,11 @@ class TestSampling:
         joint = math.hypot(one.stderr_cos_z, many.stderr_cos_z)
         assert abs(one.mean_cos_z - many.mean_cos_z) < 4 * joint
 
-    def test_raw_samples_reproduce_report(self):
+    @pytest.mark.parametrize("rejection", [False, True])
+    def test_raw_samples_reproduce_report(self, rejection):
         alice, b = optimal_pair(2, Objective.z_axis())
-        report, raw = monte_carlo_error(alice, b, samples=2_000, seed=17, keep_samples=True)
+        report, raw = monte_carlo_error(alice, b, samples=2_000, seed=17, keep_samples=True,
+                                        rejection=rejection)
         assert raw.shape == (2_000, 6)
         assert np.mean(raw[:, 5]) == pytest.approx(report.mean_cos_z, abs=1e-12)
         assert np.mean(raw[:, 3] + raw[:, 4]) == pytest.approx(
@@ -211,9 +213,9 @@ class TestSampling:
         a = np.full(total_dim(n), 0.5, dtype=complex)
         b = np.full(total_dim(n), 3.0 / math.sqrt(3), dtype=complex)
         b[0] = 1.0
-        r_true = np.repeat(np.eye(3)[None], 64, axis=0)
         with pytest.raises(ValueError, match=r"outcome density \d+\.\d+ exceeds"):
-            _sample_chunk(_amplitude_polynomial(a, b, n), r_true, n, np.random.default_rng(5))
+            _sample_chunk(_amplitude_polynomial(a, b, n), n, 64, np.random.default_rng(5),
+                          (0.0, 0.0, 0.0))
 
     def test_input_validation(self):
         alice, b = optimal_pair(2, Objective.z_axis())
@@ -278,8 +280,7 @@ class TestAmplitude:
         n = 3
         a = rng.standard_normal(total_dim(n)) + 1j * rng.standard_normal(total_dim(n))
         b = rng.standard_normal(total_dim(n)) + 1j * rng.standard_normal(total_dim(n))
-        eye = np.eye(3)[None]
-        amp = _outcome_amplitudes(_amplitude_polynomial(a, b, n), eye, eye)
+        amp = _outcome_amplitudes(_amplitude_polynomial(a, b, n), np.zeros((1, 3)))
         expected = sum(math.sqrt(2 * j + 1) * np.vdot(a[block_slice(j)], b[block_slice(j)])
                        for j in range(n))
         assert amp[0] == pytest.approx(expected, abs=1e-13)
@@ -294,11 +295,8 @@ class TestAmplitude:
         meas_angles[1] = true_angles[1] + [0.0, 0.0, 0.7]
         meas_angles[2] = angles_from_matrices(rotation_matrix_components(*true_angles[2])
                                               @ rotation_matrix_components(0.7, math.pi, 0.2))
-        amps = _outcome_amplitudes(
-            _amplitude_polynomial(a, b, n),
-            rotation_matrix_components(*true_angles.T),
-            rotation_matrix_components(*meas_angles.T),
-        )
+        amps = _outcome_amplitudes(_amplitude_polynomial(a, b, n),
+                                   error_angles(true_angles, meas_angles))
         oracle = [block_rotation_amplitude(a, b, n, t, m)
                   for t, m in zip(true_angles, meas_angles)]
         assert np.max(np.abs(amps - oracle)) < 1e-12
@@ -308,13 +306,11 @@ class TestAmplitude:
         n = 4
         a, b = random_state_vectors(n, rng)
         poly = _amplitude_polynomial(a, b, n)
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=(2, 1000, 3))
-        r_true = rotation_matrix_components(*angles[0].T)
-        r_meas = rotation_matrix_components(*angles[1].T)
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=(1000, 3))
         monkeypatch.setattr(simulator, "SCORE_ROWS", 1000)
-        whole = _outcome_amplitudes(poly, r_true, r_meas)
+        whole = _outcome_amplitudes(poly, angles)
         monkeypatch.setattr(simulator, "SCORE_ROWS", 7)
-        batched = _outcome_amplitudes(poly, r_true, r_meas)
+        batched = _outcome_amplitudes(poly, angles)
         assert batched.shape == whole.shape
         assert np.max(np.abs(batched - whole)) < 1e-14
 
@@ -541,7 +537,7 @@ def test_large_level_exact_replay_matches_analytic(capsys, n, samples):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     tensor = cached_tensor(Objective.xyz_axes(), n - 1)
-    result = fixed_point_optimize(tensor, n, init="uniform")
+    result = fixed_point_optimize(tensor, n)
     analytic = fidelity_report(result.a, result.b, Objective.xyz_axes())
     with capsys.disabled():
         print(f"\nsimulate --n {n} --samples {samples}: {elapsed:.2f} s, "
