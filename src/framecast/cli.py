@@ -22,10 +22,10 @@ from .coefficients import Objective, cached_tensor, moment_tensor
 from .objective import AliceState, FiducialState, fidelity_report
 from .optimizer import (
     DEFAULT_MAX_ITER,
+    DEFAULT_RESTARTS,
     DEFAULT_TOL,
     best_of_restarts,
     fit_asymptote,
-    fixed_point_optimize,
     sweep,
 )
 from .quadrature import coefficient_deviation, integrate, make_grid
@@ -293,9 +293,10 @@ def cmd_simulate(args, parser) -> int:
             parser.error("provide --state-file or --n")
         args.objective = args.objective or "xyz"
         objective = _objective_from_args(args, parser)
-        tensor = cached_tensor(objective, args.n - 1)
-        result = fixed_point_optimize(tensor, args.n, tol=args.tol or DEFAULT_TOL,
-                                      max_iter=args.max_iter or DEFAULT_MAX_ITER)
+        # the state optimize prints: its default restarts, seeded by --seed
+        result = best_of_restarts(cached_tensor(objective, args.n - 1), args.n, DEFAULT_RESTARTS,
+                                  args.seed, tol=args.tol or DEFAULT_TOL,
+                                  max_iter=args.max_iter or DEFAULT_MAX_ITER)
         alice, fiducial, converged = result.a, result.b, result.converged
     # the exact sampler draws error rotations only; --true is echoed, not used
     outcome = monte_carlo_error(alice, fiducial, samples=args.samples, seed=args.seed,
@@ -329,7 +330,7 @@ def _add_common_optimize_flags(sub):
                      help="fixed-point tolerance on lambda")
     sub.add_argument("--max-iter", type=_positive_int, default=DEFAULT_MAX_ITER,
                      help="fixed-point iteration cap")
-    sub.add_argument("--restarts", type=_non_negative_int, default=3,
+    sub.add_argument("--restarts", type=_non_negative_int, default=DEFAULT_RESTARTS,
                      help="seeded random restarts")
     sub.add_argument("--seed", type=_non_negative_int, default=0, help="master seed")
 

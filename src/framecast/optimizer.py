@@ -4,11 +4,13 @@ One round: build the objective matrix M for the current fiducial amplitudes
 (`SparseCoefficientTensor.operator`, the package's only form of M, never a
 d x d array), take the top Ritz pair of a Lanczos basis as the sender
 state, then renormalize it per block to get the next fiducial state. Round
-1's basis (WIDE_KRYLOV_DIM vectors) starts at the fiducial amplitudes,
-later ones at the previous sender state, so the trajectory never decreases.
-The loop stops at a joint fixed point once an inertia count over the j
-blocks proves the Ritz pair within the stopping rule of the top eigenpair
-(`_certified`).
+1's basis starts at the fiducial amplitudes and runs to WIDE_KRYLOV_DIM
+vectors; later ones start at the previous sender state and stop once the
+top Ritz residual meets a forcing target tied to the previous round's state
+change, at a Ritz value no lower than the previous round's, so the
+trajectory never decreases. The loop stops at a joint fixed point once an
+inertia count over the j blocks proves the Ritz pair within the stopping
+rule of the top eigenpair (`_certified`).
 
 A derivative-free direct search over unconstrained amplitudes (small n only)
 serves as an independent cross-check, the exact single-m z optimum reads its
@@ -18,7 +20,9 @@ asymptotic power-law fits.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,19 +32,28 @@ from .basis import block_norms, block_slice, flat_index, total_dim
 from .coefficients import Objective, SparseCoefficientTensor, cached_tensor
 from .objective import AliceState, FiducialState, fidelity_report
 
+log = logging.getLogger(__name__)
+
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
+DEFAULT_RESTARTS = 3
 
 # a trajectory decrease beyond this signals a broken quadratic form, not noise
 DECREASE_ABORT = 1e-9
 
-# Lanczos basis size of the warm rounds after the first
-KRYLOV_DIM = 6
-
-# Lanczos basis size of round 1, started at the fiducial amplitudes, and of the
+# the Lanczos cap: a round's pass stops at this many vectors, and the
 # certificate's second pass, run when a round's own Ritz pair cannot pass the
-# inertia count: both need the top pair from a start far from it
+# inertia count, always runs to it
 WIDE_KRYLOV_DIM = 24
+
+# forcing term (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 400,
+# 1982): a round's Lanczos pass stops once its top Ritz residual is at most
+# eta = min(FORCING, change^(1/4)) times the previous round's state change, so
+# early rounds solve loosely and the solve tightens as the fixed point nears.
+# eta -> 0 keeps the noise of the inexact solves below the state changes that
+# the stopping rule compares with sqrt(tol): a constant eta = 0.1 stopped slow
+# xy loops at n = 8 up to 2.3e-12 short of the loop with exact rounds
+FORCING = 0.1
 
 # the certificate's gap g and its pivot floor are at least CERT_ULPS d eps
 # ||M||_inf, far above the rounding error of the block elimination
@@ -105,57 +118,70 @@ def _top_eigh(mat: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[-1]), _gauge_fixed(v[:, -1])
 
 
-def _ritz_step(op, start: np.ndarray,
-               krylov_dim: int = KRYLOV_DIM) -> tuple[float, np.ndarray, float]:
-    """Top Ritz pair and second Ritz value of a Lanczos basis of up to krylov_dim vectors.
+def _ritz_step(op, start: np.ndarray, target: float = 0.0,
+               lam_floor: float = -math.inf) -> tuple[float, np.ndarray, float, int]:
+    """Top Ritz pair, second Ritz value and basis size of a Lanczos pass from `start`.
 
-    op is M as anything with `op @ x`; the basis starts at `start`. Every new
-    vector is orthogonalized twice against the whole basis (full
-    reorthogonalization); the basis stops early when the Krylov space closes.
+    op is M as anything with `op @ x`. Every new vector is orthogonalized
+    twice against the whole basis (full reorthogonalization), and its
+    projection coefficients are the new column of the projected matrix H. With
+    V the basis and w the orthogonalized image of its last vector, M V =
+    V H + w e_k^H, so the top Ritz pair (theta, V y) has residual ||w|| |y_k|
+    (Parlett, The Symmetric Eigenvalue Problem, 1998, ch. 13). From the second
+    vector on, the pass stops once that residual is at most `target` and
+    theta is at least `lam_floor`; it also stops when the Krylov space closes
+    or the basis holds WIDE_KRYLOV_DIM vectors, so target 0 runs to the cap.
     `start` lies in the basis, so the top Ritz value is at least its Rayleigh
     quotient and at most the top eigenvalue. The second Ritz value is at most
     the second eigenvalue (Cauchy interlacing), -inf when the basis closes at
     one vector.
     """
     # rows are the basis vectors; their conjugates give V^H w as one product
-    basis = np.empty((min(krylov_dim, start.size), start.size), dtype=complex)
+    basis = np.empty((min(WIDE_KRYLOV_DIM, start.size), start.size), dtype=complex)
     conj_basis = np.empty_like(basis)
-    images = np.empty_like(basis)
+    h = np.zeros((len(basis), len(basis)), dtype=complex)  # upper triangle of V^H M V
     basis[0] = start / _norm(start)
     size = 1
     while True:
         np.conjugate(basis[size - 1], out=conj_basis[size - 1])
-        images[size - 1] = op @ basis[size - 1]
-        if size == len(basis):
-            break
-        vec = images[size - 1]
-        for _ in range(2):
-            kept = _norm(vec)
-            vec = vec - (conj_basis[:size] @ vec) @ basis[:size]
+        vec = op @ basis[size - 1]
+        column = conj_basis[:size] @ vec
+        vec -= column @ basis[:size]
+        kept = _norm(vec)
+        coef = conj_basis[:size] @ vec
+        vec -= coef @ basis[:size]
+        h[:size, size - 1] = column + coef
         nrm = _norm(vec)
         # twice is enough (Kahan-Parlett): if the second pass still removes
         # more than a 1/sqrt(2) share, the vector lies in the span and the space closed
-        if not nrm > kept / math.sqrt(2):
+        stop = not nrm > kept / math.sqrt(2) or size == len(basis)
+        if stop or (target > 0.0 and size > 1):
+            ritz, vecs = np.linalg.eigh(h[:size, :size], UPLO="U")
+            theta, y = float(ritz[-1]), vecs[:, -1]
+            second = float(ritz[-2]) if size > 1 else -math.inf
+            stop = stop or (nrm * abs(y[-1]) <= target and theta >= lam_floor)
+        if stop:
             break
         basis[size] = vec / nrm
         size += 1
-    h = conj_basis[:size] @ images[:size].T
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    vec = v[:, -1] @ basis[:size]
-    second = float(w[-2]) if size > 1 else -math.inf
-    return float(w[-1]), _gauge_fixed(vec / _norm(vec)), second
+    vec = y @ basis[:size]
+    return theta, _gauge_fixed(vec / _norm(vec)), second, size
 
 
-def _close(lam: float, vec: np.ndarray, lam_ref: float, vec_ref: np.ndarray, tol: float) -> bool:
-    """Whether two eigenpair estimates agree within the fixed-point stopping rule.
+def _aligned_change(vec: np.ndarray, vec_ref: np.ndarray) -> float:
+    """||e^{i phi} vec - vec_ref|| with the global phase phi that aligns vec to vec_ref.
 
-    The states are compared after aligning their global phase, which the
-    fixed-point map ignores: when two components tie for the gauge pivot,
-    rounding alone decides which one `_gauge_fixed` makes real.
+    The fixed-point map ignores global phase: when two components tie for the
+    gauge pivot, rounding alone decides which one `_gauge_fixed` makes real.
     """
     overlap = np.vdot(vec, vec_ref)
     phase = overlap / abs(overlap) if overlap != 0 else 1.0
-    return bool(abs(lam - lam_ref) < tol and _norm(phase * vec - vec_ref) < math.sqrt(tol))
+    return _norm(phase * vec - vec_ref)
+
+
+def _close(lam: float, vec: np.ndarray, lam_ref: float, vec_ref: np.ndarray, tol: float) -> bool:
+    """Whether two eigenpair estimates agree within the fixed-point stopping rule."""
+    return bool(abs(lam - lam_ref) < tol and _aligned_change(vec, vec_ref) < math.sqrt(tol))
 
 
 def _eigenvalues_above(op, sigma: float, floor: float) -> int | None:
@@ -190,8 +216,30 @@ def _eigenvalues_above(op, sigma: float, floor: float) -> int | None:
     return count
 
 
-def _certified(op, lam: float, vec: np.ndarray, second: float,
-               tol: float) -> tuple[float, np.ndarray] | None:
+@dataclass
+class _Tally:
+    """What one fixed point spent, and what its rounds tell the certificate.
+
+    A count that fails at sigma is not tried again until a later round's sigma
+    exceeds it (`failed_sigma`): for one M the count is monotone in sigma, and
+    M moves little between late rounds, so a lower shift would most likely
+    fail again. `second`, the largest second Ritz value of the rounds so far,
+    picks which pair the certificate counts: a two- or three-vector basis's
+    own second Ritz value lies far below lambda_2, and a count on a pair whose
+    gap reaches past lambda_2 fails. Both are heuristics, not bounds (the
+    rounds' M differ): they only save counts, and the count itself proves the
+    pair it passes.
+    """
+
+    vectors: int = 0
+    counts: int = 0
+    passed: int = 0
+    failed_sigma: float = -math.inf
+    second: float = -math.inf
+
+
+def _certified(op, lam: float, vec: np.ndarray, second: float, tol: float,
+               tally: _Tally | None = None) -> tuple[float, np.ndarray] | None:
     """A Ritz pair that an inertia count proves close to M's top eigenpair, or None.
 
     For the Ritz pair (rho, v) = (lam, vec) with residual r = ||M v - rho v||,
@@ -203,13 +251,16 @@ def _certified(op, lam: float, vec: np.ndarray, second: float,
     bound gives sin angle(v, u_1) <= r / g <= sqrt(tol) / 2: the stopping
     rule of `_close`, proven against the top eigenpair.
 
-    By interlacing the count exceeds one when the second Ritz value
-    `second` >= sigma, and a few-vector basis's often lies far below
-    lambda_2; so the round's pair is tested only when second < rho - 2 g - F,
-    and otherwise the pair of one longer Lanczos pass from v (WIDE_KRYLOV_DIM
-    vectors). A degenerate top eigenvalue, or a Krylov space that missed u_1,
-    gives None.
+    By interlacing the count exceeds one when a second Ritz value of M is
+    >= sigma. `second` is a guess at lambda_2 (`_round` passes the largest
+    second Ritz value of the fixed point's rounds, see `_Tally`); the given
+    pair is tested only when second < rho - 2 g - F, and otherwise the pair
+    of one longer Lanczos pass from v (WIDE_KRYLOV_DIM vectors), whose own
+    second Ritz value must lie below its sigma. A degenerate top eigenvalue, or a Krylov space that
+    missed u_1, gives None. `tally` (a fresh one if None) collects the
+    vectors and counts spent and gates the count on its last failed shift.
     """
+    tally = _Tally() if tally is None else tally
     scale = op.norm_inf
     if scale == 0.0:  # M = 0 (n = 1): every unit vector is a top eigenvector
         return lam, vec
@@ -222,11 +273,20 @@ def _certified(op, lam: float, vec: np.ndarray, second: float,
 
     gap = provable_gap(lam, vec)
     if gap is None or second >= lam - 2.0 * gap - floor:
-        lam, vec, second = _ritz_step(op, vec, WIDE_KRYLOV_DIM)
+        lam, vec, second, size = _ritz_step(op, vec)
+        tally.vectors += size
         gap = provable_gap(lam, vec)
         if gap is None or second >= lam - gap - floor:
             return None
-    return (lam, vec) if _eigenvalues_above(op, lam - gap - floor, floor) == 1 else None
+    sigma = lam - gap - floor
+    if sigma <= tally.failed_sigma:
+        return None
+    tally.counts += 1
+    if _eigenvalues_above(op, sigma, floor) != 1:
+        tally.failed_sigma = sigma
+        return None
+    tally.passed += 1
+    return lam, vec
 
 
 def b_from_a(a: AliceState) -> FiducialState:
@@ -250,17 +310,22 @@ def _unit_blocks(vec: np.ndarray, n: int) -> np.ndarray:
 
 
 def _round(tensor: SparseCoefficientTensor, bvec: np.ndarray, a_prev: np.ndarray | None,
-           lam_prev: float | None, tol: float) -> tuple[float, np.ndarray, bool]:
+           lam_prev: float, target: float, tol: float,
+           tally: _Tally) -> tuple[float, np.ndarray, bool]:
     """One round at fiducial amplitudes bvec: the round's pair and whether the loop converged.
 
-    Round 1 (no a_prev) is the wide Lanczos pass from bvec, later rounds the
-    warm pass from a_prev, certified once they look converged.
+    Round 1 (no a_prev) is a Lanczos pass from bvec, later rounds one from
+    a_prev, each stopped by `target` and the floor lam_prev (`_ritz_step`);
+    later rounds are certified once they look converged, with `tally.second`
+    in place of the round's own second Ritz value.
     """
     op = tensor.operator(bvec)
-    if a_prev is None:
-        return *_ritz_step(op, bvec, WIDE_KRYLOV_DIM)[:2], False
-    lam, vec, second = _ritz_step(op, a_prev)
-    certified = _close(lam, vec, lam_prev, a_prev, tol) and _certified(op, lam, vec, second, tol)
+    lam, vec, second, size = _ritz_step(op, bvec if a_prev is None else a_prev, target, lam_prev)
+    tally.vectors += size
+    tally.second = max(tally.second, second)
+    if a_prev is None or not _close(lam, vec, lam_prev, a_prev, tol):
+        return lam, vec, False
+    certified = _certified(op, lam, vec, tally.second, tol, tally)
     return (*certified, True) if certified else (lam, vec, False)
 
 
@@ -274,13 +339,18 @@ def fixed_point_optimize(
     """Alternate eigenvector extraction and per-block renormalization.
 
     The loop starts at the fiducial state init, FiducialState.uniform(n) if
-    None. A round whose objective value moves by less than tol and whose
-    sender state, up to its global phase, moves by less than sqrt(tol) stops
-    the loop if its certificate proves the Ritz pair within the same
-    tolerances of the top eigenpair (`_round`); without one the loop runs to
-    max_iter and reports converged=False. A decrease of the trajectory
-    beyond 1e-9 aborts: the quadratic form must make that impossible. The
-    returned states are built and validated once.
+    None. Round 1's Lanczos pass runs to WIDE_KRYLOV_DIM vectors; each later
+    one stops at a residual of min(FORCING, c^(1/4)) c, c the previous
+    round's phase-aligned state change (1 after round 1), and not below the
+    previous round's objective value. A round whose objective value
+    moves by less than tol and whose sender state, up to its global phase,
+    moves by less than sqrt(tol) stops the loop if its certificate proves the
+    Ritz pair within the same tolerances of the top eigenpair (`_round`);
+    without one the loop runs to max_iter and reports converged=False. A
+    decrease of the trajectory beyond 1e-9 aborts: the quadratic form must
+    make that impossible. The returned states are built and validated once.
+    Logs one DEBUG record with the rounds, Lanczos vectors and inertia counts
+    spent.
     """
     if not tol > 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
@@ -288,23 +358,31 @@ def fixed_point_optimize(
         raise ValueError(f"tensor j_max={tensor.j_max} does not match state n={n}")
     if init is not None and init.n != n:
         raise ValueError("initial fiducial state has wrong n")
+    started = time.perf_counter()
     bvec = (FiducialState.uniform(n) if init is None else init).b
-    lam_prev = a_prev = None
+    # round 1 has no state change to force on, so it solves to the cap: its
+    # pair picks the fixed point's basin. Round 2 forces on a unit change
+    a_prev, lam_prev, change, tally = None, -math.inf, 0.0, _Tally()
     trajectory, converged, iterations = [], False, 0
     for iterations in range(1, max_iter + 1):
-        lam, vec, converged = _round(tensor, bvec, a_prev, lam_prev, tol)
-        if lam_prev is not None and lam < lam_prev - DECREASE_ABORT:
+        target = change * min(FORCING, change ** 0.25)
+        lam, vec, converged = _round(tensor, bvec, a_prev, lam_prev, target, tol, tally)
+        if lam < lam_prev - DECREASE_ABORT:
             raise RuntimeError(
                 f"objective decreased from {lam_prev!r} to {lam!r} at iteration "
                 f"{iterations}; trajectory: {trajectory + [lam]}"
             )
         trajectory.append(lam)
+        change = 1.0 if a_prev is None else _aligned_change(vec, a_prev)
         a_prev, lam_prev = vec, lam
         bvec = _unit_blocks(vec, n)
         if converged:
             break
     a = AliceState(n, a_prev)
     b = b_from_a(a)
+    log.debug("fixed point n=%d: %d rounds, %d Lanczos vectors, inertia counts %d tried "
+              "%d passed, %.3f s", n, iterations, tally.vectors, tally.counts, tally.passed,
+              time.perf_counter() - started)
     return OptimizationResult(
         a=a,
         b=b,
@@ -472,7 +550,7 @@ def sweep(
     n_to: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    restarts: int = 3,
+    restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> list[SweepRow]:
     """Best fixed-point result per n, uniform start plus seeded random restarts."""

@@ -143,6 +143,18 @@ class TestOptimize:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [["optimize", "--n", "4"],
+                                      ["sweep", "--n", "2..4", "--objective", "z"]],
+                             ids=lambda argv: argv[0])
+    def test_debug_logging_leaves_output_and_exit_code(self, capsys, caplog, argv):
+        quiet = run_cli(capsys, *argv)
+        with caplog.at_level(logging.DEBUG, logger="framecast.optimizer"):
+            assert run_cli(capsys, *argv) == quiet
+        assert quiet[0] == 0 and quiet[2] == ""
+        # one record per fixed point: the uniform start and 3 restarts per level
+        levels = 1 if argv[0] == "optimize" else 3
+        assert len([r for r in caplog.records if r.name == "framecast.optimizer"]) == 4 * levels
+
     def test_optimize_never_expands_entries(self, capsys):
         cached_tensor.cache_clear()
         code, _, _ = run_cli(capsys, "optimize", "--n", "4", "--objective", "xyz")
@@ -372,6 +384,31 @@ class TestSimulate:
                                "--samples", "100")
         assert code == 2
         assert json.loads(out)["samples"] == 100
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_inline_pair_is_the_one_optimize_prints(self, capsys, monkeypatch, n):
+        # xy at n = 9 and 10: the uniform start and the best of the restarts
+        # differ, so a simulate that skipped the restarts would replay
+        # another state than optimize reports
+        from framecast import AliceState, FiducialState, cli
+
+        opt_code, out, _ = run_cli(capsys, "optimize", "--n", str(n), "--objective", "xy",
+                                   "--seed", "2")
+        doc = json.loads(out)
+        replayed = []
+        sample = cli.monte_carlo_error
+
+        def replay(alice, fiducial, **kwargs):
+            replayed.append((alice, fiducial))
+            return sample(alice, fiducial, **kwargs)
+
+        monkeypatch.setattr(cli, "monte_carlo_error", replay)
+        sim_code, _, _ = run_cli(capsys, "simulate", "--n", str(n), "--objective", "xy",
+                                 "--seed", "2", "--samples", "100")
+        assert sim_code == opt_code
+        [(alice, fiducial)] = replayed
+        assert np.abs(alice.a - AliceState.from_json(doc["alice"]).a).max() < 1e-11
+        assert np.abs(fiducial.b - FiducialState.from_json(doc["fiducial"]).b).max() < 1e-11
 
     def test_state_file_pair_is_taken_as_it_is(self, capsys, tmp_path):
         state_path = tmp_path / "state.json"

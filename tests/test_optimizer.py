@@ -1,6 +1,7 @@
 """Fixed-point optimization, direct-search cross-checks, sweeps, and fits."""
 
 import json
+import logging
 import math
 import tracemalloc
 from pathlib import Path
@@ -233,7 +234,7 @@ class TestCertificate:
             lam, second = np.vdot(vec, mat @ vec).real, -math.inf
         else:
             scale = {"at": 0.0, "near": 1e-7, "away": 0.3, "random": 1e3}[start]
-            lam, vec, second = optimizer._ritz_step(op, top + scale * noise)
+            lam, vec, second, _ = optimizer._ritz_step(op, top + scale * noise)
         residual = np.linalg.norm(mat @ vec - lam * vec)
         g = 2 * residual / math.sqrt(tol)
         result = optimizer._certified(op, lam, vec, second, tol)
@@ -251,10 +252,36 @@ class TestCertificate:
         assert abs(np.vdot(top, vec)) >= 1 - tol / 8
         assert w[-1] - w[-2] > 2 * residual / math.sqrt(tol)
 
+    def test_a_failed_count_is_retried_only_at_a_higher_shift(self, rng, monkeypatch):
+        # a count that fails at sigma is not run again for a pair whose sigma
+        # is no higher; the exact top pair's higher sigma is counted and passes
+        count = optimizer._eigenvalues_above
+        shifts = []
+
+        def counted(op, sigma, floor):
+            shifts.append(sigma)
+            return count(op, sigma, floor)
+
+        monkeypatch.setattr(optimizer, "_eigenvalues_above", counted)
+        op = _DenseOperator(_block_tridiagonal(rng, 4, 1e-3, "complex", 0.0))
+        w, v = np.linalg.eigh(op.mat)
+        # residual ~1e-7: its gap 2 r / sqrt(tol) ~ 0.2 reaches below lambda_2
+        tilted = v[:, -1] + 1e-7 * v[:, 0]
+        tilted /= np.linalg.norm(tilted)
+        pair = (np.vdot(tilted, op.mat @ tilted).real, tilted, -math.inf, 1e-12)
+        tally = optimizer._Tally()
+        assert optimizer._certified(op, *pair, tally) is None
+        assert optimizer._certified(op, *pair, tally) is None
+        assert len(shifts) == 1 and tally.failed_sigma == shifts[0]
+        lam, vec = optimizer._certified(op, w[-1], v[:, -1], -math.inf, 1e-12, tally)
+        assert len(shifts) == 2 and shifts[1] > shifts[0]
+        assert (tally.counts, tally.passed) == (2, 1)
+        assert lam == w[-1]
+
     def test_rejects_a_degenerate_top(self, rng):
         mat = _block_tridiagonal(rng, 4, 0.0, "complex", 0.0)
         op = _DenseOperator(mat)
-        lam, vec, second = optimizer._ritz_step(op, rng.standard_normal(16) + 0j)
+        lam, vec, second, _ = optimizer._ritz_step(op, rng.standard_normal(16) + 0j)
         assert optimizer._certified(op, lam, vec, second, 1e-12) is None
 
     @settings(max_examples=150, deadline=None)
@@ -370,6 +397,29 @@ class TestFixedPoint:
             diffs = np.diff(result.lambda_trajectory)
             assert diffs.min() > -1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["z", "xy", "xyz"]), st.integers(1, 8),
+           st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    def test_trajectory_never_decreases(self, kind, n, seed):
+        # the lambda floor: no round stops its pass below the previous round's
+        # value; one whose space closes first can sit below it by rounding only
+        result = fixed_point_optimize(cached_tensor(Objective.from_kind(kind), n - 1), n,
+                                      fiducial_start(n, seed))
+        assert np.diff(result.lambda_trajectory).min(initial=0.0) >= -1e-14
+
+    def test_floor_holds_the_z_start_that_once_decreased(self):
+        # from this start (the third restart of sweep --objective z --seed 0
+        # at n = 39), a loop whose rounds, round 1 included, stopped on the
+        # forcing target alone fell from 0.99651795 to 0.99651602 at round 22
+        # and aborted; the floor holds every round at the previous value
+        n = 39
+        stream = np.random.SeedSequence((0, n)).spawn(3)[2]
+        start = FiducialState.random(n, np.random.default_rng(stream))
+        result = fixed_point_optimize(cached_tensor(Objective.z_axis(), n - 1), n, start)
+        assert result.converged
+        assert np.diff(result.lambda_trajectory).min() >= -1e-14
+        assert result.lam == pytest.approx(optimize_z_single_m(n, 0).lam, abs=1e-12)
+
     def test_one_more_round_is_stationary(self):
         n = 4
         tensor = cached_tensor(Objective.xyz_axes(), n - 1)
@@ -480,7 +530,7 @@ class TestWarmRounds:
         start = np.linalg.eigh(herm)[1][:, -1] + spread * (
             rng.standard_normal(d) + 1j * rng.standard_normal(d))
         start /= np.linalg.norm(start)
-        lam, vec, second = optimizer._ritz_step(herm, start)
+        lam, vec, second, _ = optimizer._ritz_step(herm, start)
         assert lam >= np.vdot(start, herm @ start).real - 1e-12
         assert lam <= top + 1e-12
         # Cauchy interlacing: the second Ritz value never exceeds lambda_2
@@ -489,6 +539,35 @@ class TestWarmRounds:
         assert abs(np.vdot(vec, herm @ vec).real - lam) < 1e-10
         pivot = vec[np.argmax(np.abs(vec))]
         assert abs(pivot.imag) < 1e-14 and pivot.real > 0
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(2, 40), st.floats(-8.0, 0.0), st.floats(0.0, 0.999), st.floats(0.0, 0.5),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_pass_stops_at_its_residual_target(self, d, log_target, lift, spread, real, seed):
+        # the residual read off the Lanczos relation is the true one: a pass
+        # that stops before the cap meets its target and its floor, and a
+        # pass with target 0 runs to the cap (or until the space closes)
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((d, d))
+        if not real:
+            raw = raw + 1j * rng.standard_normal((d, d))
+        herm = (raw + raw.conj().T) / 2
+        w, v = np.linalg.eigh(herm)
+        start = v[:, -1] + spread * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        start /= np.linalg.norm(start)
+        rayleigh = np.vdot(start, herm @ start).real
+        target, floor = 10.0 ** log_target, rayleigh + lift * (w[-1] - rayleigh)
+        lam, vec, _, size = optimizer._ritz_step(herm, start, target, floor)
+        cap = min(d, optimizer.WIDE_KRYLOV_DIM)
+        residual = np.linalg.norm(herm @ vec - lam * vec)
+        assert size <= cap
+        if size < cap and residual > 1e-10:  # stopped on its target, not on a closed space
+            assert size >= 2  # the target is tested from the second vector on
+            assert residual <= target * (1 + 1e-6) + 1e-12
+            assert lam >= floor
+        # target 0: the cap, unless the space closed on an exact eigenpair
+        lam, vec, _, full = optimizer._ritz_step(herm, start)
+        assert full == cap or np.linalg.norm(herm @ vec - lam * vec) < 1e-8
 
     def test_certificate_refuses_a_non_top_eigenvector(self, rng, monkeypatch):
         # M is exactly block diagonal, so a Krylov space started at the top
@@ -507,13 +586,13 @@ class TestWarmRounds:
         assert optimizer._certified(op, w_low[-1], trap, -math.inf, 1e-12) is None
 
         ritz_step = optimizer._ritz_step
-        steps = []
+        targets = []
 
-        def trapped_first_round(m, start, krylov_dim=optimizer.KRYLOV_DIM):
-            steps.append(krylov_dim)
-            if len(steps) == 1:
-                return float(w_low[-1]), trap, -math.inf
-            return ritz_step(m, start, krylov_dim)
+        def trapped_first_round(m, start, target=0.0, lam_floor=-math.inf):
+            targets.append(target)
+            if len(targets) == 1:
+                return float(w_low[-1]), trap, -math.inf, 1
+            return ritz_step(m, start, target, lam_floor)
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense eigensolve")
@@ -526,7 +605,8 @@ class TestWarmRounds:
         assert not result.converged
         assert result.iterations == 20
         assert result.lam == pytest.approx(w_low[-1], abs=1e-12)
-        assert steps[0] == optimizer.WIDE_KRYLOV_DIM
+        # round 1 has no state change to force on: target 0, a pass to the cap
+        assert targets[0] == 0.0
 
     @pytest.mark.parametrize("kind", ["z", "xy", "xyz"])
     def test_converged_values_match_the_all_dense_loop(self, kind):
@@ -585,6 +665,28 @@ class TestWarmRounds:
         assert doc["lambda"] == pytest.approx(2.97033681481, abs=1e-11)
         assert peak < 64e6
 
+    @pytest.mark.slow
+    def test_level_two_hundred_converges_at_the_default_cap(self, capsys):
+        from framecast.cli import main
+
+        assert main(["optimize", "--n", "200", "--objective", "xyz", "--restarts", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] and doc["iterations"] <= optimizer.DEFAULT_MAX_ITER
+        assert doc["lambda"] == pytest.approx(2.98629163942, abs=1e-11)
+
+    def test_z_sweep_past_level_forty_converges(self, capsys):
+        # forcing-stopped rounds need 31 rounds at n = 43, where the fixed
+        # 6-vector rounds ran past the default cap of 200
+        from framecast.cli import main
+
+        assert main(["sweep", "--objective", "z", "--n", "40..45"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(40, 46))
+        for row in rows:
+            n, _, lam, _, converged = row.split(",")
+            assert converged == "true"
+            assert float(lam) == pytest.approx(optimize_z_single_m(int(n), 0).lam, abs=1e-12)
+
     @pytest.mark.parametrize("kind", ["z", "xy", "xyz"])
     def test_round_one_reaches_the_dense_top_eigenvalue(self, monkeypatch, kind):
         # the wide Lanczos pass from the fiducial amplitudes: the top
@@ -610,6 +712,31 @@ class TestWarmRounds:
         for row in sweep(Objective.xyz_axes(), 15, 20, restarts=3, seed=0):
             assert row.converged
             assert row.lam == pytest.approx(reference[str(row.n)], abs=1e-9)
+
+
+class TestObservability:
+    def test_one_debug_record_per_fixed_point(self, caplog):
+        tensor = cached_tensor(Objective.xyz_axes(), 5)
+        with caplog.at_level(logging.DEBUG, logger="framecast.optimizer"):
+            result = fixed_point_optimize(tensor, 6)
+        [record] = [r for r in caplog.records if r.name == "framecast.optimizer"]
+        n, rounds, vectors, tried, passed, seconds = record.args
+        assert (n, rounds) == (6, result.iterations)
+        # round 1 runs to the cap; every later round adds at least one vector
+        assert optimizer.WIDE_KRYLOV_DIM + rounds - 1 <= vectors
+        assert tried == passed == 1 and result.converged
+        assert seconds > 0
+        assert record.getMessage().startswith(f"fixed point n=6: {rounds} rounds, {vectors} ")
+
+    def test_sweep_counts_inertia_once_per_fixed_point(self, caplog):
+        # the benchmark's sweep at seed 1: 13 levels of 4 starts, 52 fixed
+        # points, each certified by the first inertia count it tries
+        with caplog.at_level(logging.DEBUG, logger="framecast.optimizer"):
+            rows = sweep(Objective.xyz_axes(), 2, 14, seed=1)
+        assert all(row.converged for row in rows)
+        records = [r.args for r in caplog.records if r.name == "framecast.optimizer"]
+        assert len(records) == 52
+        assert sum(args[3] for args in records) == sum(args[4] for args in records) == 52
 
 
 class TestSingleM:

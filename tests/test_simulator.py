@@ -13,6 +13,7 @@ from framecast import (
     FiducialState,
     Objective,
     angles_from_matrices,
+    b_from_a,
     big_d_matrix,
     block_slice,
     cached_tensor,
@@ -505,9 +506,14 @@ class TestExactSampler:
 
     def test_stream_is_pinned(self):
         # the inversion stops at a residual of 1e-12 of each CDF's total, so
-        # the angles, and with them the means, are pinned to about that
-        alice, b = optimal_pair(3, Objective.xyz_axes())
-        report = monte_carlo_error(alice, b, samples=1500, seed=2468, chunk_size=1000)
+        # the angles, and with them the means, are pinned to about that. The
+        # n = 3 xyz optimum is degenerate under rotations, so the pair is a
+        # recorded point of it: where the optimizer stops cannot move the pins
+        alice = AliceState(3, [0.27202985865973506, 0.3467221335175536, 0.4903391409076855,
+                               0.3467221335175536, 0.1667960603046476, 0.33359211889279883,
+                               0.40856523604985195, 0.33359211889279883, 0.16679606030464764])
+        report = monte_carlo_error(alice, b_from_a(alice), samples=1500, seed=2468,
+                                   chunk_size=1000)
         assert report.acceptance_rate == 1.0
         assert report.mean_cos_z == pytest.approx(0.47100260946118744, abs=1e-10)
         assert report.mean_cos_x_plus_y == pytest.approx(1.0140151417766377, abs=1e-10)
