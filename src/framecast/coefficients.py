@@ -53,6 +53,11 @@ class Objective:
         object.__setattr__(self, "c", c)
         if not finite or self._spectrum[0][0] < -1e-12 or self._spectrum[0][-1] <= 0:
             raise ValueError("objective weights must be finite, non-negative and not all zero")
+        # ||M|| <= tr c <= 3 w, w the largest weight, and the optimizer squares norms of M x
+        bound = 3.0 * float(self._spectrum[0][-1])
+        if not math.isfinite(bound * bound):
+            raise ValueError("objective weights overflow: (3 w)^2 must be finite, "
+                             "w the largest weight")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Objective) and self.name == other.name \
@@ -242,6 +247,15 @@ class SparseCoefficientTensor:
         c_hat = np.array(self.c_hat)
         c_hat.flags.writeable = False  # instances are shared through the assembly cache
         object.__setattr__(self, "c_hat", c_hat)
+
+    @cached_property
+    def weight(self) -> float:
+        """c's largest weight, the unit of the optimizer's tolerances.
+
+        An objective's c_hat is Hermitian and has c's eigenvalues, so this is
+        its largest eigenvalue magnitude.
+        """
+        return float(np.abs(np.linalg.eigvalsh(self.c_hat)).max())
 
     def block(self, j: int, k: int) -> np.ndarray:
         """Dense coefficients f[m+j, r+j, n+k, s+k] of blocks (j, k), zero outside |j - k| <= 1."""

@@ -111,6 +111,14 @@ class FiducialState:
         return cls(n, np.repeat(1.0 / np.sqrt(sizes), sizes))
 
     @classmethod
+    def stretched(cls, n: int) -> "FiducialState":
+        """b_j = |j, j>, the stretched state of every block."""
+        j = np.arange(n)
+        vec = np.zeros(total_dim(n))
+        vec[flat_index(j, j)] = 1.0
+        return cls(n, vec)
+
+    @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "FiducialState":
         raw = rng.standard_normal(total_dim(n)) + 1j * rng.standard_normal(total_dim(n))
         vec = np.empty_like(raw)

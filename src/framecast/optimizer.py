@@ -38,7 +38,8 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
 DEFAULT_RESTARTS = 3
 
-# a trajectory decrease beyond this signals a broken quadratic form, not noise
+# a trajectory decrease beyond this many units of c's largest weight signals
+# a broken quadratic form, not noise
 DECREASE_ABORT = 1e-9
 
 # the Lanczos cap: a round's pass stops at this many vectors, and the
@@ -179,9 +180,14 @@ def _aligned_change(vec: np.ndarray, vec_ref: np.ndarray) -> float:
     return _norm(phase * vec - vec_ref)
 
 
-def _close(lam: float, vec: np.ndarray, lam_ref: float, vec_ref: np.ndarray, tol: float) -> bool:
-    """Whether two eigenpair estimates agree within the fixed-point stopping rule."""
-    return bool(abs(lam - lam_ref) < tol and _aligned_change(vec, vec_ref) < math.sqrt(tol))
+def _close(lam: float, vec: np.ndarray, lam_ref: float, vec_ref: np.ndarray, tol: float,
+           scale: float) -> bool:
+    """Whether two eigenpair estimates agree within the fixed-point stopping rule.
+
+    The values must agree within tol in units of `scale`, the states within sqrt(tol).
+    """
+    return bool(abs(lam - lam_ref) < tol * scale
+                and _aligned_change(vec, vec_ref) < math.sqrt(tol))
 
 
 def _eigenvalues_above(op, sigma: float, floor: float) -> int | None:
@@ -239,7 +245,7 @@ class _Tally:
 
 
 def _certified(op, lam: float, vec: np.ndarray, second: float, tol: float,
-               tally: _Tally | None = None) -> tuple[float, np.ndarray] | None:
+               tally: _Tally | None = None, scale: float = 1.0) -> tuple[float, np.ndarray] | None:
     """A Ritz pair that an inertia count proves close to M's top eigenpair, or None.
 
     For the Ritz pair (rho, v) = (lam, vec) with residual r = ||M v - rho v||,
@@ -247,7 +253,7 @@ def _certified(op, lam: float, vec: np.ndarray, second: float, tol: float,
     one eigenvalue above sigma = rho - g - F (`_eigenvalues_above`, whose
     rounding F covers) proves lambda_2(M) < rho - g. Then (Parlett, The
     Symmetric Eigenvalue Problem, 1998) Kato-Temple gives
-    0 <= lambda_1 - rho <= r^2 / g, required below tol, and the sin theta
+    0 <= lambda_1 - rho <= r^2 / g, required below tol scale, and the sin theta
     bound gives sin angle(v, u_1) <= r / g <= sqrt(tol) / 2: the stopping
     rule of `_close`, proven against the top eigenpair.
 
@@ -269,7 +275,7 @@ def _certified(op, lam: float, vec: np.ndarray, second: float, tol: float,
     def provable_gap(lam, vec):
         r = _norm(op @ vec - lam * vec)
         gap = max(2.0 * r / math.sqrt(tol), floor)
-        return gap if r * r < tol * gap else None
+        return gap if r * r < tol * scale * gap else None
 
     gap = provable_gap(lam, vec)
     if gap is None or second >= lam - 2.0 * gap - floor:
@@ -323,9 +329,9 @@ def _round(tensor: SparseCoefficientTensor, bvec: np.ndarray, a_prev: np.ndarray
     lam, vec, second, size = _ritz_step(op, bvec if a_prev is None else a_prev, target, lam_prev)
     tally.vectors += size
     tally.second = max(tally.second, second)
-    if a_prev is None or not _close(lam, vec, lam_prev, a_prev, tol):
+    if a_prev is None or not _close(lam, vec, lam_prev, a_prev, tol, tensor.weight):
         return lam, vec, False
-    certified = _certified(op, lam, vec, tally.second, tol, tally)
+    certified = _certified(op, lam, vec, tally.second, tol, tally, tensor.weight)
     return (*certified, True) if certified else (lam, vec, False)
 
 
@@ -339,16 +345,19 @@ def fixed_point_optimize(
     """Alternate eigenvector extraction and per-block renormalization.
 
     The loop starts at the fiducial state init, FiducialState.uniform(n) if
-    None. Round 1's Lanczos pass runs to WIDE_KRYLOV_DIM vectors; each later
-    one stops at a residual of min(FORCING, c^(1/4)) c, c the previous
-    round's phase-aligned state change (1 after round 1), and not below the
-    previous round's objective value. A round whose objective value
-    moves by less than tol and whose sender state, up to its global phase,
-    moves by less than sqrt(tol) stops the loop if its certificate proves the
-    Ritz pair within the same tolerances of the top eigenpair (`_round`);
-    without one the loop runs to max_iter and reports converged=False. A
-    decrease of the trajectory beyond 1e-9 aborts: the quadratic form must
-    make that impossible. The returned states are built and validated once.
+    None. Objective values, residuals and their tolerances are measured in
+    units of w, c's largest weight (`tensor.weight`), so scaling c leaves the
+    loop's path unchanged. Round 1's Lanczos pass runs to WIDE_KRYLOV_DIM
+    vectors; each later one stops at a residual of min(FORCING, s^(1/4)) s w,
+    s the previous round's phase-aligned state change (1 after round 1), and
+    not below the previous round's objective value. A round whose objective
+    value moves by less than tol w and whose sender state, up to its global
+    phase, moves by less than sqrt(tol) stops the loop if its certificate
+    proves the Ritz pair within the same tolerances of the top eigenpair
+    (`_round`); without one the loop runs to max_iter and reports
+    converged=False. A decrease of the trajectory beyond DECREASE_ABORT w
+    aborts: the quadratic form must make that impossible. The returned states
+    are built and validated once.
     Logs one DEBUG record with the rounds, Lanczos vectors and inertia counts
     spent.
     """
@@ -359,15 +368,16 @@ def fixed_point_optimize(
     if init is not None and init.n != n:
         raise ValueError("initial fiducial state has wrong n")
     started = time.perf_counter()
+    scale = tensor.weight
     bvec = (FiducialState.uniform(n) if init is None else init).b
     # round 1 has no state change to force on, so it solves to the cap: its
     # pair picks the fixed point's basin. Round 2 forces on a unit change
     a_prev, lam_prev, change, tally = None, -math.inf, 0.0, _Tally()
     trajectory, converged, iterations = [], False, 0
     for iterations in range(1, max_iter + 1):
-        target = change * min(FORCING, change ** 0.25)
+        target = change * min(FORCING, change ** 0.25) * scale
         lam, vec, converged = _round(tensor, bvec, a_prev, lam_prev, target, tol, tally)
-        if lam < lam_prev - DECREASE_ABORT:
+        if lam < lam_prev - DECREASE_ABORT * scale:
             raise RuntimeError(
                 f"objective decreased from {lam_prev!r} to {lam!r} at iteration "
                 f"{iterations}; trajectory: {trajectory + [lam]}"
@@ -401,19 +411,34 @@ def best_of_restarts(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> OptimizationResult:
-    """Best fixed point from the uniform start and `restarts` random starts.
+    """Best fixed point from the deterministic starts and `restarts` random starts.
 
-    Random starts draw from independent child streams of SeedSequence((seed, n)),
-    so no two (n, restart) pairs share a stream and a given (n, seed) gives the
-    same result wherever it is optimized. A restart replaces the incumbent
-    only when it is better by more than tol, so fixed points that tie to
-    rounding keep the earlier one.
+    The deterministic starts follow c's symmetry. An isotropic c (c_hat = s I:
+    xyz, equal-weight weighted) starts at the stretched state b_j = |j, j>
+    alone, whose fixed point reached the uniform start's value at every n
+    tried (2 to 200); for n <= WIDE_KRYLOV_DIM its round 1 closes inside the
+    stretched sector, so the loop stops after 2 rounds. Any other c with
+    weight in the xy plane runs the uniform start and then the stretched one,
+    a z-only c the uniform start alone. Random starts draw from independent child streams of
+    SeedSequence((seed, n)), so no two (n, restart) pairs share a stream and
+    a given (n, seed) gives the same result wherever it is optimized. A later
+    start replaces the incumbent only when it is better by more than tol in
+    units of c's largest weight, so fixed points that tie to rounding keep
+    the earlier one.
     """
-    best = fixed_point_optimize(tensor, n, tol=tol, max_iter=max_iter)
-    for stream in np.random.SeedSequence((seed, n)).spawn(restarts):
-        start = FiducialState.random(n, np.random.default_rng(stream))
+    c_hat = tensor.c_hat
+    if np.array_equal(c_hat, c_hat[0, 0] * np.eye(3)):
+        starts = [FiducialState.stretched(n)]
+    elif (c_hat[0, 0] + c_hat[2, 2]).real > 0:
+        starts = [None, FiducialState.stretched(n)]
+    else:
+        starts = [None]
+    streams = np.random.SeedSequence((seed, n)).spawn(restarts)
+    starts += [FiducialState.random(n, np.random.default_rng(stream)) for stream in streams]
+    best = None
+    for start in starts:
         candidate = fixed_point_optimize(tensor, n, start, tol=tol, max_iter=max_iter)
-        if candidate.lam > best.lam + tol:
+        if best is None or candidate.lam > best.lam + tol * tensor.weight:
             best = candidate
     return best
 

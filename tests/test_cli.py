@@ -605,6 +605,32 @@ def test_bad_numeric_flag_is_usage_error(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--objective", "weighted", "--wz", "1e308", "--wxy", "1e308", "--n", "2..3"],
+    ["optimize", "--n", "2", "--objective", "weighted", "--wz", "1e308", "--wxy", "1"]])
+def test_overflowing_weights_are_usage_errors(capsys, argv):
+    # the first overflowed c_hat into nan rows, the second the loop's squared norms
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"framecast {argv[0]}: error: objective weights overflow" in err
+    assert "Traceback" not in err
+
+
+def test_weight_scale_leaves_the_optimization_unchanged(capsys):
+    # at 1e8 an absolute abort threshold once stopped this run with a traceback
+    docs = []
+    for scale in ("1e-3", "1", "1e3", "1e5", "1e8"):
+        code, out, _ = run_cli(capsys, "optimize", "--n", "4", "--objective", "weighted",
+                               "--wz", scale, "--wxy", scale)
+        assert code == 0
+        docs.append(json.loads(out))
+        docs[-1]["lambda"] /= float(scale)
+    for doc in docs:
+        assert doc["iterations"] == docs[0]["iterations"]
+        assert doc["lambda"] == pytest.approx(docs[0]["lambda"], rel=1e-11)
+
+
 @pytest.mark.parametrize("flag", ["--wz", "--wxy"])
 @pytest.mark.parametrize("objective", ["z", "xy", "xyz", None])
 @pytest.mark.parametrize("command", ["optimize", "sweep", "simulate"])

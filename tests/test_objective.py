@@ -55,6 +55,14 @@ class TestStates:
             block = b.block(j)
             assert np.allclose(block, 1.0 / math.sqrt(2 * j + 1))
 
+    def test_stretched_fiducial(self):
+        # b_j = |j, j>: the last component of every block, exactly 1
+        b = FiducialState.stretched(4)
+        for j in range(4):
+            expected = np.zeros(2 * j + 1)
+            expected[-1] = 1.0
+            assert np.array_equal(b.block(j), expected)
+
     def test_json_round_trip(self, rng):
         alice = random_alice(3, rng)
         clone = AliceState.from_json(alice.to_json())

@@ -508,6 +508,7 @@ class _FixedMatrixTensor:
     def __init__(self, n, mat):
         self.j_max = n - 1
         self.mat = mat
+        self.weight = 1.0  # the unit of the loop's tolerances
 
     def operator(self, b):
         return _DenseOperator(self.mat)
@@ -796,6 +797,128 @@ class TestSingleM:
             tracemalloc.stop()
         assert peak < 16e6
         assert result.lam == pytest.approx(0.999210123227436, abs=1e-12)
+
+
+def stretched_jacobi(n, w_z, w_xy):
+    """M(b) for b_j = |j, j> on the stretched sector {|j, j>}, in closed form from j alone."""
+    j = np.arange(n)
+    off = w_xy * np.sqrt((2 * j[:-1] + 1) / (2 * j[:-1] + 3))
+    return np.diag(w_z * j / (j + 1)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def stretched_sector_slots(objective, n):
+    """operator(FiducialState.stretched(n).b) on the stretched sector, and its largest coupling out.
+
+    Gathered from the operator's slots: the sector block, and the largest
+    magnitude of a slot whose row lies in the sector and whose column does not.
+    """
+    op = cached_tensor(objective, n - 1).operator(FiducialState.stretched(n).b)
+    position = np.full(total_dim(n), -1)
+    position[flat_index(np.arange(n), np.arange(n))] = np.arange(n)
+    rows, cols = position[op.plan.slot_rows], position[op.plan.slot_cols]
+    inside = (rows >= 0) & (cols >= 0)
+    mat = np.zeros((n, n), dtype=complex)
+    mat[rows[inside], cols[inside]] = op.values[inside]
+    return mat, np.abs(op.values[(rows >= 0) & (cols < 0)]).max(initial=0.0)
+
+
+class TestStretchedSector:
+    @pytest.mark.parametrize("objective, w_z, w_xy", [
+        (Objective.z_axis(), 1.0, 0.0), (Objective.xy_axes(), 0.0, 1.0),
+        (Objective.xyz_axes(), 1.0, 1.0), (Objective.weighted(2.0, 0.5), 2.0, 0.5)])
+    def test_closed_form_matches_the_operator_slots(self, objective, w_z, w_xy):
+        # M(b) maps the sector into itself, and there it is the Jacobi matrix
+        for n in (1, 2, 3, 8, 30):
+            mat, leak = stretched_sector_slots(objective, n)
+            assert leak == 0.0
+            assert np.max(np.abs(mat - stretched_jacobi(n, w_z, w_xy))) <= 1e-15
+
+    def test_xyz_sweep_is_the_sector_optimum(self):
+        for row in sweep(Objective.xyz_axes(), 2, 40):
+            assert row.converged
+            top = np.linalg.eigvalsh(stretched_jacobi(row.n, 1.0, 1.0))[-1]
+            assert row.lam == pytest.approx(top, abs=1e-12), row.n
+
+    def test_xyz_start_closes_in_two_rounds(self):
+        # round 1's pass closes inside the n-dimensional sector up to the Lanczos cap
+        for n in (2, 9, optimizer.WIDE_KRYLOV_DIM):
+            result = fixed_point_optimize(cached_tensor(Objective.xyz_axes(), n - 1), n,
+                                          FiducialState.stretched(n))
+            assert result.converged and result.iterations == 2
+
+    def test_xy_level_ten_from_the_default_flags(self):
+        # the uniform start stops at a saddle (1.72824); the stretched start reaches the optimum
+        result = best_of_restarts(cached_tensor(Objective.xy_axes(), 9), 10,
+                                  optimizer.DEFAULT_RESTARTS, 0)
+        assert result.converged
+        assert result.lam == pytest.approx(1.7310068043145, abs=1e-12)
+
+    def test_xy_rows_from_level_ten_converge_to_the_sector_optimum(self):
+        self._check_xy_rows(10, 16)
+
+    @pytest.mark.slow
+    def test_xy_rows_to_level_thirty(self):
+        self._check_xy_rows(17, 30)
+
+    @staticmethod
+    def _check_xy_rows(n_from, n_to):
+        for row in sweep(Objective.xy_axes(), n_from, n_to):
+            assert row.converged
+            top = np.linalg.eigvalsh(stretched_jacobi(row.n, 0.0, 1.0))[-1]
+            assert row.lam == pytest.approx(top, abs=1e-12), row.n
+
+    @pytest.mark.parametrize("objective, first", [
+        (Objective.xyz_axes(), ["stretched"]), (Objective.weighted(3.0, 3.0), ["stretched"]),
+        (Objective.xy_axes(), ["uniform", "stretched"]),
+        (Objective.weighted(2.0, 0.5), ["uniform", "stretched"]),
+        (Objective.z_axis(), ["uniform"]), (Objective.weighted(1.0, 0.0), ["uniform"])])
+    def test_deterministic_starts_follow_the_symmetry_of_c(self, monkeypatch, objective, first):
+        n, starts = 3, []
+        plain = optimizer.fixed_point_optimize
+
+        def recorded(tensor, n, init=None, **kwargs):
+            starts.append(init)
+            return plain(tensor, n, init, **kwargs)
+
+        monkeypatch.setattr(optimizer, "fixed_point_optimize", recorded)
+        best_of_restarts(cached_tensor(objective, n - 1), n, 2, 5)
+        assert len(starts) == len(first) + 2
+        for start, name in zip(starts, first):
+            if name == "uniform":
+                assert start is None
+            else:
+                assert np.array_equal(start.b, FiducialState.stretched(n).b)
+        # the random restarts keep their seed streams
+        for start, stream in zip(starts[len(first):], np.random.SeedSequence((5, n)).spawn(2)):
+            expected = FiducialState.random(n, np.random.default_rng(stream))
+            assert np.array_equal(start.b, expected.b)
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("ratio", [(1.0, 1.0), (2.0, 0.5)])
+    def test_scaled_weights_take_the_same_path(self, monkeypatch, ratio):
+        # tolerances in units of c's largest weight: 1e8 once aborted on a
+        # rounding-level decrease, and the round counts moved with the scale
+        plain = optimizer.fixed_point_optimize
+        paths = []
+
+        def recorded(*args, **kwargs):
+            paths[-1].append(plain(*args, **kwargs))
+            return paths[-1][-1]
+
+        monkeypatch.setattr(optimizer, "fixed_point_optimize", recorded)
+        n, winners, values = 4, [], []
+        for scale in (1e-3, 1.0, 1e3, 1e5, 1e8):
+            paths.append([])
+            objective = Objective.weighted(ratio[0] * scale, ratio[1] * scale)
+            best = best_of_restarts(cached_tensor(objective, n - 1), n, 3, 0)
+            assert best.converged
+            winners.append([result is best for result in paths[-1]])
+            values.append(best.lam / scale)
+        assert all(winner == winners[0] for winner in winners)
+        assert all([r.iterations for r in path] == [r.iterations for r in paths[0]]
+                   for path in paths)
+        assert values == pytest.approx([values[0]] * len(values), rel=1e-12)
 
 
 class TestDirectSearch:

@@ -14,6 +14,7 @@ from framecast import (
     Objective,
     angles_from_matrices,
     b_from_a,
+    best_of_restarts,
     big_d_matrix,
     block_slice,
     cached_tensor,
@@ -29,6 +30,7 @@ from framecast import (
     total_dim,
 )
 from framecast import simulator
+from framecast.optimizer import DEFAULT_RESTARTS
 from framecast.simulator import (
     _amplitude_polynomial,
     _beta_marginal,
@@ -542,8 +544,9 @@ def test_large_level_exact_replay_matches_analytic(capsys, n, samples):
     elapsed = time.perf_counter() - start
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
+    # simulate --n replays optimize's default best of restarts, seeded by --seed
     tensor = cached_tensor(Objective.xyz_axes(), n - 1)
-    result = fixed_point_optimize(tensor, n)
+    result = best_of_restarts(tensor, n, DEFAULT_RESTARTS, n)
     analytic = fidelity_report(result.a, result.b, Objective.xyz_axes())
     with capsys.disabled():
         print(f"\nsimulate --n {n} --samples {samples}: {elapsed:.2f} s, "
