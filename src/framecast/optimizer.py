@@ -245,7 +245,7 @@ class _Tally:
 
 
 def _certified(op, lam: float, vec: np.ndarray, second: float, tol: float,
-               tally: _Tally | None = None, scale: float = 1.0) -> tuple[float, np.ndarray] | None:
+               scale: float, tally: _Tally | None = None) -> tuple[float, np.ndarray] | None:
     """A Ritz pair that an inertia count proves close to M's top eigenpair, or None.
 
     For the Ritz pair (rho, v) = (lam, vec) with residual r = ||M v - rho v||,
@@ -253,7 +253,8 @@ def _certified(op, lam: float, vec: np.ndarray, second: float, tol: float,
     one eigenvalue above sigma = rho - g - F (`_eigenvalues_above`, whose
     rounding F covers) proves lambda_2(M) < rho - g. Then (Parlett, The
     Symmetric Eigenvalue Problem, 1998) Kato-Temple gives
-    0 <= lambda_1 - rho <= r^2 / g, required below tol scale, and the sin theta
+    0 <= lambda_1 - rho <= r^2 / g, required below tol scale (`scale` is c's
+    largest weight, the unit of objective values), and the sin theta
     bound gives sin angle(v, u_1) <= r / g <= sqrt(tol) / 2: the stopping
     rule of `_close`, proven against the top eigenpair.
 
@@ -267,10 +268,10 @@ def _certified(op, lam: float, vec: np.ndarray, second: float, tol: float,
     vectors and counts spent and gates the count on its last failed shift.
     """
     tally = _Tally() if tally is None else tally
-    scale = op.norm_inf
-    if scale == 0.0:  # M = 0 (n = 1): every unit vector is a top eigenvector
+    norm = op.norm_inf
+    if norm == 0.0:  # M = 0 (n = 1): every unit vector is a top eigenvector
         return lam, vec
-    floor = CERT_ULPS * vec.size * np.finfo(float).eps * scale
+    floor = CERT_ULPS * vec.size * np.finfo(float).eps * norm
 
     def provable_gap(lam, vec):
         r = _norm(op @ vec - lam * vec)
@@ -331,7 +332,7 @@ def _round(tensor: SparseCoefficientTensor, bvec: np.ndarray, a_prev: np.ndarray
     tally.second = max(tally.second, second)
     if a_prev is None or not _close(lam, vec, lam_prev, a_prev, tol, tensor.weight):
         return lam, vec, False
-    certified = _certified(op, lam, vec, tally.second, tol, tally, tensor.weight)
+    certified = _certified(op, lam, vec, tally.second, tol, tensor.weight, tally)
     return (*certified, True) if certified else (lam, vec, False)
 
 

@@ -237,7 +237,7 @@ class TestCertificate:
             lam, vec, second, _ = optimizer._ritz_step(op, top + scale * noise)
         residual = np.linalg.norm(mat @ vec - lam * vec)
         g = 2 * residual / math.sqrt(tol)
-        result = optimizer._certified(op, lam, vec, second, tol)
+        result = optimizer._certified(op, lam, vec, second, tol, 1.0)
         if start == "second":
             assert result is None
         elif start == "tilted" and w[-1] - w[-2] <= g and residual**2 < tol * g:
@@ -268,21 +268,39 @@ class TestCertificate:
         # residual ~1e-7: its gap 2 r / sqrt(tol) ~ 0.2 reaches below lambda_2
         tilted = v[:, -1] + 1e-7 * v[:, 0]
         tilted /= np.linalg.norm(tilted)
-        pair = (np.vdot(tilted, op.mat @ tilted).real, tilted, -math.inf, 1e-12)
+        pair = (np.vdot(tilted, op.mat @ tilted).real, tilted, -math.inf, 1e-12, 1.0)
         tally = optimizer._Tally()
         assert optimizer._certified(op, *pair, tally) is None
         assert optimizer._certified(op, *pair, tally) is None
         assert len(shifts) == 1 and tally.failed_sigma == shifts[0]
-        lam, vec = optimizer._certified(op, w[-1], v[:, -1], -math.inf, 1e-12, tally)
+        lam, vec = optimizer._certified(op, w[-1], v[:, -1], -math.inf, 1e-12, 1.0, tally)
         assert len(shifts) == 2 and shifts[1] > shifts[0]
         assert (tally.counts, tally.passed) == (2, 1)
         assert lam == w[-1]
+
+    def test_kato_temple_bound_is_in_units_of_the_weight(self):
+        # M = diag(100, 0, 0, 0), ||M||_inf = 100, and a pair tilted by
+        # sin theta = 1e-7: r = 1e-5, g = 2 r / sqrt(tol) = 20, r^2 / g = 5e-12,
+        # between tol and tol ||M||_inf. At weight 1 the pair as given fails
+        # the bound and a Lanczos pass replaces it; at weight 100 it passes
+        mat = np.diag([100.0, 0.0, 0.0, 0.0]).astype(complex)
+        op = _DenseOperator(mat)
+        vec = np.array([math.sqrt(1 - 1e-14), 1e-7, 0.0, 0.0], dtype=complex)
+        lam = np.vdot(vec, mat @ vec).real
+        residual = np.linalg.norm(mat @ vec - lam * vec)
+        assert 1e-12 < residual * math.sqrt(1e-12) / 2 < 1e-12 * op.norm_inf
+        tally = optimizer._Tally()
+        result = optimizer._certified(op, lam, vec, -math.inf, 1e-12, 1.0, tally)
+        assert tally.vectors > 0 and result[1] is not vec
+        tally = optimizer._Tally()
+        result = optimizer._certified(op, lam, vec, -math.inf, 1e-12, 100.0, tally)
+        assert tally.vectors == 0 and result[1] is vec
 
     def test_rejects_a_degenerate_top(self, rng):
         mat = _block_tridiagonal(rng, 4, 0.0, "complex", 0.0)
         op = _DenseOperator(mat)
         lam, vec, second, _ = optimizer._ritz_step(op, rng.standard_normal(16) + 0j)
-        assert optimizer._certified(op, lam, vec, second, 1e-12) is None
+        assert optimizer._certified(op, lam, vec, second, 1e-12, 1.0) is None
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 8), st.sampled_from(["z", "xy", "xyz", "block-tridiagonal"]),
@@ -584,7 +602,7 @@ class TestWarmRounds:
         trap[:3] = v_low[:, -1]
         op = _DenseOperator(mat)
         assert optimizer._ritz_step(op, trap)[0] == pytest.approx(w_low[-1], abs=1e-12)
-        assert optimizer._certified(op, w_low[-1], trap, -math.inf, 1e-12) is None
+        assert optimizer._certified(op, w_low[-1], trap, -math.inf, 1e-12, 1.0) is None
 
         ritz_step = optimizer._ritz_step
         targets = []
