@@ -165,7 +165,7 @@ def _spin_one_cg(j: int, k: int) -> np.ndarray:
 
 _Plan = NamedTuple("_Plan", [(field, np.ndarray) for field in (
     "rows", "cols", "cg", "segment", "starts", "weight",
-    "order", "slot_starts", "slot_rows", "slot_cols", "row_starts")])
+    "p_slot", "ph_slot", "slot_rows", "slot_cols", "row_starts")])
 
 
 @lru_cache(maxsize=4)  # about 60 d numbers each; a sweep uses one level at a time
@@ -176,10 +176,11 @@ def _contraction_plan(j_max: int) -> _Plan:
     segment 3 * pair + mu + 1 are contiguous, never empty, and begin at starts.
     weight is sqrt((2j+1)/(2k+1)), halved on diagonal pairs as M = P + P^H.
 
-    M's terms are P's, P^H's and a zero at (0, 0) that keeps j_max = 0 well-formed;
-    `order` sorts them stably by (row, col), so the terms of each position, a
-    slot, are adjacent and begin at slot_starts. row_starts holds every row's
-    first slot (each row has one) and then the slot count.
+    M's positions, its slots, are those of P's terms, of P^H's and (0, 0), which
+    keeps j_max = 0 well-formed, in (row, col) order. p_slot and ph_slot give
+    the slot of each term of P and of its P^H mirror; no slot receives two
+    terms of P or two of P^H. row_starts holds every row's first slot (each
+    row has one) and then the slot count.
     """
     pairs = [(j, k) for j in range(j_max + 1) for k in (j, j + 1) if 0 < k <= j_max]
     parts = [(np.zeros(0, dtype=np.intp),) * 4]  # keeps j_max = 0, with no pair, well-formed
@@ -191,12 +192,14 @@ def _contraction_plan(j_max: int) -> _Plan:
     weight = np.array([math.sqrt((2 * j + 1) / (2 * k + 1)) / (2 if k == j else 1)
                        for j, k in pairs])
     d = (j_max + 1) ** 2
-    term_rows, term_cols = np.concatenate((rows, cols, [0])), np.concatenate((cols, rows, [0]))
-    order = np.lexsort((term_cols, term_rows))
-    slot_starts = np.flatnonzero(np.diff((term_rows * d + term_cols)[order], prepend=-1))
-    slot_rows, slot_cols = term_rows[order][slot_starts], term_cols[order][slot_starts]
+    keys = np.concatenate((rows * d + cols, cols * d + rows, [0]))
+    ordered = keys[np.lexsort((keys,))]  # np.unique and np.sort map ~0.4 MB more code
+    slots = ordered[np.flatnonzero(np.diff(ordered, prepend=-1))]
+    p_slot, ph_slot = np.searchsorted(slots, keys[:-1]).reshape(2, -1)
+    assert len(set(p_slot.tolist())) == len(set(ph_slot.tolist())) == rows.size
+    slot_rows, slot_cols = np.divmod(slots, d)
     plan = _Plan(rows, cols, cg, segment, np.flatnonzero(np.diff(segment, prepend=-1)), weight,
-                 order, slot_starts, slot_rows, slot_cols,
+                 p_slot, ph_slot, slot_rows, slot_cols,
                  np.searchsorted(slot_rows, np.arange(d + 1)))
     for part in plan:
         part.flags.writeable = False  # shared by every tensor with this j_max
@@ -309,13 +312,15 @@ class SparseCoefficientTensor:
     def operator(self, b: np.ndarray) -> ObjectiveOperator:
         """M[(j,m),(k,n)] = sum_rs f_{jkmnrs} b_{jr} conj(b_{ks}) for flat b, as its O(d) nonzeros.
 
-        Each slot sums its terms of P from `_pair_values` and of the mirror
+        Each slot sums its term of P from `_pair_values` and of the mirror
         P^H, so M = P + P^H is exactly Hermitian.
         """
         plan = _contraction_plan(self.j_max)
         vals = self._pair_values(b)[2]
-        terms = np.concatenate((vals, vals.conj(), [0.0]))[plan.order]
-        return ObjectiveOperator(np.add.reduceat(terms, plan.slot_starts), plan)
+        values = np.zeros(plan.slot_rows.size, dtype=vals.dtype)
+        values[plan.p_slot] = vals
+        values[plan.ph_slot] += vals.conj()
+        return ObjectiveOperator(values, plan)
 
     def expectation(self, a: np.ndarray, b: np.ndarray) -> float:
         """<a|M|a> for M = operator(b) in O(d), with no d x d array.

@@ -180,16 +180,6 @@ def _aligned_change(vec: np.ndarray, vec_ref: np.ndarray) -> float:
     return _norm(phase * vec - vec_ref)
 
 
-def _close(lam: float, vec: np.ndarray, lam_ref: float, vec_ref: np.ndarray, tol: float,
-           scale: float) -> bool:
-    """Whether two eigenpair estimates agree within the fixed-point stopping rule.
-
-    The values must agree within tol in units of `scale`, the states within sqrt(tol).
-    """
-    return bool(abs(lam - lam_ref) < tol * scale
-                and _aligned_change(vec, vec_ref) < math.sqrt(tol))
-
-
 def _eigenvalues_above(op, sigma: float, floor: float) -> int | None:
     """How many eigenvalues of M exceed sigma, by block elimination; None when unsure.
 
@@ -256,7 +246,7 @@ def _certified(op, lam: float, vec: np.ndarray, second: float, tol: float,
     0 <= lambda_1 - rho <= r^2 / g, required below tol scale (`scale` is c's
     largest weight, the unit of objective values), and the sin theta
     bound gives sin angle(v, u_1) <= r / g <= sqrt(tol) / 2: the stopping
-    rule of `_close`, proven against the top eigenpair.
+    rule of `_round`, proven against the top eigenpair.
 
     By interlacing the count exceeds one when a second Ritz value of M is
     >= sigma. `second` is a guess at lambda_2 (`_round` passes the largest
@@ -318,22 +308,27 @@ def _unit_blocks(vec: np.ndarray, n: int) -> np.ndarray:
 
 def _round(tensor: SparseCoefficientTensor, bvec: np.ndarray, a_prev: np.ndarray | None,
            lam_prev: float, target: float, tol: float,
-           tally: _Tally) -> tuple[float, np.ndarray, bool]:
-    """One round at fiducial amplitudes bvec: the round's pair and whether the loop converged.
+           tally: _Tally) -> tuple[float, np.ndarray, float, bool]:
+    """One round at fiducial amplitudes bvec: its pair, state change and whether the loop converged.
 
     Round 1 (no a_prev) is a Lanczos pass from bvec, later rounds one from
-    a_prev, each stopped by `target` and the floor lam_prev (`_ritz_step`);
-    later rounds are certified once they look converged, with `tally.second`
-    in place of the round's own second Ritz value.
+    a_prev, each stopped by `target` and the floor lam_prev (`_ritz_step`).
+    The change is the pair's phase-aligned distance from a_prev, 1 in round 1.
+    A later round looks converged when its objective value moves by less than
+    tol w and its state by less than sqrt(tol) (w = `tensor.weight`); it is
+    then certified, with `tally.second` in place of its own second Ritz value.
     """
     op = tensor.operator(bvec)
     lam, vec, second, size = _ritz_step(op, bvec if a_prev is None else a_prev, target, lam_prev)
     tally.vectors += size
     tally.second = max(tally.second, second)
-    if a_prev is None or not _close(lam, vec, lam_prev, a_prev, tol, tensor.weight):
-        return lam, vec, False
+    if a_prev is None:
+        return lam, vec, 1.0, False
+    change = _aligned_change(vec, a_prev)
+    if not (abs(lam - lam_prev) < tol * tensor.weight and change < math.sqrt(tol)):
+        return lam, vec, change, False
     certified = _certified(op, lam, vec, tally.second, tol, tensor.weight, tally)
-    return (*certified, True) if certified else (lam, vec, False)
+    return (*certified, change, True) if certified else (lam, vec, change, False)
 
 
 def fixed_point_optimize(
@@ -377,14 +372,13 @@ def fixed_point_optimize(
     trajectory, converged, iterations = [], False, 0
     for iterations in range(1, max_iter + 1):
         target = change * min(FORCING, change ** 0.25) * scale
-        lam, vec, converged = _round(tensor, bvec, a_prev, lam_prev, target, tol, tally)
+        lam, vec, change, converged = _round(tensor, bvec, a_prev, lam_prev, target, tol, tally)
         if lam < lam_prev - DECREASE_ABORT * scale:
             raise RuntimeError(
                 f"objective decreased from {lam_prev!r} to {lam!r} at iteration "
                 f"{iterations}; trajectory: {trajectory + [lam]}"
             )
         trajectory.append(lam)
-        change = 1.0 if a_prev is None else _aligned_change(vec, a_prev)
         a_prev, lam_prev = vec, lam
         bvec = _unit_blocks(vec, n)
         if converged:

@@ -14,16 +14,17 @@ and gamma sums of f are one 2-D inverse DFT per beta node and only the beta
 sum needs small-d, at the Gauss-Legendre nodes (the separation behind SO(3)
 FFTs; Kostelec & Rockmore, J. Fourier Anal. Appl. 14, 145, 2008).
 
-A pass over many block pairs reads every (m - n, r - s) lag from one small
-periodic table, lags -R..R in both directions with R the largest j + k, each
-taken modulo the grid's node count, so a block wider than the grid wraps its
-lags as the node sum does. Each block's lags are a sliding-window view of
-that table (m - n grows with m and falls with n, hence the reversed n, s
-axes), so no per-block index array is gathered. When f's values are real,
-the weights and f are real and the node sum of f D^k_{ns} conj(D^j_{mr}) is
-the complex conjugate of that of f D^j_{mr} conj(D^k_{ns}); a j > k block is
-then the conjugate transpose of the (k, j) block integrated earlier in the
-same pass. A complex f integrates every block directly.
+Of f's spectrum, a pass keeps only the (alpha, gamma) lags (P, Q) whose mass
+sum_b |spectrum[P, b, Q]| exceeds ROUNDING_ULPS eps times the total mass, the
+FFT's rounding floor: cos(beta) and f = 1 carry the lag (0, 0) alone,
+(1 + cos beta) cos(alpha + gamma) the lags (+-1, +-1). Each kept lag fills one
+diagonal m - n = p, r - s = q of a block for every p = P, q = Q (mod the node
+count) with |p|, |q| <= j + k, so a block wider than the grid wraps its lags
+as the node sum does; every other entry is an exact zero. Since
+|d^j_{mr}| <= 1, a dropped lag moves an entry by at most
+sqrt((2j+1)(2k+1)) times its mass, and each block comes with that bound for
+the largest dropped mass, which `coefficient_deviation` and `povm_defect` add
+to what they report.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ from itertools import product
 import numpy as np
 import numpy.fft
 import numpy.polynomial.legendre
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .so3 import small_d_matrix
 
 TWO_PI = 2.0 * math.pi
+# spectral lags below this many eps of the total mass are FFT rounding and are dropped
+ROUNDING_ULPS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,35 +101,42 @@ def integrate(fn, grid: SO3Grid) -> complex:
     return complex(np.sum(grid.weights * vals))
 
 
+def _diagonal(j: int, k: int, p: int) -> tuple[slice, slice]:
+    """Index slices (m + j, n + k) of block pair (j, k)'s entries with m - n = p, |p| <= j + k."""
+    lo, hi = max(0, p + j - k), min(2 * j, p + j + k) + 1
+    return slice(lo, hi), slice(lo + k - j - p, hi + k - j - p)
+
+
 def coefficient_blocks(f, js, ks, grid: SO3Grid):
-    """Yield (j, k, coefficient_block(f, j, k, grid)) for j in js, k in ks, evaluating f once."""
+    """Yield (j, k, coefficient_block(f, j, k, grid), bound) for j in js, k in ks.
+
+    f is evaluated once. bound is at least the largest change that the
+    dropped lags would make to an entry of the block.
+    """
     values = np.asarray(f(grid.alphas, grid.betas, grid.gammas))
     count = grid.alpha_count
     # spectrum[p, b, q] = sum over the alpha, gamma nodes of f * weight * exp(i(p alpha + q gamma))
     spectrum = np.fft.ifft2((grid.weights * values).reshape(count, -1, count),
                             axes=(0, 2), norm="forward")
-    pairs = list(product(js, ks))
-    reach = max((j + k for j, k in pairs), default=0)
-    lags = np.arange(-reach, reach + 1)
-    # periodic[p + reach, q + reach, b] = spectrum[p mod A, b, q mod A]: wide lags wrap
-    periodic = spectrum.transpose(0, 2, 1)[np.ix_(lags % count, lags % count)]
-    # a real f's j < k blocks whose (k, j) mirror is wanted too; each is kept until that is yielded
-    mirrored = {(k, j) for j, k in pairs if j > k} if np.isrealobj(values) else set()
-    kept = {}
-    for j, k in pairs:
-        if (k, j) in kept:
-            yield j, k, kept.pop((k, j)).transpose(2, 3, 0, 1).conj()
-            continue
+    mass = np.abs(spectrum).sum(axis=1)
+    kept = mass > ROUNDING_ULPS * np.finfo(float).eps * mass.sum()
+    dropped = float(mass[~kept].max(initial=0.0))
+    lags = [(P, Q, spectrum[P, :, Q]) for P, Q in zip(*np.nonzero(kept))]
+    for j, k in product(js, ks):
         for jj in {j, k} - grid._d_cache.keys():  # small-d at the beta nodes, kept per grid
             grid._d_cache[jj] = small_d_matrix(jj, np.arccos([x for x, _ in grid.beta_nodes]))
-        # window[m+j, r+j, b, k-n, k-s] = periodic[m - n + reach, r - s + reach, b], a strided view
-        lo, hi = reach - j - k, reach + j + k + 1
-        window = sliding_window_view(periodic[lo:hi, lo:hi], (2 * k + 1, 2 * k + 1), axis=(0, 1))
-        block = math.sqrt((2 * j + 1) * (2 * k + 1)) * np.einsum(
-            "mrbns,bmr,bns->mrns", window[..., ::-1, ::-1], grid._d_cache[j], grid._d_cache[k])
-        if (j, k) in mirrored:
-            kept[j, k] = block
-        yield j, k, block
+        dj, dk = grid._d_cache[j], grid._d_cache[k]
+        scale, reach = math.sqrt((2 * j + 1) * (2 * k + 1)), j + k
+        block = np.zeros((2 * j + 1, 2 * j + 1, 2 * k + 1, 2 * k + 1), dtype=complex)
+        for P, Q, lag in lags:
+            # every p = P and q = Q (mod count) in -reach..reach
+            for p in range((P + reach) % count - reach, reach + 1, count):
+                for q in range((Q + reach) % count - reach, reach + 1, count):
+                    (m, n), (r, s) = _diagonal(j, k, p), _diagonal(j, k, q)
+                    # einsum's repeated-index output is a writeable view of the diagonal
+                    np.einsum("mrmr->mr", block[m, r, n, s])[...] = scale * np.einsum(
+                        "b,bmr,bmr->mr", lag, dj[:, m, r], dk[:, n, s])
+        yield j, k, block, scale * dropped
 
 
 def coefficient_block(f, j: int, k: int, grid: SO3Grid) -> np.ndarray:
@@ -142,12 +151,14 @@ def coefficient_block(f, j: int, k: int, grid: SO3Grid) -> np.ndarray:
 def coefficient_deviation(tensor, f, grid: SO3Grid) -> float:
     """Largest |coefficient_block(f) - tensor.block(j, k)| over every j, k <= tensor.j_max.
 
-    `tensor` needs only `j_max` and a dense `block(j, k)` in the layout of
-    `coefficient_block`; blocks outside |j - k| <= 1 are compared as well.
+    Each block's value includes the bound on its dropped lags, so it is never
+    below what the oracle would report keeping every lag. `tensor` needs only `j_max`
+    and a dense `block(j, k)` in the layout of `coefficient_block`; blocks
+    outside |j - k| <= 1 are compared as well.
     """
     worst = 0.0
     levels = range(tensor.j_max + 1)
-    for j, k, block in coefficient_blocks(f, levels, levels, grid):
-        worst = max(worst, float(np.max(np.abs(block - tensor.block(j, k)))))
+    for j, k, block, bound in coefficient_blocks(f, levels, levels, grid):
+        worst = max(worst, float(np.max(np.abs(block - tensor.block(j, k)))) + bound)
     return worst
 

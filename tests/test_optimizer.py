@@ -23,11 +23,13 @@ from framecast import (
     best_of_restarts,
     block_slice,
     cached_tensor,
+    coefficient_block,
     direct_search_optimize,
     fidelity_report,
     fit_asymptote,
     fixed_point_optimize,
     flat_index,
+    make_grid,
     optimize_z_single_m,
     rotation_matrix_components,
     sweep,
@@ -850,6 +852,15 @@ class TestStretchedSector:
             mat, leak = stretched_sector_slots(objective, n)
             assert leak == 0.0
             assert np.max(np.abs(mat - stretched_jacobi(n, w_z, w_xy))) <= 1e-15
+
+    def test_closed_form_matches_quadrature(self):
+        # f[2j, 2j, 2k, 2k] is the entry m = r = j, n = s = k of the brute-force oracle
+        grid = make_grid(5)
+        for f, w_z, w_xy in [(lambda a, b, g: np.cos(b), 1.0, 0.0),
+                             (lambda a, b, g: (1.0 + np.cos(b)) * np.cos(a + g), 0.0, 1.0)]:
+            mat = np.array([[coefficient_block(f, j, k, grid)[2 * j, 2 * j, 2 * k, 2 * k]
+                             for k in range(6)] for j in range(6)])
+            assert np.max(np.abs(mat - stretched_jacobi(6, w_z, w_xy))) < 1e-10
 
     def test_xyz_sweep_is_the_sector_optimum(self):
         for row in sweep(Objective.xyz_axes(), 2, 40):

@@ -1,9 +1,12 @@
 """Haar quadrature grids and the brute-force coefficient oracle."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecast import (
     Objective,
@@ -14,6 +17,7 @@ from framecast import (
     integrate,
     make_grid,
 )
+from framecast import quadrature
 from framecast.quadrature import coefficient_blocks
 
 
@@ -160,16 +164,69 @@ class TestSeparableQuadrature:
 
     @pytest.mark.parametrize("name", list(FUNCTIONS))
     def test_one_pass_matches_single_pairs(self, name):
-        # a pass yields each j > k block of a real integrand as the conjugate
-        # transpose of its (k, j) block; a single pair always integrates directly
+        # a pass evaluates f and its spectrum once for every block pair
         f = self.FUNCTIONS[name]
         grid = make_grid(4)
         levels = range(5)
         seen = set()
-        for j, k, block in coefficient_blocks(f, levels, levels, grid):
+        for j, k, block, _ in coefficient_blocks(f, levels, levels, grid):
             assert np.max(np.abs(block - coefficient_block(f, j, k, grid))) < 1e-15, (j, k)
             seen.add((j, k))
         assert seen == {(j, k) for j in levels for k in levels}
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 3]),
+           st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(0, 3),
+                              st.complex_numbers(max_magnitude=1.0)), min_size=1, max_size=4),
+           st.booleans())
+    def test_sparse_integrands_match_flat_node_sum(self, grid_j, terms, real):
+        # a few lags (p, q) times powers of cos(beta); on make_grid(1)'s 8
+        # azimuthal nodes |p|, |q| <= 9 alias, and blocks up to j = 3 wrap theirs
+        def f(a, b, g):
+            total = sum(c * np.exp(1j * (p * a + q * g)) * np.cos(b) ** e for p, q, e, c in terms)
+            return total.real if real else total
+
+        grid = make_grid(grid_j)
+        flat = flat_node_blocks(f, 3, grid)
+        for j, k, block, _ in coefficient_blocks(f, range(4), range(4), grid):
+            assert np.max(np.abs(block - flat[j, k])) < 1e-13, (j, k)
+
+
+def every_lag_blocks(monkeypatch, f, levels, grid):
+    """The oracle's (block, bound) per (j, k) with a zero rounding floor: every nonzero lag kept."""
+    with monkeypatch.context() as patched:
+        patched.setattr(quadrature, "ROUNDING_ULPS", 0)
+        return {(j, k): (block, bound)
+                for j, k, block, bound in coefficient_blocks(f, levels, levels, grid)}
+
+
+class TestDroppedLags:
+    def test_lag_below_the_floor_is_dropped_and_bounded(self, monkeypatch):
+        # the 1e-20 (1, 1) lag lies far below the rounding floor of cos(beta):
+        # its diagonal m - n = r - s = 1 reads exact zeros, each block's bound
+        # covers what the lag adds there, and the reported deviation is never
+        # below the one of the oracle that keeps every lag
+        grid = make_grid(3)
+        f = lambda a, b, g: np.cos(b) + 1e-20j * np.exp(1j * (a + g))
+        levels = range(4)
+        every = every_lag_blocks(monkeypatch, f, levels, grid)
+        for j, k, block, bound in coefficient_blocks(f, levels, levels, grid):
+            dense = every[j, k][0]
+            assert bound >= np.max(np.abs(block - dense)), (j, k)
+            assert every[j, k][1] == 0.0
+            if j:  # the entry m = r = 1, n = s = 0
+                assert block[j + 1, j + 1, k, k] == 0.0 and dense[j + 1, j + 1, k, k] != 0.0
+        # against a tensor equal to the kept lags' blocks, only the dropped lag deviates
+        kept = {(j, k): block for j, k, block, _ in coefficient_blocks(f, levels, levels, grid)}
+        tensor = SimpleNamespace(j_max=3, block=lambda j, k: kept[j, k])
+        dense_worst = max(float(np.max(np.abs(every[key][0] - kept[key]))) for key in kept)
+        assert coefficient_deviation(tensor, f, grid) >= dense_worst > 0.0
+
+    def test_zero_integrand_keeps_no_lag(self):
+        grid = make_grid(2)
+        for j, k, block, bound in coefficient_blocks(lambda a, b, g: 0.0, range(3), range(3), grid):
+            assert bound == 0.0 and not np.any(block), (j, k)
 
 
 class DictTensor:
