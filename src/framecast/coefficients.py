@@ -143,16 +143,15 @@ _SPHERICAL = np.array([[1, 0, -1], [-1j, 0, -1j], [0, 1, 0]])
 _SPHERICAL_SCALE = 1.0 / np.sqrt(np.outer([2, 1, 2], [2, 1, 2]))
 
 
-def _spin_one_cg(j: int, k: int) -> np.ndarray:
-    """Clebsch-Gordan coefficients <j m; 1 mu | k m+mu>, rows mu = -1, 0, 1, columns m = -j..j.
+def _cg(j, m, mu, up: bool) -> np.ndarray:
+    """<j m; 1 mu | k m+mu>, k = j + 1 if up else j (j >= 1), elementwise in j, m and mu.
 
     Condon-Shortley phases (Varshalovich, Moskalev & Khersonskii 1988, spin-1
-    table) for k in {j, j + 1}, k = j needing j >= 1. Every radicand vanishes
-    where m + mu falls outside block k, so those entries are exact zeros.
+    table). Every radicand vanishes where m + mu falls outside block k, so
+    those entries are exact zeros.
     """
-    mu = np.arange(-1, 2)[:, None]
-    n = np.arange(-j, j + 1) + mu
-    if k == j + 1:
+    n = m + mu
+    if up:
         sign, den = 1, (2 * j + 1) * (2 * j + 2)
         num = np.choose(mu + 1, [(j - n) * (j - n + 1), 2 * (j - n + 1) * (j + n + 1),
                                  (j + n) * (j + n + 1)])
@@ -161,6 +160,11 @@ def _spin_one_cg(j: int, k: int) -> np.ndarray:
         sign = np.choose(mu + 1, [1, np.sign(n), -1])
         num = np.choose(mu + 1, [(j - n) * (j + n + 1), 2 * n * n, (j + n) * (j - n + 1)])
     return sign * np.sqrt(num / den)
+
+
+def _spin_one_cg(j: int, k: int) -> np.ndarray:
+    """<j m; 1 mu | k m+mu> for k in {j, j + 1}, rows mu = -1, 0, 1, columns m = -j..j."""
+    return _cg(j, np.arange(-j, j + 1), np.arange(-1, 2)[:, None], k == j + 1)
 
 
 _Plan = NamedTuple("_Plan", [(field, np.ndarray) for field in (
@@ -230,6 +234,45 @@ class ObjectiveOperator(NamedTuple):
             slots = slice(plan.row_starts[j * j], plan.row_starts[(j + 1) ** 2])
             strip[plan.slot_rows[slots] - j * j, plan.slot_cols[slots] - first] = self.values[slots]
             yield strip[:, j * j - first : (j + 1) ** 2 - first], strip[:, (j + 1) ** 2 - first :]
+
+
+class SectorOperator(NamedTuple):
+    """M(b) at a sector fiducial (`SparseCoefficientTensor.sector`) as n^2 numbers, flat in (j, m).
+
+    M couples (j, m) only to itself and to (j +- 1, m +- s), so it keeps the
+    label m - s j: it is the direct sum of one tridiagonal block over j per
+    label. diagonal holds M[(j,m),(j,m)] and upper M[(j,m),(j+1,m+s)], zero
+    in block j_max.
+    """
+
+    s: int
+    diagonal: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return math.isqrt(len(self.diagonal))
+
+    def sites(self, label: int) -> np.ndarray:
+        """Flat indices of the (j, m = label + s j) that carry the label, j ascending."""
+        j = np.arange(self.n)
+        m = label + self.s * j
+        return (j * j + m + j)[np.abs(m) <= j]
+
+    def block(self, label: int) -> np.ndarray:
+        """The label's dense tridiagonal block over its sites."""
+        sites = self.sites(label)
+        off = self.upper[sites[:-1]]
+        return np.diag(self.diagonal[sites]) + np.diag(off, 1) + np.diag(off, -1)
+
+    @property
+    def norm_inf(self) -> float:  # ||M||_inf, the largest absolute row sum
+        n = self.n
+        rows = np.abs(self.diagonal) + np.abs(self.upper)
+        # (j, m) at flat p couples down to (j + 1, m + s) at flat p + 2j + 2 + s
+        j = np.repeat(np.arange(n - 1), 2 * np.arange(n - 1) + 1)
+        rows[np.arange(j.size) + 2 * j + 2 + self.s] += np.abs(self.upper[: j.size])
+        return float(rows.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,6 +364,35 @@ class SparseCoefficientTensor:
         values[plan.p_slot] = vals
         values[plan.ph_slot] += vals.conj()
         return ObjectiveOperator(values, plan)
+
+    def sector(self, m: int, s: int) -> SectorOperator:
+        """operator(b) at b_j = |j, m + s j>, for real diagonal c_hat.
+
+        s = 0 gives magnetic number m in every block (zero where |m| > j), and
+        (m, s) = (0, 1) the stretched state. There S_nu = <j r; 1 nu|k r + nu>
+        at r = m + s j if nu = s (k - j), and 0 otherwise, and c_hat keeps
+        mu = nu, so block j of M is diagonal with entries <j n; 1 0|j n>
+        c_hat_00 <j r; 1 0|j r>, and (j, n) couples to (j + 1, n + s) by
+        sqrt((2j+1)/(2j+3)) <j n; 1 s|j+1 n+s> c_hat_ss <j r; 1 s|j+1 r+s>:
+        (j_max + 1)^2 numbers from `_cg`, with no contraction plan.
+        """
+        c_hat = self.c_hat
+        if s not in (0, 1):
+            raise ValueError(f"sector s must be 0 or 1, got {s}")
+        if np.iscomplexobj(c_hat) or np.count_nonzero(c_hat - np.diag(np.diagonal(c_hat))):
+            raise ValueError("sectors need a real diagonal c_hat")
+        size = self.j_max + 1
+        j = np.repeat(np.arange(size), 2 * np.arange(size) + 1)  # the block of every site
+        n = np.arange(size * size) - j * j - j
+        r = m + s * j  # the fiducial's magnetic number in that block
+        diagonal, upper = np.zeros(size * size), np.zeros(size * size)
+        at = (j > 0) & (np.abs(r) <= j)
+        diagonal[at] = _cg(j[at], n[at], 0, False) * (c_hat[1, 1] * _cg(j[at], r[at], 0, False))
+        at = (j < size - 1) & (np.abs(r) <= j)
+        weight = np.sqrt((2 * j[at] + 1) / (2 * j[at] + 3))
+        upper[at] = _cg(j[at], n[at], s, True) * (
+            weight * (c_hat[1 + s, 1 + s] * _cg(j[at], r[at], s, True)))
+        return SectorOperator(s, diagonal, upper)
 
     def expectation(self, a: np.ndarray, b: np.ndarray) -> float:
         """<a|M|a> for M = operator(b) in O(d), with no d x d array.

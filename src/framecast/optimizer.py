@@ -12,9 +12,14 @@ trajectory never decreases. The loop stops at a joint fixed point once an
 inertia count over the j blocks proves the Ritz pair within the stopping
 rule of the top eigenpair (`_certified`).
 
-A derivative-free direct search over unconstrained amplitudes (small n only)
-serves as an independent cross-check, the exact single-m z optimum reads its
-tridiagonal sector from the same operator, and sweeps over n feed the
+Objectives whose optimum lies in a closed sector (z-only and isotropic c)
+have a second route: at the sector fiducial M is a direct sum of tridiagonal
+label blocks of at most n rows (`SparseCoefficientTensor.sector`), so the top
+eigenpair of one block, certified by a label-wise inertia count over all of
+them, is a joint fixed point. `sweep` reads such rows from the sector beyond
+its check levels, and the exact single-m z optimum reads its block the same
+way. A derivative-free direct search over unconstrained amplitudes (small n
+only) serves as an independent cross-check, and sweeps over n feed the
 asymptotic power-law fits.
 """
 
@@ -29,7 +34,7 @@ import numpy as np
 import numpy.random
 
 from .basis import block_norms, block_slice, flat_index, total_dim
-from .coefficients import Objective, SparseCoefficientTensor, cached_tensor
+from .coefficients import Objective, SectorOperator, SparseCoefficientTensor, cached_tensor
 from .objective import AliceState, FiducialState, fidelity_report
 
 log = logging.getLogger(__name__)
@@ -59,6 +64,11 @@ FORCING = 0.1
 # the certificate's gap g and its pivot floor are at least CERT_ULPS d eps
 # ||M||_inf, far above the rounding error of the block elimination
 CERT_ULPS = 1e3
+
+# `sweep` of an objective with a closed sector runs the full loop at the
+# range's first level and at every n up to this one, where the restarts back
+# the sector's optimum, and reads every other level from the sector
+SECTOR_CHECK_N = 10
 
 
 @dataclass(frozen=True)
@@ -209,6 +219,33 @@ def _eigenvalues_above(op, sigma: float, floor: float) -> int | None:
             return None
         count += int(np.searchsorted(w, 0.0))
         update = t.conj().T @ (t / w[:, None])
+    return count
+
+
+def _label_eigenvalues_above(sector: SectorOperator, sigma: float, floor: float) -> int | None:
+    """How many eigenvalues of a sector's M exceed sigma, label by label; None when unsure.
+
+    `_eigenvalues_above` with 1 x 1 pivots: every label's block is
+    tridiagonal in j, so its Schur complements are the scalars
+    q_j = sigma - M_jj - |M_{j-1,j}|^2 / q_{j-1}, and the labels of block j
+    take their step together. The count is refused on the same rules: a
+    pivot |q| < floor, or a label whose eps (|sigma| + |q| + |M_{j,j+1}|^2 / |q|)
+    exceeds floor / 8.
+    """
+    s, eps = sector.s, np.finfo(float).eps
+    count, pivots, coupling = 0, None, None
+    for j in range(sector.n):
+        q = sigma - sector.diagonal[j * j : (j + 1) ** 2]
+        if j:
+            # block j - 1's site i carries the label of block j's site i + 1 + s
+            update = coupling * coupling / pivots
+            if eps * np.max(abs(sigma) + np.abs(pivots) + np.abs(update)) > floor / 8:
+                return None
+            q[1 + s : 2 * j + s] -= update
+        if np.abs(q).min() < floor:
+            return None
+        count += int(np.count_nonzero(q < 0))
+        pivots, coupling = q, sector.upper[j * j : (j + 1) ** 2]
     return count
 
 
@@ -398,6 +435,20 @@ def fixed_point_optimize(
     )
 
 
+def _sector(c_hat: np.ndarray) -> int | None:
+    """s of the sector b_j = |j, s j> that holds c's best known optimum; None if none does.
+
+    An isotropic c (c_hat = w I: xyz, equal-weight weighted) has it in the
+    stretched sector, s = 1; a z-only c (c_hat = w e_0 e_0^T) in the m = 0
+    sector, s = 0. A c that is either only up to rounding gets None.
+    """
+    if np.array_equal(c_hat, c_hat[0, 0] * np.eye(3)):
+        return 1
+    if np.array_equal(c_hat, c_hat[1, 1] * np.diag([0, 1, 0])):
+        return 0
+    return None
+
+
 def best_of_restarts(
     tensor: SparseCoefficientTensor,
     n: int,
@@ -421,13 +472,13 @@ def best_of_restarts(
     units of c's largest weight, so fixed points that tie to rounding keep
     the earlier one.
     """
-    c_hat = tensor.c_hat
-    if np.array_equal(c_hat, c_hat[0, 0] * np.eye(3)):
+    sector = _sector(tensor.c_hat)
+    if sector == 1:
         starts = [FiducialState.stretched(n)]
-    elif (c_hat[0, 0] + c_hat[2, 2]).real > 0:
-        starts = [None, FiducialState.stretched(n)]
-    else:
+    elif sector == 0:
         starts = [None]
+    else:
+        starts = [None, FiducialState.stretched(n)]
     streams = np.random.SeedSequence((seed, n)).spawn(restarts)
     starts += [FiducialState.random(n, np.random.default_rng(stream)) for stream in streams]
     best = None
@@ -442,19 +493,9 @@ def z_sector_matrix(n: int, m: int) -> np.ndarray:
     """Tridiagonal z-objective block for magnetic number m, blocks j >= |m|.
 
     Contracting with b_{jr} = delta_{rm} leaves M[(j,m),(k,m)] = f_{jkmmmm}:
-    the slots of `operator(b)` whose row and column both lie in the sector.
+    the label-m block of `SparseCoefficientTensor.sector` at b_j = |j, m>.
     """
-    sector = np.array([flat_index(j, m) for j in range(abs(m), n)])
-    b = np.zeros(total_dim(n))
-    b[sector] = 1.0
-    op = cached_tensor(Objective.z_axis(), n - 1).operator(b)
-    position = np.full(total_dim(n), -1)
-    position[sector] = np.arange(sector.size)
-    rows, cols = position[op.plan.slot_rows], position[op.plan.slot_cols]
-    inside = (rows >= 0) & (cols >= 0)
-    mat = np.zeros((sector.size, sector.size))
-    mat[rows[inside], cols[inside]] = op.values[inside].real
-    return mat
+    return cached_tensor(Objective.z_axis(), n - 1).sector(m, 0).block(m)
 
 
 def optimize_z_single_m(n: int, m: int) -> OptimizationResult:
@@ -482,6 +523,32 @@ def optimize_z_single_m(n: int, m: int) -> OptimizationResult:
         iterations=1,
         converged=True,
     )
+
+
+def _sector_row(objective: Objective, n: int, s: int) -> SweepRow:
+    """Level n's row read from the sector b_j = |j, s j>.
+
+    At that fiducial M is the direct sum of its label blocks
+    (`SparseCoefficientTensor.sector`), and the row's pair is the top
+    eigenpair (lam, u) of the fiducial's own label, 0: a = u on the sites
+    |j, s j>, b the fiducial. The row is converged when the label-wise
+    inertia count finds exactly one eigenvalue of M above lam - F,
+    F = CERT_ULPS d eps ||M||_inf as in `_certified`: then lam is M's top
+    eigenvalue, and since u has no zero entry (the block's couplings are
+    positive, so u is its Perron vector), b_from_a(a) = b and the pair is a
+    joint fixed point. For these c, c = w support(c), so the per-axis error
+    is (k - lam / w) / (2 k) with k axes and w the largest weight.
+    """
+    tensor = cached_tensor(objective, n - 1)
+    sector = tensor.sector(0, s)
+    lam = _top_eigh(sector.block(0))[0]
+    norm = sector.norm_inf
+    floor = CERT_ULPS * total_dim(n) * np.finfo(float).eps * norm
+    # M = 0 (n = 1): every unit vector is a top eigenvector
+    converged = norm == 0.0 or _label_eigenvalues_above(sector, lam - floor, floor) == 1
+    k = objective.axis_count
+    return SweepRow(n=n, d=total_dim(n), lam=lam, mse_per_axis=(k - lam / tensor.weight) / (2 * k),
+                    converged=converged)
 
 
 def _unpack_search_vector(x: np.ndarray, n: int) -> tuple[AliceState, FiducialState] | None:
@@ -573,13 +640,33 @@ def sweep(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> list[SweepRow]:
-    """Best fixed-point result per n, uniform start plus seeded random restarts."""
+    """Best result per n: the best of restarts, or the closed sector's certified optimum.
+
+    c without a closed sector (`_sector`) takes every row from
+    `best_of_restarts`. An isotropic or z-only c does so at its check levels,
+    the range's first level and every n <= SECTOR_CHECK_N, where the loop's
+    lambda must equal the sector's (`_sector_row`) within tol w, w c's
+    largest weight; every other level is a sector row. A sector row whose
+    inertia count does not certify it runs the loop in its place, and a check
+    level that disagrees sends every later level to the loop; each logs one
+    WARNING.
+    """
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")
+    s = _sector(cached_tensor(objective, n_from - 1).c_hat)
     rows = []
     for n in range(n_from, n_to + 1):
-        best = best_of_restarts(cached_tensor(objective, n - 1), n, restarts, seed,
-                                tol=tol, max_iter=max_iter)
+        tensor = cached_tensor(objective, n - 1)
+        check = n == n_from or n <= SECTOR_CHECK_N
+        if s is not None:
+            sector_row = _sector_row(objective, n, s)
+            if not check:
+                if sector_row.converged:
+                    rows.append(sector_row)
+                    continue
+                log.warning("sweep n=%d: no certificate for the sector's lambda %r; "
+                            "this level runs the loop", n, sector_row.lam)
+        best = best_of_restarts(tensor, n, restarts, seed, tol=tol, max_iter=max_iter)
         rows.append(
             SweepRow(
                 n=n,
@@ -589,6 +676,10 @@ def sweep(
                 converged=best.converged,
             )
         )
+        if s is not None and check and not abs(best.lam - sector_row.lam) <= tol * tensor.weight:
+            log.warning("sweep n=%d: the loop's lambda %r and the sector's %r differ by more "
+                        "than tol; every later level runs the loop", n, best.lam, sector_row.lam)
+            s = None
     return rows
 
 

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from framecast import (
     z_sector_matrix,
 )
 from framecast import optimizer
+from framecast.coefficients import SectorOperator
 
 ROOT3 = 1.0 / math.sqrt(3)
 
@@ -344,6 +346,55 @@ class TestCertificate:
                         answered += 1
                         assert count == np.count_nonzero(w > sigma)
         assert refused <= 0.02 * answered
+
+
+class TestLabelCount:
+    """`_label_eigenvalues_above` against eigvalsh and exact rational inertia."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.sampled_from([0, 1]), st.sampled_from([0.0, 0.3]),
+           st.sampled_from(["at", "near", "between"]), st.integers(0, 2**32 - 1))
+    def test_count_is_exact_or_refused(self, n, s, cut, where, seed):
+        # random symmetric tridiagonal labels; `cut` zeroes that share of the
+        # couplings. sigma lies at an eigenvalue, F/2 or 2F from one (F the
+        # certificate's floor) or halfway to the next. eigvalsh cannot place
+        # sigma = w_i on either side of the eigenvalue it rounds, so every
+        # count is held to exact rational inertia, which agrees with
+        # eigvalsh wherever sigma is clear of the spectrum
+        rng = np.random.default_rng(seed)
+        d = total_dim(n)
+        upper = rng.standard_normal(d) * (rng.random(d) >= cut)
+        upper[(n - 1) ** 2:] = 0.0
+        sector = SectorOperator(s, rng.standard_normal(d), upper)
+        mat = sector_dense(sector)
+        w = np.linalg.eigvalsh(mat)
+        floor = optimizer.CERT_ULPS * d * np.finfo(float).eps * sector.norm_inf
+        assert sector.norm_inf == pytest.approx(np.abs(mat).sum(axis=1).max(), rel=1e-15)
+        i = int(rng.integers(d))
+        sigma = {"at": w[i], "near": w[i] + rng.choice([-2.0, -0.5, 0.5, 2.0]) * floor,
+                 "between": (w[i] + w[i + 1]) / 2 if i + 1 < d else w[i] + 1.0}[where]
+        exact = exact_count_above(mat, sigma)
+        assume(exact is not None)
+        if np.min(np.abs(w - sigma)) > 1e-12:
+            assert exact == np.count_nonzero(w > sigma)
+        count = optimizer._label_eigenvalues_above(sector, sigma, floor)
+        assert count is None or count == exact
+
+    def test_an_eigenvalue_at_sigma_is_not_above_it(self):
+        # level 1's M = 0 has floor 0: at sigma = 0 its pivot is an exact
+        # zero that no floor refuses, and it is not counted
+        sector = SectorOperator(1, np.zeros(1), np.zeros(1))
+        assert optimizer._label_eigenvalues_above(sector, 0.0, 0.0) == 0
+        assert optimizer._label_eigenvalues_above(sector, -1e-11, 0.0) == 1
+        assert optimizer._label_eigenvalues_above(sector, 0.0, 1e-12) is None
+
+    def test_a_pivot_below_the_floor_refuses(self):
+        # [[0, b], [b, 0]] has eigenvalues +-b exactly; at sigma = b = 0.1 the
+        # second pivot rounds to -1.4e-17, which alone would count b as above
+        sector = SectorOperator(0, np.array([0.0, -1.0, 0.0, -1.0]), np.array([0.1, 0, 0, 0]))
+        floor = optimizer.CERT_ULPS * 4 * np.finfo(float).eps * sector.norm_inf
+        assert optimizer._label_eigenvalues_above(sector, 0.1, floor) is None
+        assert optimizer._label_eigenvalues_above(sector, 0.1 - 2 * floor, floor) == 1
 
 
 class TestBFromA:
@@ -750,14 +801,16 @@ class TestObservability:
         assert record.getMessage().startswith(f"fixed point n=6: {rounds} rounds, {vectors} ")
 
     def test_sweep_counts_inertia_once_per_fixed_point(self, caplog):
-        # the benchmark's sweep at seed 1: 13 levels of 4 starts, 52 fixed
-        # points, each certified by the first inertia count it tries
+        # the benchmark's sweep at seed 1: 9 check levels (n = 2..10) of 4
+        # starts, 36 fixed points, each certified by the first inertia count
+        # it tries; levels 11..14 are sector rows
         with caplog.at_level(logging.DEBUG, logger="framecast.optimizer"):
             rows = sweep(Objective.xyz_axes(), 2, 14, seed=1)
         assert all(row.converged for row in rows)
         records = [r.args for r in caplog.records if r.name == "framecast.optimizer"]
-        assert len(records) == 52
-        assert sum(args[3] for args in records) == sum(args[4] for args in records) == 52
+        assert len(records) == 36
+        assert sum(args[3] for args in records) == sum(args[4] for args in records) == 36
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 class TestSingleM:
@@ -863,10 +916,18 @@ class TestStretchedSector:
             assert np.max(np.abs(mat - stretched_jacobi(6, w_z, w_xy))) < 1e-10
 
     def test_xyz_sweep_is_the_sector_optimum(self):
-        for row in sweep(Objective.xyz_axes(), 2, 40):
+        # rows above SECTOR_CHECK_N come from the sector, so the loop's
+        # evidence there is best_of_restarts run against them directly
+        rows = sweep(Objective.xyz_axes(), 2, 40)
+        for row in rows:
             assert row.converged
             top = np.linalg.eigvalsh(stretched_jacobi(row.n, 1.0, 1.0))[-1]
             assert row.lam == pytest.approx(top, abs=1e-12), row.n
+        for n in range(optimizer.SECTOR_CHECK_N + 1, 41):
+            loop = best_of_restarts(cached_tensor(Objective.xyz_axes(), n - 1), n,
+                                    optimizer.DEFAULT_RESTARTS, 0)
+            assert loop.converged
+            assert loop.lam == pytest.approx(rows[n - 2].lam, abs=1e-12), n
 
     def test_xyz_start_closes_in_two_rounds(self):
         # round 1's pass closes inside the n-dimensional sector up to the Lanczos cap
@@ -921,6 +982,193 @@ class TestStretchedSector:
         for start, stream in zip(starts[len(first):], np.random.SeedSequence((5, n)).spawn(2)):
             expected = FiducialState.random(n, np.random.default_rng(stream))
             assert np.array_equal(start.b, expected.b)
+
+
+def label_of_sites(n, s):
+    """m - s j of every flat site (j, m) of level n."""
+    j = np.repeat(np.arange(n), 2 * np.arange(n) + 1)
+    return np.arange(n * n) - j * j - j - s * j
+
+
+def sector_fiducial(n, s):
+    """b_j = |j, s j> as flat amplitudes."""
+    b = np.zeros(total_dim(n))
+    b[flat_index(np.arange(n), s * np.arange(n))] = 1.0
+    return b
+
+
+def sector_dense(sector):
+    """The d x d matrix of a SectorOperator, entry by entry from (j, m) loops."""
+    n, s = sector.n, sector.s
+    mat = np.diag(sector.diagonal)
+    for j in range(n - 1):
+        for m in range(-j, j + 1):
+            row, col = flat_index(j, m), flat_index(j + 1, m + s)
+            mat[row, col] = mat[col, row] = sector.upper[row]
+    return mat
+
+
+def exact_count_above(mat, sigma):
+    """Eigenvalues of a symmetric tridiagonal-by-label mat above sigma, in exact rationals.
+
+    Sign changes of the leading principal minors of sigma - T per connected
+    chain of mat's graph (Sturm, in Fractions); None when a minor is zero.
+    """
+    d, seen, count = len(mat), set(), 0
+    for start in range(d):
+        if start in seen:
+            continue
+        chain = [start]
+        while True:  # each site couples to at most one later site
+            later = [k for k in np.flatnonzero(mat[chain[-1]]) if k > chain[-1]]
+            if not later:
+                break
+            chain.append(int(later[0]))
+        seen.update(chain)
+        prev, minor, sig = Fraction(1), Fraction(1), Fraction(sigma)
+        for i, site in enumerate(chain):
+            coupling = Fraction(mat[chain[i - 1], site]) if i else Fraction(0)
+            prev, minor = minor, (sig - Fraction(mat[site, site])) * minor - coupling**2 * prev
+            if minor == 0:
+                return None
+            count += (minor > 0) != (prev > 0)
+    return count
+
+
+class TestSectorRows:
+    """Sweep rows from a closed sector, against oracles that share no code with `coefficients`."""
+
+    @pytest.mark.parametrize("objective", [Objective.z_axis(), Objective.xy_axes(),
+                                           Objective.xyz_axes(), Objective.weighted(2.0, 0.5)])
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_label_blocks_are_the_operator_slots(self, objective, s):
+        # at b_j = |j, s j> no slot couples two labels, and every label's
+        # slots form its tridiagonal block
+        for n in (1, 2, 3, 8, 30):
+            tensor = cached_tensor(objective, n - 1)
+            op, sector = tensor.operator(sector_fiducial(n, s)), tensor.sector(0, s)
+            label = label_of_sites(n, s)
+            rows, cols = op.plan.slot_rows, op.plan.slot_cols
+            assert not op.values[label[rows] != label[cols]].any()
+            for value in np.unique(label):
+                sites = np.flatnonzero(label == value)
+                position = np.full(total_dim(n), -1)
+                position[sites] = np.arange(sites.size)
+                inside = (position[rows] >= 0) & (position[cols] >= 0)
+                mat = np.zeros((sites.size, sites.size), dtype=complex)
+                mat[position[rows[inside]], position[cols[inside]]] = op.values[inside]
+                assert np.array_equal(sector.sites(value), sites)
+                assert np.max(np.abs(sector.block(value) - mat)) <= 1e-15, (n, value)
+            assert sector.norm_inf == pytest.approx(op.norm_inf, abs=1e-15)
+
+    def test_z_rows_are_the_largest_legendre_zeros(self):
+        for row in sweep(Objective.z_axis(), 2, 100):
+            assert row.converged
+            top = np.polynomial.legendre.leggauss(row.n)[0].max()
+            tol = 1e-14 if row.n > optimizer.SECTOR_CHECK_N else 1e-12
+            assert row.lam == pytest.approx(top, abs=tol), row.n
+
+    def test_xyz_rows_are_the_stretched_closed_form(self):
+        for row in sweep(Objective.xyz_axes(), 2, 100):
+            assert row.converged
+            top = np.linalg.eigvalsh(stretched_jacobi(row.n, 1.0, 1.0))[-1]
+            tol = 1e-14 if row.n > optimizer.SECTOR_CHECK_N else 1e-12
+            assert row.lam == pytest.approx(top, abs=tol), row.n
+
+    @pytest.mark.parametrize("objective, s", [
+        (Objective.z_axis(), 0), (Objective.weighted(2.0, 0.0), 0),
+        (Objective.xyz_axes(), 1), (Objective.weighted(3.0, 3.0), 1)])
+    def test_row_error_is_the_report_of_the_embedded_pair(self, objective, s):
+        for n in range(1, 31):
+            row = optimizer._sector_row(objective, n, s)
+            vec = optimizer._top_eigh(cached_tensor(objective, n - 1).sector(0, s).block(0))[1]
+            a = np.zeros(total_dim(n), dtype=complex)
+            a[flat_index(np.arange(n), s * np.arange(n))] = vec
+            pair = AliceState(n, a), FiducialState(n, sector_fiducial(n, s))
+            assert row.converged
+            assert b_from_a(pair[0]).b == pytest.approx(pair[1].b, abs=1e-15)
+            report = fidelity_report(*pair, objective)
+            assert row.mse_per_axis == pytest.approx(report.mse_per_axis, abs=1e-14), n
+            assert row.lam == pytest.approx(report.lam, abs=1e-14 * objective.axes[1][0]), n
+
+    def test_a_c_that_is_z_only_up_to_rounding_has_no_sector(self):
+        # c_xx = -c_yy = 1e-13 is a valid c whose c_hat is not diagonal: no
+        # sector, so every row runs the loop from both deterministic starts
+        objective = Objective(np.diag([-1e-13, 1e-13, 1.0]))
+        assert optimizer._sector(cached_tensor(objective, 2).c_hat) is None
+        assert optimizer._sector(cached_tensor(Objective.weighted(2.0, 0.0), 2).c_hat) == 0
+        row = sweep(objective, 12, 12)[0]
+        assert row.converged
+        assert row.lam == pytest.approx(optimize_z_single_m(12, 0).lam, abs=1e-11)
+
+    def test_a_disagreeing_check_level_sends_later_levels_to_the_loop(self, monkeypatch, caplog):
+        objective, plain_row = Objective.xyz_axes(), optimizer._sector_row
+        loop_levels = []
+
+        def shifted(objective, n, s):
+            row = plain_row(objective, n, s)
+            if n == 5:
+                row = SweepRow(row.n, row.d, row.lam + 1e-6, row.mse_per_axis, row.converged)
+            return row
+
+        monkeypatch.setattr(optimizer, "_sector_row", shifted)
+        monkeypatch.setattr(optimizer, "best_of_restarts", _recording(loop_levels))
+        with caplog.at_level(logging.WARNING, logger="framecast.optimizer"):
+            rows = sweep(objective, 2, 13)
+        assert loop_levels == list(range(2, 14))
+        [warning] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert "n=5" in warning.getMessage()
+        for row in rows[-3:]:
+            n = row.n
+            best = best_of_restarts(cached_tensor(objective, n - 1), n,
+                                    optimizer.DEFAULT_RESTARTS, 0)
+            assert row == SweepRow(n, n * n, best.lam, fidelity_report(
+                best.a, best.b, objective).mse_per_axis, best.converged)
+
+    def test_a_refused_count_sends_only_its_level_to_the_loop(self, monkeypatch, caplog):
+        count = optimizer._label_eigenvalues_above
+        loop_levels = []
+
+        def refused_at_twelve(sector, sigma, floor):
+            return None if sector.n == 12 else count(sector, sigma, floor)
+
+        monkeypatch.setattr(optimizer, "_label_eigenvalues_above", refused_at_twelve)
+        monkeypatch.setattr(optimizer, "best_of_restarts", _recording(loop_levels))
+        with caplog.at_level(logging.WARNING, logger="framecast.optimizer"):
+            rows = sweep(Objective.z_axis(), 2, 14)
+        assert loop_levels == list(range(2, 11)) + [12]
+        [warning] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert "n=12" in warning.getMessage()
+        assert all(row.converged for row in rows)
+        assert rows[10].lam == pytest.approx(optimize_z_single_m(12, 0).lam, abs=1e-12)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", ["z", "xyz"])
+    def test_cli_sweep_to_level_one_hundred(self, capsys, kind):
+        from framecast.cli import main
+
+        assert main(["sweep", "--objective", kind, "--n", "2..100"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(2, 101))
+        for n, _, lam, _, converged in rows:
+            n = int(n)
+            if kind == "z":
+                top = np.polynomial.legendre.leggauss(n)[0].max()
+            else:
+                top = np.linalg.eigvalsh(stretched_jacobi(n, 1.0, 1.0))[-1]
+            assert converged == "true"
+            assert float(lam) == pytest.approx(top, rel=1e-11), n
+
+
+def _recording(levels):
+    """best_of_restarts that appends each level it runs to levels."""
+    plain = optimizer.best_of_restarts
+
+    def recorded(tensor, n, *args, **kwargs):
+        levels.append(n)
+        return plain(tensor, n, *args, **kwargs)
+
+    return recorded
 
 
 class TestScaleInvariance:
