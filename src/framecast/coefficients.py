@@ -379,6 +379,8 @@ class SparseCoefficientTensor:
         c_hat = self.c_hat
         if s not in (0, 1):
             raise ValueError(f"sector s must be 0 or 1, got {s}")
+        if s == 1 and m != 0:
+            raise ValueError(f"the stretched sector (s = 1) needs m = 0, got {m}")
         if np.iscomplexobj(c_hat) or np.count_nonzero(c_hat - np.diag(np.diagonal(c_hat))):
             raise ValueError("sectors need a real diagonal c_hat")
         size = self.j_max + 1

@@ -439,8 +439,11 @@ def _sector(c_hat: np.ndarray) -> int | None:
     """s of the sector b_j = |j, s j> that holds c's best known optimum; None if none does.
 
     An isotropic c (c_hat = w I: xyz, equal-weight weighted) has it in the
-    stretched sector, s = 1; a z-only c (c_hat = w e_0 e_0^T) in the m = 0
-    sector, s = 0. A c that is either only up to rounding gets None.
+    stretched sector, s = 1, the test `best_of_restarts` uses for its
+    stretched-only start; a z-only c (c_hat = w e_0 e_0^T) in the m = 0
+    sector, s = 0. That is stricter than the test that gives `best_of_restarts`
+    its uniform-only start, (c_hat_00 + c_hat_22) <= 0, since the sector needs a
+    diagonal c_hat: a c that is z-only only up to rounding gets None.
     """
     if np.array_equal(c_hat, c_hat[0, 0] * np.eye(3)):
         return 1
@@ -472,13 +475,13 @@ def best_of_restarts(
     units of c's largest weight, so fixed points that tie to rounding keep
     the earlier one.
     """
-    sector = _sector(tensor.c_hat)
-    if sector == 1:
+    c_hat = tensor.c_hat
+    if np.array_equal(c_hat, c_hat[0, 0] * np.eye(3)):
         starts = [FiducialState.stretched(n)]
-    elif sector == 0:
-        starts = [None]
-    else:
+    elif (c_hat[0, 0] + c_hat[2, 2]).real > 0:
         starts = [None, FiducialState.stretched(n)]
+    else:
+        starts = [None]
     streams = np.random.SeedSequence((seed, n)).spawn(restarts)
     starts += [FiducialState.random(n, np.random.default_rng(stream)) for stream in streams]
     best = None

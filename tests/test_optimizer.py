@@ -748,7 +748,9 @@ class TestWarmRounds:
 
     def test_z_sweep_past_level_forty_converges(self, capsys):
         # forcing-stopped rounds need 31 rounds at n = 43, where the fixed
-        # 6-vector rounds ran past the default cap of 200
+        # 6-vector rounds ran past the default cap of 200; sweep runs the
+        # loop at level 40 alone (41..45 are sector rows), so every level's
+        # restarts also run here directly
         from framecast.cli import main
 
         assert main(["sweep", "--objective", "z", "--n", "40..45"]) == 0
@@ -758,6 +760,11 @@ class TestWarmRounds:
             n, _, lam, _, converged = row.split(",")
             assert converged == "true"
             assert float(lam) == pytest.approx(optimize_z_single_m(int(n), 0).lam, abs=1e-12)
+        for n in range(40, 46):
+            best = best_of_restarts(cached_tensor(Objective.z_axis(), n - 1), n,
+                                    optimizer.DEFAULT_RESTARTS, 0)
+            assert best.converged, n
+            assert best.lam == pytest.approx(optimize_z_single_m(n, 0).lam, abs=1e-12), n
 
     @pytest.mark.parametrize("kind", ["z", "xy", "xyz"])
     def test_round_one_reaches_the_dense_top_eigenvalue(self, monkeypatch, kind):
@@ -1061,6 +1068,15 @@ class TestSectorRows:
                 assert np.max(np.abs(sector.block(value) - mat)) <= 1e-15, (n, value)
             assert sector.norm_inf == pytest.approx(op.norm_inf, abs=1e-15)
 
+    def test_sector_takes_only_its_two_fiducials(self):
+        tensor = cached_tensor(Objective.xyz_axes(), 3)
+        assert np.array_equal(tensor.sector(2, 0).sites(2), [flat_index(j, 2) for j in (2, 3)])
+        for m, s in [(1, 1), (-1, 1), (0, 2)]:
+            with pytest.raises(ValueError):
+                tensor.sector(m, s)
+        with pytest.raises(ValueError, match="diagonal"):
+            cached_tensor(Objective(np.diag([-1e-13, 1e-13, 1.0])), 3).sector(0, 0)
+
     def test_z_rows_are_the_largest_legendre_zeros(self):
         for row in sweep(Objective.z_axis(), 2, 100):
             assert row.converged
@@ -1093,7 +1109,7 @@ class TestSectorRows:
 
     def test_a_c_that_is_z_only_up_to_rounding_has_no_sector(self):
         # c_xx = -c_yy = 1e-13 is a valid c whose c_hat is not diagonal: no
-        # sector, so every row runs the loop from both deterministic starts
+        # sector, so every row runs the loop
         objective = Objective(np.diag([-1e-13, 1e-13, 1.0]))
         assert optimizer._sector(cached_tensor(objective, 2).c_hat) is None
         assert optimizer._sector(cached_tensor(Objective.weighted(2.0, 0.0), 2).c_hat) == 0
