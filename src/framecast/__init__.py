@@ -35,9 +35,8 @@ from .optimizer import (
     direct_search_optimize,
     fit_asymptote,
     fixed_point_optimize,
-    optimize_z_single_m,
+    optimize_sector,
     sweep,
-    z_sector_matrix,
 )
 from .quadrature import (
     SO3Grid,

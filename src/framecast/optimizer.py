@@ -16,11 +16,10 @@ Objectives whose optimum lies in a closed sector (z-only and isotropic c)
 have a second route: at the sector fiducial M is a direct sum of tridiagonal
 label blocks of at most n rows (`SparseCoefficientTensor.sector`), so the top
 eigenpair of one block, certified by a label-wise inertia count over all of
-them, is a joint fixed point. `sweep` reads such rows from the sector beyond
-its check levels, and the exact single-m z optimum reads its block the same
-way. A derivative-free direct search over unconstrained amplitudes (small n
-only) serves as an independent cross-check, and sweeps over n feed the
-asymptotic power-law fits.
+them, is a joint fixed point (`optimize_sector`). `sweep` reads such rows
+from the sector beyond its check levels. A derivative-free direct search
+over unconstrained amplitudes (small n only) serves as an independent
+cross-check, and sweeps over n feed the asymptotic power-law fits.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random
 
-from .basis import block_norms, block_slice, flat_index, total_dim
+from .basis import block_norms, block_slice, total_dim
 from .coefficients import Objective, SectorOperator, SparseCoefficientTensor, cached_tensor
 from .objective import AliceState, FiducialState, fidelity_report
 
@@ -439,11 +438,9 @@ def _sector(c_hat: np.ndarray) -> int | None:
     """s of the sector b_j = |j, s j> that holds c's best known optimum; None if none does.
 
     An isotropic c (c_hat = w I: xyz, equal-weight weighted) has it in the
-    stretched sector, s = 1, the test `best_of_restarts` uses for its
-    stretched-only start; a z-only c (c_hat = w e_0 e_0^T) in the m = 0
-    sector, s = 0. That is stricter than the test that gives `best_of_restarts`
-    its uniform-only start, (c_hat_00 + c_hat_22) <= 0, since the sector needs a
-    diagonal c_hat: a c that is z-only only up to rounding gets None.
+    stretched sector, s = 1; a z-only c (c_hat = w e_0 e_0^T) in the m = 0
+    sector, s = 0. The sector needs a diagonal c_hat: a c that is z-only only
+    up to rounding gets None.
     """
     if np.array_equal(c_hat, c_hat[0, 0] * np.eye(3)):
         return 1
@@ -476,7 +473,7 @@ def best_of_restarts(
     the earlier one.
     """
     c_hat = tensor.c_hat
-    if np.array_equal(c_hat, c_hat[0, 0] * np.eye(3)):
+    if _sector(c_hat) == 1:
         starts = [FiducialState.stretched(n)]
     elif (c_hat[0, 0] + c_hat[2, 2]).real > 0:
         starts = [None, FiducialState.stretched(n)]
@@ -492,66 +489,44 @@ def best_of_restarts(
     return best
 
 
-def z_sector_matrix(n: int, m: int) -> np.ndarray:
-    """Tridiagonal z-objective block for magnetic number m, blocks j >= |m|.
+def optimize_sector(tensor: SparseCoefficientTensor, n: int, m: int = 0) -> OptimizationResult:
+    """c's best state pair in its closed sector b_j = |j, m + s j> (`_sector`), certified.
 
-    Contracting with b_{jr} = delta_{rm} leaves M[(j,m),(k,m)] = f_{jkmmmm}:
-    the label-m block of `SparseCoefficientTensor.sector` at b_j = |j, m>.
+    s = 0 for z-only c, where m = 0 holds the optimum; s = 1 (m = 0 only) for
+    isotropic c. At that fiducial M is the direct sum of its label blocks
+    (`SparseCoefficientTensor.sector`), and the pair is the top eigenpair
+    (lam, u) of the fiducial's own label, m: a = u on the label's sites, b the
+    fiducial, uniform in the blocks j < |m| that hold no site. The pair is
+    converged when the label-wise inertia count finds exactly one eigenvalue
+    of the sector's M above lam - 2 F, F = CERT_ULPS d eps ||M||_inf: the
+    shift of `_certified` at zero residual, whose pivots clear the floor F
+    (at lam - F a one-site label's pivot is -F up to rounding). Then lam is
+    its top eigenvalue, and since u has no zero entry (the block's couplings
+    are positive, so u is its Perron vector), b_from_a(a) = b and the pair is
+    a joint fixed point. The count leaves out the blocks j < |m|, which z
+    couples to no site of the sector.
     """
-    return cached_tensor(Objective.z_axis(), n - 1).sector(m, 0).block(m)
-
-
-def optimize_z_single_m(n: int, m: int) -> OptimizationResult:
-    """z-axis optimum restricted to one magnetic number.
-
-    The z tensor couples equal magnetic numbers only, so fixing m reduces the
-    problem to the tridiagonal block of couplings between adjacent j; the top
-    eigenvector embeds as a full state pair concentrated at that m.
-    """
+    if tensor.j_max != n - 1:
+        raise ValueError(f"tensor j_max={tensor.j_max} does not match state n={n}")
+    s = _sector(tensor.c_hat)
+    if s is None:
+        raise ValueError("c has no closed sector: it is neither z-only nor isotropic")
     if abs(m) > n - 1:
         raise ValueError(f"|m| must be <= n-1, got m={m}, n={n}")
-    lam, vec_sector = _top_eigh(z_sector_matrix(n, m))
-    a_vec = np.zeros(total_dim(n), dtype=complex)
-    b_vec = np.zeros(total_dim(n), dtype=complex)
-    for i, j in enumerate(range(abs(m), n)):
-        a_vec[flat_index(j, m)] = vec_sector[i]
-        b_vec[flat_index(j, m)] = 1.0
-    # blocks below |m| cannot hold this magnetic number; they carry no sender
-    # weight, so `_unit_blocks` gives them the uniform fiducial vector
-    return OptimizationResult(
-        a=AliceState(n, a_vec),
-        b=FiducialState(n, _unit_blocks(b_vec, n)),
-        lam=lam,
-        lambda_trajectory=(lam,),
-        iterations=1,
-        converged=True,
-    )
-
-
-def _sector_row(objective: Objective, n: int, s: int) -> SweepRow:
-    """Level n's row read from the sector b_j = |j, s j>.
-
-    At that fiducial M is the direct sum of its label blocks
-    (`SparseCoefficientTensor.sector`), and the row's pair is the top
-    eigenpair (lam, u) of the fiducial's own label, 0: a = u on the sites
-    |j, s j>, b the fiducial. The row is converged when the label-wise
-    inertia count finds exactly one eigenvalue of M above lam - F,
-    F = CERT_ULPS d eps ||M||_inf as in `_certified`: then lam is M's top
-    eigenvalue, and since u has no zero entry (the block's couplings are
-    positive, so u is its Perron vector), b_from_a(a) = b and the pair is a
-    joint fixed point. For these c, c = w support(c), so the per-axis error
-    is (k - lam / w) / (2 k) with k axes and w the largest weight.
-    """
-    tensor = cached_tensor(objective, n - 1)
-    sector = tensor.sector(0, s)
-    lam = _top_eigh(sector.block(0))[0]
+    sector = tensor.sector(m, s)
+    lam, u = _top_eigh(sector.block(m))
+    sites = sector.sites(m)
+    a = np.zeros(total_dim(n), dtype=complex)
+    a[sites] = u
+    b = np.zeros(total_dim(n), dtype=complex)
+    b[sites] = 1.0
     norm = sector.norm_inf
     floor = CERT_ULPS * total_dim(n) * np.finfo(float).eps * norm
     # M = 0 (n = 1): every unit vector is a top eigenvector
-    converged = norm == 0.0 or _label_eigenvalues_above(sector, lam - floor, floor) == 1
-    k = objective.axis_count
-    return SweepRow(n=n, d=total_dim(n), lam=lam, mse_per_axis=(k - lam / tensor.weight) / (2 * k),
-                    converged=converged)
+    converged = norm == 0.0 or _label_eigenvalues_above(sector, lam - 2 * floor, floor) == 1
+    return OptimizationResult(a=AliceState(n, a), b=FiducialState(n, _unit_blocks(b, n)),
+                              lam=lam, lambda_trajectory=(lam,), iterations=1,
+                              converged=converged)
 
 
 def _unpack_search_vector(x: np.ndarray, n: int) -> tuple[AliceState, FiducialState] | None:
@@ -648,27 +623,31 @@ def sweep(
     c without a closed sector (`_sector`) takes every row from
     `best_of_restarts`. An isotropic or z-only c does so at its check levels,
     the range's first level and every n <= SECTOR_CHECK_N, where the loop's
-    lambda must equal the sector's (`_sector_row`) within tol w, w c's
-    largest weight; every other level is a sector row. A sector row whose
-    inertia count does not certify it runs the loop in its place, and a check
-    level that disagrees sends every later level to the loop; each logs one
-    WARNING.
+    lambda must equal the sector's (`optimize_sector`) within tol w, w c's
+    largest weight; every other level is a sector row. For these c
+    c = w support(c), so a sector row's per-axis error is
+    (k - lambda / w) / (2 k) with k axes. A sector row whose inertia count
+    does not certify it runs the loop in its place, and a check level that
+    disagrees sends every later level to the loop; each logs one WARNING.
     """
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")
-    s = _sector(cached_tensor(objective, n_from - 1).c_hat)
+    in_sector = _sector(cached_tensor(objective, n_from - 1).c_hat) is not None
     rows = []
     for n in range(n_from, n_to + 1):
         tensor = cached_tensor(objective, n - 1)
         check = n == n_from or n <= SECTOR_CHECK_N
-        if s is not None:
-            sector_row = _sector_row(objective, n, s)
+        if in_sector:
+            sector = optimize_sector(tensor, n)
             if not check:
-                if sector_row.converged:
-                    rows.append(sector_row)
+                if sector.converged:
+                    k = objective.axis_count
+                    rows.append(SweepRow(n=n, d=n * n, lam=sector.lam,
+                                         mse_per_axis=(k - sector.lam / tensor.weight) / (2 * k),
+                                         converged=True))
                     continue
                 log.warning("sweep n=%d: no certificate for the sector's lambda %r; "
-                            "this level runs the loop", n, sector_row.lam)
+                            "this level runs the loop", n, sector.lam)
         best = best_of_restarts(tensor, n, restarts, seed, tol=tol, max_iter=max_iter)
         rows.append(
             SweepRow(
@@ -679,10 +658,10 @@ def sweep(
                 converged=best.converged,
             )
         )
-        if s is not None and check and not abs(best.lam - sector_row.lam) <= tol * tensor.weight:
+        if in_sector and check and not abs(best.lam - sector.lam) <= tol * tensor.weight:
             log.warning("sweep n=%d: the loop's lambda %r and the sector's %r differ by more "
-                        "than tol; every later level runs the loop", n, best.lam, sector_row.lam)
-            s = None
+                        "than tol; every later level runs the loop", n, best.lam, sector.lam)
+            in_sector = False
     return rows
 
 

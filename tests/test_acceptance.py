@@ -23,7 +23,7 @@ from framecast import (
     fixed_point_optimize,
     make_grid,
     monte_carlo_error,
-    optimize_z_single_m,
+    optimize_sector,
     povm_defect,
     sweep,
 )
@@ -207,7 +207,8 @@ def test_criterion_10_single_m_sector_claim():
     ok = True
     worst = 0.0
     for n in range(2, 9):
-        sector = {m: optimize_z_single_m(n, m).lam for m in range(-(n - 1), n)}
+        sector = {m: optimize_sector(cached_tensor(Objective.z_axis(), n - 1), n, m).lam
+                  for m in range(-(n - 1), n)}
         best_m = max(sector, key=sector.get)
         full = fixed_point_optimize(cached_tensor(Objective.z_axis(), n - 1), n)
         gap = abs(sector[best_m] - full.lam)

@@ -1,5 +1,6 @@
 """Fixed-point optimization, direct-search cross-checks, sweeps, and fits."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -31,16 +32,20 @@ from framecast import (
     fixed_point_optimize,
     flat_index,
     make_grid,
-    optimize_z_single_m,
+    optimize_sector,
     rotation_matrix_components,
     sweep,
     total_dim,
-    z_sector_matrix,
 )
 from framecast import optimizer
 from framecast.coefficients import SectorOperator
 
 ROOT3 = 1.0 / math.sqrt(3)
+
+
+def z_sector(n, m=0):
+    """`optimize_sector` of the z objective at level n and magnetic number m."""
+    return optimize_sector(cached_tensor(Objective.z_axis(), n - 1), n, m)
 
 
 def fiducial_start(n, seed=None):
@@ -489,7 +494,7 @@ class TestFixedPoint:
         result = fixed_point_optimize(cached_tensor(Objective.z_axis(), n - 1), n, start)
         assert result.converged
         assert np.diff(result.lambda_trajectory).min() >= -1e-14
-        assert result.lam == pytest.approx(optimize_z_single_m(n, 0).lam, abs=1e-12)
+        assert result.lam == pytest.approx(z_sector(n).lam, abs=1e-12)
 
     def test_one_more_round_is_stationary(self):
         n = 4
@@ -759,12 +764,12 @@ class TestWarmRounds:
         for row in rows:
             n, _, lam, _, converged = row.split(",")
             assert converged == "true"
-            assert float(lam) == pytest.approx(optimize_z_single_m(int(n), 0).lam, abs=1e-12)
+            assert float(lam) == pytest.approx(z_sector(int(n)).lam, abs=1e-12)
         for n in range(40, 46):
             best = best_of_restarts(cached_tensor(Objective.z_axis(), n - 1), n,
                                     optimizer.DEFAULT_RESTARTS, 0)
             assert best.converged, n
-            assert best.lam == pytest.approx(optimize_z_single_m(n, 0).lam, abs=1e-12), n
+            assert best.lam == pytest.approx(z_sector(n).lam, abs=1e-12), n
 
     @pytest.mark.parametrize("kind", ["z", "xy", "xyz"])
     def test_round_one_reaches_the_dense_top_eigenvalue(self, monkeypatch, kind):
@@ -822,30 +827,30 @@ class TestObservability:
 
 class TestSingleM:
     def test_level_two(self):
-        assert optimize_z_single_m(2, 0).lam == pytest.approx(ROOT3, abs=1e-14)
+        assert z_sector(2).lam == pytest.approx(ROOT3, abs=1e-14)
 
     def test_level_three_matches_dense_sector(self):
-        sector = z_sector_matrix(3, 0)
+        sector = cached_tensor(Objective.z_axis(), 2).sector(0, 0).block(0)
         expected = np.array([
             [0.0, ROOT3, 0.0],
             [ROOT3, 0.0, 2.0 / math.sqrt(15)],
             [0.0, 2.0 / math.sqrt(15), 0.0],
         ])
         assert np.allclose(sector, expected, atol=1e-15)
-        assert optimize_z_single_m(3, 0).lam == pytest.approx(
+        assert z_sector(3).lam == pytest.approx(
             np.linalg.eigvalsh(expected)[-1], abs=1e-14
         )
 
     def test_m_zero_dominates_and_matches_full_optimum(self):
         for n in range(2, 7):
-            sector_values = {m: optimize_z_single_m(n, m).lam for m in range(-(n - 1), n)}
+            sector_values = {m: z_sector(n, m).lam for m in range(-(n - 1), n)}
             best_m = max(sector_values, key=sector_values.get)
             assert best_m == 0
             full = fixed_point_optimize(cached_tensor(Objective.z_axis(), n - 1), n)
             assert sector_values[0] == pytest.approx(full.lam, abs=1e-9)
 
     def test_embedded_states_consistent(self):
-        result = optimize_z_single_m(4, 1)
+        result = z_sector(4, 1)
         tensor = cached_tensor(Objective.z_axis(), 3)
         assert entry_expectation(tensor, result.a.a, result.b.b) == pytest.approx(
             result.lam, abs=1e-12
@@ -853,7 +858,7 @@ class TestSingleM:
 
     def test_m_range_validated(self):
         with pytest.raises(ValueError):
-            optimize_z_single_m(2, 2)
+            z_sector(2, 2)
 
     def test_scaled_error_approaches_bessel_zero_from_below(self):
         # independent oracle: the m = 0 sector is a discretized Bessel problem,
@@ -861,7 +866,7 @@ class TestSingleM:
         limit = jn_zeros(0, 1)[0] ** 2 / 4
         scaled = []
         for n in (2, 3, 5, 10, 20, 30, 60, 100):
-            result = optimize_z_single_m(n, 0)
+            result = z_sector(n)
             mse = fidelity_report(result.a, result.b, Objective.z_axis()).mse_per_axis
             scaled.append(n * n * mse)
             assert 0 < limit - scaled[-1] < 1.5 / n, n
@@ -871,7 +876,7 @@ class TestSingleM:
         # the sector has n - |m| rows; a complex d x d matrix at n = 60 is 207 MB
         tracemalloc.start()
         try:
-            result = optimize_z_single_m(60, 0)
+            result = z_sector(60)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1068,6 +1073,49 @@ class TestSectorRows:
                 assert np.max(np.abs(sector.block(value) - mat)) <= 1e-15, (n, value)
             assert sector.norm_inf == pytest.approx(op.norm_inf, abs=1e-15)
 
+    def test_stretched_sector_against_gauss_legendre_at_large_j(self):
+        # an oracle with no Clebsch-Gordan code: the stretched coefficients are
+        # 1-D integrals over t = (1 + x) / 2, exact on j + 2 Gauss-Legendre
+        # nodes; their rounding reached 8.4e-13 at n = 100 (4.2e-13 on the diagonal)
+        n, w_z, w_xy = 100, 0.5, 1.0
+        sector = cached_tensor(Objective.weighted(w_z, w_xy), n - 1).sector(0, 1)
+        for j in range(n):
+            x, weights = np.polynomial.legendre.leggauss(j + 2)
+            t = (1 + x) / 2
+            diagonal = (2 * j + 1) * w_z * weights @ (t ** (2 * j) * x) / 2
+            assert sector.diagonal[flat_index(j, j)] == pytest.approx(diagonal, abs=4e-12), j
+            if j < n - 1:
+                upper = math.sqrt((2 * j + 1) * (2 * j + 3)) * (w_xy / 2) * (
+                    weights @ (t ** (2 * j + 1) * (1 + x)) / 2)
+                assert sector.upper[flat_index(j, j)] == pytest.approx(upper, abs=4e-12), j
+
+    @pytest.mark.parametrize("objective, n_max, every_m", [
+        (Objective.z_axis(), 8, True), (Objective.xyz_axes(), 12, False),
+        (Objective.weighted(3.0, 3.0), 12, False)])
+    def test_the_sector_pair_is_a_joint_fixed_point(self, objective, n_max, every_m):
+        # against the dense M of the embedded fiducial; for z at m != 0 the
+        # blocks j < |m| hold no site and carry the uniform fiducial
+        for n in range(1, n_max + 1):
+            tensor = cached_tensor(objective, n - 1)
+            for m in range(-(n - 1), n) if every_m else [0]:
+                result = optimize_sector(tensor, n, m)
+                mat = entry_matrix(tensor, result.b.b)
+                assert result.converged, (n, m)
+                assert np.linalg.eigvalsh(mat)[-1] == pytest.approx(result.lam, abs=1e-12), (n, m)
+                assert np.linalg.norm(mat @ result.a.a - result.lam * result.a.a) <= 1e-12, (n, m)
+                assert b_from_a(result.a).b == pytest.approx(result.b.b, abs=1e-15), (n, m)
+
+    def test_optimize_sector_refuses_what_has_no_sector(self):
+        for objective in (Objective.xy_axes(), Objective(np.diag([0.2, 0.5, 1.0]))):
+            with pytest.raises(ValueError, match="no closed sector"):
+                optimize_sector(cached_tensor(objective, 2), 3)
+        with pytest.raises(ValueError, match="m=3"):
+            optimize_sector(cached_tensor(Objective.z_axis(), 2), 3, 3)
+        with pytest.raises(ValueError, match="needs m = 0"):
+            optimize_sector(cached_tensor(Objective.xyz_axes(), 2), 3, 1)
+        with pytest.raises(ValueError, match="does not match"):
+            optimize_sector(cached_tensor(Objective.z_axis(), 2), 4)
+
     def test_sector_takes_only_its_two_fiducials(self):
         tensor = cached_tensor(Objective.xyz_axes(), 3)
         assert np.array_equal(tensor.sector(2, 0).sites(2), [flat_index(j, 2) for j in (2, 3)])
@@ -1095,17 +1143,19 @@ class TestSectorRows:
         (Objective.z_axis(), 0), (Objective.weighted(2.0, 0.0), 0),
         (Objective.xyz_axes(), 1), (Objective.weighted(3.0, 3.0), 1)])
     def test_row_error_is_the_report_of_the_embedded_pair(self, objective, s):
+        # levels 11..30 of the sweep are sector rows
+        rows = {row.n: row for row in sweep(objective, 10, 30)}
         for n in range(1, 31):
-            row = optimizer._sector_row(objective, n, s)
-            vec = optimizer._top_eigh(cached_tensor(objective, n - 1).sector(0, s).block(0))[1]
-            a = np.zeros(total_dim(n), dtype=complex)
-            a[flat_index(np.arange(n), s * np.arange(n))] = vec
-            pair = AliceState(n, a), FiducialState(n, sector_fiducial(n, s))
-            assert row.converged
-            assert b_from_a(pair[0]).b == pytest.approx(pair[1].b, abs=1e-15)
-            report = fidelity_report(*pair, objective)
-            assert row.mse_per_axis == pytest.approx(report.mse_per_axis, abs=1e-14), n
-            assert row.lam == pytest.approx(report.lam, abs=1e-14 * objective.axes[1][0]), n
+            result = optimize_sector(cached_tensor(objective, n - 1), n)
+            assert result.converged
+            assert result.b.b == pytest.approx(sector_fiducial(n, s), abs=1e-15)
+            assert b_from_a(result.a).b == pytest.approx(result.b.b, abs=1e-15)
+            report = fidelity_report(result.a, result.b, objective)
+            assert result.lam == pytest.approx(report.lam, abs=1e-14 * objective.axes[1][0]), n
+            if n > optimizer.SECTOR_CHECK_N:
+                row = rows[n]
+                assert row.mse_per_axis == pytest.approx(report.mse_per_axis, abs=1e-14), n
+                assert row.lam == pytest.approx(report.lam, abs=1e-14 * objective.axes[1][0]), n
 
     def test_a_c_that_is_z_only_up_to_rounding_has_no_sector(self):
         # c_xx = -c_yy = 1e-13 is a valid c whose c_hat is not diagonal: no
@@ -1115,19 +1165,19 @@ class TestSectorRows:
         assert optimizer._sector(cached_tensor(Objective.weighted(2.0, 0.0), 2).c_hat) == 0
         row = sweep(objective, 12, 12)[0]
         assert row.converged
-        assert row.lam == pytest.approx(optimize_z_single_m(12, 0).lam, abs=1e-11)
+        assert row.lam == pytest.approx(z_sector(12).lam, abs=1e-11)
 
     def test_a_disagreeing_check_level_sends_later_levels_to_the_loop(self, monkeypatch, caplog):
-        objective, plain_row = Objective.xyz_axes(), optimizer._sector_row
+        objective, plain_sector = Objective.xyz_axes(), optimizer.optimize_sector
         loop_levels = []
 
-        def shifted(objective, n, s):
-            row = plain_row(objective, n, s)
+        def shifted(tensor, n, m=0):
+            result = plain_sector(tensor, n, m)
             if n == 5:
-                row = SweepRow(row.n, row.d, row.lam + 1e-6, row.mse_per_axis, row.converged)
-            return row
+                result = dataclasses.replace(result, lam=result.lam + 1e-6)
+            return result
 
-        monkeypatch.setattr(optimizer, "_sector_row", shifted)
+        monkeypatch.setattr(optimizer, "optimize_sector", shifted)
         monkeypatch.setattr(optimizer, "best_of_restarts", _recording(loop_levels))
         with caplog.at_level(logging.WARNING, logger="framecast.optimizer"):
             rows = sweep(objective, 2, 13)
@@ -1156,7 +1206,7 @@ class TestSectorRows:
         [warning] = [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert "n=12" in warning.getMessage()
         assert all(row.converged for row in rows)
-        assert rows[10].lam == pytest.approx(optimize_z_single_m(12, 0).lam, abs=1e-12)
+        assert rows[10].lam == pytest.approx(z_sector(12).lam, abs=1e-12)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("kind", ["z", "xyz"])
