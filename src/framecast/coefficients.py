@@ -53,11 +53,16 @@ class Objective:
         object.__setattr__(self, "c", c)
         if not finite or self._spectrum[0][0] < -1e-12 or self._spectrum[0][-1] <= 0:
             raise ValueError("objective weights must be finite, non-negative and not all zero")
-        # ||M|| <= tr c <= 3 w, w the largest weight, and the optimizer squares norms of M x
-        bound = 3.0 * float(self._spectrum[0][-1])
-        if not math.isfinite(bound * bound):
+        # ||M|| <= tr c <= 3 w, w the largest weight, and the optimizer squares
+        # norms of M x from (3 w)^2 down to rounding errors (eps w)^2; below the
+        # normal range such a square loses digits or vanishes
+        w = float(self._spectrum[0][-1])
+        if not math.isfinite((3.0 * w) ** 2):
             raise ValueError("objective weights overflow: (3 w)^2 must be finite, "
                              "w the largest weight")
+        if (np.finfo(float).eps * w) ** 2 < np.finfo(float).tiny:
+            raise ValueError("objective weights underflow: (eps w)^2 must be a normal "
+                             "float, w the largest weight")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Objective) and self.name == other.name \

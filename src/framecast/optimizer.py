@@ -16,9 +16,9 @@ Objectives whose optimum lies in a closed sector (z-only and isotropic c)
 have a second route: at the sector fiducial M is a direct sum of tridiagonal
 label blocks of at most n rows (`SparseCoefficientTensor.sector`), so the top
 eigenpair of one block, certified by a label-wise inertia count over all of
-them, is a joint fixed point (`optimize_sector`). `sweep` reads such rows
-from the sector beyond its check levels. A derivative-free direct search
-over unconstrained amplitudes (small n only) serves as an independent
+them, is a joint fixed point (`optimize_sector`). `sweep` reads every row
+of such c from the sector. A derivative-free direct search over
+unconstrained amplitudes (small n only) serves as an independent
 cross-check, and sweeps over n feed the asymptotic power-law fits.
 """
 
@@ -63,11 +63,6 @@ FORCING = 0.1
 # the certificate's gap g and its pivot floor are at least CERT_ULPS d eps
 # ||M||_inf, far above the rounding error of the block elimination
 CERT_ULPS = 1e3
-
-# `sweep` of an objective with a closed sector runs the full loop at the
-# range's first level and at every n up to this one, where the restarts back
-# the sector's optimum, and reads every other level from the sector
-SECTOR_CHECK_N = 10
 
 
 @dataclass(frozen=True)
@@ -618,17 +613,14 @@ def sweep(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> list[SweepRow]:
-    """Best result per n: the best of restarts, or the closed sector's certified optimum.
+    """Best result per n: the closed sector's certified optimum, or the best of restarts.
 
-    c without a closed sector (`_sector`) takes every row from
-    `best_of_restarts`. An isotropic or z-only c does so at its check levels,
-    the range's first level and every n <= SECTOR_CHECK_N, where the loop's
-    lambda must equal the sector's (`optimize_sector`) within tol w, w c's
-    largest weight; every other level is a sector row. For these c
-    c = w support(c), so a sector row's per-axis error is
-    (k - lambda / w) / (2 k) with k axes. A sector row whose inertia count
-    does not certify it runs the loop in its place, and a check level that
-    disagrees sends every later level to the loop; each logs one WARNING.
+    An isotropic or z-only c (`_sector`) takes every row from its sector
+    (`optimize_sector`). For these c c = w support(c), w c's largest weight,
+    so a sector row's per-axis error is (k - lambda / w) / (2 k) with k axes.
+    A sector row whose inertia count does not certify it runs the loop in its
+    place and logs one WARNING; every row of any other c is the best of
+    restarts (`best_of_restarts`).
     """
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")
@@ -636,18 +628,16 @@ def sweep(
     rows = []
     for n in range(n_from, n_to + 1):
         tensor = cached_tensor(objective, n - 1)
-        check = n == n_from or n <= SECTOR_CHECK_N
         if in_sector:
             sector = optimize_sector(tensor, n)
-            if not check:
-                if sector.converged:
-                    k = objective.axis_count
-                    rows.append(SweepRow(n=n, d=n * n, lam=sector.lam,
-                                         mse_per_axis=(k - sector.lam / tensor.weight) / (2 * k),
-                                         converged=True))
-                    continue
-                log.warning("sweep n=%d: no certificate for the sector's lambda %r; "
-                            "this level runs the loop", n, sector.lam)
+            if sector.converged:
+                k = objective.axis_count
+                rows.append(SweepRow(n=n, d=n * n, lam=sector.lam,
+                                     mse_per_axis=(k - sector.lam / tensor.weight) / (2 * k),
+                                     converged=True))
+                continue
+            log.warning("sweep n=%d: no certificate for the sector's lambda %r; "
+                        "this level runs the loop", n, sector.lam)
         best = best_of_restarts(tensor, n, restarts, seed, tol=tol, max_iter=max_iter)
         rows.append(
             SweepRow(
@@ -658,10 +648,6 @@ def sweep(
                 converged=best.converged,
             )
         )
-        if in_sector and check and not abs(best.lam - sector.lam) <= tol * tensor.weight:
-            log.warning("sweep n=%d: the loop's lambda %r and the sector's %r differ by more "
-                        "than tol; every later level runs the loop", n, best.lam, sector.lam)
-            in_sector = False
     return rows
 
 
