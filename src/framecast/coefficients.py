@@ -308,21 +308,24 @@ class SparseCoefficientTensor:
         """
         return float(np.abs(np.linalg.eigvalsh(self.c_hat)).max())
 
-    def block(self, j: int, k: int) -> np.ndarray:
-        """Dense coefficients f[m+j, r+j, n+k, s+k] of blocks (j, k), zero outside |j - k| <= 1."""
+    def nonzeros(self, j: int, k: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Indices (m+j, r+j, n+k, s+k) and values of the nonzero f of blocks (j, k).
+
+        Only blocks with |j - k| <= 1 have any; every other block returns empty arrays.
+        """
         if not (0 <= j <= self.j_max and 0 <= k <= self.j_max):
             raise ValueError(f"blocks ({j}, {k}) outside 0..{self.j_max}")
         if j > k:
-            return self.block(k, j).transpose(2, 3, 0, 1).conj()
-        dense = np.zeros((2 * j + 1, 2 * j + 1, 2 * k + 1, 2 * k + 1), dtype=self.c_hat.dtype)
-        if 0 < k <= j + 1:
-            cg = _spin_one_cg(j, k)
-            # terms[mu + 1, m + j, nu + 1, r + j]
-            terms = (math.sqrt((2 * j + 1) / (2 * k + 1)) * self.c_hat[:, None, :, None]
-                     * cg[:, :, None, None] * cg[None, None, :, :])
-            mu, m, nu, r = np.nonzero(terms)
-            dense[m, r, m + mu + k - j - 1, r + nu + k - j - 1] = terms[mu, m, nu, r]
-        return dense
+            (m, r, n, s), values = self.nonzeros(k, j)
+            return (n, s, m, r), values.conj()
+        if not 0 < k <= j + 1:
+            return (np.zeros(0, dtype=np.intp),) * 4, np.zeros(0, dtype=self.c_hat.dtype)
+        cg = _spin_one_cg(j, k)
+        # terms[mu + 1, m + j, nu + 1, r + j]
+        terms = (math.sqrt((2 * j + 1) / (2 * k + 1)) * self.c_hat[:, None, :, None]
+                 * cg[:, :, None, None] * cg[None, None, :, :])
+        mu, m, nu, r = np.nonzero(terms)
+        return (m, r, m + mu + k - j - 1, r + nu + k - j - 1), terms[mu, m, nu, r]
 
     @cached_property
     def entries(self) -> MappingProxyType:
@@ -330,10 +333,10 @@ class SparseCoefficientTensor:
         entries = {}
         for j in range(self.j_max + 1):
             for k in range(max(j - 1, 0), min(j + 1, self.j_max) + 1):
-                block = self.block(j, k)
-                idx = np.nonzero(block)
-                m, r, n, s = ((i - off).tolist() for i, off in zip(idx, (j, j, k, k)))
-                entries.update(zip(zip(repeat(j), repeat(k), m, n, r, s), block[idx].tolist()))
+                (m, r, n, s), values = self.nonzeros(j, k)
+                keys = zip(repeat(j), repeat(k), (m - j).tolist(), (n - k).tolist(),
+                           (r - j).tolist(), (s - k).tolist())
+                entries.update(zip(keys, values.tolist()))
         return MappingProxyType(entries)
 
     def _check_length(self, vec: np.ndarray) -> None:

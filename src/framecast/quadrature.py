@@ -149,16 +149,19 @@ def coefficient_block(f, j: int, k: int, grid: SO3Grid) -> np.ndarray:
 
 
 def coefficient_deviation(tensor, f, grid: SO3Grid) -> float:
-    """Largest |coefficient_block(f) - tensor.block(j, k)| over every j, k <= tensor.j_max.
+    """Largest |coefficient_block(f) - tensor's block (j, k)| over every j, k <= tensor.j_max.
 
     Each block's value includes the bound on its dropped lags, so it is never
-    below what the oracle would report keeping every lag. `tensor` needs only `j_max`
-    and a dense `block(j, k)` in the layout of `coefficient_block`; blocks
-    outside |j - k| <= 1 are compared as well.
+    below what the oracle would report keeping every lag. `tensor` needs only
+    `j_max` and `nonzeros(j, k)`, the indices (m+j, r+j, n+k, s+k) and values
+    of its nonzero coefficients in the layout of `coefficient_block`; those
+    are subtracted from the oracle's block in place, so no dense tensor block
+    is built, and blocks outside |j - k| <= 1 are compared as well.
     """
     worst = 0.0
     levels = range(tensor.j_max + 1)
     for j, k, block, bound in coefficient_blocks(f, levels, levels, grid):
-        worst = max(worst, float(np.max(np.abs(block - tensor.block(j, k)))) + bound)
+        index, values = tensor.nonzeros(j, k)
+        block[index] -= values
+        worst = max(worst, float(np.max(np.abs(block))) + bound)
     return worst
-

@@ -12,6 +12,14 @@ scored at its zyz angles. The weighted amplitude P = <A|U(alpha, beta, gamma)|B>
 is one 3-D trigonometric polynomial, built once per state pair from the
 Fourier coefficients of the small-d matrices.
 
+The exact sampler keeps P's coefficients only on the pair's support
+(`_support_layout`): a slot (m, r) is kept when some block has
+conj(a_j[m]) b_j[r] != 0, and only exact zeros are dropped, with no floor on
+small amplitudes. r runs over the range of its kept slots and each r keeps
+the window of m covering its own, every window padded to the widest, so a
+full-support pair keeps the whole cube and the stretched xyz optimum one
+slot per r.
+
 The error rotation is drawn exactly, by the chain rule beta -> alpha | beta
 -> gamma | alpha, beta (Devroye, Non-Uniform Random Variate Generation, 1986,
 ch. 11): every marginal and conditional of |P|^2 is a trigonometric
@@ -20,12 +28,14 @@ so each angle inverts a closed-form CDF, three uniforms per sample and no
 proposal wasted (acceptance_rate 1). Each inversion tabulates its CDF at
 CDF_CELLS + 1 equispaced nodes and starts Newton inside the bracketing cell
 (Hormann & Leydold, ACM TOMACS 13, 347, 2003); the beta marginal, shared by
-every sample, is inverted once per chunk. Each chunk logs its Newton sweeps
-and throughput at DEBUG level. Because of covariance this path draws no true
-rotation. Rejection sampling of Haar-uniform proposals under the envelope n^2
+every sample, is inverted once per chunk. Each chunk logs its Newton sweeps,
+throughput and layout size at DEBUG level. Because of covariance this path
+draws no true rotation. Rejection sampling of Haar-uniform proposals under the envelope n^2
 (`_sample_chunk`, monte_carlo_error(rejection=True)) stays as the independent
 oracle: it composes true rotations and proposals with `so3.error_angles`,
-which the exact sampler never calls. Both samplers return error angles.
+which the exact sampler never calls, and scores the dense (2n-1)^3 polynomial
+(`_amplitude_polynomial`), never the support layout. Both samplers return
+error angles.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.random
@@ -47,7 +58,9 @@ from .so3 import _wrap_angle, error_angles, rotation_matrix_components, small_d_
 log = logging.getLogger(__name__)
 
 DEFAULT_CHUNK = 16384
-# rows scored or sampled per block; each holds a (2n-1)^2 complex row
+# rows scored or sampled per block; a scored row holds (2n-1)^2 complex numbers,
+# a sampled row the support layout's span x kept-r coefficients and a square
+# work array whose side is the larger of the two
 SCORE_ROWS = 256
 # CDF inversion stops once |F(x) - u F(upper)| <= CDF_TOL F(upper) on every row
 CDF_TOL = 1e-12
@@ -121,6 +134,48 @@ def _amplitude_polynomial(a_vec: np.ndarray, b_vec: np.ndarray, n: int) -> np.nd
             math.sqrt(2 * j + 1) * small_d_fourier(j) * a_j.conj()[:, None] * b_j
         )
     return poly
+
+
+class _SupportLayout(NamedTuple):
+    """The amplitude polynomial's coefficients on its sheared (m, r) support layout.
+
+    coef[mu, k, r - r0] = H[mu, m0[r - r0] + k, r] of _amplitude_polynomial,
+    for the kept r = r0, r0 + 1, ... and the window k = 0..span-1 of each.
+    """
+
+    coef: np.ndarray
+    m0: np.ndarray
+    r0: int
+
+
+def _support_layout(a_vec: np.ndarray, b_vec: np.ndarray, n: int) -> _SupportLayout:
+    """The coefficients of _amplitude_polynomial on the slots that can be nonzero.
+
+    A slot (m, r) is kept when some block has conj(a_j[m]) b_j[r] != 0; only
+    exact zeros are dropped, so every cube entry outside the layout is
+    exactly zero. r runs over the range its kept slots cover, and each r
+    keeps the window m = m0(r) + k, k < span, covering its kept slots, every
+    window padded to the widest. A full-support pair has constant m0 and its
+    layout is the cube. Only the kept slots' small_d_fourier columns are
+    built, never a (2j+1)^3 cube, and the products and block sums run in
+    _amplitude_polynomial's order. Valid states keep at least one slot.
+    """
+    slots = [np.nonzero(a_vec[block_slice(j)].conj()[:, None] * b_vec[block_slice(j)])
+             for j in range(n)]
+    ms = np.concatenate([m - j for j, (m, _) in enumerate(slots)])
+    rs = np.concatenate([r - j for j, (_, r) in enumerate(slots)])
+    r0 = int(rs.min())
+    lo, hi = np.full(rs.max() - r0 + 1, n), np.full(rs.max() - r0 + 1, -n)
+    np.minimum.at(lo, rs - r0, ms)
+    np.maximum.at(hi, rs - r0, ms)
+    # an r without kept slots holds zeros; its window start only has to be some m
+    m0 = np.where(lo > hi, lo.min(), lo)
+    coef = np.zeros((2 * n - 1, int((hi - lo).max()) + 1, lo.size), dtype=complex)
+    for j, (m, r) in enumerate(slots):
+        a_j, b_j = a_vec[block_slice(j)].conj(), b_vec[block_slice(j)]
+        coef[n - 1 - j:n + j, m - j - m0[r - j - r0], r - j - r0] += (
+            math.sqrt(2 * j + 1) * small_d_fourier(j, m, r) * a_j[m] * b_j[r])
+    return _SupportLayout(coef, m0, r0)
 
 
 def _powers(x: np.ndarray, degree: int) -> np.ndarray:
@@ -314,7 +369,9 @@ def _beta_marginal(poly: np.ndarray) -> np.ndarray:
     g(beta) = sum_{m,r} |sum_mu H[mu, m, r] exp(-i mu beta)|^2 is the alpha,
     gamma average of |P|^2; its lags are the diagonal sums of
     Q = conj(H_flat) H_flat^T over mu, and sin(beta) / 2 shifts them by one.
-    Raises ValueError unless the marginal integrates to one.
+    poly holds H with mu on its first axis, on any slots that include every
+    nonzero one (the support layout's coef). Raises ValueError unless the
+    marginal integrates to one.
     """
     flat = poly.reshape(poly.shape[0], -1).conj()
     g_lags = _lag_sums(flat @ flat.conj().T)
@@ -327,46 +384,56 @@ def _beta_marginal(poly: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _sample_errors(poly: np.ndarray, beta_coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _sample_errors(layout: _SupportLayout, beta_coef: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Error-rotation angles (alpha, beta, gamma), one row per row (u_beta, u_alpha, u_gamma) of u.
 
     beta follows the marginal every row shares, so all rows invert it in one
-    call. Then per block of SCORE_ROWS rows: G[m, r] = sum_mu exp(-i mu beta)
-    H[mu, m, r] is one matmul, the lags of G G^dagger give the alpha | beta
-    density, and the autocorrelation of F_r = sum_m G[m, r] exp(i m alpha)
-    the gamma | alpha, beta density. The three (rows, w, w) work arrays are
-    allocated once per call, not per block: fresh ones cost a page fault per
-    4 KiB touched. Logs one DEBUG record with the Newton sweeps per angle.
+    call. Then per block of SCORE_ROWS rows, on the support layout:
+    G[k, r] = sum_mu exp(-i mu beta) coef[mu, k, r] is one matmul; the alpha |
+    beta density is sum_r |sum_k G[k, r] exp(i k alpha)|^2, since each r's
+    window shift m0(r) is a unimodular phase there, so its lags are those of
+    G G^dagger; the gamma | alpha, beta density is the autocorrelation of
+    F_r = exp(i m0(r) alpha) sum_k G[k, r] exp(i k alpha), up to a phase common
+    to every r. The three work arrays are allocated once per call, not per
+    block: fresh ones cost a page fault per 4 KiB touched. Logs one DEBUG
+    record with the Newton sweeps per angle, the throughput and the layout's
+    kept r's x span out of the cube's (2n-1)^2 (m, r) slots.
     """
     start = time.perf_counter()
-    width = poly.shape[0]
+    coef = layout.coef
+    width, span, kept = coef.shape
     degree = (width - 1) // 2
-    flat = poly.reshape(width, -1)
+    flat = coef.reshape(width, -1)
+    shift = layout.m0 - layout.m0.min()
+    reach = max(span - 1, int(shift.max()))
     out = np.empty((u.shape[0], 3))
     sweeps = {"beta": [], "alpha": [], "gamma": []}
     out[:, 1] = _invert_cdf(beta_coef, math.pi, u[:, 0], sweeps["beta"])
-    g_work, spare, outer = (np.empty((min(SCORE_ROWS, u.shape[0]), width, width), dtype=complex)
-                            for _ in range(3))
+    rows_max = min(SCORE_ROWS, u.shape[0])
+    g_work = np.empty((rows_max, span, kept), dtype=complex)
+    spare, outer = (np.empty(rows_max * max(span, kept) ** 2, dtype=complex) for _ in range(2))
     for lo in range(0, u.shape[0], SCORE_ROWS):
         rows = slice(lo, lo + SCORE_ROWS)
         betas = out[rows, 1]
         count = betas.size
         g_rows = g_work[:count]
         np.matmul(_phases(betas, degree).conj(), flat, out=g_rows.reshape(count, -1))
-        g_conj = np.conjugate(g_rows, out=spare[:count])
-        np.matmul(g_rows, g_conj.swapaxes(1, 2), out=outer[:count])
-        alphas = _invert_cdf(_lag_sums(outer[:count], spare), 2.0 * math.pi, u[rows, 1],
-                             sweeps["alpha"])
-        f_rows = np.einsum("tm,tmr->tr", _phases(alphas, degree), g_rows)
-        np.multiply(f_rows[:, :, None], f_rows.conj()[:, None, :], out=outer[:count])
-        gammas = _invert_cdf(_lag_sums(outer[:count], spare), 2.0 * math.pi, u[rows, 2],
-                             sweeps["gamma"])
+        g_conj = np.conjugate(g_rows, out=spare[:g_rows.size].reshape(g_rows.shape))
+        by_k = outer[:count * span * span].reshape(count, span, span)
+        np.matmul(g_rows, g_conj.swapaxes(1, 2), out=by_k)
+        alphas = _invert_cdf(_lag_sums(by_k, spare), 2.0 * math.pi, u[rows, 1], sweeps["alpha"])
+        powers = _powers(alphas, reach)
+        f_rows = np.einsum("tk,tkr->tr", powers[:, :span], g_rows) * powers[:, shift]
+        by_r = outer[:count * kept * kept].reshape(count, kept, kept)
+        np.multiply(f_rows[:, :, None], f_rows.conj()[:, None, :], out=by_r)
+        gammas = _invert_cdf(_lag_sums(by_r, spare), 2.0 * math.pi, u[rows, 2], sweeps["gamma"])
         out[rows, 0] = _wrap_angle(alphas)
         out[rows, 2] = _wrap_angle(gammas)
     elapsed = time.perf_counter() - start
-    log.debug("exact chunk: %d rows, Newton sweeps beta %d alpha %d gamma %d, %.0f samples/s",
+    log.debug("exact chunk: %d rows, Newton sweeps beta %d alpha %d gamma %d, %.0f samples/s, "
+              "layout %d x %d of %d slots",
               u.shape[0], sum(sweeps["beta"]), sum(sweeps["alpha"]), sum(sweeps["gamma"]),
-              u.shape[0] / elapsed)
+              u.shape[0] / elapsed, kept, span, width * width)
     return out
 
 
@@ -397,8 +464,11 @@ def monte_carlo_error(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = a.n
-    poly = _amplitude_polynomial(a.a, b.b, n)
-    beta_coef = None if rejection else _beta_marginal(poly)
+    if rejection:
+        poly = _amplitude_polynomial(a.a, b.b, n)
+    else:
+        layout = _support_layout(a.a, b.b, n)
+        beta_coef = _beta_marginal(layout.coef)
     starts = list(range(0, samples, chunk_size))
     streams = np.random.SeedSequence(seed).spawn(len(starts))
     cos_rows = []
@@ -410,7 +480,7 @@ def monte_carlo_error(
         if rejection:
             angles, proposals = _sample_chunk(poly, n, count, rng, true_rotation)
         else:
-            angles, proposals = _sample_errors(poly, beta_coef, rng.random((count, 3))), count
+            angles, proposals = _sample_errors(layout, beta_coef, rng.random((count, 3))), count
         r_err = rotation_matrix_components(*angles.T)
         total_proposals += proposals
         cosines = np.stack([r_err[:, 0, 0], r_err[:, 1, 1], r_err[:, 2, 2]], axis=1)

@@ -57,16 +57,20 @@ def _jy_eigenvectors(j: int) -> np.ndarray:
     return vecs
 
 
-def small_d_fourier(j: int) -> np.ndarray:
+def small_d_fourier(j: int, m=None, r=None) -> np.ndarray:
     """Fourier coefficients c[mu, m, r] with d^j_{mr}(beta) = sum_mu c[mu, m, r] exp(-i mu beta).
 
     d^j(beta) = exp(-i beta J_y) is a trigonometric polynomial of degree j in
     beta (Risbo, J. Geodesy 70, 383, 1996), and its coefficients are the J_y
     eigenprojectors c[mu] = v_mu v_mu^H (exact diagonalization: Feng, Wang,
     Yang & Jin, PRE 92, 043307, 2015). Indices mu, m, r ascend from -j to j.
+    Given equal-length index arrays m and r (offsets m + j, r + j), only the
+    columns c[:, m[k], r[k]] are computed, shape (2j+1, len(m)).
     """
     vecs = _jy_eigenvectors(j).T
-    return vecs[:, :, None] * vecs.conj()[:, None, :]
+    if m is None:
+        return vecs[:, :, None] * vecs.conj()[:, None, :]
+    return vecs[:, m] * vecs[:, r].conj()
 
 
 def small_d_matrix(j: int, beta) -> np.ndarray:

@@ -219,7 +219,8 @@ class TestDroppedLags:
                 assert block[j + 1, j + 1, k, k] == 0.0 and dense[j + 1, j + 1, k, k] != 0.0
         # against a tensor equal to the kept lags' blocks, only the dropped lag deviates
         kept = {(j, k): block for j, k, block, _ in coefficient_blocks(f, levels, levels, grid)}
-        tensor = SimpleNamespace(j_max=3, block=lambda j, k: kept[j, k])
+        tensor = SimpleNamespace(j_max=3, nonzeros=lambda j, k: (np.nonzero(kept[j, k]),
+                                                               kept[j, k][np.nonzero(kept[j, k])]))
         dense_worst = max(float(np.max(np.abs(every[key][0] - kept[key]))) for key in kept)
         assert coefficient_deviation(tensor, f, grid) >= dense_worst > 0.0
 
@@ -230,18 +231,17 @@ class TestDroppedLags:
 
 
 class DictTensor:
-    """Stand-in tensor: blocks scattered from a dict keyed by (j, k, m, n, r, s)."""
+    """Stand-in tensor: block nonzeros read from a dict keyed by (j, k, m, n, r, s)."""
 
     def __init__(self, j_max, entries):
         self.j_max = j_max
         self.entries = entries
 
-    def block(self, j, k):
-        dense = np.zeros((2 * j + 1, 2 * j + 1, 2 * k + 1, 2 * k + 1), dtype=complex)
-        for (jj, kk, m, n, r, s), val in self.entries.items():
-            if (jj, kk) == (j, k):
-                dense[m + j, r + j, n + k, s + k] = val
-        return dense
+    def nonzeros(self, j, k):
+        found = [((m + j, r + j, n + k, s + k), val)
+                 for (jj, kk, m, n, r, s), val in self.entries.items() if (jj, kk) == (j, k)]
+        index = np.array([key for key, _ in found], dtype=np.intp).reshape(-1, 4).T
+        return tuple(index), np.array([val for _, val in found], dtype=complex)
 
 
 class TestCoefficientDeviation:

@@ -21,6 +21,7 @@ from framecast import (
     error_angles,
     fidelity_report,
     fixed_point_optimize,
+    flat_index,
     integrate,
     make_grid,
     monte_carlo_error,
@@ -41,6 +42,7 @@ from framecast.simulator import (
     _resolution_defect,
     _sample_chunk,
     _sample_errors,
+    _support_layout,
     _trig_cdf,
 )
 
@@ -318,6 +320,84 @@ class TestAmplitude:
         assert np.max(np.abs(batched - whole)) < 1e-14
 
 
+def stretched_pair(n):
+    """Flat amplitudes of the xyz optimum reached from the stretched start b_j = |j, j>."""
+    result = best_of_restarts(cached_tensor(Objective.xyz_axes(), n - 1), n, 0, 0)
+    assert result.converged
+    return result.a.a, result.b.b
+
+
+def zeroed_pair(n, rng):
+    """A random pair with entries zeroed so that the kept m-windows differ between r."""
+    a, b = random_state_vectors(n, rng)
+    # no m = -3 or 3 and no r = 3; m = -2 only from block 2, which has no r = -2
+    a[[flat_index(3, -3), flat_index(3, -2), flat_index(3, 3), flat_index(1, 0)]] = 0.0
+    b[[flat_index(3, 3), flat_index(2, -2)]] = 0.0
+    for j in range(n):
+        b[block_slice(j)] /= np.linalg.norm(b[block_slice(j)])
+    return a / np.linalg.norm(a), b
+
+
+class TestSupportLayout:
+    def layout_slots(self, layout, n):
+        """Cube indices (m + n - 1, r + n - 1) of every layout slot, shape (2, span, kept)."""
+        span, kept = layout.coef.shape[1:]
+        m = layout.m0 + np.arange(span)[:, None] + n - 1
+        r = np.broadcast_to(layout.r0 + np.arange(kept) + n - 1, m.shape)
+        return np.stack([m, r])
+
+    def assert_is_the_cube_on_its_support(self, a, b, n):
+        layout = _support_layout(a, b, n)
+        cube = _amplitude_polynomial(a, b, n)
+        m, r = self.layout_slots(layout, n)
+        inside = (0 <= m) & (m < 2 * n - 1)
+        # padding past the cube's edge holds exact zeros
+        assert not np.any(layout.coef[:, ~inside])
+        assert np.max(np.abs(layout.coef[:, inside] - cube[:, m[inside], r[inside]]),
+                      initial=0.0) <= 1e-14
+        outside = np.ones(cube.shape[1:], dtype=bool)
+        outside[m[inside], r[inside]] = False
+        assert not np.any(cube[:, outside])
+        return layout
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_full_support_pair_is_the_cube(self, n, rng):
+        a, b = random_state_vectors(n, rng)
+        layout = self.assert_is_the_cube_on_its_support(a, b, n)
+        assert layout.coef.shape == (2 * n - 1,) * 3
+        assert np.all(layout.m0 == 1 - n) and layout.r0 == 1 - n
+
+    @pytest.mark.parametrize("n", [5, 30])
+    def test_stretched_optimum_keeps_one_slot_per_r(self, n):
+        # its amplitudes sit at m = r = j only: n of the (2n - 1)^2 slots
+        layout = self.assert_is_the_cube_on_its_support(*stretched_pair(n), n)
+        assert layout.coef.shape == (2 * n - 1, 1, n)
+        assert np.array_equal(layout.m0, np.arange(n)) and layout.r0 == 0
+
+    def test_zeroed_entries_shear_the_windows(self, rng):
+        n = 4
+        a, b = zeroed_pair(n, rng)
+        layout = self.assert_is_the_cube_on_its_support(a, b, n)
+        assert np.array_equal(layout.m0, [-1, -1, -2, -2, -2, -2]) and layout.r0 == -3
+        assert layout.coef.shape == (2 * n - 1, 5, 6)
+
+    def test_sampler_on_sheared_windows_matches_rejection_oracle(self, rng):
+        n = 4
+        a, b = zeroed_pair(n, rng)
+        alice, fiducial = AliceState(n, a), FiducialState(n, b)
+        exact = monte_carlo_error(alice, fiducial, samples=20_000, seed=31)
+        oracle = monte_carlo_error(alice, fiducial, samples=4_000, seed=32, rejection=True)
+        assert_means_agree(exact, oracle)
+
+
+def assert_means_agree(one, other):
+    """The three error-cosine means of two reports agree within 3 joint standard errors."""
+    for key in ("cos_z", "cos_x_plus_y", "cos_sum"):
+        gap = getattr(one, f"mean_{key}") - getattr(other, f"mean_{key}")
+        joint = math.hypot(getattr(one, f"stderr_{key}"), getattr(other, f"stderr_{key}"))
+        assert abs(gap) < 3 * joint, key
+
+
 def amplitude_squared(a, b, n, alphas, betas, gammas):
     """Oracle |<A|U(alpha, beta, gamma)|B>|^2 over broadcast angles, each block by big_d_matrix."""
     total = 0.0
@@ -333,6 +413,36 @@ def gauss_integral(fn, upper, nodes=48):
     """Integral of fn over [0, upper] by Gauss-Legendre (fn takes an array of points)."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     return 0.5 * upper * float(np.sum(w * fn(0.5 * upper * (x + 1.0))))
+
+
+def assert_angles_are_quantiles(a, b, n, rng):
+    """Each sampled angle sits at its uniform's quantile of the marginal or conditional CDF.
+
+    The CDFs are integrated by Gauss-Legendre over big_d_matrix amplitudes
+    (no Fourier coefficients); gamma means use 2n+1 nodes.
+    """
+    layout = _support_layout(a, b, n)
+    u = rng.random((6, 3))
+    nodes = 2.0 * math.pi * np.arange(2 * n + 1) / (2 * n + 1)
+
+    def beta_density(x):
+        grid = amplitude_squared(a, b, n, nodes[:, None], x[:, None, None], nodes)
+        return 0.5 * np.sin(x) * np.mean(grid, axis=(1, 2))
+
+    def over_gamma(alphas, beta):
+        return np.mean(amplitude_squared(a, b, n, np.asarray(alphas)[..., None], beta, nodes),
+                       axis=-1)
+
+    for (alpha, beta, gamma), (u_beta, u_alpha, u_gamma) in zip(
+            _sample_errors(layout, _beta_marginal(layout.coef), u), u):
+        beta_cdf = gauss_integral(beta_density, beta)
+        assert beta_cdf == pytest.approx(u_beta, abs=1e-11)
+        alpha_total = 2.0 * math.pi * float(np.mean(over_gamma(nodes, beta)))
+        alpha_cdf = gauss_integral(lambda x: over_gamma(x, beta), alpha)
+        assert alpha_cdf == pytest.approx(u_alpha * alpha_total, abs=1e-11 * alpha_total)
+        gamma_total = 2.0 * math.pi * float(over_gamma(alpha, beta))
+        gamma_cdf = gauss_integral(lambda x: amplitude_squared(a, b, n, alpha, beta, x), gamma)
+        assert gamma_cdf == pytest.approx(u_gamma * gamma_total, abs=1e-11 * gamma_total)
 
 
 def count_trig_cdf_calls(monkeypatch):
@@ -352,7 +462,7 @@ class TestExactSampler:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_beta_marginal_integrates_to_one(self, n, rng):
         a, b = random_state_vectors(n, rng)
-        coef = _beta_marginal(_amplitude_polynomial(a, b, n))
+        coef = _beta_marginal(_support_layout(a, b, n).coef)
         total, _ = _trig_cdf(_cdf_terms(coef), np.array(math.pi))
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -362,7 +472,7 @@ class TestExactSampler:
         # per axis is exact: the density has degree 2(n-1) in each angle
         a, b = random_state_vectors(n, rng)
         alice, fiducial = AliceState(n, a), FiducialState(n, b)
-        terms = _cdf_terms(_beta_marginal(_amplitude_polynomial(a, b, n)))
+        terms = _cdf_terms(_beta_marginal(_support_layout(a, b, n).coef))
         nodes = 2.0 * math.pi * np.arange(2 * n + 1) / (2 * n + 1)
         betas = np.array([0.0, 0.3, 1.1, 2.0, math.pi])
         # meas[alpha node, beta, gamma node] = (alpha, beta, gamma)
@@ -377,36 +487,19 @@ class TestExactSampler:
         b = np.full(total_dim(n), 3.0 / math.sqrt(3), dtype=complex)
         b[0] = 1.0
         with pytest.raises(ValueError, match="integrates to"):
-            _beta_marginal(_amplitude_polynomial(a, b, n))
+            _beta_marginal(_support_layout(a, b, n).coef)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_angles_are_quantiles_of_brute_force_conditionals(self, n, rng):
-        # each angle must sit at its uniform's quantile of the marginal or
-        # conditional CDF, here integrated by Gauss-Legendre over big_d_matrix
-        # amplitudes (no Fourier coefficients); gamma means use 2n+1 nodes
-        a, b = random_state_vectors(n, rng)
-        poly = _amplitude_polynomial(a, b, n)
-        u = rng.random((6, 3))
-        nodes = 2.0 * math.pi * np.arange(2 * n + 1) / (2 * n + 1)
+        assert_angles_are_quantiles(*random_state_vectors(n, rng), n, rng)
 
-        def beta_density(x):
-            grid = amplitude_squared(a, b, n, nodes[:, None], x[:, None, None], nodes)
-            return 0.5 * np.sin(x) * np.mean(grid, axis=(1, 2))
-
-        def over_gamma(alphas, beta):
-            return np.mean(amplitude_squared(a, b, n, np.asarray(alphas)[..., None], beta, nodes),
-                           axis=-1)
-
-        for (alpha, beta, gamma), (u_beta, u_alpha, u_gamma) in zip(
-                _sample_errors(poly, _beta_marginal(poly), u), u):
-            beta_cdf = gauss_integral(beta_density, beta)
-            assert beta_cdf == pytest.approx(u_beta, abs=1e-11)
-            alpha_total = 2.0 * math.pi * float(np.mean(over_gamma(nodes, beta)))
-            alpha_cdf = gauss_integral(lambda x: over_gamma(x, beta), alpha)
-            assert alpha_cdf == pytest.approx(u_alpha * alpha_total, abs=1e-11 * alpha_total)
-            gamma_total = 2.0 * math.pi * float(over_gamma(alpha, beta))
-            gamma_cdf = gauss_integral(lambda x: amplitude_squared(a, b, n, alpha, beta, x), gamma)
-            assert gamma_cdf == pytest.approx(u_gamma * gamma_total, abs=1e-11 * gamma_total)
+    @pytest.mark.parametrize("pair", ["stretched", "zeroed"])
+    def test_angles_of_sparse_pairs_are_quantiles(self, pair, rng):
+        # the stretched pair's layout keeps one slot per r, so alpha | beta is
+        # uniform and only the window shifts m0(r) carry alpha into gamma; the
+        # zeroed pair's windows start at different m0(r)
+        a, b = stretched_pair(4) if pair == "stretched" else zeroed_pair(4, rng)
+        assert_angles_are_quantiles(a, b, 4, rng)
 
     @pytest.mark.parametrize("width", [1, 2, 9])
     def test_lag_sums_match_diagonal_traces(self, width, rng):
@@ -449,7 +542,7 @@ class TestExactSampler:
     @pytest.mark.parametrize("count", [1, 7, 500])
     def test_shared_row_matches_row_broadcast_to_every_u(self, count, rng):
         a, b = random_state_vectors(4, rng)
-        coef = _beta_marginal(_amplitude_polynomial(a, b, 4))
+        coef = _beta_marginal(_support_layout(a, b, 4).coef)
         u = rng.random(count)
         shared = _invert_cdf(coef, math.pi, u)
         assert np.array_equal(shared, _invert_cdf(np.broadcast_to(coef, (count, coef.size)),
@@ -474,6 +567,9 @@ class TestExactSampler:
         assert [(r.levelno, r.args[0]) for r in records] == [(logging.DEBUG, 1000),
                                                               (logging.DEBUG, 500)]
         assert all(r.args[4] > 0.0 for r in records)
+        # the layout's kept r's x span, out of the cube's (2n - 1)^2 slots
+        layout = _support_layout(alice.a, b.b, 3)
+        assert all(r.args[5:] == (*layout.coef.shape[2:0:-1], 25) for r in records)
         # the beta marginal's normalization check is the one sweep not logged
         assert sum(sum(r.args[1:4]) for r in records) + 1 == sweeps["calls"]
 
@@ -489,10 +585,18 @@ class TestExactSampler:
         exact = monte_carlo_error(alice, b, samples=20_000, seed=610 + n)
         oracle = monte_carlo_error(alice, b, samples=20_000, seed=710 + n, rejection=True)
         assert exact.acceptance_rate == 1.0
-        for key in ("cos_z", "cos_x_plus_y", "cos_sum"):
-            gap = getattr(exact, f"mean_{key}") - getattr(oracle, f"mean_{key}")
-            joint = math.hypot(getattr(exact, f"stderr_{key}"), getattr(oracle, f"stderr_{key}"))
-            assert abs(gap) < 3 * joint, key
+        assert_means_agree(exact, oracle)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_exact_matches_rejection_oracle_on_the_stretched_optimum(self, n):
+        # the layout keeps n of the (2n - 1)^2 slots; the oracle scores the
+        # dense cube, and its acceptance is about 1 / n^2 here
+        a, b = stretched_pair(n)
+        alice, fiducial = AliceState(n, a), FiducialState(n, b)
+        assert _support_layout(a, b, n).coef.shape == (2 * n - 1, 1, n)
+        exact = monte_carlo_error(alice, fiducial, samples=30_000, seed=630 + n)
+        oracle = monte_carlo_error(alice, fiducial, samples=3_000, seed=730 + n, rejection=True)
+        assert_means_agree(exact, oracle)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_random_complex_states_match_analytic(self, n, rng):
@@ -526,16 +630,16 @@ class TestExactSampler:
         # the uniforms are drawn per chunk, so the row block size cannot move a sample
         n = 3
         a, b = random_state_vectors(n, rng)
-        poly = _amplitude_polynomial(a, b, n)
+        layout = _support_layout(a, b, n)
         u = rng.random((600, 3))
-        whole = _sample_errors(poly, _beta_marginal(poly), u)
+        whole = _sample_errors(layout, _beta_marginal(layout.coef), u)
         monkeypatch.setattr(simulator, "SCORE_ROWS", 7)
-        batched = _sample_errors(poly, _beta_marginal(poly), u)
+        batched = _sample_errors(layout, _beta_marginal(layout.coef), u)
         assert np.max(np.abs(batched - whole)) < 1e-12
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n, samples", [(20, 60_000), (30, 6000)])
+@pytest.mark.parametrize("n, samples", [(20, 60_000), (30, 6000), (100, 2000)])
 def test_large_level_exact_replay_matches_analytic(capsys, n, samples):
     from framecast.cli import main
 

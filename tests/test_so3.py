@@ -106,6 +106,11 @@ class TestSmallD:
             rebuilt = np.einsum("umr,bu->bmr", small_d_fourier(j), phases)
             assert np.max(np.abs(rebuilt - jacobi_small_d_matrix(j, betas))) < 1e-12
 
+    def test_fourier_columns_are_the_cube_entries(self, rng):
+        for j in range(6):
+            m, r = rng.integers(0, 2 * j + 1, (2, 7))
+            assert np.array_equal(small_d_fourier(j, m, r), small_d_fourier(j)[:, m, r])
+
     def test_index_range_enforced(self):
         with pytest.raises(ValueError):
             jacobi_small_d(1, 2, 0, 0.3)
