@@ -270,14 +270,17 @@ class SectorOperator(NamedTuple):
         off = self.upper[sites[:-1]]
         return np.diag(self.diagonal[sites]) + np.diag(off, 1) + np.diag(off, -1)
 
-    @property
-    def norm_inf(self) -> float:  # ||M||_inf, the largest absolute row sum
-        n = self.n
-        rows = np.abs(self.diagonal) + np.abs(self.upper)
+    def level_norms(self) -> np.ndarray:
+        """||M_n||_inf for n = 1..self.n: no entry depends on n, so M_n is the blocks j < n."""
+        n, diagonal, upper = self.n, np.abs(self.diagonal), np.abs(self.upper)
         # (j, m) at flat p couples down to (j + 1, m + s) at flat p + 2j + 2 + s
         j = np.repeat(np.arange(n - 1), 2 * np.arange(n - 1) + 1)
-        rows[np.arange(j.size) + 2 * j + 2 + self.s] += np.abs(self.upper[: j.size])
-        return float(rows.max())
+        down = np.zeros(n * n)
+        down[np.arange(j.size) + 2 * j + 2 + self.s] = upper[: j.size]
+        starts = np.arange(n) ** 2
+        inner = np.maximum.accumulate(np.maximum.reduceat(diagonal + upper + down, starts))
+        last = np.maximum.reduceat(diagonal + down, starts)  # block n - 1 has no upper
+        return np.maximum(last, np.concatenate(([0.0], inner[:-1])))
 
 
 @dataclass(frozen=True, eq=False)

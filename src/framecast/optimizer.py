@@ -216,7 +216,7 @@ def _eigenvalues_above(op, sigma: float, floor: float) -> int | None:
     return count
 
 
-def _label_eigenvalues_above(sector: SectorOperator, sigma: float, floor: float) -> int | None:
+def _label_eigenvalues_above(sector: SectorOperator, sigma, floor, levels=None):
     """How many eigenvalues of a sector's M exceed sigma, label by label; None when unsure.
 
     `_eigenvalues_above` with 1 x 1 pivots: every label's block is
@@ -224,23 +224,43 @@ def _label_eigenvalues_above(sector: SectorOperator, sigma: float, floor: float)
     q_j = sigma - M_jj - |M_{j-1,j}|^2 / q_{j-1}, and the labels of block j
     take their step together. The count is refused on the same rules: a
     pivot |q| < floor, or a label whose eps (|sigma| + |q| + |M_{j,j+1}|^2 / |q|)
-    exceeds floor / 8.
+    exceeds floor / 8. Given ascending `levels` and per-level sigma and floor,
+    level n counts the sector of blocks j < n, every level n > j takes step j
+    in one (levels, 2j + 1) array, and the counts come back as a list.
     """
     s, eps = sector.s, np.finfo(float).eps
-    count, pivots, coupling = 0, None, None
-    for j in range(sector.n):
-        q = sigma - sector.diagonal[j * j : (j + 1) ** 2]
-        if j:
-            # block j - 1's site i carries the label of block j's site i + 1 + s
-            update = coupling * coupling / pivots
-            if eps * np.max(abs(sigma) + np.abs(pivots) + np.abs(update)) > floor / 8:
-                return None
-            q[1 + s : 2 * j + s] -= update
-        if np.abs(q).min() < floor:
-            return None
-        count += int(np.count_nonzero(q < 0))
-        pivots, coupling = q, sector.upper[j * j : (j + 1) ** 2]
-    return count
+    ns = np.atleast_1d(sector.n if levels is None else levels)
+    sigma, floor = np.atleast_1d(sigma)[:, None], np.atleast_1d(floor)
+    counts, refused = np.zeros(ns.size, dtype=int), np.zeros(ns.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a refused level's pivot may be 0
+        for j in range(ns[-1]):
+            live = slice(np.searchsorted(ns, j, side="right"), None)  # the levels n > j
+            q = sigma[live] - sector.diagonal[j * j : (j + 1) ** 2]
+            if j:
+                # block j - 1's site i carries the label of block j's site i + 1 + s
+                pivots = pivots[-len(q) :]  # the rows of the levels still live
+                update = coupling * coupling / pivots
+                bound = eps * np.max(np.abs(sigma[live]) + np.abs(pivots) + np.abs(update), axis=1)
+                refused[live] |= bound > floor[live] / 8
+                q[:, 1 + s : 2 * j + s] -= update
+            refused[live] |= np.abs(q).min(axis=1) < floor[live]
+            counts[live] += np.count_nonzero(q < 0, axis=1)
+            pivots, coupling = q, sector.upper[j * j : (j + 1) ** 2]
+    counts = [None if no else int(count) for no, count in zip(refused, counts)]
+    return counts[0] if levels is None else counts
+
+
+def _sector_certified(sector: SectorOperator, levels, lams) -> list[bool]:
+    """Whether one label count finds each level n's lam the only eigenvalue above lam - 2 F.
+
+    F = CERT_ULPS n^2 eps ||M_n||_inf: `_certified`'s shift at zero residual, whose
+    pivots clear the floor F (at lam - F a one-site label's pivot is -F).
+    """
+    norms = sector.level_norms()[np.subtract(levels, 1)]
+    floors = CERT_ULPS * np.square(levels) * np.finfo(float).eps * norms
+    counts = _label_eigenvalues_above(sector, np.subtract(lams, 2 * floors), floors, levels)
+    # M = 0 (n = 1): every unit vector is a top eigenvector
+    return [norm == 0.0 or count == 1 for norm, count in zip(norms.tolist(), counts)]
 
 
 @dataclass
@@ -492,14 +512,11 @@ def optimize_sector(tensor: SparseCoefficientTensor, n: int, m: int = 0) -> Opti
     (`SparseCoefficientTensor.sector`), and the pair is the top eigenpair
     (lam, u) of the fiducial's own label, m: a = u on the label's sites, b the
     fiducial, uniform in the blocks j < |m| that hold no site. The pair is
-    converged when the label-wise inertia count finds exactly one eigenvalue
-    of the sector's M above lam - 2 F, F = CERT_ULPS d eps ||M||_inf: the
-    shift of `_certified` at zero residual, whose pivots clear the floor F
-    (at lam - F a one-site label's pivot is -F up to rounding). Then lam is
-    its top eigenvalue, and since u has no zero entry (the block's couplings
+    converged when lam is certified as the top eigenvalue of the sector's M
+    (`_sector_certified`); since u has no zero entry (the block's couplings
     are positive, so u is its Perron vector), b_from_a(a) = b and the pair is
-    a joint fixed point. The count leaves out the blocks j < |m|, which z
-    couples to no site of the sector.
+    then a joint fixed point. The count leaves out the blocks j < |m|, which
+    z couples to no site of the sector.
     """
     if tensor.j_max != n - 1:
         raise ValueError(f"tensor j_max={tensor.j_max} does not match state n={n}")
@@ -511,14 +528,9 @@ def optimize_sector(tensor: SparseCoefficientTensor, n: int, m: int = 0) -> Opti
     sector = tensor.sector(m, s)
     lam, u = _top_eigh(sector.block(m))
     sites = sector.sites(m)
-    a = np.zeros(total_dim(n), dtype=complex)
-    a[sites] = u
-    b = np.zeros(total_dim(n), dtype=complex)
-    b[sites] = 1.0
-    norm = sector.norm_inf
-    floor = CERT_ULPS * total_dim(n) * np.finfo(float).eps * norm
-    # M = 0 (n = 1): every unit vector is a top eigenvector
-    converged = norm == 0.0 or _label_eigenvalues_above(sector, lam - 2 * floor, floor) == 1
+    a, b = np.zeros((2, total_dim(n)), dtype=complex)
+    a[sites], b[sites] = u, 1.0
+    [converged] = _sector_certified(sector, [n], [lam])
     return OptimizationResult(a=AliceState(n, a), b=FiducialState(n, _unit_blocks(b, n)),
                               lam=lam, lambda_trajectory=(lam,), iterations=1,
                               converged=converged)
@@ -615,39 +627,35 @@ def sweep(
 ) -> list[SweepRow]:
     """Best result per n: the closed sector's certified optimum, or the best of restarts.
 
-    An isotropic or z-only c (`_sector`) takes every row from its sector
-    (`optimize_sector`). For these c c = w support(c), w c's largest weight,
-    so a sector row's per-axis error is (k - lambda / w) / (2 k) with k axes.
-    A sector row whose inertia count does not certify it runs the loop in its
-    place and logs one WARNING; every row of any other c is the best of
-    restarts (`best_of_restarts`).
+    An isotropic or z-only c (`_sector`) takes row n from the leading blocks
+    j < n of one sector at n_to: the top eigenvalue of label 0's first n rows
+    (`optimize_sector`), every level certified by one batched count. For
+    these c c = w support(c), w c's largest weight, so a sector row's
+    per-axis error is (k - lambda / w) / (2 k) with k axes. A row the count
+    does not certify runs the loop in its place and logs one WARNING; every
+    row of any other c is the best of restarts (`best_of_restarts`).
     """
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")
-    in_sector = _sector(cached_tensor(objective, n_from - 1).c_hat) is not None
-    rows = []
-    for n in range(n_from, n_to + 1):
-        tensor = cached_tensor(objective, n - 1)
-        if in_sector:
-            sector = optimize_sector(tensor, n)
-            if sector.converged:
-                k = objective.axis_count
-                rows.append(SweepRow(n=n, d=n * n, lam=sector.lam,
-                                     mse_per_axis=(k - sector.lam / tensor.weight) / (2 * k),
-                                     converged=True))
-                continue
+    tensor, levels, rows = cached_tensor(objective, n_to - 1), range(n_from, n_to + 1), []
+    s = _sector(tensor.c_hat)
+    lams = certified = [None] * len(levels)
+    if s is not None:
+        sector = tensor.sector(0, s)
+        block = sector.block(0)
+        lams = [_top_eigh(block[:n, :n])[0] for n in levels]
+        certified = _sector_certified(sector, levels, lams)
+    for n, lam, ok in zip(levels, lams, certified):
+        if ok:
+            k = objective.axis_count
+            rows.append(SweepRow(n, n * n, lam, (k - lam / tensor.weight) / (2 * k), True))
+            continue
+        if lam is not None:
             log.warning("sweep n=%d: no certificate for the sector's lambda %r; "
-                        "this level runs the loop", n, sector.lam)
-        best = best_of_restarts(tensor, n, restarts, seed, tol=tol, max_iter=max_iter)
-        rows.append(
-            SweepRow(
-                n=n,
-                d=n * n,
-                lam=best.lam,
-                mse_per_axis=fidelity_report(best.a, best.b, objective).mse_per_axis,
-                converged=best.converged,
-            )
-        )
+                        "this level runs the loop", n, lam)
+        best = best_of_restarts(cached_tensor(objective, n - 1), n, restarts, seed, tol, max_iter)
+        mse = fidelity_report(best.a, best.b, objective).mse_per_axis
+        rows.append(SweepRow(n, n * n, best.lam, mse, best.converged))
     return rows
 
 

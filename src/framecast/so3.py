@@ -42,7 +42,7 @@ def _wrap_angle(x):
     return x * (x < TWO_PI)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # every j of a level n <= 8; larger levels are read once per pair or grid
 def _jy_eigenvectors(j: int) -> np.ndarray:
     """Eigenvectors v_mu of J_y on spin j as read-only columns, mu ascending from -j to j.
 

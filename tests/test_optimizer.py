@@ -37,7 +37,7 @@ from framecast import (
     total_dim,
 )
 from framecast import optimizer
-from framecast.coefficients import SectorOperator
+from framecast.coefficients import SectorOperator, SparseCoefficientTensor
 
 ROOT3 = 1.0 / math.sqrt(3)
 
@@ -372,8 +372,8 @@ class TestLabelCount:
         sector = SectorOperator(s, rng.standard_normal(d), upper)
         mat = sector_dense(sector)
         w = np.linalg.eigvalsh(mat)
-        floor = optimizer.CERT_ULPS * d * np.finfo(float).eps * sector.norm_inf
-        assert sector.norm_inf == pytest.approx(np.abs(mat).sum(axis=1).max(), rel=1e-15)
+        floor = optimizer.CERT_ULPS * d * np.finfo(float).eps * sector.level_norms()[-1]
+        assert sector.level_norms()[-1] == pytest.approx(np.abs(mat).sum(axis=1).max(), rel=1e-15)
         i = int(rng.integers(d))
         sigma = {"at": w[i], "near": w[i] + rng.choice([-2.0, -0.5, 0.5, 2.0]) * floor,
                  "between": (w[i] + w[i + 1]) / 2 if i + 1 < d else w[i] + 1.0}[where]
@@ -396,9 +396,44 @@ class TestLabelCount:
         # [[0, b], [b, 0]] has eigenvalues +-b exactly; at sigma = b = 0.1 the
         # second pivot rounds to -1.4e-17, which alone would count b as above
         sector = SectorOperator(0, np.array([0.0, -1.0, 0.0, -1.0]), np.array([0.1, 0, 0, 0]))
-        floor = optimizer.CERT_ULPS * 4 * np.finfo(float).eps * sector.norm_inf
+        floor = optimizer.CERT_ULPS * 4 * np.finfo(float).eps * sector.level_norms()[-1]
         assert optimizer._label_eigenvalues_above(sector, 0.1, floor) is None
         assert optimizer._label_eigenvalues_above(sector, 0.1 - 2 * floor, floor) == 1
+
+    @pytest.mark.parametrize("s", [0, 1])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_batched_count_is_every_level_counted_alone(self, s, seed):
+        # level n of a batched call counts the sector of blocks j < n, which
+        # `leading_sector` builds by hand; shifts lie at, near and between
+        # eigenvalues, and three more entries are refused on purpose: a floor
+        # above every first pivot, floor 0 (a level past one block fails the
+        # eps rule at j = 1) and, for s = 0, the shift b on level 2's label
+        # block [[0, b], [b, 0]], whose second pivot rounds to -1.4e-17
+        rng = np.random.default_rng(seed)
+        n_max = 9
+        d = total_dim(n_max)
+        upper = rng.standard_normal(d) * (rng.random(d) >= 0.2)
+        upper[(n_max - 1) ** 2:] = 0.0
+        diagonal = rng.standard_normal(d)
+        diagonal[:4], upper[0] = [0.0, -1.0, 0.0, -1.0], 0.1
+        sector = SectorOperator(s, diagonal, upper)
+        entries = []  # (n, sigma, floor, refused on purpose)
+        for n in range(1, n_max + 1):
+            part = leading_sector(sector, n)
+            w = np.linalg.eigvalsh(sector_dense(part))
+            floor = optimizer.CERT_ULPS * n * n * np.finfo(float).eps * part.level_norms()[-1]
+            sigma = w[rng.integers(len(w))] + rng.choice([0.0, 1e-9, 0.5])
+            entries.append((n, sigma, floor, False))
+        entries += [(4, 0.3, 10.0 * np.abs(diagonal).max() + 10.0, True), (7, 0.3, 0.0, True),
+                    (2, 0.1, entries[1][2], s == 0)]
+        entries.sort(key=lambda entry: entry[0])
+        levels, sigmas, floors, refused = (np.array(column) for column in zip(*entries))
+        batched = optimizer._label_eigenvalues_above(sector, sigmas, floors, levels)
+        alone = [optimizer._label_eigenvalues_above(leading_sector(sector, n), sigma, floor)
+                 for n, sigma, floor in zip(levels.tolist(), sigmas, floors)]
+        assert batched == alone
+        assert all(count is None for count in np.array(batched, dtype=object)[refused])
+        assert any(count is not None for count in batched)
 
 
 class TestBFromA:
@@ -1086,7 +1121,16 @@ class TestSectorRows:
                 mat[position[rows[inside]], position[cols[inside]]] = op.values[inside]
                 assert np.array_equal(sector.sites(value), sites)
                 assert np.max(np.abs(sector.block(value) - mat)) <= 1e-15, (n, value)
-            assert sector.norm_inf == pytest.approx(op.norm_inf, abs=1e-15)
+            assert sector.level_norms()[-1] == pytest.approx(op.norm_inf, abs=1e-15)
+
+    @pytest.mark.parametrize("objective", [Objective.z_axis(), Objective.xyz_axes(),
+                                           Objective.weighted(2.0, 0.5)])
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_level_norms_are_each_levels_operator_norm(self, objective, s):
+        norms = cached_tensor(objective, 29).sector(0, s).level_norms()
+        for n in range(1, 31):
+            op = cached_tensor(objective, n - 1).operator(sector_fiducial(n, s))
+            assert norms[n - 1] == pytest.approx(op.norm_inf, abs=1e-15), n
 
     def test_stretched_sector_against_gauss_legendre_at_large_j(self):
         # an oracle with no Clebsch-Gordan code: the stretched coefficients are
@@ -1180,12 +1224,47 @@ class TestSectorRows:
         assert row.converged
         assert row.lam == pytest.approx(z_sector(12).lam, abs=1e-11)
 
+    @pytest.mark.parametrize("objective", [Objective.z_axis(), Objective.xyz_axes(),
+                                           Objective.weighted(3.0, 3.0),
+                                           Objective.weighted(2.0, 0.0)])
+    def test_sweep_rows_are_the_sector_solve_of_each_level(self, objective):
+        # one sector at n_to and one batched count give every level the
+        # lambda and certificate of its own `optimize_sector`, bit for bit
+        for n_from, n_to in [(1, 60), (10, 30), (17, 17)]:
+            rows = sweep(objective, n_from, n_to)
+            assert [row.n for row in rows] == list(range(n_from, n_to + 1))
+            for row in rows:
+                alone = optimize_sector(cached_tensor(objective, row.n - 1), row.n)
+                assert alone.converged and row.converged, row.n
+                assert row.lam == alone.lam, row.n
+
+    def test_a_sweep_builds_one_tensor_and_one_sector(self, monkeypatch):
+        calls = {"tensor": 0, "sector": 0}
+        tensor_of, sector_of = optimizer.cached_tensor, SparseCoefficientTensor.sector
+
+        def counted_tensor(*args):
+            calls["tensor"] += 1
+            return tensor_of(*args)
+
+        def counted_sector(*args):
+            calls["sector"] += 1
+            return sector_of(*args)
+
+        monkeypatch.setattr(optimizer, "cached_tensor", counted_tensor)
+        monkeypatch.setattr(SparseCoefficientTensor, "sector", counted_sector)
+        rows = sweep(Objective.xyz_axes(), 2, 30)
+        assert all(row.converged for row in rows)
+        assert calls == {"tensor": 1, "sector": 1}
+
     def test_a_refused_count_sends_only_its_level_to_the_loop(self, monkeypatch, caplog):
         count = optimizer._label_eigenvalues_above
         loop_levels = []
 
-        def refused_at_twelve(sector, sigma, floor):
-            return None if sector.n == 12 else count(sector, sigma, floor)
+        def refused_at_twelve(sector, sigma, floor, levels=None):
+            counts = count(sector, sigma, floor, levels)
+            if levels is None:
+                return counts
+            return [None if n == 12 else c for n, c in zip(levels, counts)]
 
         monkeypatch.setattr(optimizer, "_label_eigenvalues_above", refused_at_twelve)
         monkeypatch.setattr(optimizer, "best_of_restarts", _recording(loop_levels))
@@ -1200,19 +1279,32 @@ class TestSectorRows:
     @pytest.mark.slow
     @pytest.mark.parametrize("kind", ["z", "xyz"])
     def test_cli_sweep_to_level_one_hundred(self, capsys, kind):
+        # the CSV prints lambda to 11 significant digits; the rows themselves
+        # meet the oracles within 1e-14 (z reached 4.4e-16, xyz 4.0e-15 at n = 292)
         from framecast.cli import main
 
-        assert main(["sweep", "--objective", kind, "--n", "2..100"]) == 0
-        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-        assert [int(row[0]) for row in rows] == list(range(2, 101))
-        for n, _, lam, _, converged in rows:
-            n = int(n)
-            if kind == "z":
-                top = np.polynomial.legendre.leggauss(n)[0].max()
-            else:
-                top = np.linalg.eigvalsh(stretched_jacobi(n, 1.0, 1.0))[-1]
-            assert converged == "true"
-            assert float(lam) == pytest.approx(top, rel=1e-11), n
+        objective = Objective.from_kind(kind)
+        for n_to in (100, 300):
+            assert main(["sweep", "--objective", kind, "--n", f"2..{n_to}"]) == 0
+            printed = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            rows = sweep(objective, 2, n_to)
+            assert [int(row[0]) for row in printed] == [row.n for row in rows] == list(
+                range(2, n_to + 1))
+            for (_, _, lam, _, converged), row in zip(printed, rows):
+                if kind == "z":
+                    top = np.polynomial.legendre.leggauss(row.n)[0].max()
+                else:
+                    top = np.linalg.eigvalsh(stretched_jacobi(row.n, 1.0, 1.0))[-1]
+                assert converged == "true" and row.converged
+                assert float(lam) == pytest.approx(top, rel=1e-11), row.n
+                assert row.lam == pytest.approx(top, abs=1e-14), row.n
+
+
+def leading_sector(sector, n):
+    """The sector of level n: sector's blocks j < n, block n - 1 coupled to nothing above."""
+    upper = sector.upper[: n * n].copy()
+    upper[(n - 1) ** 2:] = 0.0
+    return SectorOperator(sector.s, sector.diagonal[: n * n], upper)
 
 
 def _recording(levels):

@@ -111,6 +111,20 @@ class TestSmallD:
             m, r = rng.integers(0, 2 * j + 1, (2, 7))
             assert np.array_equal(small_d_fourier(j, m, r), small_d_fourier(j)[:, m, r])
 
+    def test_eigenvector_cache_stays_bounded(self):
+        # an unbounded cache grew by (2j+1)^2 numbers per j ever used
+        from framecast.so3 import _jy_eigenvectors
+
+        for j in range(41):
+            small_d_fourier(j)
+        info = _jy_eigenvectors.cache_info()
+        assert info.maxsize == info.currsize == 8
+        # every block of a level n <= 8 (j <= 7) stays cached across passes
+        for sweep in range(2):
+            for j in range(8):
+                small_d_fourier(j)
+        assert _jy_eigenvectors.cache_info().hits - info.hits == 8
+
     def test_index_range_enforced(self):
         with pytest.raises(ValueError):
             jacobi_small_d(1, 2, 0, 0.3)
