@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 import numpy.random
@@ -45,21 +46,43 @@ def _integer(value) -> int:
 
 
 def _vec_from_rows(n: int, rows) -> np.ndarray:
-    """Amplitudes from state-file rows [j, m, re, im]: exactly one row per (j, m) of level n."""
-    if len(rows) != total_dim(n):
-        raise ValueError(f"expected {total_dim(n)} coefficient rows for n={n}, got {len(rows)}")
-    vec = np.zeros(total_dim(n), dtype=complex)
+    """Amplitudes from state-file rows [j, m, re, im]: exactly one row per (j, m) of level n.
+
+    The rows are checked as one array: integer indices in range, each (j, m)
+    once. A refused file is reported by _refuse_rows, at its first bad row.
+    """
+    size = total_dim(n)
+    if len(rows) != size:
+        raise ValueError(f"expected {size} coefficient rows for n={n}, got {len(rows)}")
+    try:
+        table = np.array(rows)
+    except ValueError:  # rows of different lengths
+        _refuse_rows(n, rows)
+    if table.shape != (size, 4) or table.dtype.kind not in "biuf":
+        _refuse_rows(n, rows)
+    j, m, re, im = table.astype(float).T
+    if not ((j == np.round(j)) & (m == np.round(m)) & (0 <= j) & (j < n) & (np.abs(m) <= j)).all():
+        _refuse_rows(n, rows)
+    index = flat_index(j, m).astype(np.int64)
+    if np.bincount(index, minlength=size).max() > 1:
+        _refuse_rows(n, rows)
+    vec = np.zeros(size, dtype=complex)
+    vec.real[index], vec.imag[index] = re, im
+    return vec
+
+
+def _refuse_rows(n: int, rows) -> NoReturn:
+    """Raise the error of the first row that is not [j, m, re, im] with a new (j, m) of level n."""
     seen = set()
     for j, m, re, im in rows:
         j, m = _integer(j), _integer(m)
         if not (0 <= j < n and abs(m) <= j):
             raise ValueError(f"invalid coefficient index (j={j}, m={m}) for n={n}")
-        index = flat_index(j, m)
-        if index in seen:
+        if flat_index(j, m) in seen:
             raise ValueError(f"duplicate coefficient row j={j}, m={m}")
-        seen.add(index)
-        vec[index] = re + 1j * im
-    return vec
+        seen.add(flat_index(j, m))
+        re + 1j * im  # a non-number raises TypeError here
+    raise ValueError("coefficient rows must hold four numbers each")
 
 
 @dataclass(frozen=True)

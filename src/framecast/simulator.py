@@ -23,14 +23,17 @@ slot per r.
 The error rotation is drawn exactly, by the chain rule beta -> alpha | beta
 -> gamma | alpha, beta (Devroye, Non-Uniform Random Variate Generation, 1986,
 ch. 11): every marginal and conditional of |P|^2 is a trigonometric
-polynomial in one angle whose coefficients are lag sums of P's coefficients,
-so each angle inverts a closed-form CDF, three uniforms per sample and no
-proposal wasted (acceptance_rate 1). Each inversion tabulates its CDF at
-CDF_CELLS + 1 equispaced nodes and starts Newton inside the bracketing cell
-(Hormann & Leydold, ACM TOMACS 13, 347, 2003); the beta marginal, shared by
-every sample, is inverted once per chunk. Each chunk logs its Newton sweeps,
-throughput and layout size at DEBUG level. Because of covariance this path
-draws no true rotation. Rejection sampling of Haar-uniform proposals under the envelope n^2
+polynomial in one angle whose coefficients are autocorrelations of P's
+coefficients, so each angle inverts a closed-form CDF, three uniforms per
+sample and no proposal wasted (acceptance_rate 1). A density of lag 0 alone
+is flat, its angle u times the range (alpha on any span-1 layout). Every
+other inversion tabulates its CDF at CDF_CELLS + 1 equispaced nodes and
+starts Newton inside the bracketing cell (Hormann & Leydold, ACM TOMACS 13,
+347, 2003). The beta marginal, shared by every sample, is inverted once per
+chunk; alpha and gamma per block of rows holding about BLOCK_ELEMENTS complex
+numbers. Each chunk logs its block rows, Newton sweeps, throughput and
+layout size at DEBUG level. Because of covariance this path draws no true
+rotation. Rejection sampling of Haar-uniform proposals under the envelope n^2
 (`_sample_chunk`, monte_carlo_error(rejection=True)) stays as the independent
 oracle: it composes true rotations and proposals with `so3.error_angles`,
 which the exact sampler never calls, and scores the dense (2n-1)^3 polynomial
@@ -40,7 +43,6 @@ error angles.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import time
@@ -58,10 +60,10 @@ from .so3 import _wrap_angle, error_angles, rotation_matrix_components, small_d_
 log = logging.getLogger(__name__)
 
 DEFAULT_CHUNK = 16384
-# rows scored or sampled per block; a scored row holds (2n-1)^2 complex numbers,
-# a sampled row the support layout's span x kept-r coefficients and a square
-# work array whose side is the larger of the two
+# rows scored per block by the rejection oracle; a row holds (2n-1)^2 complex numbers
 SCORE_ROWS = 256
+# complex numbers per exact-sampler row block (_row_footprint): ~500 rows at the n = 5 xyz optimum
+BLOCK_ELEMENTS = 45_000
 # CDF inversion stops once |F(x) - u F(upper)| <= CDF_TOL F(upper) on every row
 CDF_TOL = 1e-12
 CDF_MAX_ITER = 100
@@ -259,30 +261,15 @@ def _sample_chunk(poly: np.ndarray, n: int, count: int, rng: np.random.Generator
     return out, proposals
 
 
-@functools.lru_cache(maxsize=None)
-def _lag_index(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices p * width + q with p - q = k >= 0, grouped by lag k, and group starts."""
-    order = np.concatenate([np.arange(k, width) * (width + 1) - k for k in range(width)])
-    starts = np.cumsum([0] + [width - k for k in range(width - 1)])
-    order.flags.writeable = starts.flags.writeable = False
-    return order, starts
+def _autocorrelation(x: np.ndarray) -> np.ndarray:
+    """s[t, k] = sum over i, q of x[t, i, q + k] conj(x[t, i, q]), lags k < w of the last axis.
 
-
-def _lag_sums(outer: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """s[..., k] = sum of outer[..., p, q] over p - q = k, for lags k = 0..w-1.
-
-    The entries are regrouped by lag first: into the front of `scratch` (a
-    contiguous array of outer's dtype and at least its size) if given,
-    otherwise into a new array.
+    Direct shifted products, one per lag: no (w, w) outer product is built.
     """
-    order, starts = _lag_index(outer.shape[-1])
-    flat = outer.reshape(outer.shape[:-2] + (-1,))
-    shape = flat.shape[:-1] + order.shape
-    gathered = None if scratch is None else scratch.reshape(-1)[:math.prod(shape)].reshape(shape)
-    # every index is in range; mode="clip" writes straight into `gathered`,
-    # where the default mode would stage the result in a temporary first
-    return np.add.reduceat(np.take(flat, order, axis=-1, out=gathered, mode="clip"),
-                           starts, axis=-1)
+    width = x.shape[-1]
+    conj = x.conj()
+    return np.stack([np.einsum("tiq,tiq->t", x[..., k:], conj[..., :width - k])
+                     for k in range(width)], axis=1)
 
 
 def _cdf_terms(coef: np.ndarray) -> np.ndarray:
@@ -299,11 +286,15 @@ def _cdf_terms(coef: np.ndarray) -> np.ndarray:
 
 
 def _trig_cdf(terms: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CDF from 0 and density at x, over running powers of exp(i x).
+    """CDF from 0 and density at x, both rows of terms summed by Horner's rule in exp(i x).
 
     terms is one row of _cdf_terms per x, or one row that every x shares.
     """
-    sums = np.einsum("...k,...ck->...c", _powers(x, terms.shape[-1] - 1), terms)
+    z = np.exp(1j * x)[..., None]
+    sums = np.zeros(np.shape(x) + (2,), dtype=complex)
+    for k in range(terms.shape[-1] - 1, -1, -1):
+        sums *= z
+        sums += terms[..., k]
     head = terms[..., 0, 0].real
     return head * x + 2.0 * sums[..., 1].real, 2.0 * sums[..., 0].real - head
 
@@ -321,8 +312,13 @@ def _invert_cdf(coef: np.ndarray, upper: float, u: np.ndarray,
     which alone would converge. Steps run until the residual is at most
     CDF_TOL F(upper) on every row; raises ValueError on a row that has not
     converged after CDF_MAX_ITER steps. If `sweeps` is a list, the number of
-    Newton sweeps (_trig_cdf calls on the open rows) is appended to it.
+    Newton sweeps (_trig_cdf calls on the open rows) is appended to it: 0
+    for rows of lag 0 alone, whose F(x) = coef[0] x gives x = u upper.
     """
+    if coef.shape[-1] == 1:
+        if sweeps is not None:
+            sweeps.append(0)
+        return u * upper
     shared = coef.ndim == 1
     nodes = np.linspace(0.0, upper, CDF_CELLS + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -333,7 +329,7 @@ def _invert_cdf(coef: np.ndarray, upper: float, u: np.ndarray,
         rows = terms.reshape(-1, 2, terms.shape[-1])
         trig = np.ascontiguousarray(_powers(nodes, terms.shape[-1] - 1).conj().view(float).T)
         sums = rows[:, None, 1].view(float) @ trig
-        table = rows[:, :1, 0].real * nodes + 2.0 * sums[:, 0]
+        table = rows[:, 0, 0].real[:, None] * nodes + 2.0 * sums[:, 0]
         total = np.broadcast_to(table[:, -1], u.shape)
         target = u * total
         cell = np.clip(np.count_nonzero(table <= target[:, None], axis=-1) - 1,
@@ -367,14 +363,13 @@ def _beta_marginal(poly: np.ndarray) -> np.ndarray:
     """Lag coefficients of the beta marginal (sin(beta) / 2) g(beta) on [0, pi].
 
     g(beta) = sum_{m,r} |sum_mu H[mu, m, r] exp(-i mu beta)|^2 is the alpha,
-    gamma average of |P|^2; its lags are the diagonal sums of
-    Q = conj(H_flat) H_flat^T over mu, and sin(beta) / 2 shifts them by one.
-    poly holds H with mu on its first axis, on any slots that include every
+    gamma average of |P|^2; its lags are the autocorrelation of conj(H) along
+    mu, summed over the slots, and sin(beta) / 2 shifts them by one. poly
+    holds H with mu on its first axis, on any slots that include every
     nonzero one (the support layout's coef). Raises ValueError unless the
     marginal integrates to one.
     """
-    flat = poly.reshape(poly.shape[0], -1).conj()
-    g_lags = _lag_sums(flat @ flat.conj().T)
+    g_lags = _autocorrelation(poly.reshape(poly.shape[0], -1).T.conj()[None])[0]
     full = np.concatenate([g_lags[:0:-1].conj(), g_lags])
     shifted = (np.pad(full, (2, 0)) - np.pad(full, (0, 2))) / 4j
     coef = shifted[g_lags.size:]
@@ -384,55 +379,59 @@ def _beta_marginal(poly: np.ndarray) -> np.ndarray:
     return coef
 
 
+def _row_footprint(width: int, span: int, kept: int) -> int:
+    """Complex elements one row of a _sample_errors block holds, on a width x span x kept layout.
+
+    A row holds its beta phases (width), G and its conjugate (2 span kept),
+    alpha's powers (at most width), F and its conjugate (2 kept), and per
+    angle its lags with their two _cdf_terms rows (3 (span + kept)) and the
+    CDF table's nodes and products (2 (CDF_CELLS + 1) reals).
+    """
+    return 2 * width + 2 * (span + 1) * kept + 3 * (span + kept) + CDF_CELLS + 1
+
+
 def _sample_errors(layout: _SupportLayout, beta_coef: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Error-rotation angles (alpha, beta, gamma), one row per row (u_beta, u_alpha, u_gamma) of u.
 
     beta follows the marginal every row shares, so all rows invert it in one
-    call. Then per block of SCORE_ROWS rows, on the support layout:
-    G[k, r] = sum_mu exp(-i mu beta) coef[mu, k, r] is one matmul; the alpha |
-    beta density is sum_r |sum_k G[k, r] exp(i k alpha)|^2, since each r's
-    window shift m0(r) is a unimodular phase there, so its lags are those of
-    G G^dagger; the gamma | alpha, beta density is the autocorrelation of
-    F_r = exp(i m0(r) alpha) sum_k G[k, r] exp(i k alpha), up to a phase common
-    to every r. The three work arrays are allocated once per call, not per
-    block: fresh ones cost a page fault per 4 KiB touched. Logs one DEBUG
-    record with the Newton sweeps per angle, the throughput and the layout's
-    kept r's x span out of the cube's (2n-1)^2 (m, r) slots.
+    call. Then per block of BLOCK_ELEMENTS // _row_footprint rows, on the
+    support layout: G[r, k] = sum_mu exp(-i mu beta) coef[mu, k, r] is one
+    matmul; the alpha | beta density is sum_r |sum_k G[r, k] exp(i k alpha)|^2,
+    since each r's window shift m0(r) is a unimodular phase there, so its lags
+    are the autocorrelations of G's rows, summed over r; the gamma | alpha,
+    beta density is |sum_r F_r exp(i r gamma)|^2 with F_r = exp(i m0(r) alpha)
+    sum_k G[r, k] exp(i k alpha), up to a phase common to every r, so its
+    lags are F's autocorrelation. A block holds O(rows span kept) elements. A
+    span-1 layout gives alpha lag 0 alone: alpha is uniform, drawn in closed
+    form. Logs one DEBUG record with the rows, the block rows, the Newton
+    sweeps per angle, the throughput and the layout's kept r's x span out of
+    the cube's (2n-1)^2 (m, r) slots.
     """
     start = time.perf_counter()
-    coef = layout.coef
-    width, span, kept = coef.shape
+    width, span, kept = layout.coef.shape
     degree = (width - 1) // 2
-    flat = coef.reshape(width, -1)
+    flat = layout.coef.transpose(0, 2, 1).reshape(width, -1)
     shift = layout.m0 - layout.m0.min()
     reach = max(span - 1, int(shift.max()))
     out = np.empty((u.shape[0], 3))
     sweeps = {"beta": [], "alpha": [], "gamma": []}
     out[:, 1] = _invert_cdf(beta_coef, math.pi, u[:, 0], sweeps["beta"])
-    rows_max = min(SCORE_ROWS, u.shape[0])
-    g_work = np.empty((rows_max, span, kept), dtype=complex)
-    spare, outer = (np.empty(rows_max * max(span, kept) ** 2, dtype=complex) for _ in range(2))
-    for lo in range(0, u.shape[0], SCORE_ROWS):
-        rows = slice(lo, lo + SCORE_ROWS)
+    block = max(1, BLOCK_ELEMENTS // _row_footprint(width, span, kept))
+    for lo in range(0, u.shape[0], block):
+        rows = slice(lo, lo + block)
         betas = out[rows, 1]
-        count = betas.size
-        g_rows = g_work[:count]
-        np.matmul(_phases(betas, degree).conj(), flat, out=g_rows.reshape(count, -1))
-        g_conj = np.conjugate(g_rows, out=spare[:g_rows.size].reshape(g_rows.shape))
-        by_k = outer[:count * span * span].reshape(count, span, span)
-        np.matmul(g_rows, g_conj.swapaxes(1, 2), out=by_k)
-        alphas = _invert_cdf(_lag_sums(by_k, spare), 2.0 * math.pi, u[rows, 1], sweeps["alpha"])
+        g_rows = (_phases(betas, degree).conj() @ flat).reshape(-1, kept, span)
+        alphas = _invert_cdf(_autocorrelation(g_rows), 2.0 * math.pi, u[rows, 1], sweeps["alpha"])
         powers = _powers(alphas, reach)
-        f_rows = np.einsum("tk,tkr->tr", powers[:, :span], g_rows) * powers[:, shift]
-        by_r = outer[:count * kept * kept].reshape(count, kept, kept)
-        np.multiply(f_rows[:, :, None], f_rows.conj()[:, None, :], out=by_r)
-        gammas = _invert_cdf(_lag_sums(by_r, spare), 2.0 * math.pi, u[rows, 2], sweeps["gamma"])
+        f_rows = np.einsum("tk,trk->tr", powers[:, :span], g_rows) * powers[:, shift]
+        gammas = _invert_cdf(_autocorrelation(f_rows[:, None]), 2.0 * math.pi, u[rows, 2],
+                             sweeps["gamma"])
         out[rows, 0] = _wrap_angle(alphas)
         out[rows, 2] = _wrap_angle(gammas)
     elapsed = time.perf_counter() - start
-    log.debug("exact chunk: %d rows, Newton sweeps beta %d alpha %d gamma %d, %.0f samples/s, "
-              "layout %d x %d of %d slots",
-              u.shape[0], sum(sweeps["beta"]), sum(sweeps["alpha"]), sum(sweeps["gamma"]),
+    log.debug("exact chunk: %d rows, blocks of %d, Newton sweeps beta %d alpha %d gamma %d, "
+              "%.0f samples/s, layout %d x %d of %d slots",
+              u.shape[0], block, sum(sweeps["beta"]), sum(sweeps["alpha"]), sum(sweeps["gamma"]),
               u.shape[0] / elapsed, kept, span, width * width)
     return out
 

@@ -1,5 +1,6 @@
 """States, the induced Hermitian form, and fidelity reports."""
 
+import json
 import math
 import tracemalloc
 
@@ -70,6 +71,15 @@ class TestStates:
         fiducial = FiducialState.random(3, rng)
         clone_b = FiducialState.from_json(fiducial.to_json())
         assert np.allclose(clone_b.b, fiducial.b, atol=0)
+
+    def test_large_json_round_trip_is_bit_exact(self, rng):
+        # 90 000 rows per state at n = 300, checked as one array, through JSON text
+        n = 300
+        alice, fiducial = random_alice(n, rng), FiducialState.random(n, rng)
+        clone = AliceState.from_json(json.loads(json.dumps(alice.to_json())))
+        clone_b = FiducialState.from_json(json.loads(json.dumps(fiducial.to_json())))
+        assert clone.a.tobytes() == alice.a.tobytes()
+        assert clone_b.b.tobytes() == fiducial.b.tobytes()
 
 
 def operator_matrix(tensor, b):

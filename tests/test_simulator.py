@@ -34,12 +34,13 @@ from framecast import simulator
 from framecast.optimizer import DEFAULT_RESTARTS
 from framecast.simulator import (
     _amplitude_polynomial,
+    _autocorrelation,
     _beta_marginal,
     _cdf_terms,
     _invert_cdf,
-    _lag_sums,
     _outcome_amplitudes,
     _resolution_defect,
+    _row_footprint,
     _sample_chunk,
     _sample_errors,
     _support_layout,
@@ -501,12 +502,27 @@ class TestExactSampler:
         a, b = stretched_pair(4) if pair == "stretched" else zeroed_pair(4, rng)
         assert_angles_are_quantiles(a, b, 4, rng)
 
-    @pytest.mark.parametrize("width", [1, 2, 9])
-    def test_lag_sums_match_diagonal_traces(self, width, rng):
-        shape = (5, width, width)
-        outer = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        traces = [np.trace(outer, offset=-k, axis1=1, axis2=2) for k in range(width)]
-        assert np.max(np.abs(_lag_sums(outer) - np.stack(traces, axis=1))) < 1e-13
+    @pytest.mark.parametrize("width", [*range(1, 13), 300])
+    def test_autocorrelation_matches_diagonal_traces(self, width, rng):
+        # lag k sums the k-th lower diagonal of the outer products over i
+        shape = (5, 3, width)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        outer = np.einsum("tip,tiq->tpq", x, x.conj())
+        traces = np.stack([np.trace(outer, offset=-k, axis1=1, axis2=2) for k in range(width)],
+                          axis=1)
+        lag_zero = traces[:, :1].real
+        assert np.max(np.abs(_autocorrelation(x) - traces) / lag_zero) < 1e-13
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_lag_zero_rows_invert_in_closed_form(self, shared, monkeypatch, rng):
+        # F(x) = c_0 x, so x = u upper exactly, with no table and no Newton sweep
+        calls = count_trig_cdf_calls(monkeypatch)
+        u = rng.random(50)
+        coef = np.array([0.7]) if shared else rng.uniform(0.1, 2.0, (50, 1)).astype(complex)
+        sweeps = []
+        assert np.array_equal(_invert_cdf(coef, math.pi, u, sweeps), u * math.pi)
+        assert sweeps == [0]
+        assert calls["calls"] == 0
 
     def test_inversion_meets_residual_guard(self, rng):
         # autocorrelation lags of random vectors are valid (non-negative) densities
@@ -551,12 +567,13 @@ class TestExactSampler:
 
     def test_newton_sweeps_of_a_seeded_run_stay_under_ceiling(self, monkeypatch):
         # every inversion starts inside a tabulated cell, and beta is inverted
-        # once per chunk: 199 sweeps here, where starts at u * upper with
-        # beta inverted per 256-row block took 672
+        # once per chunk: 306 sweeps here, in 39 blocks of 157 rows (about 3.9
+        # per inversion), where starts at u * upper with beta inverted per
+        # 256-row block took 672 in 24 blocks
         sweeps = count_trig_cdf_calls(monkeypatch)
         alice, b = optimal_pair(5, Objective.xyz_axes())
         monte_carlo_error(alice, b, samples=6000, seed=2024)
-        assert sweeps["calls"] <= 240
+        assert sweeps["calls"] <= 370
 
     def test_each_chunk_logs_its_sweeps(self, monkeypatch, caplog):
         sweeps = count_trig_cdf_calls(monkeypatch)
@@ -566,12 +583,15 @@ class TestExactSampler:
         records = [r for r in caplog.records if r.name == "framecast.simulator"]
         assert [(r.levelno, r.args[0]) for r in records] == [(logging.DEBUG, 1000),
                                                               (logging.DEBUG, 500)]
-        assert all(r.args[4] > 0.0 for r in records)
-        # the layout's kept r's x span, out of the cube's (2n - 1)^2 slots
+        # the block rows, from the element budget and the layout's row footprint
         layout = _support_layout(alice.a, b.b, 3)
-        assert all(r.args[5:] == (*layout.coef.shape[2:0:-1], 25) for r in records)
+        block = simulator.BLOCK_ELEMENTS // _row_footprint(*layout.coef.shape)
+        assert all(r.args[1] == block for r in records)
+        assert all(r.args[5] > 0.0 for r in records)
+        # the layout's kept r's x span, out of the cube's (2n - 1)^2 slots
+        assert all(r.args[6:] == (*layout.coef.shape[2:0:-1], 25) for r in records)
         # the beta marginal's normalization check is the one sweep not logged
-        assert sum(sum(r.args[1:4]) for r in records) + 1 == sweeps["calls"]
+        assert sum(sum(r.args[2:5]) for r in records) + 1 == sweeps["calls"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_inversion_guard_raises_on_corrupted_coefficients(self, bad):
@@ -626,15 +646,18 @@ class TestExactSampler:
         assert report.mean_cos_sum == pytest.approx(1.485017751237825, abs=1e-10)
         assert report.stderr_cos_sum == pytest.approx(0.024791227697961167, abs=1e-10)
 
-    def test_sub_blocks_match_whole_block(self, rng, monkeypatch):
+    def test_sub_blocks_match_whole_block(self, rng, monkeypatch, caplog):
         # the uniforms are drawn per chunk, so the row block size cannot move a sample
         n = 3
         a, b = random_state_vectors(n, rng)
         layout = _support_layout(a, b, n)
         u = rng.random((600, 3))
+        monkeypatch.setattr(simulator, "BLOCK_ELEMENTS", 600 * _row_footprint(*layout.coef.shape))
         whole = _sample_errors(layout, _beta_marginal(layout.coef), u)
-        monkeypatch.setattr(simulator, "SCORE_ROWS", 7)
-        batched = _sample_errors(layout, _beta_marginal(layout.coef), u)
+        monkeypatch.setattr(simulator, "BLOCK_ELEMENTS", 7 * _row_footprint(*layout.coef.shape))
+        with caplog.at_level(logging.DEBUG, logger="framecast.simulator"):
+            batched = _sample_errors(layout, _beta_marginal(layout.coef), u)
+        assert [r.args[1] for r in caplog.records if r.name == "framecast.simulator"] == [7]
         assert np.max(np.abs(batched - whole)) < 1e-12
 
 
