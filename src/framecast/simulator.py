@@ -30,8 +30,8 @@ is flat, its angle u times the range (alpha on any span-1 layout). Every
 other inversion tabulates its CDF at CDF_CELLS + 1 equispaced nodes and
 starts Newton inside the bracketing cell (Hormann & Leydold, ACM TOMACS 13,
 347, 2003). The beta marginal, shared by every sample, is inverted once per
-chunk; alpha and gamma per block of rows holding about BLOCK_ELEMENTS complex
-numbers. Each chunk logs its block rows, Newton sweeps, throughput and
+chunk; alpha and gamma per block of BLOCK_ROWS rows, fewer where the layout
+would pass BLOCK_ELEMENTS complex numbers. Each chunk logs its block rows, Newton sweeps, throughput and
 layout size at DEBUG level. Because of covariance this path draws no true
 rotation. Rejection sampling of Haar-uniform proposals under the envelope n^2
 (`_sample_chunk`, monte_carlo_error(rejection=True)) stays as the independent
@@ -62,8 +62,10 @@ log = logging.getLogger(__name__)
 DEFAULT_CHUNK = 16384
 # rows scored per block by the rejection oracle; a row holds (2n-1)^2 complex numbers
 SCORE_ROWS = 256
-# complex numbers per exact-sampler row block (_row_footprint): ~500 rows at the n = 5 xyz optimum
-BLOCK_ELEMENTS = 45_000
+# an exact-sampler row block holds BLOCK_ROWS rows, fewer where span x kept x rows would pass
+# BLOCK_ELEMENTS complex numbers; longer blocks gain little and raise the peak memory
+BLOCK_ROWS = 512
+BLOCK_ELEMENTS = 2**18
 # CDF inversion stops once |F(x) - u F(upper)| <= CDF_TOL F(upper) on every row
 CDF_TOL = 1e-12
 CDF_MAX_ITER = 100
@@ -379,27 +381,17 @@ def _beta_marginal(poly: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _row_footprint(width: int, span: int, kept: int) -> int:
-    """Complex elements one row of a _sample_errors block holds, on a width x span x kept layout.
-
-    A row holds its beta phases (width), G and its conjugate (2 span kept),
-    alpha's powers (at most width), F and its conjugate (2 kept), and per
-    angle its lags with their two _cdf_terms rows (3 (span + kept)) and the
-    CDF table's nodes and products (2 (CDF_CELLS + 1) reals).
-    """
-    return 2 * width + 2 * (span + 1) * kept + 3 * (span + kept) + CDF_CELLS + 1
-
-
 def _sample_errors(layout: _SupportLayout, beta_coef: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Error-rotation angles (alpha, beta, gamma), one row per row (u_beta, u_alpha, u_gamma) of u.
 
     beta follows the marginal every row shares, so all rows invert it in one
-    call. Then per block of BLOCK_ELEMENTS // _row_footprint rows, on the
-    support layout: G[r, k] = sum_mu exp(-i mu beta) coef[mu, k, r] is one
-    matmul; the alpha | beta density is sum_r |sum_k G[r, k] exp(i k alpha)|^2,
-    since each r's window shift m0(r) is a unimodular phase there, so its lags
-    are the autocorrelations of G's rows, summed over r; the gamma | alpha,
-    beta density is |sum_r F_r exp(i r gamma)|^2 with F_r = exp(i m0(r) alpha)
+    call. Then per block of BLOCK_ROWS rows, or BLOCK_ELEMENTS // (span kept)
+    if fewer, on the support layout: G[r, k] = sum_mu exp(-i mu beta)
+    coef[mu, k, r] is one matmul; the alpha | beta density is
+    sum_r |sum_k G[r, k] exp(i k alpha)|^2, since each r's window shift m0(r)
+    is a unimodular phase there, so its lags are the autocorrelations of G's
+    rows, summed over r; the gamma | alpha, beta density is
+    |sum_r F_r exp(i r gamma)|^2 with F_r = exp(i m0(r) alpha)
     sum_k G[r, k] exp(i k alpha), up to a phase common to every r, so its
     lags are F's autocorrelation. A block holds O(rows span kept) elements. A
     span-1 layout gives alpha lag 0 alone: alpha is uniform, drawn in closed
@@ -416,7 +408,7 @@ def _sample_errors(layout: _SupportLayout, beta_coef: np.ndarray, u: np.ndarray)
     out = np.empty((u.shape[0], 3))
     sweeps = {"beta": [], "alpha": [], "gamma": []}
     out[:, 1] = _invert_cdf(beta_coef, math.pi, u[:, 0], sweeps["beta"])
-    block = max(1, BLOCK_ELEMENTS // _row_footprint(width, span, kept))
+    block = max(1, min(BLOCK_ROWS, BLOCK_ELEMENTS // (span * kept)))
     for lo in range(0, u.shape[0], block):
         rows = slice(lo, lo + block)
         betas = out[rows, 1]

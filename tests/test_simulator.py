@@ -40,7 +40,6 @@ from framecast.simulator import (
     _invert_cdf,
     _outcome_amplitudes,
     _resolution_defect,
-    _row_footprint,
     _sample_chunk,
     _sample_errors,
     _support_layout,
@@ -567,13 +566,13 @@ class TestExactSampler:
 
     def test_newton_sweeps_of_a_seeded_run_stay_under_ceiling(self, monkeypatch):
         # every inversion starts inside a tabulated cell, and beta is inverted
-        # once per chunk: 306 sweeps here, in 39 blocks of 157 rows (about 3.9
-        # per inversion), where starts at u * upper with beta inverted per
-        # 256-row block took 672 in 24 blocks
+        # once per chunk: 109 sweeps here, in 12 blocks of 512 rows; 199 in 24
+        # blocks of 256, and starts at u * upper with beta inverted per block
+        # took 672
         sweeps = count_trig_cdf_calls(monkeypatch)
         alice, b = optimal_pair(5, Objective.xyz_axes())
         monte_carlo_error(alice, b, samples=6000, seed=2024)
-        assert sweeps["calls"] <= 370
+        assert sweeps["calls"] <= 131
 
     def test_each_chunk_logs_its_sweeps(self, monkeypatch, caplog):
         sweeps = count_trig_cdf_calls(monkeypatch)
@@ -583,10 +582,10 @@ class TestExactSampler:
         records = [r for r in caplog.records if r.name == "framecast.simulator"]
         assert [(r.levelno, r.args[0]) for r in records] == [(logging.DEBUG, 1000),
                                                               (logging.DEBUG, 500)]
-        # the block rows, from the element budget and the layout's row footprint
+        # the block rows: BLOCK_ROWS, or fewer where span x kept x rows passes BLOCK_ELEMENTS
         layout = _support_layout(alice.a, b.b, 3)
-        block = simulator.BLOCK_ELEMENTS // _row_footprint(*layout.coef.shape)
-        assert all(r.args[1] == block for r in records)
+        assert math.prod(layout.coef.shape[1:]) * simulator.BLOCK_ROWS <= simulator.BLOCK_ELEMENTS
+        assert all(r.args[1] == simulator.BLOCK_ROWS for r in records)
         assert all(r.args[5] > 0.0 for r in records)
         # the layout's kept r's x span, out of the cube's (2n - 1)^2 slots
         assert all(r.args[6:] == (*layout.coef.shape[2:0:-1], 25) for r in records)
@@ -652,9 +651,9 @@ class TestExactSampler:
         a, b = random_state_vectors(n, rng)
         layout = _support_layout(a, b, n)
         u = rng.random((600, 3))
-        monkeypatch.setattr(simulator, "BLOCK_ELEMENTS", 600 * _row_footprint(*layout.coef.shape))
+        monkeypatch.setattr(simulator, "BLOCK_ROWS", 600)
         whole = _sample_errors(layout, _beta_marginal(layout.coef), u)
-        monkeypatch.setattr(simulator, "BLOCK_ELEMENTS", 7 * _row_footprint(*layout.coef.shape))
+        monkeypatch.setattr(simulator, "BLOCK_ELEMENTS", 7 * math.prod(layout.coef.shape[1:]))
         with caplog.at_level(logging.DEBUG, logger="framecast.simulator"):
             batched = _sample_errors(layout, _beta_marginal(layout.coef), u)
         assert [r.args[1] for r in caplog.records if r.name == "framecast.simulator"] == [7]
