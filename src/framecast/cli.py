@@ -196,7 +196,7 @@ def _verify_checks(n: int, seed: int, selected: str = "all"):
         unit_worst = 0.0
         for j, angles in enumerate(angle_sets):
             dmats = big_d_matrix(j, angles[:, 0], angles[:, 1], angles[:, 2])
-            prod = np.einsum("tmr,tsr->tms", dmats, dmats.conj())
+            prod = dmats @ dmats.conj().swapaxes(-1, -2)
             unit_worst = max(unit_worst, float(np.max(np.abs(prod - np.eye(2 * j + 1)))))
         yield "wigner-unitarity", unit_worst, 1e-12
 

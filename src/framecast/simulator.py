@@ -2,8 +2,8 @@
 
 The detector fiducial vector, rotated over the whole group with per-block
 weights sqrt(2j+1), resolves the identity; `povm_defect` verifies that on a
-quadrature grid, block (j, k) being the quadrature coefficient block of f = 1
-contracted with b_j and conj(b_k), so no D^j is built at the grid nodes.
+quadrature grid (`quadrature.resolution_defect`, the coefficients of f = 1
+contracted with b_j and conj(b_k)).
 Measurement outcomes follow the density |<A| U(true)^dagger U(outcome) |B>|^2
 relative to the Haar measure. Since U(true)^dagger U(outcome) = U(error) for
 the discrepancy rotation error = R(true)^T R(outcome), the statistics depend
@@ -54,7 +54,7 @@ import numpy.random
 
 from .basis import block_slice
 from .objective import AliceState, FiducialState
-from .quadrature import SO3Grid, coefficient_blocks
+from .quadrature import SO3Grid, resolution_defect
 from .so3 import _wrap_angle, error_angles, rotation_matrix_components, small_d_fourier
 
 log = logging.getLogger(__name__)
@@ -93,32 +93,14 @@ class MonteCarloReport:
         return asdict(self)
 
 
-def _resolution_defect(vec: np.ndarray, n: int, grid: SO3Grid) -> float:
-    """Identity defect for raw fiducial amplitudes (no normalization check)."""
-    needed_beta = 2 * (n - 1) + 3
-    if len(grid.beta_nodes) < needed_beta or grid.alpha_count < 2 * (n - 1) + 1:
-        raise ValueError(f"grid is not exact for n={n}; build it with make_grid({n - 1})")
-    worst = 0.0
-    for j, k, block, bound in coefficient_blocks(lambda a, b, g: 1.0, range(n), range(n), grid):
-        b_j, b_k = vec[block_slice(j)], vec[block_slice(k)]
-        estimate = np.einsum("mrns,r,s->mn", block, b_j, b_k.conj())
-        identity = np.eye(2 * j + 1) if j == k else 0.0
-        # entry errors below bound move a contracted entry by at most bound |b_j|_1 |b_k|_1
-        slack = bound * np.abs(b_j).sum() * np.abs(b_k).sum()
-        worst = max(worst, float(np.max(np.abs(estimate - identity))) + slack)
-    return worst
-
-
 def povm_defect(b: FiducialState, grid: SO3Grid) -> float:
-    """Largest entry of (integral of rotated fiducial projectors) minus identity.
+    """Largest entry of (integral of rotated fiducial projectors) minus identity, plus its bound.
 
     For per-block normalized amplitudes the integral is exactly the identity;
     a block with squared norm p instead contributes p on its diagonal, so the
-    defect localizes normalization violations. Each block's value includes
-    the quadrature's dropped-lag bound, carried through the contraction with
-    b, so it is never below what the oracle would report keeping every lag.
+    defect localizes normalization violations.
     """
-    return _resolution_defect(b.b, b.n, grid)
+    return resolution_defect(b.b, b.n, grid)
 
 
 def _amplitude_polynomial(a_vec: np.ndarray, b_vec: np.ndarray, n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from framecast import (
     make_grid,
 )
 from framecast import quadrature
-from framecast.quadrature import coefficient_blocks
+from framecast.quadrature import lag_diagonals
 
 
 def haar_cos_beta(alphas, betas, gammas):
@@ -121,6 +121,20 @@ def flat_node_blocks(f, j_max, grid):
     return blocks
 
 
+def pass_blocks(f, levels, grid):
+    """Dense (block, bound) per pair (j, k) of levels = range(J + 1), scattered from one lag_diagonals pass."""
+    top = max(levels)
+    bounds, diagonals = lag_diagonals(f, levels, levels, grid)
+    blocks = {(j, k): np.zeros((2 * j + 1,) * 2 + (2 * k + 1,) * 2, dtype=complex)
+              for j in levels for k in levels}
+    for p, q, values in diagonals:
+        for (j, k), block in blocks.items():
+            m, r, n, s = (index - level for index, level in zip(np.indices(block.shape), (j, j, k, k)))
+            on = (m - n == p) & (r - s == q)
+            block[on] = values[m[on] + top, r[on] + top, j, k]
+    return {key: (block, bounds[key]) for key, block in blocks.items()}
+
+
 class TestSeparableQuadrature:
     # alpha-gamma coupling and odd terms, so a DFT sign or an index wrap error shows
     FUNCTIONS = {
@@ -164,16 +178,13 @@ class TestSeparableQuadrature:
 
     @pytest.mark.parametrize("name", list(FUNCTIONS))
     def test_one_pass_matches_single_pairs(self, name):
-        # a pass evaluates f and its spectrum once for every block pair
+        # one pass over every block pair equals coefficient_block pair by pair
         f = self.FUNCTIONS[name]
         grid = make_grid(4)
-        levels = range(5)
-        seen = set()
-        for j, k, block, _ in coefficient_blocks(f, levels, levels, grid):
+        blocks = pass_blocks(f, range(5), grid)
+        assert blocks.keys() == {(j, k) for j in range(5) for k in range(5)}
+        for (j, k), (block, _) in blocks.items():
             assert np.max(np.abs(block - coefficient_block(f, j, k, grid))) < 1e-15, (j, k)
-            seen.add((j, k))
-        assert seen == {(j, k) for j in levels for k in levels}
-
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([1, 3]),
@@ -189,7 +200,7 @@ class TestSeparableQuadrature:
 
         grid = make_grid(grid_j)
         flat = flat_node_blocks(f, 3, grid)
-        for j, k, block, _ in coefficient_blocks(f, range(4), range(4), grid):
+        for (j, k), (block, _) in pass_blocks(f, range(4), grid).items():
             assert np.max(np.abs(block - flat[j, k])) < 1e-13, (j, k)
 
 
@@ -197,8 +208,7 @@ def every_lag_blocks(monkeypatch, f, levels, grid):
     """The oracle's (block, bound) per (j, k) with a zero rounding floor: every nonzero lag kept."""
     with monkeypatch.context() as patched:
         patched.setattr(quadrature, "ROUNDING_ULPS", 0)
-        return {(j, k): (block, bound)
-                for j, k, block, bound in coefficient_blocks(f, levels, levels, grid)}
+        return pass_blocks(f, levels, grid)
 
 
 class TestDroppedLags:
@@ -211,14 +221,15 @@ class TestDroppedLags:
         f = lambda a, b, g: np.cos(b) + 1e-20j * np.exp(1j * (a + g))
         levels = range(4)
         every = every_lag_blocks(monkeypatch, f, levels, grid)
-        for j, k, block, bound in coefficient_blocks(f, levels, levels, grid):
+        kept = pass_blocks(f, levels, grid)
+        for (j, k), (block, bound) in kept.items():
             dense = every[j, k][0]
             assert bound >= np.max(np.abs(block - dense)), (j, k)
             assert every[j, k][1] == 0.0
             if j:  # the entry m = r = 1, n = s = 0
                 assert block[j + 1, j + 1, k, k] == 0.0 and dense[j + 1, j + 1, k, k] != 0.0
         # against a tensor equal to the kept lags' blocks, only the dropped lag deviates
-        kept = {(j, k): block for j, k, block, _ in coefficient_blocks(f, levels, levels, grid)}
+        kept = {key: block for key, (block, _) in kept.items()}
         tensor = SimpleNamespace(j_max=3, nonzeros=lambda j, k: (np.nonzero(kept[j, k]),
                                                                kept[j, k][np.nonzero(kept[j, k])]))
         dense_worst = max(float(np.max(np.abs(every[key][0] - kept[key]))) for key in kept)
@@ -226,7 +237,7 @@ class TestDroppedLags:
 
     def test_zero_integrand_keeps_no_lag(self):
         grid = make_grid(2)
-        for j, k, block, bound in coefficient_blocks(lambda a, b, g: 0.0, range(3), range(3), grid):
+        for (j, k), (block, bound) in pass_blocks(lambda a, b, g: 0.0, range(3), grid).items():
             assert bound == 0.0 and not np.any(block), (j, k)
 
 
@@ -258,6 +269,22 @@ class TestCoefficientDeviation:
     def test_entry_outside_band_is_compared(self):
         stray = DictTensor(2, {(2, 0, 1, 0, -1, 0): 0.25})
         assert coefficient_deviation(stray, lambda a, b, g: 0.0, make_grid(2)) == 0.25
+
+    def test_corrupted_entry_is_reported_at_its_size(self):
+        # one entry moved on a diagonal the xy integrand's lags (+-1, +-1) fill,
+        # and one put on m - n = 0, r - s = 2, which no kept lag reaches
+        f = lambda a, b, g: (1.0 + np.cos(b)) * np.cos(a + g)
+        grid = make_grid(3)
+        entries = dict(cached_tensor(Objective.xy_axes(), 3).entries)
+        assert coefficient_deviation(DictTensor(3, entries), f, grid) < 1e-12
+        on_lag = next(key for key in entries if key[:2] == (2, 2))
+        assert (on_lag[2] - on_lag[3], on_lag[4] - on_lag[5]) in {(1, 1), (-1, -1)}
+        stray = (2, 1, 1, 1, 1, -1)
+        assert stray not in entries
+        for key, delta in [(on_lag, 0.3), (stray, 0.2)]:
+            corrupted = {**entries, key: entries.get(key, 0.0) + delta}
+            worst = coefficient_deviation(DictTensor(3, corrupted), f, grid)
+            assert worst == pytest.approx(delta, abs=1e-12), key
 
     def test_large_level_gathers_no_block_sized_index(self):
         # a fancy-index gather of one block's lags would hold 17^4 x 21 complex

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from framecast import (
     rotation_matrix_components,
     total_dim,
 )
-from framecast import simulator
+from framecast import quadrature, simulator
 from framecast.optimizer import DEFAULT_RESTARTS
+from framecast.quadrature import resolution_defect
 from framecast.simulator import (
     _amplitude_polynomial,
     _autocorrelation,
@@ -39,7 +41,6 @@ from framecast.simulator import (
     _cdf_terms,
     _invert_cdf,
     _outcome_amplitudes,
-    _resolution_defect,
     _sample_chunk,
     _sample_errors,
     _support_layout,
@@ -72,7 +73,7 @@ class TestPovmDefect:
         vec = np.zeros(total_dim(n), dtype=complex)
         vec[0] = 1.0
         vec[block_slice(1)] = np.array([0.0, 0.5, 0.0])
-        defect = _resolution_defect(vec, n, make_grid(n - 1))
+        defect = resolution_defect(vec, n, make_grid(n - 1))
         assert defect == pytest.approx(0.75, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -88,7 +89,28 @@ class TestPovmDefect:
                 rotated[:, block_slice(j)] = math.sqrt(2 * j + 1) * (dmats @ vec[block_slice(j)])
             identity_est = (rotated * grid.weights[:, None]).T @ rotated.conj()
             flat = np.max(np.abs(identity_est - np.eye(total_dim(n))))
-            assert _resolution_defect(vec, n, grid) == pytest.approx(flat, abs=1e-13)
+            assert resolution_defect(vec, n, grid) == pytest.approx(flat, abs=1e-13)
+
+    def test_dropped_lag_carries_its_bound(self, monkeypatch):
+        # with every lag of f = 1 dropped the estimate is zero, and block (1, 1)
+        # of the uniform n = 2 fiducial reads its missing identity 1 plus the
+        # bound sqrt(3 * 3) * mass 1 times |b_1|_1^2 = 3
+        monkeypatch.setattr(quadrature, "ROUNDING_ULPS", 1e20)
+        assert povm_defect(FiducialState.uniform(2), make_grid(1)) == pytest.approx(10.0, abs=1e-12)
+
+    def test_large_level_builds_no_block_sized_array(self, rng):
+        # the coefficients of f = 1 for all 81 block pairs at once would hold
+        # 81 x 17^4 complex values (108 MB)
+        grid = make_grid(8)
+        fiducial = FiducialState.random(9, rng)
+        tracemalloc.start()
+        try:
+            defect = povm_defect(fiducial, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert defect < 1e-10
+        assert peak < 20e6
 
     def test_grid_exactness_guard(self):
         with pytest.raises(ValueError):
