@@ -311,6 +311,29 @@ class SparseCoefficientTensor:
         """
         return float(np.abs(np.linalg.eigvalsh(self.c_hat)).max())
 
+    @cached_property
+    def _nonzeros(self) -> dict:
+        """`nonzeros` of every pair with terms, each j <= k built once; read-only.
+
+        The mirror (k, j) holds the same index arrays in swapped roles and the conjugate values.
+        """
+        found = {}
+        for k in range(1, self.j_max + 1):
+            for j in (k - 1, k):
+                cg = _spin_one_cg(j, k)
+                # terms[mu + 1, m + j, nu + 1, r + j]
+                terms = (math.sqrt((2 * j + 1) / (2 * k + 1)) * self.c_hat[:, None, :, None]
+                         * cg[:, :, None, None] * cg[None, None, :, :])
+                mu, m, nu, r = np.nonzero(terms)
+                index = m, r, m + mu + k - j - 1, r + nu + k - j - 1
+                found[j, k] = index, terms[mu, m, nu, r]
+                if j < k:
+                    found[k, j] = index[2:] + index[:2], found[j, k][1].conj()
+        for index, values in found.values():
+            for part in (*index, values):
+                part.flags.writeable = False
+        return found
+
     def nonzeros(self, j: int, k: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """Indices (m+j, r+j, n+k, s+k) and values of the nonzero f of blocks (j, k).
 
@@ -318,28 +341,17 @@ class SparseCoefficientTensor:
         """
         if not (0 <= j <= self.j_max and 0 <= k <= self.j_max):
             raise ValueError(f"blocks ({j}, {k}) outside 0..{self.j_max}")
-        if j > k:
-            (m, r, n, s), values = self.nonzeros(k, j)
-            return (n, s, m, r), values.conj()
-        if not 0 < k <= j + 1:
-            return (np.zeros(0, dtype=np.intp),) * 4, np.zeros(0, dtype=self.c_hat.dtype)
-        cg = _spin_one_cg(j, k)
-        # terms[mu + 1, m + j, nu + 1, r + j]
-        terms = (math.sqrt((2 * j + 1) / (2 * k + 1)) * self.c_hat[:, None, :, None]
-                 * cg[:, :, None, None] * cg[None, None, :, :])
-        mu, m, nu, r = np.nonzero(terms)
-        return (m, r, m + mu + k - j - 1, r + nu + k - j - 1), terms[mu, m, nu, r]
+        empty = (np.zeros(0, dtype=np.intp),) * 4, np.zeros(0, dtype=self.c_hat.dtype)
+        return self._nonzeros.get((j, k), empty)
 
     @cached_property
     def entries(self) -> MappingProxyType:
         """Every nonzero coefficient keyed by (j, k, m, n, r, s), for the oracles and tests only."""
         entries = {}
-        for j in range(self.j_max + 1):
-            for k in range(max(j - 1, 0), min(j + 1, self.j_max) + 1):
-                (m, r, n, s), values = self.nonzeros(j, k)
-                keys = zip(repeat(j), repeat(k), (m - j).tolist(), (n - k).tolist(),
-                           (r - j).tolist(), (s - k).tolist())
-                entries.update(zip(keys, values.tolist()))
+        for (j, k), ((m, r, n, s), values) in self._nonzeros.items():
+            keys = zip(repeat(j), repeat(k), (m - j).tolist(), (n - k).tolist(),
+                       (r - j).tolist(), (s - k).tolist())
+            entries.update(zip(keys, values.tolist()))
         return MappingProxyType(entries)
 
     def _check_length(self, vec: np.ndarray) -> None:

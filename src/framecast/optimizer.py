@@ -16,10 +16,12 @@ Objectives whose optimum lies in a closed sector (z-only and isotropic c)
 have a second route: at the sector fiducial M is a direct sum of tridiagonal
 label blocks of at most n rows (`SparseCoefficientTensor.sector`), so the top
 eigenpair of one block, certified by a label-wise inertia count over all of
-them, is a joint fixed point (`optimize_sector`). `sweep` reads every row
-of such c from the sector. A derivative-free direct search over
-unconstrained amplitudes (small n only) serves as an independent
-cross-check, and sweeps over n feed the asymptotic power-law fits.
+them, is a joint fixed point (`optimize_sector`). `best_of_restarts` takes
+that pair for such c wherever the count certifies it, and the loop only
+where it does not; `sweep` reads the rows it certifies from one batched
+sector pass. A derivative-free direct search over unconstrained amplitudes
+(small n only) serves as an independent cross-check, and sweeps over n feed
+the asymptotic power-law fits.
 """
 
 from __future__ import annotations
@@ -439,14 +441,8 @@ def fixed_point_optimize(
     log.debug("fixed point n=%d: %d rounds, %d Lanczos vectors, inertia counts %d tried "
               "%d passed, %.3f s", n, iterations, tally.vectors, tally.counts, tally.passed,
               time.perf_counter() - started)
-    return OptimizationResult(
-        a=a,
-        b=b,
-        lam=tensor.expectation(a.a, b.b),
-        lambda_trajectory=tuple(trajectory),
-        iterations=iterations,
-        converged=converged,
-    )
+    return OptimizationResult(a, b, tensor.expectation(a.a, b.b), tuple(trajectory), iterations,
+                              converged)
 
 
 def _sector(c_hat: np.ndarray) -> int | None:
@@ -472,34 +468,35 @@ def best_of_restarts(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> OptimizationResult:
-    """Best fixed point from the deterministic starts and `restarts` random starts.
+    """Best of c's deterministic candidate and the fixed points of `restarts` random starts.
 
-    The deterministic starts follow c's symmetry. An isotropic c (c_hat = s I:
-    xyz, equal-weight weighted) starts at the stretched state b_j = |j, j>
-    alone, whose fixed point reached the uniform start's value at every n
-    tried (2 to 200); for n <= WIDE_KRYLOV_DIM its round 1 closes inside the
-    stretched sector, so the loop stops after 2 rounds. Any other c with
-    weight in the xy plane runs the uniform start and then the stretched one,
-    a z-only c the uniform start alone. Random starts draw from independent child streams of
-    SeedSequence((seed, n)), so no two (n, restart) pairs share a stream and
-    a given (n, seed) gives the same result wherever it is optimized. A later
-    start replaces the incumbent only when it is better by more than tol in
-    units of c's largest weight, so fixed points that tie to rounding keep
-    the earlier one.
+    A c with a closed sector (`_sector`: z-only or isotropic) takes its
+    certified pair (`optimize_sector`). Where the count refuses it (one
+    WARNING), or c has no sector, the loop runs from the uniform start and
+    then, when c weights the xy plane, from the stretched state b_j = |j, j>.
+    Random starts draw from independent child streams of SeedSequence((seed,
+    n)), so a given (n, seed) gives the same result wherever it is optimized.
+    A later start replaces the incumbent only when better by more than tol in
+    units of c's largest weight, so fixed points that tie to rounding keep the
+    earlier one; a restart that beats the sector pair logs a WARNING naming it.
     """
-    c_hat = tensor.c_hat
-    if _sector(c_hat) == 1:
-        starts = [FiducialState.stretched(n)]
+    c_hat, starts = tensor.c_hat, [None]
+    sector = optimize_sector(tensor, n) if _sector(c_hat) is not None else None
+    if sector and not sector.converged:
+        log.warning("n=%d: no certificate for the sector's lambda %r; the loop runs", n, sector.lam)
+        sector = None
+    if sector:
+        starts = []
     elif (c_hat[0, 0] + c_hat[2, 2]).real > 0:
-        starts = [None, FiducialState.stretched(n)]
-    else:
-        starts = [None]
+        starts.append(FiducialState.stretched(n))
     streams = np.random.SeedSequence((seed, n)).spawn(restarts)
     starts += [FiducialState.random(n, np.random.default_rng(stream)) for stream in streams]
-    best = None
-    for start in starts:
+    best = sector
+    for index, start in enumerate(starts):
         candidate = fixed_point_optimize(tensor, n, start, tol=tol, max_iter=max_iter)
         if best is None or candidate.lam > best.lam + tol * tensor.weight:
+            if sector:
+                log.warning("n=%d: restart %d beats the sector pair", n, index)
             best = candidate
     return best
 
@@ -588,7 +585,6 @@ def direct_search_optimize(
         return -tensor.expectation(a.a, b.b)
 
     best = None
-    best_pair = None
     evaluations = 0
     values = []
     for _ in range(restarts):
@@ -604,16 +600,8 @@ def direct_search_optimize(
         values.append(-float(res.fun))
         if best is None or res.fun < best.fun:
             best = res
-            best_pair = _unpack_search_vector(res.x, n)
-    a, b = best_pair
-    return OptimizationResult(
-        a=a,
-        b=b,
-        lam=float(-best.fun),
-        lambda_trajectory=tuple(values),
-        iterations=evaluations,
-        converged=bool(best.success),
-    )
+    a, b = _unpack_search_vector(best.x, n)
+    return OptimizationResult(a, b, float(-best.fun), tuple(values), evaluations, bool(best.success))
 
 
 def sweep(
@@ -632,8 +620,8 @@ def sweep(
     (`optimize_sector`), every level certified by one batched count. For
     these c c = w support(c), w c's largest weight, so a sector row's
     per-axis error is (k - lambda / w) / (2 k) with k axes. A row the count
-    does not certify runs the loop in its place and logs one WARNING; every
-    row of any other c is the best of restarts (`best_of_restarts`).
+    does not certify, and every row of any other c, is the best of restarts
+    (`best_of_restarts`), which logs the refusal.
     """
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")
@@ -648,14 +636,13 @@ def sweep(
     for n, lam, ok in zip(levels, lams, certified):
         if ok:
             k = objective.axis_count
-            rows.append(SweepRow(n, n * n, lam, (k - lam / tensor.weight) / (2 * k), True))
-            continue
-        if lam is not None:
-            log.warning("sweep n=%d: no certificate for the sector's lambda %r; "
-                        "this level runs the loop", n, lam)
-        best = best_of_restarts(cached_tensor(objective, n - 1), n, restarts, seed, tol, max_iter)
-        mse = fidelity_report(best.a, best.b, objective).mse_per_axis
-        rows.append(SweepRow(n, n * n, best.lam, mse, best.converged))
+            mse = (k - lam / tensor.weight) / (2 * k)
+        else:
+            best = best_of_restarts(cached_tensor(objective, n - 1), n, restarts, seed, tol,
+                                    max_iter)
+            lam, ok = best.lam, best.converged
+            mse = fidelity_report(best.a, best.b, objective).mse_per_axis
+        rows.append(SweepRow(n, n * n, lam, mse, ok))
     return rows
 
 

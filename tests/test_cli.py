@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import framecast
-from framecast import Objective, cached_tensor, fixed_point_optimize
+from framecast import (
+    AliceState,
+    FiducialState,
+    Objective,
+    cached_tensor,
+    fixed_point_optimize,
+    flat_index,
+)
 from framecast.cli import _round_floats, main
 
 
@@ -72,14 +79,37 @@ class TestOptimize:
         assert doc["report"]["mse_per_axis"] == pytest.approx(0.2113248654, abs=1e-7)
 
     def test_restart_that_only_ties_keeps_the_uniform_init(self, capsys):
-        # at z, n = 5, restart 1 reaches the uniform-init value to the last
-        # digits with another per-block phase; a tie keeps the incumbent
-        code, out, _ = run_cli(capsys, "optimize", "--n", "5", "--objective", "z")
+        # at xy, n = 3 (no closed sector, so the loop runs), the 3 restarts
+        # reach the uniform-init value within tol with other per-block
+        # phases; a tie keeps the incumbent
+        code, out, _ = run_cli(capsys, "optimize", "--n", "3", "--objective", "xy")
         assert code == 0
         doc = json.loads(out)
-        uniform = fixed_point_optimize(cached_tensor(Objective.z_axis(), 4), 5)
+        tensor = cached_tensor(Objective.xy_axes(), 2)
+        uniform = fixed_point_optimize(tensor, 3)
+        for stream in np.random.SeedSequence((0, 3)).spawn(3):
+            start = FiducialState.random(3, np.random.default_rng(stream))
+            tie = fixed_point_optimize(tensor, 3, start)
+            assert abs(tie.lam - uniform.lam) <= 1e-12
+            assert np.abs(tie.a.a - uniform.a.a).max() > 1e-3
         assert doc["alice"] == json.loads(json.dumps(_round_floats(uniform.a.to_json())))
         assert doc["fiducial"] == json.loads(json.dumps(_round_floats(uniform.b.to_json())))
+
+    def test_sector_objective_prints_the_certified_sector_pair(self, capsys):
+        # z at n = 100: the Legendre state, one entry of trajectory and exact
+        # zeros off m = 0
+        code, out, _ = run_cli(capsys, "optimize", "--n", "100", "--objective", "z",
+                               "--restarts", "0")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["converged"] is True
+        assert doc["lambda"] == pytest.approx(np.polynomial.legendre.leggauss(100)[0].max(),
+                                              abs=1e-12)
+        assert doc["iterations"] == 1 and doc["lambda_trajectory"] == [doc["lambda"]]
+        alice = AliceState.from_json(doc["alice"]).a
+        off = np.ones(alice.size, dtype=bool)
+        off[flat_index(np.arange(100), 0)] = False
+        assert not alice[off].any() and alice[~off].all()
 
     def test_single_level_floor(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--n", "1", "--objective", "xyz")
@@ -126,8 +156,9 @@ class TestOptimize:
         assert code == 0 and "Traceback" not in err
 
     def test_non_convergence_exit_code(self, capsys):
+        # xy has no closed sector, so --max-iter caps the loop
         code, out, _ = run_cli(
-            capsys, "optimize", "--n", "3", "--objective", "xyz",
+            capsys, "optimize", "--n", "3", "--objective", "xy",
             "--max-iter", "1", "--restarts", "0",
         )
         assert code == 2
@@ -155,9 +186,9 @@ class TestOptimize:
         with caplog.at_level(logging.DEBUG, logger="framecast.optimizer"):
             assert run_cli(capsys, *argv) == quiet
         assert quiet[0] == 0 and quiet[2] == ""
-        # one record per fixed point: xyz's uniform start and 3 restarts at
-        # one level; xy's uniform and stretched starts and 3 restarts per level
-        fixed_points = 4 if argv[0] == "optimize" else 5 * 3
+        # one record per fixed point: xyz takes the sector pair and runs its 3
+        # restarts; xy runs its uniform and stretched starts and 3 restarts per level
+        fixed_points = 3 if argv[0] == "optimize" else 5 * 3
         assert len([r for r in caplog.records if r.name == "framecast.optimizer"]) == fixed_points
 
     def test_optimize_never_expands_entries(self, capsys):
@@ -387,9 +418,10 @@ class TestSimulate:
         assert out1 == out2
 
     def test_inline_non_convergence_exit_code(self, capsys):
-        # the report is still printed; exit 2 flags the unconverged pair, as in optimize
-        code, out, _ = run_cli(capsys, "simulate", "--n", "3", "--max-iter", "1",
-                               "--samples", "100")
+        # the report is still printed; exit 2 flags the unconverged pair, as in
+        # optimize (xy has no closed sector, so --max-iter caps the loop)
+        code, out, _ = run_cli(capsys, "simulate", "--n", "3", "--objective", "xy",
+                               "--max-iter", "1", "--samples", "100")
         assert code == 2
         assert json.loads(out)["samples"] == 100
 
@@ -398,7 +430,7 @@ class TestSimulate:
         # xy at n = 9 and 10: the uniform start and the best of the restarts
         # differ, so a simulate that skipped the restarts would replay
         # another state than optimize reports
-        from framecast import AliceState, FiducialState, cli
+        from framecast import cli
 
         opt_code, out, _ = run_cli(capsys, "optimize", "--n", str(n), "--objective", "xy",
                                    "--seed", "2")
@@ -420,8 +452,8 @@ class TestSimulate:
 
     def test_state_file_pair_is_taken_as_it_is(self, capsys, tmp_path):
         state_path = tmp_path / "state.json"
-        code, _, _ = run_cli(capsys, "optimize", "--n", "3", "--max-iter", "1",
-                             "--restarts", "0", "--output", str(state_path))
+        code, _, _ = run_cli(capsys, "optimize", "--n", "3", "--objective", "xy", "--max-iter",
+                             "1", "--restarts", "0", "--output", str(state_path))
         assert code == 2
         code, out, _ = run_cli(capsys, "simulate", "--state-file", str(state_path),
                                "--samples", "100")

@@ -193,6 +193,41 @@ class TestAssembleTensor:
             assert abs(j - k) <= 1
             assert tensor.entries[(k, j, n, m, s, r)] == pytest.approx(val, abs=1e-15)
 
+    def test_each_pair_is_built_once_and_its_mirror_shares_it(self, monkeypatch):
+        # verify asks every tensor for all (j_max + 1)^2 pairs: each pair
+        # j <= k with terms is built once from its Clebsch-Gordan rows, and
+        # (k, j) is the same arrays in swapped roles with conjugate values
+        from framecast import coefficients
+
+        built, plain = [], coefficients._spin_one_cg
+
+        def counted(j, k):
+            built.append((j, k))
+            return plain(j, k)
+
+        monkeypatch.setattr(coefficients, "_spin_one_cg", counted)
+        c = np.array([[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 0.3]])
+        tensor, levels = moment_tensor(c, 5), range(6)
+        assert np.iscomplexobj(tensor.c_hat)
+        for _ in range(2):
+            found = {(j, k): tensor.nonzeros(j, k) for j in levels for k in levels}
+        assert len(tensor.entries) == sum(values.size for _, values in found.values())
+        assert sorted(built) == [(j, k) for j in levels for k in (j, j + 1) if 0 < k <= 5]
+        for (j, k), (index, values) in found.items():
+            if abs(j - k) > 1 or j == k == 0:
+                assert values.size == 0 and all(part.size == 0 for part in index), (j, k)
+                continue
+            assert values.size and not values.flags.writeable, (j, k)
+            (m, r, n, s), mirror = found[k, j]
+            if j > k:
+                assert all(a is b for a, b in zip(index, (n, s, m, r))), (j, k)
+                assert np.array_equal(values, mirror.conj()), (j, k)
+            keys = zip((index[0] - j).tolist(), (index[2] - k).tolist(),
+                       (index[1] - j).tolist(), (index[3] - k).tolist())
+            assert [tensor.entries[(j, k, *key)] for key in keys] == values.tolist(), (j, k)
+        with pytest.raises(ValueError, match="outside"):
+            tensor.nonzeros(6, 5)
+
     def test_weighted_combination(self):
         z = cached_tensor(Objective.z_axis(), 2)
         xy = cached_tensor(Objective.xy_axes(), 2)

@@ -1,5 +1,6 @@
 """Fixed-point optimization, direct-search cross-checks, sweeps, and fits."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import entry_expectation, entry_matrix
+from conftest import entry_expectation, entry_matrix, loop_best_of_restarts
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh as lapack_eigh
@@ -583,10 +584,10 @@ def _all_dense_fixed_point(tensor, n, b, tol=1e-12, max_iter=2000):
 
 
 def _optimize_without_dense_algebra(capsys, monkeypatch, n):
-    """`optimize --n n --restarts 0`'s JSON and tracemalloc peak.
+    """`optimize --n n --objective xy --restarts 0`'s JSON and tracemalloc peak.
 
-    Cholesky and any eigh or eigvalsh of more than 2n - 1 rows, the largest
-    Schur block, raise meanwhile.
+    xy has no closed sector, so the loop runs. Cholesky and any eigh or
+    eigvalsh of more than 2n - 1 rows, the largest Schur block, raise meanwhile.
     """
     from framecast.cli import main
 
@@ -605,7 +606,7 @@ def _optimize_without_dense_algebra(capsys, monkeypatch, n):
     monkeypatch.setattr(np.linalg, "eigvalsh", bounded(np.linalg.eigvalsh))
     tracemalloc.start()
     try:
-        assert main(["optimize", "--n", str(n), "--restarts", "0"]) == 0
+        assert main(["optimize", "--n", str(n), "--objective", "xy", "--restarts", "0"]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -766,30 +767,36 @@ class TestWarmRounds:
         # and Schur blocks only
         doc, peak = _optimize_without_dense_algebra(capsys, monkeypatch, 60)
         assert doc["converged"]
-        assert doc["lambda"] == pytest.approx(2.94706102195, abs=1e-11)
+        top = np.linalg.eigvalsh(stretched_jacobi(60, 0.0, 1.0))[-1]
+        assert doc["lambda"] == pytest.approx(top, abs=1e-11)
         assert peak < 32e6
 
     @pytest.mark.slow
     def test_level_one_hundred(self, capsys, monkeypatch):
         doc, peak = _optimize_without_dense_algebra(capsys, monkeypatch, 100)
         assert doc["converged"]
-        assert doc["lambda"] == pytest.approx(2.97033681481, abs=1e-11)
+        top = np.linalg.eigvalsh(stretched_jacobi(100, 0.0, 1.0))[-1]
+        assert doc["lambda"] == pytest.approx(top, abs=1e-11)
         assert peak < 64e6
 
     @pytest.mark.slow
     def test_level_two_hundred_converges_at_the_default_cap(self, capsys):
+        # optimize prints the certified sector pair; the loop from the
+        # stretched start reaches it within the default cap
         from framecast.cli import main
 
         assert main(["optimize", "--n", "200", "--objective", "xyz", "--restarts", "0"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["converged"] and doc["iterations"] <= optimizer.DEFAULT_MAX_ITER
+        assert doc["converged"] and doc["iterations"] == 1
         assert doc["lambda"] == pytest.approx(2.98629163942, abs=1e-11)
+        loop = loop_best_of_restarts(cached_tensor(Objective.xyz_axes(), 199), 200, 0, 0)
+        assert loop.converged and loop.iterations <= optimizer.DEFAULT_MAX_ITER
+        assert loop.lam == pytest.approx(2.98629163942, abs=1e-11)
 
     def test_z_sweep_past_level_forty_converges(self, capsys):
         # forcing-stopped rounds need 31 rounds at n = 43, where the fixed
-        # 6-vector rounds ran past the default cap of 200; sweep runs the
-        # loop at level 40 alone (41..45 are sector rows), so every level's
-        # restarts also run here directly
+        # 6-vector rounds ran past the default cap of 200; every sweep row is
+        # a sector row, so the loop's starts and restarts run here directly
         from framecast.cli import main
 
         assert main(["sweep", "--objective", "z", "--n", "40..45"]) == 0
@@ -800,8 +807,8 @@ class TestWarmRounds:
             assert converged == "true"
             assert float(lam) == pytest.approx(z_sector(int(n)).lam, abs=1e-12)
         for n in range(40, 46):
-            best = best_of_restarts(cached_tensor(Objective.z_axis(), n - 1), n,
-                                    optimizer.DEFAULT_RESTARTS, 0)
+            best = loop_best_of_restarts(cached_tensor(Objective.z_axis(), n - 1), n,
+                                         optimizer.DEFAULT_RESTARTS, 0)
             assert best.converged, n
             assert best.lam == pytest.approx(z_sector(n).lam, abs=1e-12), n
 
@@ -848,16 +855,17 @@ class TestObservability:
         assert record.getMessage().startswith(f"fixed point n=6: {rounds} rounds, {vectors} ")
 
     def test_sweep_counts_inertia_once_per_fixed_point(self, caplog):
-        # the loop at seed 1 over n = 2..10: 9 levels of 4 starts, 36 fixed
-        # points, each certified by the first inertia count it tries
+        # xyz at seed 1 over n = 2..10: each level takes the sector pair and
+        # runs its 3 random restarts, 27 fixed points, each certified by the
+        # first inertia count it tries
         objective = Objective.xyz_axes()
         with caplog.at_level(logging.DEBUG, logger="framecast.optimizer"):
             results = [best_of_restarts(cached_tensor(objective, n - 1), n, 3, seed=1)
                        for n in range(2, 11)]
         assert all(result.converged for result in results)
         records = [r.args for r in caplog.records if r.name == "framecast.optimizer"]
-        assert len(records) == 36
-        assert sum(args[3] for args in records) == sum(args[4] for args in records) == 36
+        assert len(records) == 27
+        assert sum(args[3] for args in records) == sum(args[4] for args in records) == 27
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         # the benchmark's sweep at seed 1 reads every level from the sector
         caplog.clear()
@@ -899,10 +907,11 @@ class TestSingleM:
         )
 
     def test_z_loop_is_the_sector_optimum(self):
-        # the loop's evidence for the z sweep, whose every row is z_sector(n)
+        # the loop's evidence for the z rows of sweep, optimize and simulate,
+        # every one of them z_sector(n)
         for n in range(2, 11):
-            loop = best_of_restarts(cached_tensor(Objective.z_axis(), n - 1), n,
-                                    optimizer.DEFAULT_RESTARTS, 0)
+            loop = loop_best_of_restarts(cached_tensor(Objective.z_axis(), n - 1), n,
+                                         optimizer.DEFAULT_RESTARTS, 0)
             assert loop.converged
             assert loop.lam == pytest.approx(z_sector(n).lam, abs=1e-12), n
 
@@ -978,16 +987,16 @@ class TestStretchedSector:
             assert np.max(np.abs(mat - stretched_jacobi(6, w_z, w_xy))) < 1e-10
 
     def test_xyz_sweep_is_the_sector_optimum(self):
-        # every row comes from the sector, so the loop's evidence is
-        # best_of_restarts run against them directly
+        # every row comes from the sector, as does best_of_restarts' pair, so
+        # the loop's evidence is fixed_point_optimize run against them
         rows = sweep(Objective.xyz_axes(), 2, 40)
         for row in rows:
             assert row.converged
             top = np.linalg.eigvalsh(stretched_jacobi(row.n, 1.0, 1.0))[-1]
             assert row.lam == pytest.approx(top, abs=1e-12), row.n
         for n in range(2, 41):
-            loop = best_of_restarts(cached_tensor(Objective.xyz_axes(), n - 1), n,
-                                    optimizer.DEFAULT_RESTARTS, 0)
+            loop = loop_best_of_restarts(cached_tensor(Objective.xyz_axes(), n - 1), n,
+                                         optimizer.DEFAULT_RESTARTS, 0)
             assert loop.converged
             assert loop.lam == pytest.approx(rows[n - 2].lam, abs=1e-12), n
 
@@ -1020,11 +1029,13 @@ class TestStretchedSector:
             assert row.lam == pytest.approx(top, abs=1e-12), row.n
 
     @pytest.mark.parametrize("objective, first", [
-        (Objective.xyz_axes(), ["stretched"]), (Objective.weighted(3.0, 3.0), ["stretched"]),
+        (Objective.xyz_axes(), []), (Objective.weighted(3.0, 3.0), []),
         (Objective.xy_axes(), ["uniform", "stretched"]),
         (Objective.weighted(2.0, 0.5), ["uniform", "stretched"]),
-        (Objective.z_axis(), ["uniform"]), (Objective.weighted(1.0, 0.0), ["uniform"])])
+        (Objective.z_axis(), []), (Objective.weighted(1.0, 0.0), [])])
     def test_deterministic_starts_follow_the_symmetry_of_c(self, monkeypatch, objective, first):
+        # a certified sector pair is the deterministic candidate of z-only and
+        # isotropic c, so the loop runs only its random restarts
         n, starts = 3, []
         plain = optimizer.fixed_point_optimize
 
@@ -1316,6 +1327,68 @@ def _recording(levels):
         return plain(tensor, n, *args, **kwargs)
 
     return recorded
+
+
+class TestSolveRule:
+    """One rule at one n: the certified sector pair where c has a closed sector, else the loop."""
+
+    @pytest.mark.parametrize("objective", [Objective.z_axis(), Objective.xyz_axes(),
+                                           Objective.weighted(3.0, 3.0),
+                                           Objective.weighted(1.0, 0.0)])
+    def test_the_pair_is_the_sweep_row(self, monkeypatch, objective):
+        rows = sweep(objective, 1, 40)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the loop ran")
+
+        monkeypatch.setattr(optimizer, "fixed_point_optimize", refuse)
+        for row in rows:
+            result = best_of_restarts(cached_tensor(objective, row.n - 1), row.n, 0, 0)
+            assert result.converged and row.converged, row.n
+            assert result.iterations == 1 and result.lambda_trajectory == (result.lam,), row.n
+            assert result.lam == row.lam, row.n
+
+    @pytest.mark.parametrize("objective, stretched", [(Objective.z_axis(), False),
+                                                      (Objective.xyz_axes(), True)])
+    def test_a_refused_count_runs_the_loop_once_warned(self, monkeypatch, caplog, objective,
+                                                       stretched):
+        n, tensor = 6, cached_tensor(objective, 5)
+        monkeypatch.setattr(optimizer, "_sector_certified",
+                            lambda sector, levels, lams: [False] * len(levels))
+        with caplog.at_level(logging.WARNING, logger="framecast.optimizer"):
+            result = best_of_restarts(tensor, n, 0, 0)
+        [warning] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warning.getMessage().startswith("n=6: no certificate")
+        # the loop's starts: uniform, then stretched when c weights the xy plane
+        loops = [fixed_point_optimize(tensor, n, start)
+                 for start in [None] + [FiducialState.stretched(n)] * stretched]
+        expected = loops[0]
+        if stretched and loops[1].lam > expected.lam + 1e-12 * tensor.weight:
+            expected = loops[1]
+        assert result.converged and result.iterations > 1
+        assert result.lam == expected.lam
+        assert np.array_equal(result.a.a, expected.a.a)
+
+    def test_a_restart_that_beats_the_sector_pair_replaces_it(self, monkeypatch, caplog):
+        # a sector pair 0.1 below the optimum: restart 0 reaches the optimum,
+        # restarts 1 and 2 only tie with it
+        n, tensor = 4, cached_tensor(Objective.xyz_axes(), 3)
+        exact = optimizer.optimize_sector
+
+        def lowered(tensor, n):
+            pair = exact(tensor, n)
+            return dataclasses.replace(pair, lam=pair.lam - 0.1)
+
+        monkeypatch.setattr(optimizer, "optimize_sector", lowered)
+        with caplog.at_level(logging.WARNING, logger="framecast.optimizer"):
+            result = best_of_restarts(tensor, n, 3, 0)
+        [warning] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warning.getMessage() == "n=4: restart 0 beats the sector pair"
+        stream = np.random.SeedSequence((0, n)).spawn(3)[0]
+        first = fixed_point_optimize(tensor, n,
+                                     FiducialState.random(n, np.random.default_rng(stream)))
+        assert result.lam == first.lam and result.lam > exact(tensor, n).lam - 1e-12
+        assert np.array_equal(result.a.a, first.a.a)
 
 
 class TestScaleInvariance:

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import loop_best_of_restarts
 
 from framecast import (
     AliceState,
@@ -26,6 +27,7 @@ from framecast import (
     integrate,
     make_grid,
     monte_carlo_error,
+    optimize_sector,
     outcome_density,
     povm_defect,
     rotation_matrix_components,
@@ -344,7 +346,7 @@ class TestAmplitude:
 
 def stretched_pair(n):
     """Flat amplitudes of the xyz optimum reached from the stretched start b_j = |j, j>."""
-    result = best_of_restarts(cached_tensor(Objective.xyz_axes(), n - 1), n, 0, 0)
+    result = loop_best_of_restarts(cached_tensor(Objective.xyz_axes(), n - 1), n, 0, 0)
     assert result.converged
     return result.a.a, result.b.b
 
@@ -544,6 +546,26 @@ class TestExactSampler:
         assert np.array_equal(_invert_cdf(coef, math.pi, u, sweeps), u * math.pi)
         assert sweeps == [0]
         assert calls["calls"] == 0
+
+    def test_shared_beta_inversion_peak_does_not_grow_with_the_lags(self):
+        # 6000 rows on the shared beta marginal of the xyz optimum, 20 lags at
+        # n = 10 and 60 at n = 30: the inversion works row by row and lag by
+        # lag, so no (rows, lags) array (1.9 and 5.8 MB complex) is built
+        rows, peaks = 6000, []
+        u = np.random.default_rng(6000).random(rows)
+        for n in (10, 30):
+            pair = optimize_sector(cached_tensor(Objective.xyz_axes(), n - 1), n)
+            coef = _beta_marginal(_support_layout(pair.a.a, pair.b.b, n).coef)
+            assert coef.shape == (2 * n,)
+            tracemalloc.start()
+            try:
+                _invert_cdf(coef, math.pi, u)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 40 more lags add less than one complex number per row
+        assert peaks[1] - peaks[0] < rows * 16
+        assert peaks[1] < rows * 60 * 16 / 2
 
     def test_inversion_meets_residual_guard(self, rng):
         # autocorrelation lags of random vectors are valid (non-negative) densities
