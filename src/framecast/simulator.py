@@ -27,15 +27,18 @@ polynomial in one angle whose coefficients are autocorrelations of P's
 coefficients, so each angle inverts a closed-form CDF, three uniforms per
 sample and no proposal wasted (acceptance_rate 1). A density of lag 0 alone
 is flat, its angle u times the range (alpha on any span-1 layout). Every
-other inversion tabulates its CDF at CDF_CELLS + 1 equispaced nodes and
-starts Newton inside the bracketing cell (Hormann & Leydold, ACM TOMACS 13,
-347, 2003). The beta marginal, shared by every sample, is inverted once per
-chunk; alpha and gamma per block of BLOCK_ROWS rows, fewer where the layout
-would pass BLOCK_ELEMENTS complex numbers. Each chunk logs its block rows, Newton sweeps, throughput and
-layout size at DEBUG level. Because of covariance this path draws no true
-rotation. Rejection sampling of Haar-uniform proposals under the envelope n^2
-(`_sample_chunk`, monte_carlo_error(rejection=True)) stays as the independent
-oracle: it composes true rotations and proposals with `so3.error_angles`,
+other inversion tabulates its CDF at CDF_CELLS + 1 equispaced nodes, whose
+trig table is built once per range and lag count, and starts Newton inside
+the bracketing cell (Hormann & Leydold, ACM TOMACS 13, 347, 2003). The beta
+marginal, shared by every sample, is inverted once per chunk; alpha and
+gamma per block of BLOCK_ROWS rows, fewer where the layout would pass
+BLOCK_ELEMENTS complex numbers. The Horner sums and phase powers keep the
+rows on their inner, contiguous axis. Each chunk logs its block rows, Newton
+sweeps, throughput and layout size at DEBUG level. Because of covariance
+this path draws no true rotation. Rejection sampling of Haar-uniform
+proposals under the envelope n^2 (`_sample_chunk`,
+monte_carlo_error(rejection=True)) stays as the independent oracle: it
+composes true rotations and proposals with `so3.error_angles`,
 which the exact sampler never calls, and scores the dense (2n-1)^3 polynomial
 (`_amplitude_polynomial`), never the support layout. Both samplers return
 error angles.
@@ -43,6 +46,7 @@ error angles.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -165,16 +169,27 @@ def _support_layout(a_vec: np.ndarray, b_vec: np.ndarray, n: int) -> _SupportLay
 
 
 def _powers(x: np.ndarray, degree: int) -> np.ndarray:
-    """exp(i k x) for k = 0..degree along a new last axis, as running products."""
-    powers = np.empty(np.shape(x) + (degree + 1,), dtype=complex)
-    powers[..., 0] = 1.0
-    powers[..., 1:] = np.exp(1j * x)[..., None]
-    np.cumprod(powers, axis=-1, out=powers)
-    return powers
+    """exp(i k x) for k = 0..degree along a new last axis, as running products.
+
+    The powers are built as (degree + 1, *x.shape), x's rows on the inner,
+    contiguous axis: each power is then one multiply p[k] = p[k - 1] exp(i x)
+    over all rows, where products along a short last axis would loop over
+    degree + 1 elements per row. The (..., degree + 1) view is returned.
+    """
+    z = np.exp(1j * x)
+    powers = np.empty((degree + 1,) + np.shape(x), dtype=complex)
+    powers[0] = 1.0
+    for k in range(1, degree + 1):
+        # powers[k, ...] stays an array, not a scalar, when x is 0-d
+        np.multiply(powers[k - 1], z, out=powers[k, ...])
+    return np.moveaxis(powers, 0, -1)
 
 
 def _phases(x: np.ndarray, degree: int) -> np.ndarray:
-    """exp(i k x) for k = -degree..degree along a new last axis (k < 0 by conjugation)."""
+    """exp(i k x) for k = -degree..degree along a new last axis (k < 0 by conjugation).
+
+    Laid out as _powers: x's rows on the inner axis.
+    """
     powers = _powers(x, degree)
     return np.concatenate([powers[..., :0:-1].conj(), powers], axis=-1)
 
@@ -272,15 +287,37 @@ def _cdf_terms(coef: np.ndarray) -> np.ndarray:
 def _trig_cdf(terms: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CDF from 0 and density at x, both rows of terms summed by Horner's rule in exp(i x).
 
-    terms is one row of _cdf_terms per x, or one row that every x shares.
+    x is 0-d or 1-D; terms is one row of _cdf_terms per x, or one row that
+    every x shares. The two sums are kept as (2, *x.shape), x's rows on the
+    inner, contiguous axis, so each Horner step is one long multiply and add
+    where a (rows, 2) layout loops over 2 elements per row; per-row terms are
+    read through a strided view, and shared ones broadcast.
     """
-    z = np.exp(1j * x)[..., None]
-    sums = np.zeros(np.shape(x) + (2,), dtype=complex)
+    z = np.exp(1j * x)
+    # lags[k] is (2, *x.shape): per-row terms strided, a shared row on unit axes
+    lags = terms.T.reshape(terms.shape[::-1] + (1,) * (np.ndim(x) + 2 - terms.ndim))
+    sums = np.zeros((2,) + np.shape(x), dtype=complex)
     for k in range(terms.shape[-1] - 1, -1, -1):
         sums *= z
-        sums += terms[..., k]
+        sums += lags[k]
     head = terms[..., 0, 0].real
-    return head * x + 2.0 * sums[..., 1].real, 2.0 * sums[..., 0].real - head
+    return head * x + 2.0 * sums[1].real, 2.0 * sums[0].real - head
+
+
+@functools.lru_cache(maxsize=16)
+def _node_table(upper: float, lags: int) -> tuple[np.ndarray, np.ndarray]:
+    """CDF_CELLS + 1 equispaced nodes on [0, upper], and the trig table of _invert_cdf on them.
+
+    Rows 2k and 2k + 1 of the table hold cos(k x) and -sin(k x), k < lags, so
+    that Re(c exp(i k x)) is the real dot product of (Re c, Im c) with them.
+    Both arrays are read-only: every inversion of that many lags shares them.
+    """
+    nodes = np.linspace(0.0, upper, CDF_CELLS + 1)
+    powers = _powers(nodes, lags - 1).T.conj()
+    trig = np.stack([powers.real, powers.imag], axis=1).reshape(2 * lags, -1)
+    nodes.setflags(write=False)
+    trig.setflags(write=False)
+    return nodes, trig
 
 
 def _invert_cdf(coef: np.ndarray, upper: float, u: np.ndarray,
@@ -304,21 +341,21 @@ def _invert_cdf(coef: np.ndarray, upper: float, u: np.ndarray,
             sweeps.append(0)
         return u * upper
     shared = coef.ndim == 1
-    nodes = np.linspace(0.0, upper, CDF_CELLS + 1)
+    nodes, trig = _node_table(upper, coef.shape[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = _cdf_terms(coef)
         # F at the nodes by a stack of one-row products, so that a row's table
-        # does not depend on the number of rows; Re(c exp(i k x)) is the real
-        # dot product of (Re c, Im c) with (cos k x, -sin k x)
+        # does not depend on the number of rows; scaled and offset in place,
+        # since every (rows, CDF_CELLS + 1) temporary costs fresh pages
         rows = terms.reshape(-1, 2, terms.shape[-1])
-        trig = np.ascontiguousarray(_powers(nodes, terms.shape[-1] - 1).conj().view(float).T)
-        sums = rows[:, None, 1].view(float) @ trig
-        table = rows[:, 0, 0].real[:, None] * nodes + 2.0 * sums[:, 0]
+        table = (rows[:, None, 1].view(float) @ trig)[:, 0]
+        table *= 2.0
+        table += rows[:, 0, 0].real[:, None] * nodes
         total = np.broadcast_to(table[:, -1], u.shape)
         target = u * total
         cell = np.clip(np.count_nonzero(table <= target[:, None], axis=-1) - 1,
                        0, CDF_CELLS - 1)
-        f_lo, f_hi = np.take_along_axis(table, cell[:, None] + [0, 1], axis=-1).T
+        f_lo, f_hi = np.take(table, cell + (CDF_CELLS + 1) * np.arange(len(table)) + [[0], [1]])
         # a flat cell gives a NaN start, which the first step turns into bisection
         left, right = nodes[cell], nodes[cell + 1]
         x = left + np.clip((target - f_lo) / (f_hi - f_lo), 0.0, 1.0) * (right - left)

@@ -1392,10 +1392,12 @@ class TestSolveRule:
 
 
 class TestScaleInvariance:
-    @pytest.mark.parametrize("ratio", [(1.0, 1.0), (2.0, 0.5)])
+    @pytest.mark.parametrize("ratio", [(1.0, 1.0), (2.0, 0.5), (1.0, 0.0)])
     def test_scaled_weights_take_the_same_path(self, monkeypatch, ratio):
         # tolerances in units of c's largest weight: 1e8 once aborted on a
-        # rounding-level decrease, and the round counts moved with the scale
+        # rounding-level decrease, and the round counts moved with the scale.
+        # Equal and z-only weights have a closed sector: its certified pair
+        # wins at every scale, the same state up to a global phase
         plain = optimizer.fixed_point_optimize
         paths = []
 
@@ -1404,18 +1406,28 @@ class TestScaleInvariance:
             return paths[-1][-1]
 
         monkeypatch.setattr(optimizer, "fixed_point_optimize", recorded)
-        n, winners, values = 4, [], []
+        n, winners, values, pairs = 4, [], [], []
+        sector = ratio[1] in (0.0, ratio[0])
         for scale in (1e-138, 1e-3, 1.0, 1e3, 1e5, 1e8):
             paths.append([])
-            objective = Objective.weighted(ratio[0] * scale, ratio[1] * scale)
-            best = best_of_restarts(cached_tensor(objective, n - 1), n, 3, 0)
+            tensor = cached_tensor(Objective.weighted(ratio[0] * scale, ratio[1] * scale), n - 1)
+            best = best_of_restarts(tensor, n, 3, 0)
             assert best.converged
             winners.append([result is best for result in paths[-1]])
             values.append(best.lam / scale)
+            pairs.append((best.a.a, best.b.b))
+            if sector:
+                assert not any(winners[-1])
+                assert np.array_equal(best.a.a, optimize_sector(tensor, n).a.a)
         assert all(winner == winners[0] for winner in winners)
         assert all([r.iterations for r in path] == [r.iterations for r in paths[0]]
                    for path in paths)
         assert values == pytest.approx([values[0]] * len(values), rel=1e-12)
+        if sector:
+            for pair in pairs:
+                for got, want in zip(pair, pairs[2]):
+                    overlap = np.vdot(got, want)
+                    assert np.max(np.abs(got * overlap / abs(overlap) - want)) < 1e-12
 
 
 class TestDirectSearch:

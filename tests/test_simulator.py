@@ -43,6 +43,8 @@ from framecast.simulator import (
     _cdf_terms,
     _invert_cdf,
     _outcome_amplitudes,
+    _phases,
+    _powers,
     _sample_chunk,
     _sample_errors,
     _support_layout,
@@ -302,6 +304,21 @@ def block_rotation_amplitude(a, b, n, true_angles, meas_angles):
         rotated_b = big_d_matrix(j, *meas_angles) @ b[sl]
         total += math.sqrt(2 * j + 1) * np.vdot(rotated_a, rotated_b)
     return total
+
+
+class TestPhasePowers:
+    @pytest.mark.parametrize("shape", [(), (1000,), (40, 25)])
+    def test_match_exponentials(self, shape, rng):
+        # dyadic x in [-4, 4), so k x is exact and np.exp(1j k x) is rounded
+        # once; each running product adds at most about one ulp
+        x = np.asarray(rng.integers(-2**20, 2**20, shape) / 2**18)
+        eps = np.finfo(float).eps
+        for degree in range(13):
+            for got, k in ((_powers(x, degree), np.arange(degree + 1)),
+                           (_phases(x, degree), np.arange(-degree, degree + 1))):
+                assert got.shape == x.shape + k.shape
+                exact = np.exp(1j * k * x[..., None])
+                assert np.max(np.abs(got - exact)) <= max(degree, 1) * eps, degree
 
 
 class TestAmplitude:
@@ -607,6 +624,15 @@ class TestExactSampler:
         assert np.array_equal(shared, _invert_cdf(np.broadcast_to(coef, (count, coef.size)),
                                                   math.pi, u))
         assert np.array_equal(shared, _invert_cdf(np.tile(coef, (count, 1)), math.pi, u))
+        # _trig_cdf on the shared row and on it broadcast to every x; a 0-d x
+        # against the one-row broadcast at the same point
+        terms = _cdf_terms(coef)
+        x = math.pi * u
+        for point, points in ((x, x), (np.array(x[0]), x[:1])):
+            broadcast = _trig_cdf(np.broadcast_to(terms, points.shape + terms.shape), points)
+            for got, want in zip(_trig_cdf(terms, point), broadcast):
+                assert np.shape(got) == np.shape(point)
+                assert np.array_equal(got, want.reshape(np.shape(point)))
 
     def test_newton_sweeps_of_a_seeded_run_stay_under_ceiling(self, monkeypatch):
         # every inversion starts inside a tabulated cell, and beta is inverted
@@ -725,3 +751,20 @@ def test_large_level_exact_replay_matches_analytic(capsys, n, samples):
                           ("cos_x_plus_y", analytic.expect_cos_xy),
                           ("cos_sum", analytic.expect_cos_sum)):
         assert abs(doc[f"mean_{key}"] - expected) < 3 * doc[f"stderr_{key}"], key
+
+
+@pytest.mark.slow
+def test_sector_pair_replay_at_level_three_hundred():
+    # the n = 300 xyz sector pair, replayed by the exact sampler: the support
+    # layout keeps one slot per r, 300 of the 599^2 (m, r) slots
+    n = 300
+    pair = optimize_sector(cached_tensor(Objective.xyz_axes(), n - 1), n)
+    assert pair.converged
+    report = monte_carlo_error(pair.a, pair.b, samples=2000, seed=n)
+    analytic = fidelity_report(pair.a, pair.b, Objective.xyz_axes())
+    assert report.acceptance_rate == 1.0
+    for key, expected in (("cos_z", analytic.expect_cos_z),
+                          ("cos_x_plus_y", analytic.expect_cos_xy),
+                          ("cos_sum", analytic.expect_cos_sum)):
+        mean, stderr = getattr(report, f"mean_{key}"), getattr(report, f"stderr_{key}")
+        assert abs(mean - expected) < 3 * stderr, key
